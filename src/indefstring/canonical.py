@@ -184,7 +184,7 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
 
     Exact piecewise-constant output whenever omega is purely atomic (any
     upsilon); pieces where omega carries a density are approximated by
-    ``mesh`` equal travel-coordinate substeps each, with cell averages of
+    ``mesh`` equal travel-coordinate cells each, with cell averages of
     h22 and h12 (this preserves total extent, x-extent and int w exactly up
     to rounding).  A density of omega on an unbounded interval cannot be
     meshed and raises UnsupportedShape.

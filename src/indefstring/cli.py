@@ -18,7 +18,7 @@ from .canonical import (
     hamiltonian_to_string,
     string_to_hamiltonian,
 )
-from .coefficients import spec_discrepancy, spec_from_json, spec_to_json
+from .coefficients import coefficient_view, spec_discrepancy, spec_from_json, spec_to_json
 from .convergence import StringSequence, report_to_json, string_convergence_check
 from .errors import ComputationError, ValidationError
 from .spectral import measure_to_json, stieltjes_inversion
@@ -132,6 +132,9 @@ def cmd_forward(args) -> int:
         return weyl_m(spec, z, tol=args.tol)
 
     if args.jobs > 1:
+        # Build the cached view here: worker threads that all miss the cache
+        # at once would each build it.
+        coefficient_view(spec)
         with ThreadPoolExecutor(max_workers=args.jobs) as fan:
             samples = list(fan.map(sample, zs))
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -182,57 +182,16 @@ def spec_from_json(doc: Mapping) -> StringSpec:
     return validate_spec(doc)
 
 
-class _MeasureView:
-    """Distribution-function machinery for a single measure on [0, length)."""
+def _running_totals(*steps: np.ndarray) -> list[np.ndarray]:
+    """Totals of a running sum that adds ``steps[0][i], steps[1][i], ...`` for i = 0, 1, ...
 
-    def __init__(self, data: MeasureData, length: float):
-        self.length = length
-        points = {0.0}
-        points.update(x for x, _ in data.atoms)
-        for a, b, _ in data.density:
-            points.add(a)
-            if math.isfinite(b):
-                points.add(b)
-        if math.isfinite(length):
-            points.add(length)
-        self.bp = np.array(sorted(points))
-        n = len(self.bp)
-        self.atom = np.zeros(n)
-        for x, mass in data.atoms:
-            self.atom[np.searchsorted(self.bp, x)] += mass
-        # dens[i] holds the density on (bp[i], bp[i+1]); the final entry covers
-        # the unbounded tail when length is infinite and is zero otherwise.
-        self.dens = np.zeros(n)
-        for a, b, value in data.density:
-            i = int(np.searchsorted(self.bp, a))
-            while i < n and self.bp[i] < b:
-                self.dens[i] = value
-                i += 1
-        self.cum_left = np.zeros(n)
-        self.cum_right = np.zeros(n)
-        for i in range(n):
-            self.cum_right[i] = self.cum_left[i] + self.atom[i]
-            if i + 1 < n:
-                h = self.bp[i + 1] - self.bp[i]
-                self.cum_left[i + 1] = self.cum_right[i] + self.dens[i] * h
-
-    def locate(self, x: float) -> int:
-        return max(0, int(np.searchsorted(self.bp, x, side="right")) - 1)
-
-    def distribution(self, x: float) -> float:
-        """Left-continuous cumulative value measure([0, x))."""
-        j = self.locate(x)
-        if x == self.bp[j]:
-            return float(self.cum_left[j])
-        return float(self.cum_right[j] + self.dens[j] * (x - self.bp[j]))
-
-    def atom_mass(self, x: float) -> float:
-        j = self.locate(x)
-        return float(self.atom[j]) if x == self.bp[j] else 0.0
-
-    def density_value(self, x: float) -> float:
-        """Density on the piece containing x (taken just right of breakpoints)."""
-        return float(self.dens[self.locate(x)])
+    ``out[k][i]`` is the total just before ``steps[k][i]`` is added.  The sum
+    runs strictly left to right from 0.0, so every entry is rounded exactly as
+    in the loop ``t = t + step``.
+    """
+    flat = np.concatenate(([0.0], np.stack(steps, axis=1).ravel()))
+    totals = np.add.accumulate(flat)[:-1]
+    return [totals[k::len(steps)] for k in range(len(steps))]
 
 
 class CoefficientView:
@@ -240,43 +199,53 @@ class CoefficientView:
 
     Breakpoints collect every atom position and density endpoint of both
     measures (plus 0 and a finite L); between consecutive breakpoints both
-    densities are constant and w is affine.
+    densities are constant and w is affine.  ``atom_*[i]`` is the point mass
+    at ``bp[i]`` and ``dens_*[i]`` the density on (bp[i], bp[i+1]) (on the
+    unbounded tail for the last breakpoint of a half-line, zero after a
+    finite L).  ``w_left``/``ups_left``, ``i1`` (int w), ``i2`` (int w^2) and
+    ``sigma_left`` are the left-continuous values at the breakpoints;
+    ``*_right`` add the point mass there.
     """
 
     def __init__(self, spec: StringSpec):
         self.spec = spec
         self.length = spec.length
-        self.wv = _MeasureView(spec.omega, spec.length)
-        self.uv = _MeasureView(spec.upsilon, spec.length)
-        self.bp = np.array(sorted(set(self.wv.bp) | set(self.uv.bp)))
-        n = len(self.bp)
-        mid = lambda i: self.bp[i] + (
-            (self.bp[i + 1] - self.bp[i]) / 2.0 if i + 1 < n else 1.0
-        )
-        self.atom_omega = np.array([self.wv.atom_mass(x) for x in self.bp])
-        self.atom_upsilon = np.array([self.uv.atom_mass(x) for x in self.bp])
-        self.dens_omega = np.array([self.wv.density_value(mid(i)) for i in range(n)])
-        self.dens_upsilon = np.array([self.uv.density_value(mid(i)) for i in range(n)])
+        measures = (spec.omega, spec.upsilon)
+        points = [0.0]
+        for data in measures:
+            points += [x for x, _ in data.atoms]
+            points += [v for a, b, _ in data.density for v in (a, b) if math.isfinite(v)]
+        if math.isfinite(self.length):
+            points.append(self.length)
+        self.bp = np.unique(points)
+        self.atom_omega, self.atom_upsilon = (self._atoms(data) for data in measures)
+        self.dens_omega, self.dens_upsilon = (self._densities(data) for data in measures)
 
-        self.w_left = np.zeros(n)
-        self.ups_left = np.zeros(n)
-        self.i1 = np.zeros(n)  # int_0^bp w
-        self.i2 = np.zeros(n)  # int_0^bp w^2
-        for i in range(n - 1):
-            h = self.bp[i + 1] - self.bp[i]
-            wr = self.w_left[i] + self.atom_omega[i]
-            a = self.dens_omega[i]
-            self.w_left[i + 1] = wr + a * h
-            self.ups_left[i + 1] = (
-                self.ups_left[i] + self.atom_upsilon[i] + self.dens_upsilon[i] * h
-            )
-            self.i1[i + 1] = self.i1[i] + h * wr + a * h * h / 2.0
-            self.i2[i + 1] = self.i2[i] + h * wr * wr + wr * a * h * h + a * a * h ** 3 / 3.0
-        self.w_right = self.w_left + self.atom_omega
-        self.ups_right = self.ups_left + self.atom_upsilon
+        h = np.append(np.diff(self.bp), 0.0)
+        self.w_left, self.w_right = _running_totals(self.atom_omega, self.dens_omega * h)
+        self.ups_left, self.ups_right = _running_totals(self.atom_upsilon, self.dens_upsilon * h)
+        wr, a = self.w_right, self.dens_omega
+        self.i1 = _running_totals(h * wr, a * h * h / 2.0)[0]
+        # Cubes through Python floats: C pow(), as for a scalar, where numpy's
+        # vectorized power may round differently in the last bit.
+        h3 = np.array([v ** 3 for v in h.tolist()])
+        self.i2 = _running_totals(h * wr * wr, wr * a * h * h, a * a * h3 / 3.0)[0]
         self.sigma_left = self.bp + self.i2 + self.ups_left
         self.sigma_right = self.bp + self.i2 + self.ups_right
         self.sigma_length = self.sigma_left[-1] if math.isfinite(self.length) else _INF
+
+    def _atoms(self, data: MeasureData) -> np.ndarray:
+        out = np.zeros(len(self.bp))
+        x, mass = np.array(data.atoms, dtype=float).reshape(-1, 2).T
+        np.add.at(out, np.searchsorted(self.bp, x), mass)
+        return out
+
+    def _densities(self, data: MeasureData) -> np.ndarray:
+        if not data.density:
+            return np.zeros(len(self.bp))
+        a, b, value = np.array(data.density, dtype=float).T
+        k = np.searchsorted(a, self.bp, side="right") - 1
+        return np.where((k >= 0) & (self.bp < b[k]), value[k], 0.0)
 
     # -- point queries (left-continuous convention throughout) --------------
 
@@ -407,13 +376,6 @@ def eval_coefficients(spec: StringSpec, x: float) -> tuple[float, float, float]:
 def xi_eval(spec: StringSpec, s: float) -> float:
     """Generalized inverse of the travel coordinate at s."""
     return coefficient_view(validate_spec(spec)).xi(s)
-
-
-def merge_breakpoints(*arrays: Iterable[float]) -> np.ndarray:
-    points: set[float] = set()
-    for arr in arrays:
-        points.update(float(v) for v in arr)
-    return np.array(sorted(points))
 
 
 def _atom_mismatch(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, float], ...]) -> float:

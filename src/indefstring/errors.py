@@ -54,10 +54,6 @@ class ComputationError(IndefStringError, ArithmeticError):
     """A numerical procedure failed to reach its target accuracy."""
 
 
-class ToleranceNotMet(ComputationError):
-    """Step refinement hit its budget before reaching the requested tolerance."""
-
-
 class TruncationNotConverged(ComputationError):
     """Truncation limit did not stabilise within the schedule."""
 

@@ -1,41 +1,32 @@
 """Propagation of the string equation -u'' = z w' u + z^2 Upsilon' u + chi.
 
-Two interchangeable engines advance solutions across the string:
+Between consecutive coefficient breakpoints both densities are constant, so
+the second-order equation has the constant coefficient kappa = z*a + z^2*b
+and its transfer matrix in (u, u') variables is the exact trig/hyperbolic
+form; point masses contribute unimodular jump matrices.  One sweep over the
+breakpoints, vectorized over z, is therefore exact (up to rounding) on the
+whole representable coefficient class.  A load chi enters the same piece
+transfers by variation of parameters.
 
-* ``closed`` (default): per piece the two densities are constant, so the
-  second-order equation has constant coefficient kappa = z*a + z^2*b and the
-  transfer matrix in (u, u') variables is the exact trig/hyperbolic form;
-  point masses contribute unimodular jump matrices.  This is exact (up to
-  rounding) on the whole representable coefficient class.
-* ``frozen``: the first-order system F = (u, u' + n_z u) with
-  n_z(x) = z w(x) + z^2 Upsilon(x) is advanced by I + dx*A(n) steps, where
-  A(n) = [[-n, 1], [-n^2, n]] squares to zero, freezing n at substep
-  midpoints with step-doubling on density pieces.  Exact on purely atomic
-  strings, second order elsewhere; kept as an independent cross-check.
-
-Both engines force every coefficient breakpoint to be a step boundary and
-report states with left-continuous conventions: the value at x never
-includes a point mass sitting exactly at x.
+Every coefficient breakpoint is a step boundary, and states are reported with
+left-continuous conventions: the value at x never includes a point mass
+sitting exactly at x.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import (
     CoefficientView,
-    MeasureData,
     StringSpec,
-    _MeasureView,
+    _as_measure,
     _normalize_measure,
     coefficient_view,
     validate_spec,
 )
-from .errors import PositionOutOfRange, ToleranceNotMet
-
-_MAX_SUBSTEPS = 1 << 21
+from .errors import PositionOutOfRange
 
 
 @dataclass(frozen=True)
@@ -62,22 +53,6 @@ class FundamentalSystem:
     theta: tuple[SystemState, ...]
     phi: tuple[SystemState, ...]
     wronskian: complex
-
-
-def exact_step_matrix(n: complex, dx: float) -> np.ndarray:
-    """One exact step of the first-order system while n_z is frozen at n."""
-    return np.array([[1.0 - dx * n, dx], [-dx * n * n, 1.0 + dx * n]], dtype=complex)
-
-
-def exact_step(state: SystemState, n: complex, dx: float, zsq_upsilon: complex = 0j) -> SystemState:
-    """Advance a state by dx with frozen n_z = n.
-
-    ``zsq_upsilon`` is z^2 * Upsilon on the step interval and is only needed
-    to keep the reported quasi-derivative consistent.
-    """
-    f = (1.0 - dx * n) * state.f + dx * state.f2
-    f2 = -dx * n * n * state.f + (1.0 + dx * n) * state.f2
-    return SystemState(x=state.x + dx, f=f, f2=f2, quasi=f2 - zsq_upsilon * f)
 
 
 def _trig_entries(kappa: np.ndarray, h: float):
@@ -110,9 +85,9 @@ def _trig_entries(kappa: np.ndarray, h: float):
 
 
 class _Sweep:
-    """Shared event walk: breakpoints and sample points in increasing order."""
+    """Event walk: breakpoints and sample points in increasing order."""
 
-    def __init__(self, view: CoefficientView, xs: np.ndarray, chi: _MeasureView | None):
+    def __init__(self, view: CoefficientView, xs: np.ndarray, chi: CoefficientView | None):
         self.view = view
         self.chi = chi
         if xs.size == 0:
@@ -132,7 +107,7 @@ class _Sweep:
                 self.atoms[float(p)] = (float(aw), float(au), 0.0)
         if chi is not None:
             points.update(float(p) for p in chi.bp if p <= x_max)
-            for p, mass in zip(chi.bp, chi.atom):
+            for p, mass in zip(chi.bp, chi.atom_omega):
                 if p <= x_max and mass != 0.0:
                     aw, au, _ = self.atoms.get(float(p), (0.0, 0.0, 0.0))
                     self.atoms[float(p)] = (aw, au, float(mass))
@@ -142,11 +117,11 @@ class _Sweep:
     def densities(self, lo: float, hi: float) -> tuple[float, float, float]:
         mid = lo + (hi - lo) / 2.0
         j = self.view.locate(mid)
-        c = self.chi.density_value(mid) if self.chi is not None else 0.0
+        c = float(self.chi.dens_omega[self.chi.locate(mid)]) if self.chi is not None else 0.0
         return float(self.view.dens_omega[j]), float(self.view.dens_upsilon[j]), c
 
 
-def _sweep_closed(view, z, xs, chi: _MeasureView | None = None, rescale: bool = False):
+def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
     """Closed-form transfer in (u, u') variables; vectorized over z.
 
     Returns per-sample affine data ``(a, b, c, d, r1, r2)`` so that a solution
@@ -193,87 +168,13 @@ def _sweep_closed(view, z, xs, chi: _MeasureView | None = None, rescale: bool = 
     return records
 
 
-def _sweep_frozen(view, z, xs, tol: float | None, substeps: int | None):
-    """Midpoint-frozen nilpotent steps on the first-order system.
-
-    Point masses are free: the F state is continuous across them.  Density
-    pieces are halved until two consecutive piece transfers agree to ``tol``
-    (skipped when a fixed ``substeps`` count is forced).
-    """
-    z = np.asarray(z, dtype=complex)
-    walk = _Sweep(view, xs, None)
-    one = np.ones(z.shape, dtype=complex)
-    zero = np.zeros(z.shape, dtype=complex)
-    a, b, c, d = one.copy(), zero.copy(), zero.copy(), one.copy()
-    records = {}
-    cur = 0.0
-    for p in walk.points:
-        if p > cur:
-            h = p - cur
-            da, db, _ = walk.densities(cur, p)
-            kappa = z * da + z * z * db
-            j = view.locate(cur + h / 2.0)
-            w0 = view.w_right[j] + view.dens_omega[j] * (cur - view.bp[j])
-            u0 = view.ups_right[j] + view.dens_upsilon[j] * (cur - view.bp[j])
-            n0 = z * w0 + z * z * u0
-            if np.all(kappa == 0.0):
-                # n_z constant on the piece: a single nilpotent step is exact.
-                pa, pb, pc, pd = _frozen_piece(n0, kappa, h, 1)
-            elif substeps is not None:
-                pa, pb, pc, pd = _frozen_piece(n0, kappa, h, substeps)
-            else:
-                pa, pb, pc, pd = _frozen_piece_adaptive(n0, kappa, h, tol)
-            a, c = pa * a + pb * c, pc * a + pd * c
-            b, d = pa * b + pb * d, pc * b + pd * d
-            cur = p
-        if p in walk.targets:
-            n_here = z * view.w(p) + z * z * view.upsilon(p)
-            records[p] = (a.copy(), b.copy(), c - n_here * a, d - n_here * b,
-                          np.zeros_like(a), np.zeros_like(a))
-    return records
-
-
-def _frozen_piece(n0, kappa, h: float, steps: int):
-    """Transfer over one density piece with a fixed number of frozen substeps."""
-    shape = np.broadcast(n0, kappa).shape
-    pa = np.ones(shape, dtype=complex)
-    pb = np.zeros(shape, dtype=complex)
-    pc = np.zeros(shape, dtype=complex)
-    pd = np.ones(shape, dtype=complex)
-    dx = h / steps
-    for k in range(steps):
-        n = n0 + kappa * ((k + 0.5) * dx)
-        ndx = n * dx
-        pa, pc = (1.0 - ndx) * pa + dx * pc, -n * ndx * pa + (1.0 + ndx) * pc
-        pb, pd = (1.0 - ndx) * pb + dx * pd, -n * ndx * pb + (1.0 + ndx) * pd
-    return pa, pb, pc, pd
-
-
-def _frozen_piece_adaptive(n0, kappa, h: float, tol: float):
-    steps = 8
-    prev = _frozen_piece(n0, kappa, h, steps)
-    while steps <= _MAX_SUBSTEPS:
-        steps *= 2
-        nxt = _frozen_piece(n0, kappa, h, steps)
-        scale = max(float(np.max(np.abs(m))) for m in nxt)
-        err = max(float(np.max(np.abs(m1 - m0))) for m0, m1 in zip(prev, nxt))
-        if err <= tol * max(1.0, scale):
-            return nxt
-        prev = nxt
-    raise ToleranceNotMet(
-        f"frozen-step refinement exceeded {_MAX_SUBSTEPS} substeps on a piece of length {h}"
-    )
-
-
 def _prepare(spec: StringSpec, xs) -> tuple[CoefficientView, np.ndarray]:
     view = coefficient_view(validate_spec(spec))
     arr = np.atleast_1d(np.asarray(xs, dtype=float))
     return view, arr
 
 
-def transfer_matrices(spec: StringSpec, z, xs, *, method: str = "closed",
-                      tol: float = 1e-10, substeps: int | None = None,
-                      rescale: bool = False) -> np.ndarray:
+def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:
     """Fundamental matrices M(x) in (u, u') variables at the given positions.
 
     Columns are the theta and phi solutions; result shape is
@@ -281,15 +182,9 @@ def transfer_matrices(spec: StringSpec, z, xs, *, method: str = "closed",
     (unless ``rescale`` trades the determinant for overflow safety).
     """
     view, arr = _prepare(spec, xs)
-    order = np.unique(arr)
     zarr = np.asarray(z, dtype=complex)
     zflat = np.atleast_1d(zarr).ravel()
-    if method == "closed":
-        records = _sweep_closed(view, zflat, order, rescale=rescale)
-    elif method == "frozen":
-        records = _sweep_frozen(view, zflat, order, tol, substeps)
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
+    records = _sweep_closed(view, zflat, np.unique(arr), rescale=rescale)
     out = np.empty((len(arr), zflat.size, 2, 2), dtype=complex)
     for k, x in enumerate(arr):
         a, b, c, d, _, _ = records[float(x)]
@@ -300,26 +195,24 @@ def transfer_matrices(spec: StringSpec, z, xs, *, method: str = "closed",
     return out.reshape((len(arr),) + zarr.shape + (2, 2))
 
 
-def fundamental_system(spec: StringSpec, z: complex, xs, *, method: str = "closed",
-                       tol: float = 1e-10, substeps: int | None = None) -> FundamentalSystem:
+def fundamental_system(spec: StringSpec, z: complex, xs) -> FundamentalSystem:
     """Evaluate the fundamental pair theta, phi at the sample positions."""
-    spec = validate_spec(spec)
     view, arr = _prepare(spec, xs)
-    mats = transfer_matrices(spec, complex(z), arr, method=method, tol=tol, substeps=substeps)
+    records = _sweep_closed(view, np.array([complex(z)]), np.unique(arr))
     theta = []
     phi = []
-    for k, x in enumerate(arr):
+    for x in arr:
         xf = float(x)
+        a, b, c, d, _, _ = records[xf]
         w_x = view.w(xf)
         ups_x = view.upsilon(xf)
         n_x = z * w_x + z * z * ups_x
-        m = mats[k]
-        theta.append(SystemState(x=xf, f=complex(m[0, 0]), f2=complex(m[1, 0] + n_x * m[0, 0]),
-                                 quasi=complex(m[1, 0] + z * w_x * m[0, 0])))
-        phi.append(SystemState(x=xf, f=complex(m[0, 1]), f2=complex(m[1, 1] + n_x * m[0, 1]),
-                               quasi=complex(m[1, 1] + z * w_x * m[0, 1])))
-    last = mats[-1]
-    wronskian = complex(last[0, 0] * last[1, 1] - last[0, 1] * last[1, 0])
+        theta.append(SystemState(x=xf, f=complex(a[0]), f2=complex(c[0] + n_x * a[0]),
+                                 quasi=complex(c[0] + z * w_x * a[0])))
+        phi.append(SystemState(x=xf, f=complex(b[0]), f2=complex(d[0] + n_x * b[0]),
+                               quasi=complex(d[0] + z * w_x * b[0])))
+    a, b, c, d, _, _ = records[float(arr[-1])]
+    wronskian = complex(a[0] * d[0] - b[0] * c[0])
     return FundamentalSystem(z=complex(z), xs=tuple(float(x) for x in arr),
                              theta=tuple(theta), phi=tuple(phi), wronskian=wronskian)
 
@@ -332,11 +225,10 @@ def solve_inhomogeneous(spec: StringSpec, z: complex, chi, d1: complex, d2: comp
     coefficients; the solve is closed-form on the whole class (variation of
     parameters built into the piece transfers).
     """
-    spec = validate_spec(spec)
     view, arr = _prepare(spec, xs)
-    chi_data = chi if isinstance(chi, MeasureData) else _as_measure_like(chi)
-    chi_data = _normalize_measure(chi_data, spec.length, nonneg=False, label="chi")
-    chi_view = _MeasureView(chi_data, spec.length)
+    chi_data = _normalize_measure(_as_measure(chi), view.length, nonneg=False, label="chi")
+    # chi is read as the omega of a string on the same interval: w(x) = chi([0, x)).
+    chi_view = CoefficientView(StringSpec(length=view.length, omega=chi_data))
     records = _sweep_closed(view, np.array([complex(z)]), np.unique(arr), chi=chi_view)
     out = []
     for x in arr:
@@ -346,12 +238,6 @@ def solve_inhomogeneous(spec: StringSpec, z: complex, chi, d1: complex, d2: comp
         up = complex(c[0] * d1 + d[0] * d2 + r2[0])
         w_x = view.w(xf)
         n_x = z * w_x + z * z * view.upsilon(xf)
-        q_x = chi_view.distribution(xf)
+        q_x = chi_view.w(xf)
         out.append(SystemState(x=xf, f=u, f2=up + n_x * u + q_x, quasi=up + z * w_x * u))
     return tuple(out)
-
-
-def _as_measure_like(raw) -> MeasureData:
-    from .coefficients import _as_measure
-
-    return _as_measure(raw)

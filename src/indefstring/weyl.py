@@ -57,13 +57,11 @@ class IntegralRep:
     """Constants of the Herglotz integral representation.
 
     ``c2`` is only determined in the Stieltjes case and is ``None`` otherwise.
-    ``mu`` stays ``None`` here; spectral-measure routines can attach it.
     """
 
     c1: float
     inv_L: float
     c2: float | None = None
-    mu: object | None = None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 import indefstring
 from indefstring import catalog
 from indefstring.cli import main
-from indefstring.coefficients import spec_from_json, spec_discrepancy, spec_to_json
+from indefstring.coefficients import coefficient_view, spec_from_json, spec_discrepancy, spec_to_json
 from indefstring.convergence import mollify_string
 
 ATOM_MID = {"L": 1.0, "omega": {"atoms": [{"x": 0.5, "mass": 1.0}]}}
@@ -64,9 +64,12 @@ def test_forward_output_is_byte_stable_across_runs_and_jobs(tmp_path, grid_csv):
     outs = []
     for name, jobs in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "3")):
         out = tmp_path / name
+        coefficient_view.cache_clear()
         rc = main(["forward", "--spec", spec, "--grid", grid_csv, "--out", str(out),
                    "--jobs", jobs])
         assert rc == 0
+        # one view build per run, also when worker threads share the cache
+        assert coefficient_view.cache_info().misses == 1
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 

@@ -12,7 +12,6 @@ from indefstring.coefficients import (
     StringSpec,
     coefficient_view,
     eval_coefficients,
-    merge_breakpoints,
     spec_discrepancy,
     spec_from_json,
     spec_to_json,
@@ -128,13 +127,106 @@ def test_json_roundtrip_finite_and_infinite():
     assert spec_to_json(catalog.uniform_halfline())["L"] == "inf"
 
 
+EDGE_SPECS = (
+    # omega and upsilon breakpoints coincide at 0.5, 1.0 and 1.5; atoms sit on
+    # density endpoints (omega at 0.5, upsilon at 1.5 and 2.0).
+    validate_spec({
+        "L": 3.0,
+        "omega": {"atoms": [{"x": 0.0, "mass": -1.0}, {"x": 0.5, "mass": 0.5}, {"x": 1.0, "mass": 0.25}],
+                  "density": [{"a": 0.5, "b": 1.5, "value": 2.0}, {"a": 1.5, "b": 2.5, "value": -1.0}]},
+        "upsilon": {"atoms": [{"x": 1.0, "mass": 0.2}, {"x": 1.5, "mass": 0.3}, {"x": 2.0, "mass": 0.1}],
+                    "density": [{"a": 0.5, "b": 2.0, "value": 0.75}]},
+    }),
+    # half-line whose densities run on to infinity
+    validate_spec({
+        "L": "inf",
+        "omega": {"atoms": [{"x": 0.25, "mass": 1.0}], "density": [{"a": 1.0, "b": "inf", "value": 0.5}]},
+        "upsilon": {"atoms": [{"x": 2.0, "mass": 0.5}],
+                    "density": [{"a": 0.0, "b": 2.0, "value": 1.0}, {"a": 2.0, "b": "inf", "value": 3.0}]},
+    }),
+)
+
+
+def _brute_distribution(measure, x, *, closed=False):
+    """measure([0, x)), or measure([0, x]) when ``closed``, summed from the raw data."""
+    total = sum(m for p, m in measure.atoms if p < x or (closed and p == x))
+    return total + sum(v * (min(b, x) - a) for a, b, v in measure.density if a < x)
+
+
+def _brute_sigma(spec, x, *, closed=False):
+    """x + int_0^x w^2 + Upsilon, with w^2 integrated by Simpson per affine piece of w."""
+    ends = {p for p, _ in spec.omega.atoms} | {e for a, b, _ in spec.omega.density for e in (a, b)}
+    cuts = sorted({0.0, x} | {e for e in ends if e < x})
+    wsq = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        left = _brute_distribution(spec.omega, lo, closed=True)
+        mid = _brute_distribution(spec.omega, 0.5 * (lo + hi))
+        right = _brute_distribution(spec.omega, hi)
+        wsq += (hi - lo) * (left ** 2 + 4.0 * mid ** 2 + right ** 2) / 6.0
+    return x + wsq + _brute_distribution(spec.upsilon, x, closed=closed)
+
+
+def _check_view_by_brute_force(spec, view, xs):
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (spec, got, want)
+
+    for j, p in enumerate(float(b) for b in view.bp):
+        # right limits at the breakpoint include the point masses sitting there
+        close(view.w_right[j], _brute_distribution(spec.omega, p, closed=True))
+        close(view.ups_right[j], _brute_distribution(spec.upsilon, p, closed=True))
+        close(view.sigma_right[j], _brute_sigma(spec, p, closed=True))
+        xs = [*xs, p, p - 1e-7, p + 1e-7]
+    for x in xs:
+        if not 0.0 <= x <= spec.length:
+            continue
+        close(view.w(x), _brute_distribution(spec.omega, x))
+        close(view.upsilon(x), _brute_distribution(spec.upsilon, x))
+        close(view.sigma(x), _brute_sigma(spec, x))
+        assert abs(view.xi(view.sigma(x)) - x) <= 1e-10
+
+
 def test_inverse_undoes_travel_map_on_random_specs():
     rng = np.random.default_rng(3)
     for _ in range(20):
         spec = catalog.random_atomic_omega_string(rng)
         view = coefficient_view(spec)
-        for x in rng.uniform(0.0, spec.length, size=8):
-            assert abs(view.xi(view.sigma(float(x))) - float(x)) <= 1e-10
+        xs = [float(x) for x in rng.uniform(0.0, spec.length, size=8)]
+        _check_view_by_brute_force(spec, view, xs)
+    for spec in EDGE_SPECS:
+        _check_view_by_brute_force(spec, coefficient_view(spec), [0.1, 0.75, 1.25, 2.75, 7.5])
+
+
+def test_view_running_sums_match_the_sequential_loop():
+    # The view builds its running sums with array operations; they must round
+    # exactly like the per-breakpoint recurrence.
+    rng = np.random.default_rng(6)
+    specs = list(EDGE_SPECS)
+    for _ in range(5):
+        cuts = np.sort(rng.uniform(0.0, 2.0, size=40))
+        pieces = list(zip(cuts[:-1:2], cuts[1::2], rng.normal(size=20)))
+        atoms = [{"x": x, "mass": m} for x, m in zip(rng.uniform(0.0, 2.0, 10), rng.normal(size=10))]
+        specs.append(validate_spec({
+            "L": 2.0,
+            "omega": {"atoms": atoms, "density": [{"a": a, "b": b, "value": v} for a, b, v in pieces]},
+            "upsilon": {"density": [{"a": a, "b": b, "value": abs(v)} for a, b, v in pieces[::3]]},
+        }))
+    # One piece each: int w^2 is then the cube term alone, so its rounding shows.
+    specs += [catalog.uniform_string(float(h)) for h in rng.uniform(0.1, 2.0, size=100)]
+    for spec in specs:
+        view = coefficient_view(spec)
+        n = len(view.bp)
+        w, ups, i1, i2 = (np.zeros(n) for _ in range(4))
+        for i in range(n - 1):
+            h = view.bp[i + 1] - view.bp[i]
+            wr = w[i] + view.atom_omega[i]
+            a = view.dens_omega[i]
+            w[i + 1] = wr + a * h
+            ups[i + 1] = ups[i] + view.atom_upsilon[i] + view.dens_upsilon[i] * h
+            i1[i + 1] = i1[i] + h * wr + a * h * h / 2.0
+            i2[i + 1] = i2[i] + h * wr * wr + wr * a * h * h + a * a * h ** 3 / 3.0
+        assert np.array_equal(view.w_left, w) and np.array_equal(view.ups_left, ups)
+        assert np.array_equal(view.i1, i1) and np.array_equal(view.i2, i2)
+        assert np.array_equal(view.sigma_right, view.bp + i2 + (ups + view.atom_upsilon))
 
 
 def test_inverse_is_monotone_and_contractive():
@@ -202,11 +294,6 @@ def test_change_of_variables_identity():
             if hi > a:
                 rhs += value * _gauss_integral(F, a, hi, order=8)
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_merge_breakpoints_sorts_and_dedupes():
-    merged = merge_breakpoints([0.0, 1.0], [0.5, 1.0], [2.0])
-    assert merged.tolist() == [0.0, 0.5, 1.0, 2.0]
 
 
 def test_discrepancy_zero_on_identical_specs():

@@ -3,46 +3,16 @@
 import numpy as np
 import pytest
 
+import oracle
 from indefstring import catalog
-from indefstring.coefficients import coefficient_view
+from indefstring.coefficients import MeasureData, coefficient_view
 from indefstring.errors import PositionOutOfRange
 from indefstring.propagation import (
-    SystemState,
-    exact_step,
-    exact_step_matrix,
     fundamental_system,
     solve_inhomogeneous,
     transfer_matrices,
 )
-
-
-def test_free_step_matrix():
-    m = exact_step_matrix(0.0, 0.25)
-    assert np.array_equal(m, np.array([[1.0, 0.25], [0.0, 1.0]], dtype=complex))
-
-
-def test_step_matrix_hand_value():
-    # z = 1, w = 2 freezes the coefficient at n = 2
-    m = exact_step_matrix(2.0, 0.5)
-    assert np.allclose(m, np.array([[0.0, 0.5], [-2.0, 2.0]]), atol=1e-15)
-    assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_step_matrices_invert_each_other():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = complex(rng.normal(), rng.normal())
-        dx = float(rng.uniform(0.1, 2.0))
-        prod = exact_step_matrix(n, dx) @ exact_step_matrix(n, -dx)
-        assert np.allclose(prod, np.eye(2), atol=1e-14)
-
-
-def test_exact_step_advances_state():
-    st = SystemState(x=0.0, f=1.0 + 0j, f2=0.0 + 0j, quasi=0.0 + 0j)
-    out = exact_step(st, 2.0 + 0j, 0.5)
-    assert out.x == 0.5
-    assert out.f == pytest.approx(0.0, abs=1e-15)
-    assert out.f2 == pytest.approx(-2.0, abs=1e-15)
+from indefstring.weyl import standard_grid
 
 
 def test_empty_string_solutions_are_linear():
@@ -67,15 +37,20 @@ def test_uniform_density_matches_cosh():
     assert abs(fs.theta[0].f.imag) < 1e-12
 
 
+def _step_matrix(n, dx):
+    """Exact step of F = (u, u' + n u) over dx while n = z w + z^2 Upsilon is constant."""
+    return np.array([[1.0 - dx * n, dx], [-dx * n * n, 1.0 + dx * n]], dtype=complex)
+
+
 def _hand_transfer(spec, z, x):
-    """Product of frozen-coefficient steps; exact for purely atomic data."""
+    """Product of constant-coefficient steps; exact for purely atomic data."""
     view = coefficient_view(spec)
     cuts = sorted({0.0, x} | {float(b) for b in view.bp if 0.0 < float(b) < x})
     mat = np.eye(2, dtype=complex)
     for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         n = z * view.w(mid) + z * z * view.upsilon(mid)
-        mat = exact_step_matrix(n, hi - lo) @ mat
+        mat = _step_matrix(n, hi - lo) @ mat
     return mat
 
 
@@ -129,25 +104,64 @@ def test_real_spectral_parameter_gives_real_solutions():
             assert abs(st.quasi.imag) < 1e-10
 
 
-def test_frozen_engine_agrees_with_closed():
-    spec = catalog.mixed_example()
-    z = 1.0 + 1.0j
-    xs = [0.8, 1.5, 2.0]
-    closed = transfer_matrices(spec, z, xs, method="closed")
-    frozen = transfer_matrices(spec, z, xs, method="frozen", tol=1e-10)
-    assert np.max(np.abs(closed - frozen)) < 1e-9
+def _oracle_specs():
+    specs = [spec for _, spec in catalog.REGRESSION_SPECS if np.isfinite(spec.length)]
+    specs += [catalog.random_discrete_string(np.random.default_rng(seed)) for seed in range(8)]
+    return specs
 
 
-def test_frozen_engine_second_order():
-    spec = catalog.uniform_string()
-    z = 1j
-    ref = transfer_matrices(spec, z, [1.0], method="closed")
-    errs = []
-    for steps in (64, 128, 256):
-        approx = transfer_matrices(spec, z, [1.0], method="frozen", substeps=steps)
-        errs.append(np.max(np.abs(approx - ref)))
-    assert 3.0 < errs[0] / errs[1] < 5.0
-    assert 3.0 < errs[1] / errs[2] < 5.0
+def _oracle_zs():
+    # Standard grid plus tiny and large |z| in both half-planes and on the real axis.
+    far = [r * np.exp(1j * t) for r in (1e-6, 30.0, 100.0)
+           for t in (np.pi / 6, np.pi / 2, np.pi, -np.pi / 3)]
+    return np.concatenate([standard_grid(), far])
+
+
+def _relative_error(approx, ref) -> float:
+    return float(np.max(np.abs(np.asarray(approx) - ref)) / np.max(np.abs(ref)))
+
+
+def test_closed_engine_matches_mpmath_oracle():
+    zs = _oracle_zs()
+    for spec in _oracle_specs():
+        atoms = {x for m in (spec.omega, spec.upsilon) for x, _ in m.atoms}
+        xs = sorted({0.0, spec.length / 3.0, spec.length / 2.0, spec.length} | atoms)
+        w = {x: complex(oracle.distribution(spec.omega, x)) for x in xs}
+        ups = {x: complex(oracle.distribution(spec.upsilon, x)) for x in xs}
+        mats = transfer_matrices(spec, zs, xs)
+        for iz, z in enumerate(zs):
+            ref = oracle.propagators(spec, z, xs)
+            fs = fundamental_system(spec, z, xs)
+            for k, x in enumerate(xs):
+                r = np.array(ref[x].tolist(), dtype=complex)[:2, :2]
+                for col, st in ((0, fs.theta[k]), (1, fs.phi[k])):
+                    u, up = r[0, col], r[1, col]
+                    expected = np.array([u, up + z * w[x] * u,
+                                         up + (z * w[x] + z * z * ups[x]) * u])
+                    # Columns differ in scale by up to |z|; compare each on its own.
+                    assert _relative_error(mats[k, iz, :, col], r[:, col]) <= 1e-12, (spec, z, x)
+                    got = [st.f, st.quasi, st.f2]
+                    assert _relative_error(got, expected) <= 1e-12, (spec, z, x)
+
+
+def test_inhomogeneous_matches_mpmath_oracle():
+    # The load has an atom on a string atom (0.5), one off it, and two density
+    # pieces, one ending where the string's upsilon density starts.
+    chi = MeasureData(atoms=((0.5, 0.8), (1.3, -0.4)),
+                      density=((0.2, 1.0, 1.1), (1.5, 2.0, -0.6)))
+    d1, d2 = 0.3 - 0.2j, -1.1 + 0.5j
+    xs = [0.0, 0.2, 0.5, 0.75, 1.0, 1.3, 1.6, 2.0]
+    for spec in (catalog.mixed_example(), catalog.uniform_string(2.0)):
+        for z in (0.7 + 0.9j, -2.0 + 0.1j, 30j, 1e-6j):
+            ref = oracle.propagators(spec, z, xs, chi)
+            sol = solve_inhomogeneous(spec, z, chi, d1, d2, xs)
+            for x, st in zip(xs, sol):
+                u, up, _ = np.array(ref[x].tolist(), dtype=complex) @ np.array([d1, d2, 1.0])
+                w = complex(oracle.distribution(spec.omega, x))
+                n = z * w + z * z * complex(oracle.distribution(spec.upsilon, x))
+                q = complex(oracle.distribution(chi, x))
+                expected = np.array([u, up + n * u + q, up + z * w * u])
+                assert _relative_error([st.f, st.f2, st.quasi], expected) <= 1e-12, (spec, z, x)
 
 
 def test_transfer_shape_and_duplicates():
