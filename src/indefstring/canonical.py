@@ -27,17 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .coefficients import (
-    MeasureData,
-    StringSpec,
-    _parse_extent,
-    coefficient_view,
-    validate_spec,
-)
+from .coefficients import MeasureData, StringSpec, _parse_extent, coefficient_view
 from .errors import (
     DegenerateHamiltonian,
     NonPositiveLength,
@@ -46,6 +40,7 @@ from .errors import (
     UnsupportedShape,
     ValidationError,
 )
+from .weyl import _values_agree
 
 _INF = math.inf
 _DET_TOL = 1e-12
@@ -81,12 +76,21 @@ class HamiltonianPiece:
 class Hamiltonian:
     """Piecewise-constant trace-normed Hamiltonian covering [0, inf).
 
+    Validated when it is built: pieces must have positive extent, unit trace
+    (implied), h11 in [0, 1], det >= -1e-12, exactly one infinite piece at
+    the end, and must not all be blocked; adjacent equal pieces are merged.
+    Pieces may be given as :class:`HamiltonianPiece`, ``(len, h11, h12)``
+    entries or mappings with those keys.
+
     ``mesh`` records the equal-travel-step resolution used when a string
     with omega densities was approximated; None means the pieces are exact.
     """
 
     pieces: tuple[HamiltonianPiece, ...]
     mesh: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
 
 
 @dataclass(frozen=True)
@@ -108,28 +112,11 @@ def _coerce_piece(raw) -> HamiltonianPiece:
     return HamiltonianPiece(length=_parse_extent(length), h11=float(h11), h12=float(h12))
 
 
-def validate_hamiltonian(raw) -> Hamiltonian:
-    """Normalize and validate Hamiltonian data.
-
-    Accepts a :class:`Hamiltonian`, a mapping with a ``pieces`` list, or an
-    iterable of ``(len, h11, h12)`` entries.  Pieces must have positive
-    extent, unit trace (implied), h11 in [0, 1], det >= -1e-12, exactly one
-    infinite piece at the end, and must not all be blocked; adjacent equal
-    pieces are merged.
-    """
-    mesh = None
-    if isinstance(raw, Hamiltonian):
-        pieces_in: Iterable = raw.pieces
-        mesh = raw.mesh
-    elif isinstance(raw, Mapping):
-        pieces_in = raw.get("pieces", ())
-        mesh = raw.get("mesh")
-    else:
-        pieces_in = raw
-    pieces = [_coerce_piece(p) for p in pieces_in]
+def _normalize_pieces(raw) -> tuple[HamiltonianPiece, ...]:
+    """Coerce, check and fuse the pieces of a :class:`Hamiltonian`."""
+    pieces = [_coerce_piece(p) for p in raw]
     if not pieces:
         raise ValidationError("Hamiltonian needs at least one piece")
-
     for k, p in enumerate(pieces):
         if math.isnan(p.length) or p.length <= 0.0:
             raise NonPositiveLength(f"piece {k} has non-positive extent {p.length}")
@@ -157,7 +144,21 @@ def validate_hamiltonian(raw) -> Hamiltonian:
             fused.append(p)
     if all(p.is_blocked() for p in fused):
         raise DegenerateHamiltonian("H is the blocked matrix [[1,0],[0,0]] everywhere")
-    return Hamiltonian(pieces=tuple(fused), mesh=mesh)
+    return tuple(fused)
+
+
+def validate_hamiltonian(raw) -> Hamiltonian:
+    """Parse Hamiltonian data.
+
+    A :class:`Hamiltonian` is already valid and is returned unchanged; a
+    mapping with a ``pieces`` list (and optionally ``mesh``) or an iterable
+    of pieces is built into one.
+    """
+    if isinstance(raw, Hamiltonian):
+        return raw
+    if isinstance(raw, Mapping):
+        return Hamiltonian(pieces=raw.get("pieces", ()), mesh=raw.get("mesh"))
+    return Hamiltonian(pieces=raw)
 
 
 def hamiltonian_to_json(ham: Hamiltonian) -> dict:
@@ -189,7 +190,6 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
     to rounding).  A density of omega on an unbounded interval cannot be
     meshed and raises UnsupportedShape.
     """
-    spec = validate_spec(spec)
     view = coefficient_view(spec)
     pieces: list[HamiltonianPiece] = []
     meshed = False
@@ -231,7 +231,7 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
             prev_s, prev_x, prev_i1 = sk, xk, ik
     if math.isfinite(spec.length):
         pieces.append(HamiltonianPiece(_INF, 1.0, 0.0))
-    return validate_hamiltonian(Hamiltonian(tuple(pieces), mesh=mesh if meshed else None))
+    return Hamiltonian(tuple(pieces), mesh=mesh if meshed else None)
 
 
 # -- Hamiltonian -> string ----------------------------------------------------
@@ -247,7 +247,6 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
     rounding noise relative to the neighbouring slopes are treated as
     continuity rather than emitted as spurious point masses.
     """
-    ham = validate_hamiltonian(ham)
     x = 0.0
     w_prev = 0.0
     om_atoms: list[tuple[float, float]] = []
@@ -271,12 +270,10 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
         if det > 0.0:
             ups_dens.append((x, x + dx, det / (p.h22 * p.h22)))
         x += dx
-    return validate_spec(
-        StringSpec(
-            length=length,
-            omega=MeasureData(atoms=tuple(om_atoms)),
-            upsilon=MeasureData(atoms=tuple(ups_atoms), density=tuple(ups_dens)),
-        )
+    return StringSpec(
+        length=length,
+        omega=MeasureData(atoms=tuple(om_atoms)),
+        upsilon=MeasureData(atoms=tuple(ups_atoms), density=tuple(ups_dens)),
     )
 
 
@@ -322,7 +319,6 @@ def _apply_piece(u: np.ndarray, piece: HamiltonianPiece, length: float,
 
 def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
     """Canonical Weyl function lim U11/U12 for an array of non-real z."""
-    ham = validate_hamiltonian(ham)
     zarr = np.asarray(zs, dtype=complex)
     if np.any(zarr.imag == 0.0):
         raise NonRealRequired("canonical Weyl evaluation needs Im z != 0")
@@ -345,16 +341,8 @@ def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
             u = _apply_piece(u, tail, delta, z, zmax, renorm=True)
             history.append(u[..., 0, 0] / u[..., 0, 1])
             delta *= 2.0
-            if len(history) >= 4:
-                t0, t1, t2, t3 = history[-4:]
-                scale = np.maximum(1.0, np.abs(t3))
-                ok = (
-                    (np.abs(t1 - t0) <= tol * scale)
-                    & (np.abs(t2 - t1) <= tol * scale)
-                    & (np.abs(t3 - t2) <= tol * scale)
-                )
-                if np.all(ok) and np.all(np.isfinite(t3)):
-                    return t3.reshape(zarr.shape)
+            if _values_agree(history, tol)[0]:
+                return history[-1].reshape(zarr.shape)
     raise TruncationNotConverged("canonical Weyl ratio did not stabilise on the tail")
 
 
@@ -369,7 +357,6 @@ def canonical_solution(ham: Hamiltonian, z: complex, ss) -> CanonicalSolution:
     No renormalization is applied, so det U stays 1 up to rounding drift and
     can be used to monitor propagation quality.
     """
-    ham = validate_hamiltonian(ham)
     z = complex(z)
     targets = sorted({float(s) for s in ss})
     if targets and targets[0] < 0.0:
@@ -406,7 +393,6 @@ def canonical_solution(ham: Hamiltonian, z: complex, ss) -> CanonicalSolution:
 def indivisible_prefix(ham: Hamiltonian) -> float:
     """Extent of the initial blocked run [[1,0],[0,0]]; equals upsilon({0})
     for Hamiltonians produced from strings."""
-    ham = validate_hamiltonian(ham)
     total = 0.0
     for p in ham.pieces:
         if not p.is_blocked():

@@ -63,11 +63,27 @@ class MeasureData:
 
 @dataclass(frozen=True)
 class StringSpec:
-    """A string ``(length, omega, upsilon)``; build via :func:`validate_spec`."""
+    """A string ``(length, omega, upsilon)``, normalized when it is built.
+
+    Atoms at equal positions are merged, zero entries dropped and density
+    pieces sorted and fused, so every instance is in normal form and two
+    equal strings compare (and hash) equal; violations raise the specific
+    :mod:`indefstring.errors` subclasses.
+    """
 
     length: float
     omega: MeasureData = MeasureData()
     upsilon: MeasureData = MeasureData()
+
+    def __post_init__(self):
+        length = float(self.length)
+        if math.isnan(length) or length <= 0.0:
+            raise NonPositiveLength(f"string length must be positive, got {length}")
+        omega = _normalize_measure(self.omega, length, nonneg=False, label="omega")
+        upsilon = _normalize_measure(self.upsilon, length, nonneg=True, label="upsilon")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "upsilon", upsilon)
 
 
 def _as_measure(raw) -> MeasureData:
@@ -134,28 +150,20 @@ def _normalize_measure(data: MeasureData, length: float, *, nonneg: bool, label:
 
 
 def validate_spec(raw) -> StringSpec:
-    """Normalize and validate a string specification.
+    """Parse a string specification.
 
-    Accepts a :class:`StringSpec` or a JSON-style mapping with keys
-    ``L``, ``omega``, ``upsilon``.  Atoms at equal positions are merged,
-    zero entries dropped, intervals sorted; violations raise the specific
-    :mod:`indefstring.errors` subclasses.
+    A :class:`StringSpec` is already normal and is returned unchanged; a
+    JSON-style mapping with keys ``L``, ``omega``, ``upsilon`` is built into one.
     """
     if isinstance(raw, StringSpec):
-        length, omega, upsilon = raw.length, raw.omega, raw.upsilon
-    elif isinstance(raw, Mapping):
-        length = _parse_extent(raw.get("L"))
-        omega = _as_measure(raw.get("omega"))
-        upsilon = _as_measure(raw.get("upsilon"))
-    else:
-        raise ValidationError(f"cannot interpret string spec: {raw!r}")
-
-    length = float(length)
-    if math.isnan(length) or length <= 0.0:
-        raise NonPositiveLength(f"string length must be positive, got {length}")
-    omega = _normalize_measure(omega, length, nonneg=False, label="omega")
-    upsilon = _normalize_measure(upsilon, length, nonneg=True, label="upsilon")
-    return StringSpec(length=length, omega=omega, upsilon=upsilon)
+        return raw
+    if isinstance(raw, Mapping):
+        return StringSpec(
+            length=_parse_extent(raw.get("L")),
+            omega=_as_measure(raw.get("omega")),
+            upsilon=_as_measure(raw.get("upsilon")),
+        )
+    raise ValidationError(f"cannot interpret string spec: {raw!r}")
 
 
 def _extent_to_json(value: float):
@@ -363,19 +371,8 @@ class TravelCoords:
 
 
 def travel_coords(spec: StringSpec) -> TravelCoords:
-    view = coefficient_view(validate_spec(spec))
+    view = coefficient_view(spec)
     return TravelCoords(sigma=view.sigma, xi=view.xi, sigma_L=view.sigma_length)
-
-
-def eval_coefficients(spec: StringSpec, x: float) -> tuple[float, float, float]:
-    """Left-continuous values ``(w(x), Upsilon(x), sigma(x))``."""
-    view = coefficient_view(validate_spec(spec))
-    return view.w(x), view.upsilon(x), view.sigma(x)
-
-
-def xi_eval(spec: StringSpec, s: float) -> float:
-    """Generalized inverse of the travel coordinate at s."""
-    return coefficient_view(validate_spec(spec)).xi(s)
 
 
 def _atom_mismatch(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, float], ...]) -> float:
@@ -397,13 +394,12 @@ def spec_discrepancy(a: StringSpec, b: StringSpec, *, probes: int = 129) -> dict
     kept away from jump points for the same reason.  Returns the parts and
     their maximum under ``"overall"``.
     """
-    sa, sb = validate_spec(a), validate_spec(b)
-    va, vb = coefficient_view(sa), coefficient_view(sb)
-    if math.isinf(sa.length) and math.isinf(sb.length):
+    va, vb = coefficient_view(a), coefficient_view(b)
+    if math.isinf(a.length) and math.isinf(b.length):
         length_diff = 0.0
     else:
-        length_diff = abs(sa.length - sb.length)
-    span = min(sa.length, sb.length)
+        length_diff = abs(a.length - b.length)
+    span = min(a.length, b.length)
     if math.isinf(span):
         finite = [float(p) for p in va.bp if math.isfinite(p)]
         finite += [float(p) for p in vb.bp if math.isfinite(p)]
@@ -423,8 +419,8 @@ def spec_discrepancy(a: StringSpec, b: StringSpec, *, probes: int = 129) -> dict
     for x in sorted(pts):
         dist_diff = max(dist_diff, abs(va.w(x) - vb.w(x)), abs(va.upsilon(x) - vb.upsilon(x)))
     atom_diff = max(
-        _atom_mismatch(sa.omega.atoms, sb.omega.atoms),
-        _atom_mismatch(sa.upsilon.atoms, sb.upsilon.atoms),
+        _atom_mismatch(a.omega.atoms, b.omega.atoms),
+        _atom_mismatch(a.upsilon.atoms, b.upsilon.atoms),
     )
     return {
         "length": length_diff,

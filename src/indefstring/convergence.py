@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import Hamiltonian, validate_hamiltonian
-from .coefficients import MeasureData, StringSpec, coefficient_view, validate_spec
+from .canonical import Hamiltonian
+from .coefficients import MeasureData, StringSpec, coefficient_view
 from .weyl import standard_grid, weyl_m
 
 _SURROGATE_NOTE = (
@@ -97,8 +97,7 @@ def string_convergence_check(seq: StringSequence, xs=None, n_max: int | None = N
     surrogate), and sup-norm differences of int_0^x w_n and int_0^x sigma_n
     against the limit when one is given.
     """
-    specs = tuple(validate_spec(s) for s in seq.specs[: n_max])
-    limit = validate_spec(seq.limit) if seq.limit is not None else None
+    specs, limit = seq.specs[: n_max], seq.limit
     grid = tuple(float(x) for x in (xs if xs is not None else _default_positions(limit, specs)))
     lim_view = coefficient_view(limit) if limit is not None else None
 
@@ -133,8 +132,7 @@ def string_convergence_check(seq: StringSequence, xs=None, n_max: int | None = N
 def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2,
                         tol: float = 1e-10) -> ConvergenceReport:
     """Direct route: compare Weyl functions on a compact grid of z values."""
-    specs = tuple(validate_spec(s) for s in seq.specs)
-    limit = validate_spec(seq.limit) if seq.limit is not None else None
+    specs, limit = seq.specs, seq.limit
     grid = standard_grid() if zs is None else np.asarray(zs, dtype=complex)
     m_lim = (
         np.array([weyl_m(limit, complex(z), tol=tol).m for z in grid])
@@ -189,11 +187,9 @@ def hamiltonian_convergence_check(hams, limit=None, xs=None,
     divergence branch compares them against the blocked matrix's primitives
     (x, 0, 0), which is where escaping Weyl functions end up.
     """
-    family = [validate_hamiltonian(h) for h in hams]
-    lim = validate_hamiltonian(limit) if limit is not None else None
     grid = tuple(float(x) for x in (xs if xs is not None else np.linspace(0.5, 8.0, 16)))
     rows = []
-    for ham in family:
+    for ham in hams:
         prim = [_hamiltonian_primitive(ham, x) for x in grid]
         row = {
             "sup_blocked_diff": max(
@@ -201,8 +197,8 @@ def hamiltonian_convergence_check(hams, limit=None, xs=None,
                 for x, (p11, p12, p22) in zip(grid, prim)
             )
         }
-        if lim is not None:
-            lprim = [_hamiltonian_primitive(lim, x) for x in grid]
+        if limit is not None:
+            lprim = [_hamiltonian_primitive(limit, x) for x in grid]
             row["sup_primitive_diff"] = max(
                 max(abs(a - la), abs(b - lb), abs(c - lc))
                 for (a, b, c), (la, lb, lc) in zip(prim, lprim)
@@ -211,7 +207,7 @@ def hamiltonian_convergence_check(hams, limit=None, xs=None,
 
     margins = {"sup_blocked_diff": [r["sup_blocked_diff"] for r in rows]}
     verdict = INCONCLUSIVE
-    if lim is not None and rows:
+    if limit is not None and rows:
         diffs = [r["sup_primitive_diff"] for r in rows]
         margins["sup_diffs"] = diffs
         if _settled(diffs, threshold):
@@ -243,7 +239,6 @@ def mollify_string(spec: StringSpec, n: int) -> StringSpec:
     """Replace every point mass (x, a) by the density a*n on [x, x + 1/n),
     clipped to [0, L); existing densities are kept and summed where bumps
     overlap them."""
-    spec = validate_spec(spec)
     if n < 1:
         raise ValueError(f"mollification index must be >= 1, got {n}")
 
@@ -254,12 +249,9 @@ def mollify_string(spec: StringSpec, n: int) -> StringSpec:
             pieces.append((x, hi, mass * n))
         return MeasureData(atoms=(), density=_overlay_density(pieces))
 
-    return validate_spec(
-        StringSpec(length=spec.length, omega=widen(spec.omega), upsilon=widen(spec.upsilon))
-    )
+    return StringSpec(length=spec.length, omega=widen(spec.omega), upsilon=widen(spec.upsilon))
 
 
 def mollified_family(spec: StringSpec, ns=(4, 16, 64)) -> StringSequence:
     """Mollification family together with the original string as its limit."""
-    spec = validate_spec(spec)
     return StringSequence(specs=tuple(mollify_string(spec, n) for n in ns), limit=spec)

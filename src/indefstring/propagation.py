@@ -24,7 +24,6 @@ from .coefficients import (
     _as_measure,
     _normalize_measure,
     coefficient_view,
-    validate_spec,
 )
 from .errors import PositionOutOfRange
 
@@ -168,12 +167,6 @@ def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool
     return records
 
 
-def _prepare(spec: StringSpec, xs) -> tuple[CoefficientView, np.ndarray]:
-    view = coefficient_view(validate_spec(spec))
-    arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    return view, arr
-
-
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:
     """Fundamental matrices M(x) in (u, u') variables at the given positions.
 
@@ -181,7 +174,8 @@ def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.n
     ``(len(xs),) + shape(z) + (2, 2)`` and ``det M = 1`` along the sweep
     (unless ``rescale`` trades the determinant for overflow safety).
     """
-    view, arr = _prepare(spec, xs)
+    view = coefficient_view(spec)
+    arr = np.atleast_1d(np.asarray(xs, dtype=float))
     zarr = np.asarray(z, dtype=complex)
     zflat = np.atleast_1d(zarr).ravel()
     records = _sweep_closed(view, zflat, np.unique(arr), rescale=rescale)
@@ -197,7 +191,8 @@ def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.n
 
 def fundamental_system(spec: StringSpec, z: complex, xs) -> FundamentalSystem:
     """Evaluate the fundamental pair theta, phi at the sample positions."""
-    view, arr = _prepare(spec, xs)
+    view = coefficient_view(spec)
+    arr = np.atleast_1d(np.asarray(xs, dtype=float))
     records = _sweep_closed(view, np.array([complex(z)]), np.unique(arr))
     theta = []
     phi = []
@@ -225,7 +220,8 @@ def solve_inhomogeneous(spec: StringSpec, z: complex, chi, d1: complex, d2: comp
     coefficients; the solve is closed-form on the whole class (variation of
     parameters built into the piece transfers).
     """
-    view, arr = _prepare(spec, xs)
+    view = coefficient_view(spec)
+    arr = np.atleast_1d(np.asarray(xs, dtype=float))
     chi_data = _normalize_measure(_as_measure(chi), view.length, nonneg=False, label="chi")
     # chi is read as the omega of a string on the same interval: w(x) = chi([0, x)).
     chi_view = CoefficientView(StringSpec(length=view.length, omega=chi_data))

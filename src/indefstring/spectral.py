@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .coefficients import StringSpec, coefficient_view, validate_spec
+from .coefficients import StringSpec, coefficient_view
 from .errors import (
     ComputationError,
     NotAtomic,
@@ -121,7 +121,6 @@ class HilbertElement:
 
 def point_evaluator(spec: StringSpec, x: float) -> HilbertElement:
     """The element reproducing f1(x) under the model inner product."""
-    spec = validate_spec(spec)
     if not 0.0 < x < spec.length:
         raise PositionOutOfRange(f"evaluation point {x} outside (0, {spec.length})")
     if math.isfinite(spec.length):
@@ -137,7 +136,6 @@ def _f2_lookup(f: HilbertElement):
 def hilbert_inner(spec: StringSpec, f: HilbertElement, g: HilbertElement) -> float:
     """Model inner product: Dirichlet pairing of the first components plus the
     upsilon-atom-weighted pairing of the second."""
-    spec = validate_spec(spec)
     cuts = sorted({*f.nodes, *g.nodes})
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -166,15 +164,13 @@ def hilbert_norm_squared(spec: StringSpec, f: HilbertElement) -> float:
 # -- polynomial machinery for finite atomic strings ---------------------------
 
 
-def _require_discrete(spec: StringSpec) -> StringSpec:
-    spec = validate_spec(spec)
+def _require_discrete(spec: StringSpec) -> None:
     if not math.isfinite(spec.length):
         raise NotFiniteLength("eigenvalue extraction needs a finite string")
     if not (spec.omega.is_atomic() and spec.upsilon.is_atomic()):
         raise NotAtomic("eigenvalue extraction needs purely atomic measures")
     if len(spec.omega.atoms) + len(spec.upsilon.atoms) > _MAX_ATOMS:
         raise UnsupportedShape(f"more than {_MAX_ATOMS} point masses")
-    return spec
 
 
 def _poly_mul2(a, b):
@@ -186,7 +182,7 @@ def _poly_mul2(a, b):
 
 def transfer_polynomials(spec: StringSpec) -> tuple[Polynomial, Polynomial]:
     """(theta(., L), phi(., L)) as polynomials in the spectral parameter."""
-    spec = _require_discrete(spec)
+    _require_discrete(spec)
     view = coefficient_view(spec)
     one, zero = Polynomial([1.0]), Polynomial([0.0])
     mat = ((one, zero), (zero, one))
@@ -254,7 +250,7 @@ def _phi_scan(spec: StringSpec, lam: float,
 def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = None) -> list[float]:
     """All real eigenvalues (roots of phi(., L)) of a finite atomic string,
     optionally restricted to a window; each is checked nonzero and simple."""
-    spec = _require_discrete(spec)
+    _require_discrete(spec)
     _, phi = transfer_polynomials(spec)
     if phi.degree() < 1:
         return []
@@ -300,7 +296,7 @@ def spectral_measure_discrete(spec: StringSpec) -> SpectralMeasure:
     lam^2 int phi^2 d upsilon): a sum of non-negative terms, so it stays
     accurate where the ratio of expanded polynomials cancels catastrophically.
     """
-    spec = _require_discrete(spec)
+    _require_discrete(spec)
     lams = discrete_eigenvalues(spec)
     atoms = []
     for lam in lams:
@@ -315,7 +311,6 @@ def spectral_measure_discrete(spec: StringSpec) -> SpectralMeasure:
 
 
 def _spec_evaluator(spec: StringSpec):
-    spec = validate_spec(spec)
     if math.isfinite(spec.length):
         endpoint = spec.length
 
@@ -371,7 +366,7 @@ def stieltjes_inversion(source, window: tuple[float, float],
     if callable(source):
         ev = source
     else:
-        ev = _spec_evaluator(validate_spec(source))
+        ev = _spec_evaluator(source)
 
     e0 = eps[0]
     npts = int(min(max(math.ceil((hi - lo) / (e0 / 4.0)) + 1, 101), 200_001))
@@ -413,7 +408,6 @@ def stieltjes_inversion(source, window: tuple[float, float],
 
 def green_kernel(spec: StringSpec, z: complex, x: float, t: float) -> np.ndarray:
     """Resolvent kernel value (both components) at (x, t); symmetric in (x, t)."""
-    spec = validate_spec(spec)
     z = complex(z)
     lo, hi = (x, t) if x <= t else (t, x)
     psi = weyl_solution_psi(spec, z, [lo, hi])
@@ -429,7 +423,6 @@ def transform_hat(spec: StringSpec, f: HilbertElement, lambdas) -> np.ndarray:
     f_hat(l) = sum_pieces slope * (phi(l, b) - phi(l, a))
              + l * sum_atoms mu_q f2(q) phi(l, q).
     """
-    spec = validate_spec(spec)
     if f.values[-1] != 0.0:
         raise UnsupportedShape("transform needs the first component to return to 0")
     if math.isfinite(spec.length) and f.nodes[-1] > spec.length:
@@ -478,7 +471,7 @@ def projection_energy(spec: StringSpec, f: HilbertElement) -> float:
     unchanged.  Point masses sitting at 0 contribute nothing: their evaluator
     is the zero element and phi(., 0) = 0.
     """
-    spec = _require_discrete(spec)
+    _require_discrete(spec)
     positions = sorted({x for x, _ in spec.omega.atoms if x > 0.0}
                        | {x for x, _ in spec.upsilon.atoms if x > 0.0})
     energy = 0.0

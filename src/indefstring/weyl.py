@@ -20,13 +20,15 @@ term lim m(i eta) equals omega({0}).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import StringSpec, coefficient_view, validate_spec
+from .coefficients import StringSpec, coefficient_view
 from .errors import (
+    ComputationError,
     ExtrapolationUnstable,
     NonRealRequired,
     PositionOutOfRange,
@@ -87,9 +89,28 @@ def _require_nonreal(z: np.ndarray) -> None:
         raise NonRealRequired("Weyl evaluation needs Im z != 0")
 
 
+def _values_agree(history, tol: float) -> tuple[bool, np.ndarray | float]:
+    """Whether an iteration has settled: the last four values are finite and
+    their three consecutive differences are each at most tol * max(1, |last|).
+
+    Works on Python scalars and elementwise on arrays (the verdict must hold
+    everywhere).  Returns the verdict and the last difference.
+    """
+    if len(history) < 4:
+        return False, math.inf
+    t0, t1, t2, t3 = history[-4:]
+    diffs = (abs(t1 - t0), abs(t2 - t1), abs(t3 - t2))
+    size = abs(t3)
+    ok = size < math.inf
+    for d in diffs:
+        # d <= tol * max(1, size) for tol > 0, as two comparisons that work
+        # on scalars and arrays alike.
+        ok = ok & ((d <= tol) | (d <= tol * size))
+    return bool(np.all(ok)), diffs[-1]
+
+
 def m_truncated(spec: StringSpec, z, x: float):
     """Truncated Weyl function -theta(z, x)/(z phi(z, x)); vectorized in z."""
-    spec = validate_spec(spec)
     zarr = np.asarray(z, dtype=complex)
     _require_nonreal(zarr)
     if not x > 0.0:
@@ -101,13 +122,17 @@ def m_truncated(spec: StringSpec, z, x: float):
 
 
 def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:
-    """Weyl function at z with the truncation limit resolved automatically."""
-    spec = validate_spec(spec)
+    """Weyl function at z with the truncation limit resolved automatically.
+
+    Raises :class:`ComputationError` rather than return a value that is not finite.
+    """
     z = complex(z)
     _require_nonreal(np.asarray(z))
     view = coefficient_view(spec)
     if math.isfinite(spec.length):
         m = m_truncated(spec, z, spec.length)
+        if not cmath.isfinite(m):
+            raise ComputationError(f"Weyl function at z={z} is not finite: {m}")
         return WeylSample(z=z, m=m, truncation_x=spec.length, est_error=0.0)
 
     # Start far below unit travel distance: at large |z| the limit is already
@@ -122,12 +147,9 @@ def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:
             continue
         last_x = x
         history.append(m_truncated(spec, z, x))
-        if len(history) >= 4:
-            tail = history[-4:]
-            scale = max(1.0, abs(tail[-1]))
-            diffs = [abs(tail[k + 1] - tail[k]) for k in range(3)]
-            if all(dd <= tol * scale for dd in diffs):
-                return WeylSample(z=z, m=history[-1], truncation_x=x, est_error=diffs[-1])
+        settled, last_diff = _values_agree(history, tol)
+        if settled:
+            return WeylSample(z=z, m=history[-1], truncation_x=x, est_error=float(last_diff))
     raise TruncationNotConverged(
         f"Weyl truncation did not stabilise at z={z}; last diff "
         f"{abs(history[-1] - history[-2]) if len(history) > 1 else math.nan:g}"
@@ -177,7 +199,6 @@ def structural_flags(spec: StringSpec) -> tuple[bool, bool]:
     (0, L) and w non-decreasing there; point masses at 0 are unconstrained
     because they only shift boundary data.
     """
-    spec = validate_spec(spec)
     omega_nonneg = all(m >= 0.0 for _, m in spec.omega.atoms) and all(
         v >= 0.0 for _, _, v in spec.omega.density
     )
@@ -197,7 +218,6 @@ def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classificatio
     The numerical Stieltjes flag (Im m >= 0 and Im z m >= 0 on the grid) and
     the structural one must agree on valid inputs; both are reported.
     """
-    spec = validate_spec(spec)
     zs = standard_grid() if samples is None else np.asarray(samples, dtype=complex)
     _require_nonreal(zs)
     ms = np.array([weyl_m(spec, complex(zv)).m for zv in zs])
@@ -231,7 +251,6 @@ def integral_rep_constants(spec: StringSpec, tol: float = 1e-12) -> IntegralRep:
     extrapolated when the structural Stieltjes predicate holds; otherwise the
     constant term is undetermined and reported as None.
     """
-    spec = validate_spec(spec)
     etas = [10.0 ** k for k in range(2, 7)]
     m_eta = [weyl_m(spec, 1j * eta, tol=tol).m for eta in etas]
     c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from indefstring import catalog
+from indefstring import canonical, catalog
 from indefstring.canonical import (
     Hamiltonian,
     HamiltonianPiece,
@@ -23,10 +23,11 @@ from indefstring.canonical import (
 from indefstring.coefficients import spec_discrepancy
 from indefstring.errors import (
     DegenerateHamiltonian,
+    NonPositiveLength,
     UnsupportedShape,
     ValidationError,
 )
-from indefstring.weyl import weyl_m
+from indefstring.weyl import standard_grid, weyl_m
 
 HALF = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.5, h12=0.0),))
 FREE = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.0, h12=0.0),))
@@ -166,6 +167,51 @@ def test_validate_rejects_entry_range():
 def test_validate_rejects_all_blocked():
     with pytest.raises(DegenerateHamiltonian):
         validate_hamiltonian([(math.inf, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("pieces, error", [
+    ([(1.0, 1.5, 0.0), (math.inf, 0.5, 0.0)], ValidationError),          # h11 > 1
+    ([(1.0, 0.5, 0.0)], ValidationError),                                 # no infinite tail
+    ([(math.inf, 0.5, 0.0), (1.0, 0.5, 0.0)], ValidationError),          # infinite piece first
+    ([(0.0, 0.5, 0.0), (math.inf, 0.5, 0.0)], NonPositiveLength),
+    ([(2.0, 1.0, 0.0), (math.inf, 1.0, 0.0)], DegenerateHamiltonian),
+])
+def test_building_an_invalid_hamiltonian_raises_like_validate_hamiltonian(pieces, error):
+    with pytest.raises(error) as direct:
+        Hamiltonian(pieces=tuple(HamiltonianPiece(*p) for p in pieces))
+    with pytest.raises(error) as parsed:
+        validate_hamiltonian(pieces)
+    assert type(direct.value) is type(parsed.value)
+
+
+def test_built_hamiltonian_is_fused_and_rebuilding_is_a_no_op():
+    ham = Hamiltonian(pieces=[(1.0, 0.5, 0.25), {"len": 2.0, "h11": 0.5, "h12": 0.25},
+                              HamiltonianPiece(1.0, 1.0, 0.0), ("inf", 1.0, 0.0)], mesh=8)
+    assert _pieces(ham) == [(3.0, 0.5, 0.25), (math.inf, 1.0, 0.0)]
+    assert ham == validate_hamiltonian(hamiltonian_to_json(ham))
+    assert Hamiltonian(ham.pieces, ham.mesh) == ham
+    for _, spec in catalog.CANONICAL_SPECS:
+        built = string_to_hamiltonian(spec)
+        assert Hamiltonian(built.pieces, built.mesh) == built
+
+
+def test_canonical_evaluators_do_not_recheck_a_built_hamiltonian(monkeypatch):
+    ham = string_to_hamiltonian(catalog.mixed_example())
+    calls = []
+    normalize = canonical._normalize_pieces
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize(raw)
+
+    monkeypatch.setattr(canonical, "_normalize_pieces", counting)
+    canonical_m_grid(ham, standard_grid())
+    canonical_solution(ham, 1j, [0.5, 2.0])
+    indivisible_prefix(ham)
+    hamiltonian_to_string(ham)
+    assert calls == []
+    Hamiltonian(ham.pieces)
+    assert len(calls) == 1
 
 
 def test_hamiltonian_json_roundtrip():

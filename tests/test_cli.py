@@ -234,6 +234,16 @@ def test_nonconvergence_exits_2(tmp_path, grid_csv):
     assert rc == 2
 
 
+def test_non_finite_weyl_value_exits_2(tmp_path):
+    spec = _dump(tmp_path / "spec.json", UNIFORM)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("re_z,im_z\n0,1\n-1e6,1\n", encoding="utf-8")
+    out = tmp_path / "m.csv"
+    rc = main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 # -- console script -----------------------------------------------------------
 
 

@@ -1,23 +1,22 @@
 """Tests for string specs, coefficient views, and travel coordinates."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from indefstring import catalog
+from indefstring import catalog, coefficients
 from indefstring.coefficients import (
     MeasureData,
     StringSpec,
     coefficient_view,
-    eval_coefficients,
     spec_discrepancy,
     spec_from_json,
     spec_to_json,
     travel_coords,
     validate_spec,
-    xi_eval,
 )
 from indefstring.errors import (
     NegativeUpsilon,
@@ -25,6 +24,9 @@ from indefstring.errors import (
     OverlappingDensityIntervals,
     PositionOutOfRange,
 )
+from indefstring.propagation import transfer_matrices
+from indefstring.spectral import spectral_measure_discrete
+from indefstring.weyl import weyl_m
 
 ATOM2 = catalog.omega_atom_origin()        # L=1, omega = 2*delta_0
 UPS3 = catalog.upsilon_atom_origin()       # L=1, upsilon = 3*delta_0
@@ -76,20 +78,117 @@ def test_duplicate_atoms_merge_and_zero_mass_drops():
     assert spec.omega.atoms == ((0.5, 3.0),)
 
 
+def _doc(length, omega=((), ()), upsilon=((), ())):
+    """JSON form of raw ``(atoms, density)`` data for both measures."""
+    def measure(data):
+        atoms, density = data
+        return {"atoms": [{"x": x, "mass": m} for x, m in atoms],
+                "density": [{"a": a, "b": "inf" if math.isinf(b) else b, "value": v}
+                            for a, b, v in density]}
+
+    return {"L": "inf" if math.isinf(length) else length,
+            "omega": measure(omega), "upsilon": measure(upsilon)}
+
+
+def _built(length, omega=((), ()), upsilon=((), ())):
+    """The same raw data handed straight to the StringSpec constructor."""
+    return StringSpec(length=length, omega=MeasureData(*omega), upsilon=MeasureData(*upsilon))
+
+
+@pytest.mark.parametrize("raw, error", [
+    ((1.0, ((), ()), (((0.5, -1.0),), ())), NegativeUpsilon),
+    ((1.0, (((1.0, 1.0),), ())), PositionOutOfRange),
+    ((2.0, ((), ((0.0, 1.0, 1.0), (0.5, 1.5, 2.0)))), OverlappingDensityIntervals),
+    ((0.0,), NonPositiveLength),
+])
+def test_building_an_invalid_spec_raises_like_validate_spec(raw, error):
+    with pytest.raises(error) as direct:
+        _built(*raw)
+    with pytest.raises(error) as parsed:
+        validate_spec(_doc(*raw))
+    assert type(direct.value) is type(parsed.value)
+
+
+def _random_raw_measure(rng, length, *, sign):
+    """Unsorted atoms with repeated positions and zero masses, and density
+    pieces in shuffled order where neighbours touch and often share a value."""
+    span = 4.0 if math.isinf(length) else length
+    grid = np.linspace(0.0, span, 8, endpoint=False)
+    xs = rng.choice(grid, size=6)
+    masses = rng.uniform(0.2, 2.0, size=6) * sign
+    masses[rng.random(6) < 0.3] = 0.0
+    atoms = [(float(x), float(m)) for x, m in zip(xs, masses)]
+    cuts = np.sort(rng.choice(np.linspace(0.0, span, 9), size=4, replace=False)).tolist()
+    ends = cuts[1:] + ([math.inf] if math.isinf(length) else [])
+    density = [(float(a), float(b), float(rng.choice([0.0, 0.5, 1.5, 1.5]) * sign))
+               for a, b in zip(cuts, ends)]
+    rng.shuffle(density)
+    return tuple(atoms), tuple(density)
+
+
+def _assert_normal(measure):
+    xs = [x for x, _ in measure.atoms]
+    assert xs == sorted(set(xs)) and all(m != 0.0 for _, m in measure.atoms)
+    for (a0, b0, v0), (a1, _, v1) in zip(measure.density, measure.density[1:]):
+        assert b0 <= a1 and not (b0 == a1 and v0 == v1)
+    assert all(v != 0.0 for _, _, v in measure.density)
+
+
+def test_built_spec_is_normal_and_equals_the_parsed_one():
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        length = (1.0, 2.5, math.inf)[k % 3]
+        omega = _random_raw_measure(rng, length, sign=float(rng.choice([-1.0, 1.0])))
+        upsilon = _random_raw_measure(rng, length, sign=1.0)
+        spec = _built(length, omega, upsilon)
+        assert spec == validate_spec(_doc(length, omega, upsilon))
+        assert spec == validate_spec(spec_to_json(spec))
+        _assert_normal(spec.omega)
+        _assert_normal(spec.upsilon)
+        again = dataclasses.replace(spec)
+        assert again == spec and hash(again) == hash(spec)
+        assert again.omega.atoms == spec.omega.atoms and again.upsilon.density == spec.upsilon.density
+
+
+def test_evaluators_do_not_renormalize_a_built_spec(monkeypatch):
+    halfline = catalog.uniform_halfline()
+    atomic = catalog.random_discrete_string(np.random.default_rng(5))
+    calls = []
+    normalize = coefficients._normalize_measure
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["label"])
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "_normalize_measure", counting)
+    coefficient_view.cache_clear()
+    weyl_m(halfline, 1 + 1j)
+    transfer_matrices(atomic, [1j, 2.0 + 0.5j], [0.5 * atomic.length, atomic.length])
+    spectral_measure_discrete(atomic)
+    assert calls == []
+    StringSpec(length=1.0)
+    assert calls == ["omega", "upsilon"]
+
+
+def _coefficients(spec, x):
+    view = coefficient_view(spec)
+    return view.w(x), view.upsilon(x), view.sigma(x)
+
+
 def test_values_at_origin_are_zero():
     for spec in (ATOM2, UPS3, catalog.mixed_example()):
-        assert eval_coefficients(spec, 0.0) == (0.0, 0.0, 0.0)
+        assert _coefficients(spec, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_atom_at_origin_coefficients():
-    w, ups, sigma = eval_coefficients(ATOM2, 0.5)
+    w, ups, sigma = _coefficients(ATOM2, 0.5)
     assert w == 2.0
     assert ups == 0.0
     assert sigma == pytest.approx(2.5, abs=1e-14)
 
 
 def test_upsilon_atom_coefficients():
-    w, ups, sigma = eval_coefficients(UPS3, 0.5)
+    w, ups, sigma = _coefficients(UPS3, 0.5)
     assert w == 0.0
     assert ups == 3.0
     assert sigma == pytest.approx(3.5, abs=1e-14)
@@ -97,18 +196,18 @@ def test_upsilon_atom_coefficients():
 
 def test_generalized_inverse_of_linear_travel():
     # sigma(x) = 5x for the atom-at-origin string
-    assert xi_eval(ATOM2, 2.0) == pytest.approx(0.4, abs=1e-13)
-    assert xi_eval(ATOM2, 7.0) == 1.0
+    assert coefficient_view(ATOM2).xi(2.0) == pytest.approx(0.4, abs=1e-13)
+    assert coefficient_view(ATOM2).xi(7.0) == 1.0
 
 
 def test_generalized_inverse_at_jump():
     # sigma jumps from 0 to 3 at the origin, so small s map to 0
-    assert xi_eval(UPS3, 2.0) == 0.0
+    assert coefficient_view(UPS3).xi(2.0) == 0.0
 
 
 def test_generalized_inverse_empty_string():
     for s in (0.0, 0.3, 0.999, 1.0, 2.5):
-        assert xi_eval(EMPTY1, s) == pytest.approx(min(s, 1.0), abs=1e-14)
+        assert coefficient_view(EMPTY1).xi(s) == pytest.approx(min(s, 1.0), abs=1e-14)
 
 
 def test_travel_coords_bundle():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from indefstring import catalog
-from indefstring.errors import NonRealRequired
+from indefstring.errors import ComputationError, NonRealRequired
 from indefstring.weyl import (
     classify,
     integral_rep_constants,
@@ -122,7 +122,19 @@ def test_representation_constants_stieltjes_atom():
 
 def test_c2_reported_only_for_stieltjes_strings():
     assert integral_rep_constants(catalog.omega_atom_origin()).c2 is not None
-    assert integral_rep_constants(catalog.mixed_example()).c2 is None
+    assert integral_rep_constants(catalog.upsilon_atom_origin()).c2 is None
+    assert integral_rep_constants(catalog.omega_atom_middle(-1.0)).c2 is None
+    # m(i eta) of the mixed example is not finite for eta >= 1e3, so its
+    # constants cannot be estimated and the estimate is refused.
+    with pytest.raises(ComputationError):
+        integral_rep_constants(catalog.mixed_example())
+
+
+def test_weyl_m_refuses_non_finite_values():
+    # The piece transfer overflows at large |Im sqrt(z)|: m comes out NaN.
+    for spec, z in ((catalog.uniform_string(), -1e6 + 1j), (catalog.mixed_example(), 1e4j)):
+        with pytest.raises(ComputationError, match="not finite"):
+            weyl_m(spec, z)
 
 
 def test_structural_flags():
