@@ -341,7 +341,7 @@ def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
             u = _apply_piece(u, tail, delta, z, zmax, renorm=True)
             history.append(u[..., 0, 0] / u[..., 0, 1])
             delta *= 2.0
-            if _values_agree(history, tol)[0]:
+            if np.all(_values_agree(history, tol)[0]):
                 return history[-1].reshape(zarr.shape)
     raise TruncationNotConverged("canonical Weyl ratio did not stabilise on the tail")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .canonical import (
@@ -18,11 +17,11 @@ from .canonical import (
     hamiltonian_to_string,
     string_to_hamiltonian,
 )
-from .coefficients import coefficient_view, spec_discrepancy, spec_from_json, spec_to_json
+from .coefficients import spec_discrepancy, spec_from_json, spec_to_json
 from .convergence import StringSequence, report_to_json, string_convergence_check
 from .errors import ComputationError, ValidationError
 from .spectral import measure_to_json, stieltjes_inversion
-from .weyl import classify, weyl_m
+from .weyl import classify, weyl_m_grid
 
 _FMT = "%.17g"
 
@@ -87,7 +86,8 @@ def build_parser() -> _Parser:
     fwd.add_argument("--hamiltonian", help="also write the Hamiltonian JSON here")
     fwd.add_argument("--tol", type=_positive, default=1e-10)
     fwd.add_argument("--mesh", type=int, default=256)
-    fwd.add_argument("--jobs", type=int, default=1)
+    fwd.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; has no effect (one sweep serves the whole grid)")
     fwd.set_defaults(func=cmd_forward)
 
     inv = sub.add_parser("inverse", help="string spec of a Hamiltonian")
@@ -127,18 +127,7 @@ def cmd_forward(args) -> int:
     zs = _read_grid(args.grid)
     if any(z.imag == 0.0 for z in zs):
         raise ValidationError("grid points must have nonzero imaginary part")
-
-    def sample(z: complex):
-        return weyl_m(spec, z, tol=args.tol)
-
-    if args.jobs > 1:
-        # Build the cached view here: worker threads that all miss the cache
-        # at once would each build it.
-        coefficient_view(spec)
-        with ThreadPoolExecutor(max_workers=args.jobs) as fan:
-            samples = list(fan.map(sample, zs))
-    else:
-        samples = [sample(z) for z in zs]
+    samples = weyl_m_grid(spec, zs, tol=args.tol)
     lines = ["re_z,im_z,re_m,im_m,trunc_x,est_err"]
     for s in samples:
         lines.append(

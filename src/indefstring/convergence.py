@@ -23,7 +23,7 @@ import numpy as np
 
 from .canonical import Hamiltonian
 from .coefficients import MeasureData, StringSpec, coefficient_view
-from .weyl import standard_grid, weyl_m
+from .weyl import standard_grid, weyl_m_grid
 
 _SURROGATE_NOTE = (
     "finite surrogate: boundedness and sup-norms measured on the recorded grid"
@@ -134,14 +134,14 @@ def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2,
     """Direct route: compare Weyl functions on a compact grid of z values."""
     specs, limit = seq.specs, seq.limit
     grid = standard_grid() if zs is None else np.asarray(zs, dtype=complex)
-    m_lim = (
-        np.array([weyl_m(limit, complex(z), tol=tol).m for z in grid])
-        if limit is not None
-        else None
-    )
+
+    def weyl_values(spec: StringSpec) -> np.ndarray:
+        return np.array([s.m for s in weyl_m_grid(spec, grid, tol=tol)])
+
+    m_lim = weyl_values(limit) if limit is not None else None
     rows = []
     for spec in specs:
-        ms = np.array([weyl_m(spec, complex(z), tol=tol).m for z in grid])
+        ms = weyl_values(spec)
         row = {"min_abs_m": float(np.min(np.abs(ms)))}
         if m_lim is not None:
             row["sup_m_diff"] = float(np.max(np.abs(ms - m_lim)))

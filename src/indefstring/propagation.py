@@ -62,25 +62,31 @@ def _trig_entries(kappa: np.ndarray, h: float):
     """
     kappa = np.asarray(kappa, dtype=complex)
     y = kappa * (h * h)
+    small = np.abs(y) < 1e-12
+    if small.all():
+        return _series_entries(y, h)
+    if not small.any():
+        return _closed_entries(kappa, h)
     C = np.empty_like(y)
     S = np.empty_like(y)
     C2 = np.empty_like(y)
-    small = np.abs(y) < 1e-12
-    if small.any():
-        ys = y[small]
-        C[small] = 1.0 - ys / 2.0 + ys * ys / 24.0
-        S[small] = h * (1.0 - ys / 6.0 + ys * ys / 120.0)
-        C2[small] = h * h * (0.5 - ys / 24.0 + ys * ys / 720.0)
+    C[small], S[small], C2[small] = _series_entries(y[small], h)
     big = ~small
-    if big.any():
-        kb = kappa[big]
-        s = np.sqrt(kb)
-        sh = s * h
-        C[big] = np.cos(sh)
-        S[big] = np.sin(sh) / s
-        half = np.sin(sh / 2.0)
-        C2[big] = 2.0 * half * half / kb
+    C[big], S[big], C2[big] = _closed_entries(kappa[big], h)
     return C, S, C2
+
+
+def _series_entries(y: np.ndarray, h: float):
+    return (1.0 - y / 2.0 + y * y / 24.0,
+            h * (1.0 - y / 6.0 + y * y / 120.0),
+            h * h * (0.5 - y / 24.0 + y * y / 720.0))
+
+
+def _closed_entries(kappa: np.ndarray, h: float):
+    s = np.sqrt(kappa)
+    sh = s * h
+    half = np.sin(sh / 2.0)
+    return np.cos(sh), np.sin(sh) / s, 2.0 * half * half / kappa
 
 
 class _Sweep:
@@ -120,51 +126,68 @@ class _Sweep:
         return float(self.view.dens_omega[j]), float(self.view.dens_upsilon[j]), c
 
 
-def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
+def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
     """Closed-form transfer in (u, u') variables; vectorized over z.
 
-    Returns per-sample affine data ``(a, b, c, d, r1, r2)`` so that a solution
-    with u(0)=d1, u'(0-)=d2 has u(x) = a d1 + b d2 + r1, u'(x-) = c d1 + d d2 + r2.
-    With ``rescale`` the matrix is renormalized whenever entries grow huge;
-    that spoils det = 1 but keeps entry ratios (hence Weyl quotients) stable.
+    Yields ``(x, (a, b, c, d, r1, r2))`` at each sample position in increasing
+    order, so a caller may stop early; the affine data are such that a
+    solution with u(0)=d1, u'(0-)=d2 has u(x) = a d1 + b d2 + r1,
+    u'(x-) = c d1 + d d2 + r2.  With ``rescale`` the matrix is renormalized
+    whenever entries grow huge; that spoils det = 1 but keeps entry ratios
+    (hence Weyl quotients) stable.
     """
     z = np.asarray(z, dtype=complex)
     walk = _Sweep(view, xs, chi)
     one = np.ones(z.shape, dtype=complex)
     zero = np.zeros(z.shape, dtype=complex)
-    a, b, c, d = one.copy(), zero.copy(), zero.copy(), one.copy()
-    r1, r2 = zero.copy(), zero.copy()
-    records = {}
+    a, b, c, d = one, zero, zero, one
+    r1, r2 = zero, zero
     cur = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in walk.points:
-            if p > cur:
-                da, db, dc = walk.densities(cur, p)
-                h = p - cur
-                kappa = z * da + z * z * db
-                C, S, C2 = _trig_entries(kappa, h)
-                mS = -kappa * S
-                a, c = C * a + S * c, mS * a + C * c
-                b, d = C * b + S * d, mS * b + C * d
-                if chi is not None:
-                    r1, r2 = C * r1 + S * r2 - dc * C2, mS * r1 + C * r2 - dc * S
-                if rescale:
-                    big = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                     np.maximum(np.abs(c), np.abs(d)))
-                    factor = np.where(big > 1e120, big, 1.0)
-                    a, b, c, d = a / factor, b / factor, c / factor, d / factor
-                cur = p
-            if p in walk.targets:
-                records[p] = (a.copy(), b.copy(), c.copy(), d.copy(), r1.copy(), r2.copy())
-            atom = walk.atoms.get(p)
-            if atom is not None:
-                aw, au, ac = atom
-                g = z * aw + z * z * au
-                c = c - g * a
-                d = d - g * b
-                if chi is not None:
-                    r2 = r2 - g * r1 - ac
-    return records
+    points = iter(walk.points)
+    while True:
+        # The error state is set per run between two samples, never across a
+        # yield, so it does not leak into the caller while the sweep waits.
+        record = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in points:
+                if p > cur:
+                    da, db, dc = walk.densities(cur, p)
+                    h = p - cur
+                    kappa = z * da + z * z * db
+                    C, S, C2 = _trig_entries(kappa, h)
+                    mS = -kappa * S
+                    a, c = C * a + S * c, mS * a + C * c
+                    b, d = C * b + S * d, mS * b + C * d
+                    if chi is not None:
+                        r1, r2 = C * r1 + S * r2 - dc * C2, mS * r1 + C * r2 - dc * S
+                    if rescale:
+                        big = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                         np.maximum(np.abs(c), np.abs(d)))
+                        factor = np.where(big > 1e120, big, 1.0)
+                        a, b, c, d = a / factor, b / factor, c / factor, d / factor
+                    cur = p
+                if p in walk.targets:
+                    # The arrays are rebound, never updated in place, so the
+                    # record keeps the state before the atom at p.
+                    record = (a, b, c, d, r1, r2)
+                atom = walk.atoms.get(p)
+                if atom is not None:
+                    aw, au, ac = atom
+                    g = z * aw + z * z * au
+                    c = c - g * a
+                    d = d - g * b
+                    if chi is not None:
+                        r2 = r2 - g * r1 - ac
+                if record is not None:
+                    break
+        if record is None:
+            return
+        yield p, record
+
+
+def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
+    """All records of :func:`_sweep_steps`, keyed by sample position."""
+    return dict(_sweep_steps(view, z, xs, chi, rescale))
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:

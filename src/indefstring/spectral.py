@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     WindowTouchesAtomZero,
 )
-from .weyl import _richardson, m_truncated, weyl_m, weyl_solution_psi
+from .weyl import _richardson, m_truncated, weyl_m_grid, weyl_solution_psi
 from .propagation import fundamental_system
 
 _MAX_ATOMS = 64
@@ -320,7 +320,7 @@ def _spec_evaluator(spec: StringSpec):
         return ev
 
     def ev(zs: np.ndarray) -> np.ndarray:
-        return np.array([weyl_m(spec, complex(z)).m for z in np.atleast_1d(zs)])
+        return np.array([s.m for s in weyl_m_grid(spec, zs)])
 
     return ev
 
@@ -352,8 +352,9 @@ def stieltjes_inversion(source, window: tuple[float, float],
     Im m(l + i*eps0) seed candidate atoms; each location is re-maximized at
     every eps, and eps * Im m at the peak is extrapolated in eps^2.  A mass
     estimate that moves more than 5% across the two finest eps decades is
-    rejected as not atomic.  Windows must exclude 0, where the finite-length
-    representation term would fake a point mass.
+    rejected as not atomic, so at least two eps values are required.  Windows
+    must exclude 0, where the finite-length representation term would fake a
+    point mass.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -361,7 +362,11 @@ def stieltjes_inversion(source, window: tuple[float, float],
     if lo <= 0.0 <= hi:
         raise WindowTouchesAtomZero("window must exclude 0")
     eps = sorted((float(e) for e in eps), reverse=True)
-    if eps[0] <= 0.0:
+    if len(eps) < 2:
+        # The mass stability test needs two eps; without it every rounding
+        # peak of Im m would be reported as an atom.
+        raise ValidationError(f"need at least two eps values, got {len(eps)}")
+    if not eps[-1] > 0.0:
         raise ValidationError("eps values must be positive")
     if callable(source):
         ev = source
@@ -391,10 +396,9 @@ def stieltjes_inversion(source, window: tuple[float, float],
             half = 2.0 * e
         if masses[-1] <= 0.0:
             continue
-        if len(masses) >= 2 and abs(masses[-1] - masses[-2]) > 0.05 * abs(masses[-1]):
+        if abs(masses[-1] - masses[-2]) > 0.05 * abs(masses[-1]):
             continue
-        mass = _richardson(masses, 10.0, (2,)) if len(masses) > 1 else masses[-1]
-        atoms.append((pos, mass))
+        atoms.append((pos, _richardson(masses, 10.0, (2,))))
 
     stride = max(1, npts // 512)
     e_min = eps[-1]

@@ -8,7 +8,8 @@ which maps the upper half-plane into itself and satisfies m(conj z) = conj m(z).
 For finite-length strings in the representable class the travel coordinate is
 finite at L, so the limit is attained at the endpoint; for infinite strings a
 truncation schedule doubles progress in the travel coordinate until three
-consecutive evaluations agree.
+consecutive evaluations agree.  The schedule does not depend on z, so one
+sweep along it, vectorized over z, serves a whole grid.
 
 The integral representation
 
@@ -20,7 +21,6 @@ term lim m(i eta) equals omega({0}).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -34,9 +34,7 @@ from .errors import (
     PositionOutOfRange,
     TruncationNotConverged,
 )
-from .propagation import SystemState, fundamental_system, transfer_matrices
-
-_TRUNCATION_DOUBLINGS = 140
+from .propagation import SystemState, _sweep_steps, fundamental_system, transfer_matrices
 
 
 @dataclass(frozen=True)
@@ -89,12 +87,12 @@ def _require_nonreal(z: np.ndarray) -> None:
         raise NonRealRequired("Weyl evaluation needs Im z != 0")
 
 
-def _values_agree(history, tol: float) -> tuple[bool, np.ndarray | float]:
+def _values_agree(history, tol: float) -> tuple[np.ndarray | bool, np.ndarray | float]:
     """Whether an iteration has settled: the last four values are finite and
     their three consecutive differences are each at most tol * max(1, |last|).
 
-    Works on Python scalars and elementwise on arrays (the verdict must hold
-    everywhere).  Returns the verdict and the last difference.
+    Works on Python scalars and elementwise on arrays, where the verdict is a
+    boolean array.  Returns the verdict and the last difference.
     """
     if len(history) < 4:
         return False, math.inf
@@ -106,54 +104,75 @@ def _values_agree(history, tol: float) -> tuple[bool, np.ndarray | float]:
         # d <= tol * max(1, size) for tol > 0, as two comparisons that work
         # on scalars and arrays alike.
         ok = ok & ((d <= tol) | (d <= tol * size))
-    return bool(np.all(ok)), diffs[-1]
+    return ok, diffs[-1]
+
+
+def _quotient(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The truncated Weyl function -a/(z b) of transfer-matrix entries a = theta, b = phi."""
+    with np.errstate(invalid="ignore"):
+        return -a / (z * b)
 
 
 def m_truncated(spec: StringSpec, z, x: float):
-    """Truncated Weyl function -theta(z, x)/(z phi(z, x)); vectorized in z."""
+    """Truncated Weyl function -theta(z, x)/(z phi(z, x)); vectorized in z.
+
+    Raises :class:`ComputationError` rather than return a value that is not finite.
+    """
     zarr = np.asarray(z, dtype=complex)
     _require_nonreal(zarr)
     if not x > 0.0:
         raise PositionOutOfRange(f"truncation point must be positive, got {x}")
     mats = transfer_matrices(spec, zarr, [float(x)], rescale=True)[0]
-    with np.errstate(invalid="ignore"):
-        m = -mats[..., 0, 0] / (zarr * mats[..., 0, 1])
+    m = _quotient(mats[..., 0, 0], mats[..., 0, 1], zarr)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        k = bad[0]
+        raise ComputationError(
+            f"Weyl function at z={complex(zarr.flat[k])} is not finite: {complex(m.flat[k])}"
+        )
     return complex(m) if zarr.shape == () else m
 
 
-def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:
-    """Weyl function at z with the truncation limit resolved automatically.
+def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
+    """Weyl function at every z of ``zs``, with the truncation limit resolved
+    automatically.
 
-    Raises :class:`ComputationError` rather than return a value that is not finite.
+    On a half-line one rescaled sweep along the z-independent truncation
+    schedule serves every z: each z stops at the first position where its
+    last four values agree (:func:`_values_agree`), and the sweep ends once
+    all have.  Raises :class:`ComputationError` rather than return a value
+    that is not finite, naming the first such z.
     """
-    z = complex(z)
-    _require_nonreal(np.asarray(z))
-    view = coefficient_view(spec)
+    zs = np.ravel(np.asarray(zs, dtype=complex))
+    _require_nonreal(zs)
     if math.isfinite(spec.length):
-        m = m_truncated(spec, z, spec.length)
-        if not cmath.isfinite(m):
-            raise ComputationError(f"Weyl function at z={z} is not finite: {m}")
-        return WeylSample(z=z, m=m, truncation_x=spec.length, est_error=0.0)
+        ms = m_truncated(spec, zs, spec.length)
+        return [WeylSample(z=z, m=m, truncation_x=spec.length, est_error=0.0)
+                for z, m in zip(zs.tolist(), ms.tolist())]
 
-    # Start far below unit travel distance: at large |z| the limit is already
-    # reached at tiny x and late starts would push trig factors toward overflow.
-    s = 2.0 ** -40
-    history: list[complex] = []
-    last_x = 0.0
-    for _ in range(_TRUNCATION_DOUBLINGS):
-        x = view.xi(s)
-        s *= 2.0
-        if x <= 0.0 or x == last_x:
-            continue
-        last_x = x
-        history.append(m_truncated(spec, z, x))
-        settled, last_diff = _values_agree(history, tol)
-        if settled:
-            return WeylSample(z=z, m=history[-1], truncation_x=x, est_error=float(last_diff))
+    view = coefficient_view(spec)
+    samples: list[WeylSample] = [None] * zs.size
+    settled = np.zeros(zs.size, dtype=bool)
+    history: list[np.ndarray] = []
+    for x, (a, b, *_) in _sweep_steps(view, zs, view.truncation_points, rescale=True):
+        history = [*history[-3:], _quotient(a, b, zs)]
+        agree, last_diff = _values_agree(history, tol)
+        for k in np.flatnonzero(agree & ~settled):
+            samples[k] = WeylSample(z=complex(zs[k]), m=complex(history[-1][k]),
+                                    truncation_x=x, est_error=float(last_diff[k]))
+        settled |= agree
+        if settled.all():
+            return samples
+    k = int(np.flatnonzero(~settled)[0])
+    last_diff = abs(history[-1][k] - history[-2][k]) if len(history) > 1 else math.nan
     raise TruncationNotConverged(
-        f"Weyl truncation did not stabilise at z={z}; last diff "
-        f"{abs(history[-1] - history[-2]) if len(history) > 1 else math.nan:g}"
+        f"Weyl truncation did not stabilise at z={complex(zs[k])}; last diff {last_diff:g}"
     )
+
+
+def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:
+    """Weyl function at one z: ``weyl_m_grid(spec, [z], tol)[0]``."""
+    return weyl_m_grid(spec, [complex(z)], tol)[0]
 
 
 def weyl_solution_psi(spec: StringSpec, z: complex, xs, tol: float = 1e-10) -> tuple[SystemState, ...]:
@@ -218,10 +237,9 @@ def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classificatio
     The numerical Stieltjes flag (Im m >= 0 and Im z m >= 0 on the grid) and
     the structural one must agree on valid inputs; both are reported.
     """
-    zs = standard_grid() if samples is None else np.asarray(samples, dtype=complex)
-    _require_nonreal(zs)
-    ms = np.array([weyl_m(spec, complex(zv)).m for zv in zs])
-    ms_conj = np.array([weyl_m(spec, complex(np.conj(zv))).m for zv in zs])
+    zs = standard_grid() if samples is None else np.ravel(np.asarray(samples, dtype=complex))
+    both = np.array([s.m for s in weyl_m_grid(spec, np.concatenate([zs, zs.conj()]))])
+    ms, ms_conj = both[:zs.size], both[zs.size:]
     scale = max(1.0, float(np.max(np.abs(ms))))
     min_im_m = float(np.min(ms.imag * np.sign(zs.imag)))
     symmetry_defect = float(np.max(np.abs(ms_conj - np.conj(ms))))
@@ -252,10 +270,10 @@ def integral_rep_constants(spec: StringSpec, tol: float = 1e-12) -> IntegralRep:
     constant term is undetermined and reported as None.
     """
     etas = [10.0 ** k for k in range(2, 7)]
-    m_eta = [weyl_m(spec, 1j * eta, tol=tol).m for eta in etas]
-    c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
     eps = [10.0 ** (-k) for k in range(2, 7)]
-    m_eps = [weyl_m(spec, 1j * e, tol=tol).m for e in eps]
+    ms = [s.m for s in weyl_m_grid(spec, [1j * t for t in etas + eps], tol=tol)]
+    m_eta, m_eps = ms[:len(etas)], ms[len(etas):]
+    c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
     inv_l = _richardson([(-1j * e * m).real for m, e in zip(m_eps, eps)], 10.0, (1, 2))
     stieltjes_struct, _ = structural_flags(spec)
     c2 = None

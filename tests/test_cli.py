@@ -68,7 +68,7 @@ def test_forward_output_is_byte_stable_across_runs_and_jobs(tmp_path, grid_csv):
         rc = main(["forward", "--spec", spec, "--grid", grid_csv, "--out", str(out),
                    "--jobs", jobs])
         assert rc == 0
-        # one view build per run, also when worker threads share the cache
+        # one view build per run; --jobs is accepted and has no effect
         assert coefficient_view.cache_info().misses == 1
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -149,6 +149,15 @@ def test_spectrum_finds_the_atom(tmp_path, capsys):
     (atom,) = doc["atoms"]
     assert atom["lambda"] == pytest.approx(4.0, abs=1e-3)
     assert atom["mass"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_spectrum_with_one_eps_exits_1(tmp_path, capsys):
+    spec = _dump(tmp_path / "spec.json", ATOM_MID)
+    rc = main(["spectrum", "--spec", spec, "--window", "1", "6", "--eps", "0.01",
+               "--out", str(tmp_path / "mu.json")])
+    assert rc == 1
+    assert "two eps" in capsys.readouterr().err
+    assert not (tmp_path / "mu.json").exists()
 
 
 # -- classify -----------------------------------------------------------------

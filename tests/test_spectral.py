@@ -8,6 +8,7 @@ from indefstring.errors import (
     NotAtomic,
     NotFiniteLength,
     UnsupportedShape,
+    ValidationError,
     WindowTouchesAtomZero,
 )
 from indefstring.spectral import (
@@ -111,6 +112,15 @@ def test_inversion_matches_discrete_residues():
 def test_inversion_empty_string_measure_vanishes():
     mu = stieltjes_inversion(catalog.empty_string(), (2.0, 6.0))
     assert mu.atoms == ()
+
+
+def test_inversion_needs_two_eps():
+    # With one eps there is no mass stability test, and rounding peaks of
+    # Im m = 1 on this half-line would come back as atoms.
+    with pytest.raises(ValidationError, match="two eps"):
+        stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (0.5, 3.0), eps=(1e-2,))
+    with pytest.raises(ValidationError, match="positive"):
+        stieltjes_inversion(OMEGA_MID, (2.0, 6.0), eps=(1e-2, -1e-3))
 
 
 def test_inversion_window_must_avoid_origin():

@@ -5,15 +5,18 @@ import cmath
 import numpy as np
 import pytest
 
-from indefstring import catalog
-from indefstring.errors import ComputationError, NonRealRequired
+from indefstring import catalog, propagation, weyl
+from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
+from indefstring.errors import ComputationError, NonRealRequired, TruncationNotConverged
 from indefstring.weyl import (
+    _values_agree,
     classify,
     integral_rep_constants,
     m_truncated,
     standard_grid,
     structural_flags,
     weyl_m,
+    weyl_m_grid,
     weyl_solution_psi,
 )
 
@@ -135,6 +138,131 @@ def test_weyl_m_refuses_non_finite_values():
     for spec, z in ((catalog.uniform_string(), -1e6 + 1j), (catalog.mixed_example(), 1e4j)):
         with pytest.raises(ComputationError, match="not finite"):
             weyl_m(spec, z)
+
+
+def test_m_truncated_refuses_non_finite_values():
+    with pytest.raises(ComputationError, match="not finite"):
+        m_truncated(catalog.uniform_string(), -1e6 + 1j, 1.0)
+    zs = np.array([1j, -1e6 + 1j])
+    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\)"):
+        m_truncated(catalog.uniform_string(), zs, 1.0)
+
+
+# -- one sweep per grid ---------------------------------------------------------
+
+
+def _atomic_halfline(seed: int) -> StringSpec:
+    """Twelve positive omega atoms on [0, 2), one per cell, an upsilon atom at 0
+    and a free tail."""
+    rng = np.random.default_rng(seed)
+    xs = (np.arange(12) + rng.uniform(0.1, 0.9, 12)) / 6.0
+    masses = rng.uniform(0.2, 1.0, 12)
+    return StringSpec(length=np.inf,
+                      omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))),
+                      upsilon=MeasureData(atoms=((0.0, 0.8),)))
+
+
+_SWEEP_SPECS = {
+    "uniform": catalog.uniform_halfline(),
+    "upsilon": catalog.upsilon_lebesgue_halfline(),
+    "empty": catalog.empty_halfline(),
+    "atom": StringSpec(length=np.inf, omega=MeasureData(atoms=((0.5, 1.0),))),
+    "atomic": _atomic_halfline(3),
+    "finite": catalog.upsilon_atom_middle(),
+}
+_rows = standard_grid().reshape(7, 7)[[1, 4]].ravel()
+_SWEEP_ZS = np.concatenate([_rows, _rows.conj(), 1j * 10.0 ** np.arange(-6, 7, 2)])
+
+
+@pytest.fixture(scope="module")
+def grid_samples():
+    return {name: weyl_m_grid(spec, _SWEEP_ZS) for name, spec in _SWEEP_SPECS.items()}
+
+
+def _doubling_schedule(spec: StringSpec) -> list[float]:
+    """The positions x_k = xi(2^k 2^-40), k < 140, each kept if it moves on."""
+    view = coefficient_view(spec)
+    xs = [0.0]
+    for k in range(140):
+        x = view.xi(2.0 ** (k - 40))
+        if x > xs[-1]:
+            xs.append(x)
+    return xs[1:]
+
+
+def _resweep_from_zero(spec: StringSpec, z: complex, xs, tol: float = 1e-10):
+    """Reference: the truncation limit with a fresh sweep from 0 to every x_k,
+    one z at a time."""
+    history = []
+    for x in xs:
+        try:
+            history.append(m_truncated(spec, z, x))
+        except ComputationError:
+            history.append(complex("nan"))
+        if _values_agree(history, tol)[0]:
+            return history[-1], x
+    raise TruncationNotConverged(f"no limit at z={z}")
+
+
+def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
+    for name, spec in _SWEEP_SPECS.items():
+        for z, got in zip(_SWEEP_ZS, grid_samples[name]):
+            one = weyl_m(spec, z)
+            assert (got.z, got.m, got.truncation_x, got.est_error) == (
+                one.z, one.m, one.truncation_x, one.est_error), (name, z)
+
+
+def test_one_sweep_matches_resweeping_from_zero(grid_samples):
+    for name, spec in _SWEEP_SPECS.items():
+        if name == "finite":
+            continue
+        xs = _doubling_schedule(spec)
+        for z, got in zip(_SWEEP_ZS, grid_samples[name]):
+            m, x = _resweep_from_zero(spec, complex(z), xs)
+            assert got.truncation_x == x, (name, z)
+            assert abs(got.m - m) <= 1e-14 * abs(m), (name, z)
+    # Both ways give up at the same point.
+    z = 1e-4 * cmath.exp(1e-8j)
+    spec = catalog.uniform_halfline()
+    with pytest.raises(TruncationNotConverged):
+        _resweep_from_zero(spec, z, _doubling_schedule(spec))
+    with pytest.raises(TruncationNotConverged, match="z=\\(0.0001"):
+        weyl_m_grid(catalog.uniform_halfline(), [1j, z, 2j])
+
+
+def test_one_grid_call_runs_one_sweep(monkeypatch):
+    sweeps = []
+    sweep = propagation._sweep_steps
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "_sweep_steps", counted)
+    monkeypatch.setattr(propagation, "_sweep_steps", counted)
+    spec = catalog.uniform_halfline()
+    for call in (lambda: weyl_m_grid(spec, standard_grid()),
+                 lambda: classify(spec),
+                 lambda: integral_rep_constants(catalog.empty_halfline())):
+        sweeps.clear()
+        call()
+        assert len(sweeps) == 1
+
+
+def test_wide_range_matches_closed_forms_or_raises():
+    """|z| from 1e-8 to 1e6 on five rays from arg 1e-8 to pi - 1e-8: each value is
+    finite and matches the closed form, or the evaluation raises a typed error."""
+    zs = [r * cmath.exp(1j * a) for r in np.logspace(-8, 6, 15)
+          for a in np.linspace(1e-8, np.pi - 1e-8, 5)]
+    for spec, exact in ((catalog.uniform_halfline(), lambda z: 1j / cmath.sqrt(z)),
+                        (catalog.upsilon_lebesgue_halfline(), lambda z: 1j)):
+        for z in zs:
+            try:
+                (sample,) = weyl_m_grid(spec, [z])
+            except ComputationError:
+                continue
+            assert cmath.isfinite(sample.m)
+            assert abs(sample.m - exact(z)) <= 1e-10 * abs(exact(z)), z
 
 
 def test_structural_flags():
