@@ -2,11 +2,31 @@
 
 Between consecutive coefficient breakpoints both densities are constant, so
 the second-order equation has the constant coefficient kappa = z*a + z^2*b
-and its transfer matrix in (u, u') variables is the exact trig/hyperbolic
-form; point masses contribute unimodular jump matrices.  One sweep over the
-breakpoints, vectorized over z, is therefore exact (up to rounding) on the
-whole representable coefficient class.  A load chi enters the same piece
-transfers by variation of parameters.
+and its transfer matrix P in (u, u') variables is the exact trig/hyperbolic
+form; a point mass contributes the unimodular jump J = [[1, 0], [-g, 1]] with
+g = z*alpha + z^2*mu.  A load chi enters the same transfers by variation of
+parameters, as an affine third column acting on (u, u', 1).  The product is
+therefore exact (up to rounding) on the whole representable coefficient class.
+
+A sweep walks the intervals between consecutive points (coefficient
+breakpoints and sample positions).  Each interval is one step P J: the jump of
+the point mass at its left end, then the piece.  The step matrices of many
+steps and many z are built as arrays in one vectorized pass, and the run of
+steps between two sample positions is reduced by pairwise levels in log depth,
+later step on the left (Blelloch, "Prefix sums and their applications", 1990).
+Runs are also cut at multiples of ``_BLOCK_STEPS`` steps, so the order of every
+product, and so every rounding, is the same for any number of z: each z of a
+grid comes out bit for bit as in a one-z call.  ``_BUDGET`` bounds how many
+step x z matrices are built at once; it changes the memory used, not the
+result.
+
+With ``rescale`` the entries are kept in range by positive per-z factors,
+which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
+whose phase has |Im s h| > ``_EXP_PHASE`` is built times e^{-|Im s h|}, and a
+product level or a state whose entries exceed ``_BIG`` is divided by its
+largest entry.  The public evaluators raise :class:`ComputationError`,
+naming the first z, where a result is not finite; without ``rescale`` that
+happens once a solution outgrows the double range.
 
 Every coefficient breakpoint is a step boundary, and states are reported with
 left-continuous conventions: the value at x never includes a point mass
@@ -25,7 +45,16 @@ from .coefficients import (
     _normalize_measure,
     coefficient_view,
 )
-from .errors import PositionOutOfRange
+from .errors import ComputationError, PositionOutOfRange
+
+# Runs of steps are cut at multiples of this many steps before they are folded.
+_BLOCK_STEPS = 256
+# Step x z matrices built in one pass.
+_BUDGET = 1 << 12
+# A rescaled piece whose phase has |Im s h| beyond this is built times e^{-|Im s h|}.
+_EXP_PHASE = 300.0
+# With rescale, matrices with an entry beyond this are divided by their largest entry.
+_BIG = 1e120
 
 
 @dataclass(frozen=True)
@@ -54,140 +83,256 @@ class FundamentalSystem:
     wronskian: complex
 
 
-def _trig_entries(kappa: np.ndarray, h: float):
-    """cos/sinc/versine entries of the constant-coefficient transfer matrix.
+def _series_entries(y: np.ndarray, h: np.ndarray, with_c2: bool):
+    C2 = h * h * (0.5 - y / 24.0 + y * y / 720.0) if with_c2 else None
+    return 1.0 - y / 2.0 + y * y / 24.0, h * (1.0 - y / 6.0 + y * y / 120.0), C2
 
-    Returns (C, S, C2) with C = cos(s h), S = sin(s h)/s, C2 = (1-cos(s h))/s^2
-    for s = sqrt(kappa); series branches keep the kappa -> 0 limit exact.
-    """
-    kappa = np.asarray(kappa, dtype=complex)
-    y = kappa * (h * h)
-    small = np.abs(y) < 1e-12
-    if small.all():
-        return _series_entries(y, h)
-    if not small.any():
-        return _closed_entries(kappa, h)
-    C = np.empty_like(y)
-    S = np.empty_like(y)
-    C2 = np.empty_like(y)
-    C[small], S[small], C2[small] = _series_entries(y[small], h)
-    big = ~small
-    C[big], S[big], C2[big] = _closed_entries(kappa[big], h)
+
+def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool):
+    s = np.sqrt(kappa)
+    sh = s * h
+    C = np.cos(sh)
+    S = np.sin(sh) / s
+    C2 = None
+    if with_c2:
+        half = np.sin(sh / 2.0)
+        C2 = 2.0 * half * half / kappa
+    if rescale:
+        t = np.abs(sh.imag)
+        far = t > _EXP_PHASE
+        if far.any():
+            # e^{+-i s h - t}: one has modulus 1, the other at most e^{-2 _EXP_PHASE}.
+            x, y, t = sh.real[far], sh.imag[far], t[far]
+            up = np.exp(-y - t + 1j * x)
+            down = np.exp(y - t - 1j * x)
+            C[far] = (up + down) / 2.0
+            S[far] = (up - down) / (2j * s[far])
     return C, S, C2
 
 
-def _series_entries(y: np.ndarray, h: float):
-    return (1.0 - y / 2.0 + y * y / 24.0,
-            h * (1.0 - y / 6.0 + y * y / 120.0),
-            h * h * (0.5 - y / 24.0 + y * y / 720.0))
+def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool):
+    """Entries of the constant-coefficient transfer, elementwise.
+
+    Returns (C, S, C2) with C = cos(s h), S = sin(s h)/s and, if asked,
+    C2 = (1 - cos(s h))/kappa for s = sqrt(kappa); series branches keep the
+    kappa -> 0 limit exact.  With ``rescale``, C and S of a piece whose phase
+    has |Im s h| > _EXP_PHASE come times e^{-|Im s h|}.
+    """
+    y = kappa * (h * h)
+    small = np.abs(y) < 1e-12
+    if not small.any():
+        return _closed_entries(kappa, h, rescale, with_c2)
+    if small.all():
+        return _series_entries(y, h, with_c2)
+    h = np.broadcast_to(h, y.shape)
+    big = ~small
+    out = []
+    for series, closed in zip(_series_entries(y[small], h[small], with_c2),
+                              _closed_entries(kappa[big], h[big], rescale, with_c2)):
+        entry = None
+        if series is not None:
+            entry = np.empty_like(y)
+            entry[small] = series
+            entry[big] = closed
+        out.append(entry)
+    return out
 
 
-def _closed_entries(kappa: np.ndarray, h: float):
-    s = np.sqrt(kappa)
-    sh = s * h
-    half = np.sin(sh / 2.0)
-    return np.cos(sh), np.sin(sh) / s, 2.0 * half * half / kappa
+def _at_steps(view: CoefficientView, left: np.ndarray):
+    """Point masses of ``view`` at the left ends ``left`` (0 off its breakpoints)
+    and its densities on the intervals that start there."""
+    j = np.searchsorted(view.bp, left, side="right") - 1
+    hit = view.bp[j] == left
+    return (np.where(hit, view.atom_omega[j], 0.0), np.where(hit, view.atom_upsilon[j], 0.0),
+            view.dens_omega[j], view.dens_upsilon[j])
 
 
-class _Sweep:
-    """Event walk: breakpoints and sample points in increasing order."""
+class _Walk:
+    """The steps from 0 to the last sample position, as arrays.
+
+    Step k covers (points[k], points[k+1]): the point masses at points[k],
+    then the piece of length h[k] with the densities on it.  ``targets`` are
+    the point indices of the sample positions, in increasing order.  A chi
+    view adds its masses and density as the affine column.
+    """
 
     def __init__(self, view: CoefficientView, xs: np.ndarray, chi: CoefficientView | None):
-        self.view = view
-        self.chi = chi
         if xs.size == 0:
             raise PositionOutOfRange("need at least one sample position")
         if not np.all(np.isfinite(xs)):
             raise PositionOutOfRange("sample positions must be finite")
+        xs = np.unique(xs)
         if xs[0] < 0.0 or xs[-1] > view.length:
             raise PositionOutOfRange(
                 f"sample positions must lie in [0, {view.length}], got [{xs[0]}, {xs[-1]}]"
             )
-        x_max = float(xs[-1])
-        points = set(float(x) for x in xs)
-        points.update(float(p) for p in view.bp if p <= x_max)
-        self.atoms: dict[float, tuple[float, float, float]] = {}
-        for p, aw, au in zip(view.bp, view.atom_omega, view.atom_upsilon):
-            if p <= x_max and (aw != 0.0 or au != 0.0):
-                self.atoms[float(p)] = (float(aw), float(au), 0.0)
-        if chi is not None:
-            points.update(float(p) for p in chi.bp if p <= x_max)
-            for p, mass in zip(chi.bp, chi.atom_omega):
-                if p <= x_max and mass != 0.0:
-                    aw, au, _ = self.atoms.get(float(p), (0.0, 0.0, 0.0))
-                    self.atoms[float(p)] = (aw, au, float(mass))
-        self.points = sorted(points)
-        self.targets = {float(x) for x in xs}
+        views = (view,) if chi is None else (view, chi)
+        points = np.unique(np.concatenate([xs] + [v.bp[v.bp <= xs[-1]] for v in views]))
+        self.points = points
+        self.targets = np.searchsorted(points, xs)
+        self.steps = points.size - 1
+        self.h = np.diff(points)
+        left = points[:-1]
+        self.aw, self.au, self.da, self.db = _at_steps(view, left)
+        # Decided per walk and per step, so a step is built the same way
+        # whatever range of steps and z it is built with.
+        self.atomic = bool(np.any(self.aw) or np.any(self.au))
+        self.dense = (self.da != 0.0) | (self.db != 0.0)
+        self.affine = chi is not None
+        self.width = 3 if self.affine else 2
+        if self.affine:
+            self.ac, _, self.dc, _ = _at_steps(chi, left)
 
-    def densities(self, lo: float, hi: float) -> tuple[float, float, float]:
-        mid = lo + (hi - lo) / 2.0
-        j = self.view.locate(mid)
-        c = float(self.chi.dens_omega[self.chi.locate(mid)]) if self.chi is not None else 0.0
-        return float(self.view.dens_omega[j]), float(self.view.dens_upsilon[j]), c
+    def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool):
+        """C, S, -kappa S and (affine only) C2 of the pieces, each broadcast to
+        (z.size, steps).  kappa = 0 on a step without density, where the series
+        entries are exact."""
+        h = self.h[steps]
+        dense = np.flatnonzero(self.dense[steps])
+        if dense.size == h.size:
+            kappa = z[:, None] * self.da[None, steps] + zz[:, None] * self.db[None, steps]
+            C, S, C2 = _piece_entries(kappa, h, rescale, self.affine)
+            return C, S, -kappa * S, C2
+        C2 = 0.5 * h * h if self.affine else None
+        if dense.size == 0:
+            return 1.0, h, 0.0, C2
+        # The free entries everywhere, then the dense steps over them.
+        shape = (z.size, h.size)
+        C, kS = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        S = np.broadcast_to(h, shape).astype(complex)
+        kappa = z[:, None] * self.da[steps][dense] + zz[:, None] * self.db[steps][dense]
+        C[:, dense], S[:, dense], C2_dense = _piece_entries(kappa, h[dense], rescale, self.affine)
+        kS[:, dense] = -kappa * S[:, dense]
+        if self.affine:
+            C2 = np.broadcast_to(C2, shape).astype(complex)
+            C2[:, dense] = C2_dense
+        return C, S, kS, C2
+
+    def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool):
+        """Step matrices P J of steps lo..hi-1 at each z (zz = z^2), with shape
+        (2, width, z.size, hi - lo): the matrix first, the step last."""
+        steps = slice(lo, hi)
+        C, S, kS, C2 = self._pieces(steps, z, zz, rescale)
+        out = np.empty((2, self.width, z.size, hi - lo), dtype=complex)
+        if self.atomic:
+            g = z[:, None] * self.aw[None, steps] + zz[:, None] * self.au[None, steps]
+            out[0, 0] = C - S * g
+            out[1, 0] = kS - C * g
+        else:
+            out[0, 0] = C
+            out[1, 0] = kS
+        out[0, 1] = S
+        out[1, 1] = C
+        if self.affine:
+            dc, ac = self.dc[None, steps], self.ac[None, steps]
+            out[0, 2] = -dc * C2 - ac * S
+            out[1, 2] = -dc * S - ac * C
+        return out
+
+
+def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``left`` after ``right`` for arrays of 2 x 2 matrices or of 2 x 3 affine
+    maps of (u, u', 1), with the matrix on the two leading axes."""
+    out = np.multiply(left[:, :1], right[:1], out=out)
+    out += left[:, 1:2] * right[1:2]
+    if out.shape[1] == 3:
+        out[:, 2] += left[:, 2]
+    return out
+
+
+def _normalize(mats: np.ndarray) -> None:
+    """Divide, in place, each matrix of a contiguous array (matrix on the two
+    leading axes) whose largest real or imaginary part exceeds _BIG by it."""
+    parts = mats.view(float)
+    if parts.size == 0 or (parts.max() <= _BIG and parts.min() >= -_BIG):  # a NaN fails both
+        return
+    parts = parts.reshape(mats.shape + (2,))
+    big = np.abs(parts).max(axis=(0, 1, -1))
+    parts /= np.where(big > _BIG, big, 1.0)[None, None, ..., None]
+
+
+def _fold(mats: np.ndarray, rescale: bool) -> np.ndarray:
+    """The product of the steps on the last axis, later step on the left, by
+    pairwise levels."""
+    while mats.shape[-1] > 1:
+        n = mats.shape[-1]
+        half = n // 2
+        level = np.empty(mats.shape[:-1] + (half + n % 2,), dtype=complex)
+        _compose(mats[..., 1:2 * half:2], mats[..., 0:2 * half:2], out=level[..., :half])
+        if n % 2:
+            level[..., half] = mats[..., -1]
+        if rescale:
+            _normalize(level)
+        mats = level
+    return mats[..., 0]
 
 
 def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
-    """Closed-form transfer in (u, u') variables; vectorized over z.
+    """Closed-form transfer in (u, u') variables; vectorized over a 1-D z.
 
-    Yields ``(x, (a, b, c, d, r1, r2))`` at each sample position in increasing
-    order, so a caller may stop early; the affine data are such that a
-    solution with u(0)=d1, u'(0-)=d2 has u(x) = a d1 + b d2 + r1,
-    u'(x-) = c d1 + d d2 + r2.  With ``rescale`` the matrix is renormalized
-    whenever entries grow huge; that spoils det = 1 but keeps entry ratios
-    (hence Weyl quotients) stable.
+    Yields ``(x, state)`` at each sample position in increasing order, so a
+    caller may stop early.  ``state`` has shape (2, 2, z.size), or (2, 3, z.size)
+    with ``chi``: a solution with u(0)=d1, u'(0-)=d2 has
+    (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2 (+ state[:, 2]).  A
+    yielded state is never modified afterwards.  ``rescale`` (homogeneous
+    sweeps only) scales each z's state by a positive factor to keep it finite.
     """
+    if rescale and chi is not None:
+        raise ValueError("rescale applies to homogeneous sweeps only")
     z = np.asarray(z, dtype=complex)
-    walk = _Sweep(view, xs, chi)
-    one = np.ones(z.shape, dtype=complex)
-    zero = np.zeros(z.shape, dtype=complex)
-    a, b, c, d = one, zero, zero, one
-    r1, r2 = zero, zero
-    cur = 0.0
-    points = iter(walk.points)
-    while True:
+    walk = _Walk(view, np.asarray(xs, dtype=float), chi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = z * z
+    state = np.zeros((2, walk.width, z.size), dtype=complex)
+    state[0, 0] = state[1, 1] = 1.0
+    # Step matrices of steps cached_lo, cached_lo + 1, ... at every z.
+    cached, cached_lo = None, 0
+    done = 0
+    for target in walk.targets.tolist():
         # The error state is set per run between two samples, never across a
         # yield, so it does not leak into the caller while the sweep waits.
-        record = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in points:
-                if p > cur:
-                    da, db, dc = walk.densities(cur, p)
-                    h = p - cur
-                    kappa = z * da + z * z * db
-                    C, S, C2 = _trig_entries(kappa, h)
-                    mS = -kappa * S
-                    a, c = C * a + S * c, mS * a + C * c
-                    b, d = C * b + S * d, mS * b + C * d
-                    if chi is not None:
-                        r1, r2 = C * r1 + S * r2 - dc * C2, mS * r1 + C * r2 - dc * S
+            while done < target:
+                stop = min(target, (done // _BLOCK_STEPS + 1) * _BLOCK_STEPS)
+                if (stop - done) * z.size > _BUDGET:
+                    state = _advance_in_columns(walk, done, stop, z, zz, state, rescale)
+                else:
+                    if cached is None or stop > cached_lo + cached.shape[-1]:
+                        cached_lo = done
+                        cached = walk.matrices(
+                            done, min(walk.steps, done + _BUDGET // max(1, z.size)), z, zz, rescale)
+                    run = _fold(cached[..., done - cached_lo:stop - cached_lo], rescale)
+                    state = _compose(run, state)
                     if rescale:
-                        big = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                         np.maximum(np.abs(c), np.abs(d)))
-                        factor = np.where(big > 1e120, big, 1.0)
-                        a, b, c, d = a / factor, b / factor, c / factor, d / factor
-                    cur = p
-                if p in walk.targets:
-                    # The arrays are rebound, never updated in place, so the
-                    # record keeps the state before the atom at p.
-                    record = (a, b, c, d, r1, r2)
-                atom = walk.atoms.get(p)
-                if atom is not None:
-                    aw, au, ac = atom
-                    g = z * aw + z * z * au
-                    c = c - g * a
-                    d = d - g * b
-                    if chi is not None:
-                        r2 = r2 - g * r1 - ac
-                if record is not None:
-                    break
-        if record is None:
-            return
-        yield p, record
+                        _normalize(state)
+                done = stop
+        yield float(walk.points[target]), state
+
+
+def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool):
+    """``state`` carried over steps lo..hi-1, building the steps a few z at a time."""
+    out = np.empty_like(state)
+    width = max(1, _BUDGET // (hi - lo))
+    for c in range(0, z.size, width):
+        cols = slice(c, c + width)
+        run = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale), rescale)
+        _compose(run, state[..., cols], out=out[..., cols])
+    if rescale:
+        _normalize(out)
+    return out
 
 
 def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
-    """All records of :func:`_sweep_steps`, keyed by sample position."""
-    return dict(_sweep_steps(view, z, xs, chi, rescale))
+    """All states of :func:`_sweep_steps`, keyed by sample position.
+
+    Raises :class:`ComputationError`, naming the first z, when a state is not finite.
+    """
+    records = dict(_sweep_steps(view, z, xs, chi, rescale))
+    finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ComputationError(f"transfer matrix at z={complex(z[k])} is not finite")
+    return records
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:
@@ -195,42 +340,40 @@ def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.n
 
     Columns are the theta and phi solutions; result shape is
     ``(len(xs),) + shape(z) + (2, 2)`` and ``det M = 1`` along the sweep
-    (unless ``rescale`` trades the determinant for overflow safety).
+    (unless ``rescale`` trades the determinant for overflow safety).  Raises
+    :class:`ComputationError`, naming the first z, where M is not finite.
     """
     view = coefficient_view(spec)
     arr = np.atleast_1d(np.asarray(xs, dtype=float))
     zarr = np.asarray(z, dtype=complex)
     zflat = np.atleast_1d(zarr).ravel()
-    records = _sweep_closed(view, zflat, np.unique(arr), rescale=rescale)
-    out = np.empty((len(arr), zflat.size, 2, 2), dtype=complex)
-    for k, x in enumerate(arr):
-        a, b, c, d, _, _ = records[float(x)]
-        out[k, :, 0, 0] = a
-        out[k, :, 0, 1] = b
-        out[k, :, 1, 0] = c
-        out[k, :, 1, 1] = d
-    return out.reshape((len(arr),) + zarr.shape + (2, 2))
+    records = _sweep_closed(view, zflat, arr, rescale=rescale)
+    out = np.stack([records[float(x)] for x in arr])
+    return np.ascontiguousarray(np.moveaxis(out, -1, 1)).reshape((len(arr),) + zarr.shape + (2, 2))
 
 
 def fundamental_system(spec: StringSpec, z: complex, xs) -> FundamentalSystem:
-    """Evaluate the fundamental pair theta, phi at the sample positions."""
+    """Evaluate the fundamental pair theta, phi at the sample positions.
+
+    Raises :class:`ComputationError` where the solutions are not finite.
+    """
     view = coefficient_view(spec)
     arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    records = _sweep_closed(view, np.array([complex(z)]), np.unique(arr))
+    records = _sweep_closed(view, np.array([complex(z)]), arr)
     theta = []
     phi = []
     for x in arr:
         xf = float(x)
-        a, b, c, d, _, _ = records[xf]
+        (a, b), (c, d) = records[xf][..., 0]
         w_x = view.w(xf)
         ups_x = view.upsilon(xf)
         n_x = z * w_x + z * z * ups_x
-        theta.append(SystemState(x=xf, f=complex(a[0]), f2=complex(c[0] + n_x * a[0]),
-                                 quasi=complex(c[0] + z * w_x * a[0])))
-        phi.append(SystemState(x=xf, f=complex(b[0]), f2=complex(d[0] + n_x * b[0]),
-                               quasi=complex(d[0] + z * w_x * b[0])))
-    a, b, c, d, _, _ = records[float(arr[-1])]
-    wronskian = complex(a[0] * d[0] - b[0] * c[0])
+        theta.append(SystemState(x=xf, f=complex(a), f2=complex(c + n_x * a),
+                                 quasi=complex(c + z * w_x * a)))
+        phi.append(SystemState(x=xf, f=complex(b), f2=complex(d + n_x * b),
+                               quasi=complex(d + z * w_x * b)))
+    (a, b), (c, d) = records[float(arr[-1])][..., 0]
+    wronskian = complex(a * d - b * c)
     return FundamentalSystem(z=complex(z), xs=tuple(float(x) for x in arr),
                              theta=tuple(theta), phi=tuple(phi), wronskian=wronskian)
 
@@ -241,20 +384,21 @@ def solve_inhomogeneous(spec: StringSpec, z: complex, chi, d1: complex, d2: comp
 
     ``chi`` is measure data in the same atoms+density format as the string
     coefficients; the solve is closed-form on the whole class (variation of
-    parameters built into the piece transfers).
+    parameters built into the piece transfers).  Raises
+    :class:`ComputationError` where the solution is not finite.
     """
     view = coefficient_view(spec)
     arr = np.atleast_1d(np.asarray(xs, dtype=float))
     chi_data = _normalize_measure(_as_measure(chi), view.length, nonneg=False, label="chi")
     # chi is read as the omega of a string on the same interval: w(x) = chi([0, x)).
     chi_view = CoefficientView(StringSpec(length=view.length, omega=chi_data))
-    records = _sweep_closed(view, np.array([complex(z)]), np.unique(arr), chi=chi_view)
+    records = _sweep_closed(view, np.array([complex(z)]), arr, chi=chi_view)
     out = []
     for x in arr:
         xf = float(x)
-        a, b, c, d, r1, r2 = records[xf]
-        u = complex(a[0] * d1 + b[0] * d2 + r1[0])
-        up = complex(c[0] * d1 + d[0] * d2 + r2[0])
+        (a, b, r1), (c, d, r2) = records[xf][..., 0]
+        u = complex(a * d1 + b * d2 + r1)
+        up = complex(c * d1 + d * d2 + r2)
         w_x = view.w(xf)
         n_x = z * w_x + z * z * view.upsilon(xf)
         q_x = chi_view.w(xf)

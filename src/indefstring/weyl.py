@@ -154,8 +154,8 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     samples: list[WeylSample] = [None] * zs.size
     settled = np.zeros(zs.size, dtype=bool)
     history: list[np.ndarray] = []
-    for x, (a, b, *_) in _sweep_steps(view, zs, view.truncation_points, rescale=True):
-        history = [*history[-3:], _quotient(a, b, zs)]
+    for x, state in _sweep_steps(view, zs, view.truncation_points, rescale=True):
+        history = [*history[-3:], _quotient(state[0, 0], state[0, 1], zs)]
         agree, last_diff = _values_agree(history, tol)
         for k in np.flatnonzero(agree & ~settled):
             samples[k] = WeylSample(z=complex(zs[k]), m=complex(history[-1][k]),

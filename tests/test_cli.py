@@ -246,8 +246,16 @@ def test_nonconvergence_exits_2(tmp_path, grid_csv):
 def test_non_finite_weyl_value_exits_2(tmp_path):
     spec = _dump(tmp_path / "spec.json", UNIFORM)
     grid = tmp_path / "grid.csv"
+    # Large |Im sqrt(z)| is evaluated: m = -cot(sqrt(z))/sqrt(z).
     grid.write_text("re_z,im_z\n0,1\n-1e6,1\n", encoding="utf-8")
     out = tmp_path / "m.csv"
+    assert main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)]) == 0
+    row = out.read_text(encoding="utf-8").splitlines()[2].split(",")
+    m = complex(float(row[2]), float(row[3]))
+    assert m == pytest.approx(0.000999999999999625 + 4.999999999996875e-10j, rel=1e-12)
+    # z^2 overflows at z = 1e300 i: the value is refused and no file is written.
+    grid.write_text("re_z,im_z\n0,1\n0,1e300\n", encoding="utf-8")
+    out = tmp_path / "m-refused.csv"
     rc = main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)])
     assert rc == 2
     assert not out.exists()

@@ -5,8 +5,8 @@ import pytest
 
 import oracle
 from indefstring import catalog
-from indefstring.coefficients import MeasureData, coefficient_view
-from indefstring.errors import PositionOutOfRange
+from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
+from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
     fundamental_system,
     solve_inhomogeneous,
@@ -162,6 +162,48 @@ def test_inhomogeneous_matches_mpmath_oracle():
                 q = complex(oracle.distribution(chi, x))
                 expected = np.array([u, up + n * u + q, up + z * w * u])
                 assert _relative_error([st.f, st.f2, st.quasi], expected) <= 1e-12, (spec, z, x)
+
+
+def _signed_atoms(n: int, seed: int) -> StringSpec:
+    """A finite string with n small omega atoms of both signs and an upsilon density."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 1.0, n))
+    masses = rng.uniform(-0.5, 1.0, n) * (4.0 / n)
+    return StringSpec(length=1.0, omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))),
+                      upsilon=MeasureData(density=((0.3, 0.7, 0.5),)))
+
+
+def test_blocked_fold_matches_mpmath_oracle():
+    # 700 steps: the runs to the last sample positions are folded over
+    # several blocks; at 27 z the steps are built a few z at a time, at one z
+    # a few blocks at a time.
+    spec = _signed_atoms(700, 5)
+    xs = [0.1, 0.5, 0.95, 1.0]
+    zs = np.concatenate([standard_grid()[::2], [30.0 + 0.5j, -20.0 + 3.0j]])
+    mats = transfer_matrices(spec, zs, xs)
+    for iz in (12, 25, 26):
+        z = zs[iz]
+        ref = oracle.propagators(spec, z, xs)
+        fs = fundamental_system(spec, z, xs)
+        for k, x in enumerate(xs):
+            r = np.array(ref[x].tolist(), dtype=complex)[:2, :2]
+            for col, st in ((0, fs.theta[k]), (1, fs.phi[k])):
+                assert _relative_error(mats[k, iz, :, col], r[:, col]) <= 1e-12, (z, x)
+                assert _relative_error([st.f], [r[0, col]]) <= 1e-12, (z, x)
+
+
+def test_unscaled_evaluators_refuse_non_finite_values():
+    # cosh(Im sqrt(z) h) overflows on the uniform string at z = -1e6 + i.
+    spec, z = catalog.uniform_string(), -1e6 + 1j
+    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\).*not finite"):
+        transfer_matrices(spec, [1j, z], [0.5, 1.0])
+    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\).*not finite"):
+        fundamental_system(spec, z, [0.5, 1.0])
+    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\).*not finite"):
+        solve_inhomogeneous(spec, z, {"atoms": [{"x": 0.5, "mass": 1.0}]}, 1.0, 0.0, [0.5, 1.0])
+    # The rescaled sweep keeps the same matrix finite: its ratios are what a
+    # Weyl quotient reads.
+    assert np.all(np.isfinite(transfer_matrices(spec, z, [1.0], rescale=True)))
 
 
 def test_transfer_shape_and_duplicates():

@@ -2,9 +2,11 @@
 
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracle
 from indefstring import catalog, propagation, weyl
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import ComputationError, NonRealRequired, TruncationNotConverged
@@ -127,25 +129,65 @@ def test_c2_reported_only_for_stieltjes_strings():
     assert integral_rep_constants(catalog.omega_atom_origin()).c2 is not None
     assert integral_rep_constants(catalog.upsilon_atom_origin()).c2 is None
     assert integral_rep_constants(catalog.omega_atom_middle(-1.0)).c2 is None
-    # m(i eta) of the mixed example is not finite for eta >= 1e3, so its
-    # constants cannot be estimated and the estimate is refused.
-    with pytest.raises(ComputationError):
-        integral_rep_constants(catalog.mixed_example())
+    # m(i eta) of the mixed example is finite up to eta = 1e6, so its constants
+    # are estimated: no upsilon mass at 0 and L = 2.
+    rep = integral_rep_constants(catalog.mixed_example())
+    assert rep.c1 == pytest.approx(0.0, abs=1e-8)
+    assert rep.inv_L == pytest.approx(0.5, abs=1e-8)
+    assert rep.c2 is None
+
+
+def _m_oracle(spec, z):
+    """-theta/(z phi) at L from the 50-digit reference propagator."""
+    ref = oracle.propagators(spec, z, [spec.length])[spec.length]
+    return complex(-ref[0, 0] / (z * ref[0, 1]))
+
+
+def _m_uniform_mp(z):
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(mpmath.mpc(z))
+        return complex(-mpmath.cot(r) / r)
 
 
 def test_weyl_m_refuses_non_finite_values():
-    # The piece transfer overflows at large |Im sqrt(z)|: m comes out NaN.
-    for spec, z in ((catalog.uniform_string(), -1e6 + 1j), (catalog.mixed_example(), 1e4j)):
-        with pytest.raises(ComputationError, match="not finite"):
-            weyl_m(spec, z)
+    # At large |Im sqrt(z)| the rescaled piece transfers stay finite, and so
+    # does m.
+    mixed = catalog.mixed_example()
+    for spec, z, exact in ((catalog.uniform_string(), -1e6 + 1j, _m_uniform_mp(-1e6 + 1j)),
+                           (mixed, 1e4j, _m_oracle(mixed, 1e4j))):
+        assert abs(weyl_m(spec, z).m - exact) <= 1e-12 * abs(exact)
+    # z^2 overflows at |z| = 1e160: the value is refused.
+    with pytest.raises(ComputationError, match="not finite"):
+        weyl_m(catalog.mixed_example(), 1e160j)
 
 
 def test_m_truncated_refuses_non_finite_values():
+    exact = _m_uniform_mp(-1e6 + 1j)
+    assert abs(m_truncated(catalog.uniform_string(), -1e6 + 1j, 1.0) - exact) <= 1e-12 * abs(exact)
     with pytest.raises(ComputationError, match="not finite"):
-        m_truncated(catalog.uniform_string(), -1e6 + 1j, 1.0)
-    zs = np.array([1j, -1e6 + 1j])
-    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\)"):
-        m_truncated(catalog.uniform_string(), zs, 1.0)
+        m_truncated(catalog.mixed_example(), 1e160j, 2.0)
+    zs = np.array([1j, 1e160j])
+    with pytest.raises(ComputationError, match=r"z=1e\+160j"):
+        m_truncated(catalog.mixed_example(), zs, 2.0)
+
+
+def test_wide_range_finite_strings_match_oracles_or_raise():
+    """|z| from 1e-8 to 1e6 on five rays from arg 1e-8 to pi - 1e-8, on finite
+    strings: each value is finite and within 1e-10 of a 50-digit reference, or
+    the evaluation raises a typed error; it is never NaN."""
+    zs = [r * cmath.exp(1j * a) for r in np.logspace(-8, 6, 15)
+          for a in (1e-8, 0.3, np.pi / 2, np.pi - 0.3, np.pi - 1e-8)]
+    mixed = catalog.mixed_example()
+    for spec, exact in ((catalog.uniform_string(), _m_uniform_mp),
+                        (mixed, lambda z: _m_oracle(mixed, z))):
+        for z in zs:
+            try:
+                (sample,) = weyl_m_grid(spec, [z])
+            except ComputationError:
+                continue
+            ref = exact(z)
+            assert cmath.isfinite(sample.m), z
+            assert abs(sample.m - ref) <= 1e-10 * abs(ref), z
 
 
 # -- one sweep per grid ---------------------------------------------------------
@@ -162,6 +204,17 @@ def _atomic_halfline(seed: int) -> StringSpec:
                       upsilon=MeasureData(atoms=((0.0, 0.8),)))
 
 
+def _many_atoms(n: int, length: float, seed: int) -> StringSpec:
+    """n positive omega atoms on [0, min(length, 2)) and an upsilon density on
+    [0.5, 1); a free tail when the length is infinite."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, min(length, 2.0), n))
+    masses = rng.uniform(0.2, 1.0, n) * (4.0 / n)
+    return StringSpec(length=length,
+                      omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))),
+                      upsilon=MeasureData(density=((0.5, 1.0, 0.5),)))
+
+
 _SWEEP_SPECS = {
     "uniform": catalog.uniform_halfline(),
     "upsilon": catalog.upsilon_lebesgue_halfline(),
@@ -169,6 +222,9 @@ _SWEEP_SPECS = {
     "atom": StringSpec(length=np.inf, omega=MeasureData(atoms=((0.5, 1.0),))),
     "atomic": _atomic_halfline(3),
     "finite": catalog.upsilon_atom_middle(),
+    # Sweeps over several blocks of steps, built a few steps or a few z at a time.
+    "finite-many": _many_atoms(3000, 2.0, 7),
+    "halfline-many": _many_atoms(300, np.inf, 8),
 }
 _rows = standard_grid().reshape(7, 7)[[1, 4]].ravel()
 _SWEEP_ZS = np.concatenate([_rows, _rows.conj(), 1j * 10.0 ** np.arange(-6, 7, 2)])
@@ -214,7 +270,7 @@ def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
 
 def test_one_sweep_matches_resweeping_from_zero(grid_samples):
     for name, spec in _SWEEP_SPECS.items():
-        if name == "finite":
+        if np.isfinite(spec.length):
             continue
         xs = _doubling_schedule(spec)
         for z, got in zip(_SWEEP_ZS, grid_samples[name]):
