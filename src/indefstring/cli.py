@@ -19,8 +19,8 @@ from .canonical import (
 )
 from .coefficients import spec_discrepancy, spec_from_json, spec_to_json
 from .convergence import StringSequence, report_to_json, string_convergence_check
-from .errors import ComputationError, ValidationError
-from .spectral import measure_to_json, stieltjes_inversion
+from .errors import ComputationError, NotAtomic, NotFiniteLength, UnsupportedShape, ValidationError
+from .spectral import _checked_window, measure_to_json, spectral_measure_discrete, stieltjes_inversion
 from .weyl import classify, weyl_m_grid
 
 _FMT = "%.17g"
@@ -102,7 +102,8 @@ def build_parser() -> _Parser:
     rt.add_argument("--out", help="write a JSON report here")
     rt.set_defaults(func=cmd_roundtrip)
 
-    sp = sub.add_parser("spectrum", help="spectral measure on a window by boundary values")
+    sp = sub.add_parser("spectrum", help="spectral measure on a window: exact for finite atomic "
+                                         "strings, else by boundary values")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--window", nargs=2, type=float, required=True, metavar=("A", "B"))
     sp.add_argument("--eps", nargs="+", type=_positive, default=[1e-2, 1e-3, 1e-4])
@@ -159,7 +160,11 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
-    mu = stieltjes_inversion(spec, (args.window[0], args.window[1]), eps=tuple(args.eps))
+    lo, hi, eps = _checked_window(args.window, args.eps)
+    try:
+        mu = spectral_measure_discrete(spec, (lo, hi))
+    except (NotFiniteLength, NotAtomic, UnsupportedShape):
+        mu = stieltjes_inversion(spec, (lo, hi), eps=eps)
     _write_json(args.out, measure_to_json(mu))
     print(f"{len(mu.atoms)} atom(s) on [{_fmt(args.window[0])}, {_fmt(args.window[1])}]")
     return 0

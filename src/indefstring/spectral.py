@@ -1,9 +1,11 @@
 """Spectral measures, eigenvalues, Green kernel, and the eigenfunction transform.
 
-For strings with finite length and purely atomic data the transfer matrix has
-polynomial entries in the spectral parameter, so eigenvalues are roots of the
-polynomial phi(z, L) (companion-matrix eigenvalues plus Newton polishing) and
-spectral-measure masses are the exact residues theta(l, L)/(l * phi_z'(l, L)).
+For strings with finite length and purely atomic data the eigenproblem is the
+quadratic pencil T u = (l A + l^2 M) u on the atom nodes (T the Dirichlet
+stiffness matrix of the gaps, A and M the omega and upsilon masses).  Its
+linearization in 1/l gives the start values, each polished by Newton steps on
+phi(l, L) from the extended-precision node recurrence; spectral-measure masses
+are the exact residues 1/(norming constant) from the same recurrence.
 
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .coefficients import StringSpec, coefficient_view
 from .errors import (
@@ -161,7 +162,7 @@ def hilbert_norm_squared(spec: StringSpec, f: HilbertElement) -> float:
     return hilbert_inner(spec, f, f)
 
 
-# -- polynomial machinery for finite atomic strings ---------------------------
+# -- eigenvalues and exact measures of finite atomic strings -----------------
 
 
 def _require_discrete(spec: StringSpec) -> None:
@@ -173,33 +174,6 @@ def _require_discrete(spec: StringSpec) -> None:
         raise UnsupportedShape(f"more than {_MAX_ATOMS} point masses")
 
 
-def _poly_mul2(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def transfer_polynomials(spec: StringSpec) -> tuple[Polynomial, Polynomial]:
-    """(theta(., L), phi(., L)) as polynomials in the spectral parameter."""
-    _require_discrete(spec)
-    view = coefficient_view(spec)
-    one, zero = Polynomial([1.0]), Polynomial([0.0])
-    mat = ((one, zero), (zero, one))
-    bps = list(view.bp)
-    for j, pos in enumerate(bps):
-        alpha = float(view.atom_omega[j])
-        mu = float(view.atom_upsilon[j])
-        if alpha != 0.0 or mu != 0.0:
-            drop = Polynomial([0.0, -alpha, -mu])
-            mat = _poly_mul2(((one, zero), (drop, one)), mat)
-        nxt = bps[j + 1] if j + 1 < len(bps) else spec.length
-        h = nxt - pos
-        if h > 0.0:
-            mat = _poly_mul2(((one, Polynomial([h])), (zero, one)), mat)
-    return mat[0][0], mat[0][1]
-
-
 def _phi_scan(spec: StringSpec, lam: float,
               record=()) -> tuple[float, float, float, dict[float, float]]:
     """Propagate phi(lam, .) across an atomic string by direct recurrence.
@@ -208,12 +182,11 @@ def _phi_scan(spec: StringSpec, lam: float,
     constant is the squared energy of the eigen-pair candidate,
     int phi'(x)^2 dx + lam^2 * int phi^2 d(upsilon), and ``values`` maps each
     position in ``record`` to phi there.  The derivative in the spectral
-    parameter is carried alongside (product rule per step), so root polishing
-    and mass evaluation avoid the coefficient cancellation that the expanded
-    polynomial form suffers at outlying eigenvalues.  Intermediates are kept
-    in extended precision: a solution that decays across the string loses
-    relative accuracy to forward recurrence at a rate set by the atom jump
-    factors, and the extra mantissa bits keep that loss below double roundoff.
+    parameter is carried alongside (product rule per step) for Newton root
+    polishing.  Intermediates are kept in extended precision: a solution that
+    decays across the string loses relative accuracy to forward recurrence at
+    a rate set by the atom jump factors, and the extra mantissa bits keep that
+    loss below double roundoff.
     """
     view = coefficient_view(spec)
     lam = np.longdouble(lam)
@@ -248,23 +221,28 @@ def _phi_scan(spec: StringSpec, lam: float,
 
 
 def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = None) -> list[float]:
-    """All real eigenvalues (roots of phi(., L)) of a finite atomic string,
-    optionally restricted to a window; each is checked nonzero and simple."""
+    """All eigenvalues (roots of phi(., L)) of a finite atomic string,
+    optionally restricted to a window; each is checked nonzero and simple.
+
+    The start values are the mu = 1/l of the pencil, linearized to
+    [[0, I], [T^-1 M, T^-1 A]] on the n positive atom nodes (phi(., 0) = 0, so
+    an atom at 0 does not act).  deg phi(., L) = n + #(upsilon nodes) of them
+    are nonzero and the rest come back at rounding level.  A complex pair among
+    the kept ones (rounding: the spectrum is real) polishes onto real roots or
+    trips the simplicity check, so no root is dropped silently.
+    """
     _require_discrete(spec)
-    _, phi = transfer_polynomials(spec)
-    if phi.degree() < 1:
-        return []
-    dphi = phi.deriv()
+    view = coefficient_view(spec)
+    node = (view.bp > 0.0) & ((view.atom_omega != 0.0) | (view.atom_upsilon != 0.0))
+    alpha, beta = view.atom_omega[node], view.atom_upsilon[node]
+    inv_h = 1.0 / np.diff(np.concatenate(([0.0], view.bp[node], [spec.length])))
+    stiff = np.diag(inv_h[:-1] + inv_h[1:]) - np.diag(inv_h[1:-1], 1) - np.diag(inv_h[1:-1], -1)
+    tinv = np.linalg.inv(stiff)
+    n = len(alpha)
+    mus = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [tinv * beta, tinv * alpha]]))
     roots = []
-    for r in phi.roots():
-        for _ in range(3):
-            d = dphi(r)
-            if d == 0:
-                break
-            r = r - phi(r) / d
-        if abs(r.imag) > 1e-8 * (1.0 + abs(r)):
-            continue
-        lam = float(r.real)
+    for mu in mus[np.argsort(-np.abs(mus))[:n + np.count_nonzero(beta)]]:
+        lam = 1.0 / float(mu.real)
         for _ in range(6):
             val, der, _, _ = _phi_scan(spec, lam)
             if der == 0.0:
@@ -288,16 +266,19 @@ def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = 
     return kept
 
 
-def spectral_measure_discrete(spec: StringSpec) -> SpectralMeasure:
-    """Exact point spectral measure of a finite atomic string.
+def spectral_measure_discrete(spec: StringSpec,
+                              window: tuple[float, float] | None = None) -> SpectralMeasure:
+    """Exact point spectral measure of a finite atomic string, optionally
+    restricted to a window.
 
     Masses are the (negated) residues of the Weyl function at its poles,
     evaluated in the equivalent inverse-norming form 1/(int phi'^2 dx +
-    lam^2 int phi^2 d upsilon): a sum of non-negative terms, so it stays
-    accurate where the ratio of expanded polynomials cancels catastrophically.
+    lam^2 int phi^2 d upsilon): a sum of non-negative terms, so it does not
+    cancel the way theta(l, L)/(l phi_l'(l, L)) can.  Its extended-precision
+    recurrence is not enough beyond about 24 omega or 8 omega + 2 upsilon
+    atoms: larger strings get wrong masses with no error (README Limitations).
     """
-    _require_discrete(spec)
-    lams = discrete_eigenvalues(spec)
+    lams = discrete_eigenvalues(spec, window)
     atoms = []
     for lam in lams:
         _, _, norming, _ = _phi_scan(spec, lam)
@@ -344,18 +325,9 @@ def _golden_peak(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def stieltjes_inversion(source, window: tuple[float, float],
-                        eps=(1e-2, 1e-3, 1e-4)) -> SpectralMeasure:
-    """Recover the point part of the spectral measure on a real window.
-
-    ``source`` is a string spec or a vectorized callable z -> m(z).  Peaks of
-    Im m(l + i*eps0) seed candidate atoms; each location is re-maximized at
-    every eps, and eps * Im m at the peak is extrapolated in eps^2.  A mass
-    estimate that moves more than 5% across the two finest eps decades is
-    rejected as not atomic, so at least two eps values are required.  Windows
-    must exclude 0, where the finite-length representation term would fake a
-    point mass.
-    """
+def _checked_window(window, eps) -> tuple[float, float, list[float]]:
+    """(lo, hi, eps in decreasing order) after the checks shared by every
+    route to a measure on a window."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValidationError(f"window ({lo}, {hi}) is empty")
@@ -368,6 +340,22 @@ def stieltjes_inversion(source, window: tuple[float, float],
         raise ValidationError(f"need at least two eps values, got {len(eps)}")
     if not eps[-1] > 0.0:
         raise ValidationError("eps values must be positive")
+    return lo, hi, eps
+
+
+def stieltjes_inversion(source, window: tuple[float, float],
+                        eps=(1e-2, 1e-3, 1e-4)) -> SpectralMeasure:
+    """Recover the point part of the spectral measure on a real window.
+
+    ``source`` is a string spec or a vectorized callable z -> m(z).  Peaks of
+    Im m(l + i*eps0) seed candidate atoms; each location is re-maximized at
+    every eps, and eps * Im m at the peak is extrapolated in eps^2.  A mass
+    estimate that moves more than 5% across the two finest eps decades is
+    rejected as not atomic, so at least two eps values are required.  Windows
+    must exclude 0, where the finite-length representation term would fake a
+    point mass.
+    """
+    lo, hi, eps = _checked_window(window, eps)
     if callable(source):
         ev = source
     else:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -157,6 +158,34 @@ def test_spectrum_with_one_eps_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "mu.json")])
     assert rc == 1
     assert "two eps" in capsys.readouterr().err
+    assert not (tmp_path / "mu.json").exists()
+
+
+def test_spectrum_writes_exact_atoms_for_atomic_strings(tmp_path):
+    spec = _dump(tmp_path / "spec.json", ATOM_MID)
+    out = tmp_path / "mu.json"
+    assert main(["spectrum", "--spec", spec, "--window", "1", "6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == {"atoms": [{"lambda": 4.0, "mass": 1.0}]}
+
+
+def test_spectrum_uses_boundary_values_for_densities(tmp_path):
+    spec = _dump(tmp_path / "spec.json", UNIFORM)
+    out = tmp_path / "mu.json"
+    assert main(["spectrum", "--spec", spec, "--window", "5", "15", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    (atom,) = doc["atoms"]
+    assert atom["lambda"] == pytest.approx(math.pi ** 2, rel=1e-2)
+    assert doc["epsilon_used"] == 1e-4
+    assert doc["continuous_samples"]
+
+
+@pytest.mark.parametrize("doc", [ATOM_MID, UNIFORM])
+@pytest.mark.parametrize("window,message", [(("-1", "6"), "exclude 0"), (("6", "1"), "empty")])
+def test_spectrum_window_checks_agree_on_both_routes(tmp_path, capsys, doc, window, message):
+    spec = _dump(tmp_path / "spec.json", doc)
+    rc = main(["spectrum", "--spec", spec, "--window", *window, "--out", str(tmp_path / "mu.json")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "mu.json").exists()
 
 

@@ -1,9 +1,12 @@
 """Tests for eigenvalues, spectral measures, Green kernel, and the transform."""
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracle
 from indefstring import catalog
+from indefstring.coefficients import StringSpec, validate_spec
 from indefstring.errors import (
     NotAtomic,
     NotFiniteLength,
@@ -24,7 +27,6 @@ from indefstring.spectral import (
     projection_energy,
     spectral_measure_discrete,
     stieltjes_inversion,
-    transfer_polynomials,
     transform_hat,
 )
 from indefstring.weyl import structural_flags
@@ -32,14 +34,6 @@ from indefstring.weyl import structural_flags
 OMEGA_MID = catalog.omega_atom_middle()            # omega = 1*delta at 1/2
 OMEGA_MID_NEG = catalog.omega_atom_middle(-1.0)
 UPS_MID = catalog.upsilon_atom_middle()            # upsilon = 1*delta at 1/2
-
-
-def test_transfer_polynomials_atomic():
-    theta, phi = transfer_polynomials(OMEGA_MID)
-    # phi(z, 1) = 1 - z/4
-    assert phi(0.0) == pytest.approx(1.0, abs=1e-14)
-    assert phi(4.0) == pytest.approx(0.0, abs=1e-13)
-    assert theta(0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_eigenvalues_single_atom():
@@ -73,6 +67,68 @@ def test_eigenvalues_nonzero_and_simple_on_random_strings():
         eigs = discrete_eigenvalues(spec)
         assert all(abs(l) > 1e-10 for l in eigs)
         assert all(b - a > 1e-8 for a, b in zip(eigs, eigs[1:]))
+
+
+def _jittered_string(seed: int, n_omega: int, n_upsilon: int) -> StringSpec:
+    """L = 1; positive omega masses of total 2 and upsilon masses of total 0.05
+    at one jittered position per cell of [0.05, 0.95]."""
+    rng = np.random.default_rng([seed, 7])
+    n = n_omega + n_upsilon
+    xs = 0.05 + 0.9 * (np.arange(n) + rng.uniform(0.1, 0.9, size=n)) / n
+    ups = rng.permutation(n) < n_upsilon
+    masses = rng.uniform(0.5, 1.5, size=n)
+    masses[~ups] *= 2.0 / masses[~ups].sum()
+    if n_upsilon:
+        masses[ups] *= 0.05 / masses[ups].sum()
+    atoms = lambda sel: [{"x": float(x), "mass": float(m)} for x, m in zip(xs[sel], masses[sel])]
+    return validate_spec({"L": 1.0, "omega": {"atoms": atoms(~ups)}, "upsilon": {"atoms": atoms(ups)}})
+
+
+def _phi_degree(spec: StringSpec) -> int:
+    """deg phi(., L): one per positive atom position, two where upsilon sits."""
+    nodes = {x for x, _ in spec.omega.atoms + spec.upsilon.atoms if x > 0.0}
+    return len(nodes) + sum(1 for x, _ in spec.upsilon.atoms if x > 0.0)
+
+
+def _oracle_phi(spec: StringSpec, lam) -> mpmath.mpf:
+    """phi(lam, L) from the 50-digit mpmath walk of tests/oracle.py."""
+    return oracle.propagators(spec, lam, [spec.length])[spec.length][0, 1].real
+
+
+LARGE_STRINGS = [(24, 0), (32, 0), (48, 0), (64, 0), (16, 8), (24, 8)]
+
+
+@pytest.mark.parametrize("n_omega,n_upsilon", LARGE_STRINGS)
+def test_eigenvalues_count_and_separate_sign_changes_of_phi(n_omega, n_upsilon):
+    # deg phi roots in total; phi alternating in sign across points that
+    # separate the returned eigenvalues puts exactly one root between each.
+    for seed in range(2):
+        spec = _jittered_string(seed, n_omega, n_upsilon)
+        eigs = discrete_eigenvalues(spec)
+        assert len(eigs) == _phi_degree(spec) == n_omega + 2 * n_upsilon
+        cuts = [eigs[0] - 1.0] + [0.5 * (a + b) for a, b in zip(eigs, eigs[1:])] + [eigs[-1] + 1.0]
+        signs = [mpmath.sign(_oracle_phi(spec, c)) for c in cuts]
+        assert all(s * t < 0 for s, t in zip(signs, signs[1:]))
+
+
+def test_eigenvalue_count_on_random_signed_strings():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        spec = catalog.random_discrete_string(rng)
+        assert len(discrete_eigenvalues(spec)) == _phi_degree(spec)
+
+
+@pytest.mark.parametrize("seed,n_omega,n_upsilon", [(0, 8, 2), (1, 24, 0), (0, 16, 8)])
+def test_eigenvalues_match_mpmath_roots_of_phi(seed, n_omega, n_upsilon):
+    spec = _jittered_string(seed, n_omega, n_upsilon)
+    eigs = discrete_eigenvalues(spec)
+    assert len(eigs) == _phi_degree(spec)
+    phi = lambda l: _oracle_phi(spec, l)
+    with mpmath.workdps(oracle.DPS):
+        for lam in eigs:
+            # Secant steps on the oracle's phi, started 1e-6 apart at lam.
+            root = float(mpmath.findroot(phi, (lam, lam * (1.0 + 1e-6)), verify=False))
+            assert abs(lam - root) <= 1e-12 * abs(root)
 
 
 def test_discrete_measure_masses():
