@@ -9,10 +9,11 @@ are the exact residues 1/(norming constant) from the same recurrence.
 
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
-point masses, so atoms are located by peak search, refined per eps, and their
-masses extrapolated from eps * Im m at the peak.  The representation term
--1/(L z) would masquerade as a point mass at 0; windows must therefore stay
-away from 0.
+point masses, so atoms are located by peak search, refined per eps by one
+golden-section search over all candidates together (one evaluator call per
+step), and their masses extrapolated from eps * Im m at the peak.  The
+representation term -1/(L z) would masquerade as a point mass at 0; windows
+must therefore stay away from 0.
 
 The model Hilbert space pairs a first component with finite Dirichlet energy
 and f1(0) = 0 against a second component square-summable over the upsilon
@@ -306,23 +307,36 @@ def _spec_evaluator(spec: StringSpec):
     return ev
 
 
-def _golden_peak(fun, lo: float, hi: float, tol: float) -> float:
-    """Position of the maximum of a unimodal function on [lo, hi]."""
+def _golden_peaks(ev, e: float, centers: np.ndarray,
+                  half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of l -> Im ev(l + i*e) on [center - half, center + half], one
+    golden-section search per center run in lockstep.
+
+    Every bracket takes the steps a lone search would take, and the new
+    interior points of all brackets still wider than their tolerance are
+    evaluated in one ``ev`` call.  Returns (positions, e * Im ev there).
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    tol = 1e-9 * (1.0 + np.abs(centers))
+    a, b = centers - half, centers + half
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+    n = len(centers)
+    f = np.asarray(ev(np.concatenate((c, d)) + 1j * e)).imag
+    fc, fd = f[:n], f[n:]
+    active = np.flatnonzero(b - a > tol)
+    while active.size:
+        left = fc[active] > fd[active]
+        lk, rk = active[left], active[~left]
+        b[lk], d[lk], fd[lk] = d[lk], c[lk], fc[lk]
+        c[lk] = b[lk] - invphi * (b[lk] - a[lk])
+        a[rk], c[rk], fc[rk] = c[rk], d[rk], fd[rk]
+        d[rk] = a[rk] + invphi * (b[rk] - a[rk])
+        f = np.asarray(ev(np.concatenate((c[lk], d[rk])) + 1j * e)).imag
+        fc[lk], fd[rk] = f[:lk.size], f[lk.size:]
+        active = active[b[active] - a[active] > tol[active]]
+    pos = 0.5 * (a + b)
+    return pos, e * np.asarray(ev(pos + 1j * e)).imag
 
 
 def _checked_window(window, eps) -> tuple[float, float, list[float]]:
@@ -348,8 +362,9 @@ def stieltjes_inversion(source, window: tuple[float, float],
     """Recover the point part of the spectral measure on a real window.
 
     ``source`` is a string spec or a vectorized callable z -> m(z).  Peaks of
-    Im m(l + i*eps0) seed candidate atoms; each location is re-maximized at
-    every eps, and eps * Im m at the peak is extrapolated in eps^2.  A mass
+    Im m(l + i*eps0) seed candidate atoms; at every eps all locations are
+    re-maximized together, one evaluator call per golden-section step for all
+    candidates, and eps * Im m at the peak is extrapolated in eps^2.  A mass
     estimate that moves more than 5% across the two finest eps decades is
     rejected as not atomic, so at least two eps values are required.  Windows
     must exclude 0, where the finite-length representation term would fake a
@@ -365,28 +380,24 @@ def stieltjes_inversion(source, window: tuple[float, float],
     npts = int(min(max(math.ceil((hi - lo) / (e0 / 4.0)) + 1, 101), 200_001))
     lam = np.linspace(lo, hi, npts)
     im0 = np.asarray(ev(lam + 1j * e0)).imag
+    inner = im0[1:-1]
+    peaks = lam[1:-1][(inner >= im0[:-2]) & (inner > im0[2:]) & (e0 * inner > 1e-6)]
     candidates = []
-    for i in range(1, npts - 1):
-        if im0[i] >= im0[i - 1] and im0[i] > im0[i + 1] and e0 * im0[i] > 1e-6:
-            if candidates and lam[i] - candidates[-1] < 4.0 * e0:
-                continue
-            candidates.append(float(lam[i]))
+    for l in peaks:
+        if not (candidates and l - candidates[-1] < 4.0 * e0):
+            candidates.append(float(l))
 
     atoms = []
-    for seed in candidates:
-        pos = seed
-        half = 2.0 * e0
-        masses = []
+    if candidates:
+        pos, half, masses = np.array(candidates), 2.0 * e0, []
         for e in eps:
-            fun = lambda l: float(np.asarray(ev(np.array([l + 1j * e]))).imag[0])
-            pos = _golden_peak(fun, pos - half, pos + half, tol=1e-9 * (1.0 + abs(pos)))
-            masses.append(e * fun(pos))
+            pos, mass = _golden_peaks(ev, e, pos, half)
+            masses.append(mass)
             half = 2.0 * e
-        if masses[-1] <= 0.0:
-            continue
-        if abs(masses[-1] - masses[-2]) > 0.05 * abs(masses[-1]):
-            continue
-        atoms.append((pos, _richardson(masses, 10.0, (2,))))
+        for p, mk in zip(pos.tolist(), np.transpose(masses).tolist()):
+            if mk[-1] <= 0.0 or abs(mk[-1] - mk[-2]) > 0.05 * abs(mk[-1]):
+                continue
+            atoms.append((p, _richardson(mk, 10.0, (2,))))
 
     stride = max(1, npts // 512)
     e_min = eps[-1]

@@ -19,6 +19,7 @@ from indefstring.convergence import mollify_string
 ATOM_MID = {"L": 1.0, "omega": {"atoms": [{"x": 0.5, "mass": 1.0}]}}
 UNIFORM = {"L": 1.0, "omega": {"density": [{"a": 0.0, "b": 1.0, "value": 1.0}]}}
 HALFLINE = {"L": "inf", "omega": {"density": [{"a": 0.0, "b": "inf", "value": 1.0}]}}
+UPSILON_HALFLINE = {"L": "inf", "upsilon": {"density": [{"a": 0.0, "b": "inf", "value": 1.0}]}}
 HAMILTONIAN = {
     "pieces": [
         {"len": 5.0, "h11": 0.8, "h12": 0.4},
@@ -176,6 +177,16 @@ def test_spectrum_uses_boundary_values_for_densities(tmp_path):
     (atom,) = doc["atoms"]
     assert atom["lambda"] == pytest.approx(math.pi ** 2, rel=1e-2)
     assert doc["epsilon_used"] == 1e-4
+    assert doc["continuous_samples"]
+
+
+def test_spectrum_on_a_halfline_writes_only_densities(tmp_path, capsys):
+    spec = _dump(tmp_path / "spec.json", UPSILON_HALFLINE)
+    out = tmp_path / "mu.json"
+    assert main(["spectrum", "--spec", spec, "--window", "0.5", "3", "--out", str(out)]) == 0
+    assert "0 atom(s)" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["atoms"] == []
     assert doc["continuous_samples"]
 
 

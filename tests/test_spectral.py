@@ -29,7 +29,7 @@ from indefstring.spectral import (
     stieltjes_inversion,
     transform_hat,
 )
-from indefstring.weyl import structural_flags
+from indefstring.weyl import m_truncated, structural_flags
 
 OMEGA_MID = catalog.omega_atom_middle()            # omega = 1*delta at 1/2
 OMEGA_MID_NEG = catalog.omega_atom_middle(-1.0)
@@ -182,6 +182,53 @@ def test_inversion_needs_two_eps():
 def test_inversion_window_must_avoid_origin():
     with pytest.raises(WindowTouchesAtomZero):
         stieltjes_inversion(OMEGA_MID, (-1.0, 6.0))
+
+
+def test_inversion_batching_does_not_change_numbers():
+    # The peak search evaluates all candidates in one call per step; a source
+    # that evaluates one z at a time must give the same bits.
+    def one_at_a_time(zs):
+        return np.array([m_truncated(OMEGA_MID, z, OMEGA_MID.length) for z in zs])
+
+    batched = stieltjes_inversion(OMEGA_MID, (2.0, 6.0), eps=(1e-1, 1e-2))
+    single = stieltjes_inversion(one_at_a_time, (2.0, 6.0), eps=(1e-1, 1e-2))
+    assert batched.atoms
+    assert batched == single
+
+
+def _counting_poles(poles):
+    calls = [0]
+
+    def m(zs):
+        calls[0] += 1
+        zs = np.asarray(zs)
+        return 0.3 + sum(gamma / (lam - zs) for lam, gamma in poles)
+
+    return m, calls
+
+
+def test_inversion_calls_do_not_grow_with_candidates():
+    eps = (1e-2, 1e-3, 1e-4)
+    counts = []
+    for poles in ([(2.0, 0.7)],
+                  [(1.5, 0.7), (2.5, 1.3), (3.5, 0.4), (4.5, 2.0), (5.5, 0.9)]):
+        m, calls = _counting_poles(poles)
+        mu = stieltjes_inversion(m, (1.0, 6.0), eps=eps)
+        assert len(mu.atoms) == len(poles)
+        for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, poles):
+            assert abs(lam - want_lam) <= 1e-8 * want_lam
+            assert abs(mass - want_mass) <= 1e-7
+        counts.append(calls[0])
+    assert counts[1] <= counts[0] + len(eps)
+
+
+def test_inversion_halfline_default_eps_is_continuous():
+    # m = i on the whole upper half-plane: no atoms, density 1/pi everywhere.
+    mu = stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (0.5, 3.0))
+    assert mu.atoms == ()
+    assert mu.continuous_samples
+    for _, density in mu.continuous_samples:
+        assert abs(density - 1.0 / np.pi) <= 1e-8
 
 
 def test_green_kernel_empty_string():
