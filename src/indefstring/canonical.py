@@ -19,9 +19,17 @@ x(s) = int_0^s h22, w = h12/h22, upsilon density det H / h22^2, finite
 blocked pieces become upsilon point masses, and a trailing infinite blocked
 piece ends the string at the current position.
 
-The Weyl function of the system U' = -z Jt H U, Jt = [[0, 1], [-1, 0]], is
-the limit of U11/U12; per constant piece the propagator is the exponential
-of the trace-free generator -z*len*Jt*H, evaluated in closed form.
+The matrix solution of U' = -z Jt H U, U(0) = I, Jt = [[0, 1], [-1, 0]], is
+the string's fundamental system in travel gauge.  With x = xi(s) and
+u^[1] = u' + z w u the quasi-derivative, both taken at x (left-continuous),
+
+    U(s) = [[theta, -z phi], [-theta^[1]/z, phi^[1]]];
+
+inside a blocked piece, or past L, the second row also gains
+z (s - sigma(x-)) times the first, where sigma(x-) = x + int_0^x w^2 +
+upsilon([0, x)) is where the blocked run starts.  So det U is the string's
+Wronskian and the canonical Weyl function lim U11/U12 is the string's m:
+:func:`canonical_m_grid` evaluates it with the string sweep.
 """
 from __future__ import annotations
 
@@ -32,23 +40,11 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import MeasureData, StringSpec, _parse_extent, coefficient_view
-from .errors import (
-    DegenerateHamiltonian,
-    NonPositiveLength,
-    NonRealRequired,
-    TruncationNotConverged,
-    UnsupportedShape,
-    ValidationError,
-)
-from .weyl import _values_agree
+from .errors import DegenerateHamiltonian, NonPositiveLength, UnsupportedShape, ValidationError
+from .weyl import weyl_m_grid
 
 _INF = math.inf
 _DET_TOL = 1e-12
-# Largest |z|*len*sqrt(det H) handled by a single exponential; longer pieces
-# are split so cos/sin stay within floating range.
-_MAX_PHASE = 200.0
-_TAIL_DOUBLINGS = 200
-_RENORM_AT = 1e100
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,6 @@ class Hamiltonian:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
-
-
-@dataclass(frozen=True)
-class CanonicalSolution:
-    """Matrix solution samples (s, U) with U(0) = I and det U = 1."""
-
-    z: complex
-    samples: tuple[tuple[float, np.ndarray], ...]
 
 
 def _coerce_piece(raw) -> HamiltonianPiece:
@@ -277,117 +265,19 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
     )
 
 
-# -- canonical-system propagation ---------------------------------------------
-
-
-def _sinc(d: np.ndarray) -> np.ndarray:
-    small = np.abs(d) < 1e-6
-    safe = np.where(small, 1.0, d)
-    with np.errstate(invalid="ignore", over="ignore"):
-        full = np.sin(safe) / safe
-    return np.where(small, 1.0 - d * d / 6.0, full)
-
-
-def _piece_factor(piece: HamiltonianPiece, length: float, z: np.ndarray) -> np.ndarray:
-    """exp(-z*length*Jt*H) for an array of z, shape z.shape + (2, 2)."""
-    t = -z * length
-    root = math.sqrt(piece.det) if piece.det > 0.0 else 0.0
-    d = z * (length * root)
-    with np.errstate(invalid="ignore", over="ignore"):
-        c = np.cos(d)
-    s = _sinc(d)
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c + s * t * piece.h12
-    out[..., 0, 1] = s * t * piece.h22
-    out[..., 1, 0] = -s * t * piece.h11
-    out[..., 1, 1] = c - s * t * piece.h12
-    return out
-
-
-def _apply_piece(u: np.ndarray, piece: HamiltonianPiece, length: float,
-                 z: np.ndarray, zmax: float, renorm: bool) -> np.ndarray:
-    root = math.sqrt(piece.det) if piece.det > 0.0 else 0.0
-    chunks = max(1, int(math.ceil(zmax * length * root / _MAX_PHASE)))
-    h = length / chunks
-    for _ in range(chunks):
-        u = _piece_factor(piece, h, z) @ u
-        if renorm:
-            norm = np.max(np.abs(u), axis=(-2, -1), keepdims=True)
-            u = np.where(norm > _RENORM_AT, u / norm, u)
-    return u
+# -- canonical Weyl function -------------------------------------------------
 
 
 def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
-    """Canonical Weyl function lim U11/U12 for an array of non-real z."""
-    zarr = np.asarray(zs, dtype=complex)
-    if np.any(zarr.imag == 0.0):
-        raise NonRealRequired("canonical Weyl evaluation needs Im z != 0")
-    z = np.atleast_1d(zarr).ravel()
-    zmax = float(np.max(np.abs(z)))
-    u = np.broadcast_to(np.eye(2, dtype=complex), z.shape + (2, 2)).copy()
-    for p in ham.pieces[:-1]:
-        u = _apply_piece(u, p, p.length, z, zmax, renorm=True)
-    tail = ham.pieces[-1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if tail.is_blocked():
-            # The blocked generator only feeds the second row; the ratio is final.
-            ratio = u[..., 0, 0] / u[..., 0, 1]
-            if not np.all(np.isfinite(ratio)):
-                raise TruncationNotConverged("ratio undefined at the blocked tail")
-            return ratio.reshape(zarr.shape)
-        delta = 1.0
-        history = []
-        for _ in range(_TAIL_DOUBLINGS):
-            u = _apply_piece(u, tail, delta, z, zmax, renorm=True)
-            history.append(u[..., 0, 0] / u[..., 0, 1])
-            delta *= 2.0
-            if np.all(_values_agree(history, tol)[0]):
-                return history[-1].reshape(zarr.shape)
-    raise TruncationNotConverged("canonical Weyl ratio did not stabilise on the tail")
+    """Canonical Weyl function lim U11/U12 for an array of non-real z.
 
-
-def canonical_m(ham: Hamiltonian, z: complex, tol: float = 1e-10) -> complex:
-    """Canonical Weyl function at one non-real z."""
-    return complex(canonical_m_grid(ham, np.asarray(complex(z)), tol=tol))
-
-
-def canonical_solution(ham: Hamiltonian, z: complex, ss) -> CanonicalSolution:
-    """Matrix solution U of U' = -z*Jt*H*U, U(0) = I, sampled at coordinates ss.
-
-    No renormalization is applied, so det U stays 1 up to rounding drift and
-    can be used to monitor propagation quality.
+    It is the Weyl function of :func:`hamiltonian_to_string` of ``ham``, so
+    the string sweep of :func:`weyl_m_grid` evaluates it; the result has the
+    shape of ``zs``.
     """
-    z = complex(z)
-    targets = sorted({float(s) for s in ss})
-    if targets and targets[0] < 0.0:
-        raise ValidationError(f"coordinates must be non-negative, got {targets[0]}")
-    zarr = np.array([z])
-    zmax = abs(z)
-    u = np.eye(2, dtype=complex)[None, :, :].copy()
-    samples: list[tuple[float, np.ndarray]] = []
-    pos = 0.0
-    idx = 0
-    k = 0
-    pieces = ham.pieces
-    remaining = pieces[k].length
-    while idx < len(targets):
-        s_next = targets[idx]
-        if s_next <= pos:
-            samples.append((s_next, u[0].copy()))
-            idx += 1
-            continue
-        gap = s_next - pos
-        if gap < remaining or math.isinf(remaining) or k + 1 >= len(pieces):
-            u = _apply_piece(u, pieces[k], gap, zarr, zmax, renorm=False)
-            if not math.isinf(remaining):
-                remaining -= gap
-            pos = s_next
-        else:
-            u = _apply_piece(u, pieces[k], remaining, zarr, zmax, renorm=False)
-            pos += remaining
-            k += 1
-            remaining = pieces[k].length
-    return CanonicalSolution(z=z, samples=tuple(samples))
+    zarr = np.asarray(zs, dtype=complex)
+    samples = weyl_m_grid(hamiltonian_to_string(ham), zarr, tol)
+    return np.array([s.m for s in samples], dtype=complex).reshape(zarr.shape)
 
 
 def indivisible_prefix(ham: Hamiltonian) -> float:

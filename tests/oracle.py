@@ -18,6 +18,15 @@ The walk is built here from the measure data alone: it uses neither the
 package's coefficient view nor its propagation sweep, so the tests that
 compare against it check both.  Values at x are left-continuous: a point
 mass at x is applied after x is recorded.
+
+Canonical systems U' = -z Jt H U, Jt = [[0, 1], [-1, 0]], get their own
+product, read straight from the pieces of a ``Hamiltonian``: a constant
+piece of extent l has the generator A = -z l Jt H with A^2 = -d^2 I,
+d = z l sqrt(det H), so its propagator is
+
+    exp(A) = cos(d) I + sin(d)/d A,   or I + A when det H = 0,
+
+which covers the blocked pieces [[1, 0], [0, 0]].
 """
 from __future__ import annotations
 
@@ -97,3 +106,56 @@ def distribution(measure: MeasureData, x: float):
             if a < x:
                 total += mpmath.mpf(v) * (mpmath.mpf(min(b, x)) - mpmath.mpf(a))
         return total
+
+
+def _canonical_piece(piece, z, length):
+    """exp(-z length Jt H) for one constant piece of a Hamiltonian."""
+    h11, h12 = mpmath.mpf(piece.h11), mpmath.mpf(piece.h12)
+    h22 = 1 - h11
+    a = -z * mpmath.mpf(length) * mpmath.matrix([[h12, h22], [-h11, -h12]])
+    det = h11 * h22 - h12 * h12
+    d = z * mpmath.mpf(length) * mpmath.sqrt(max(det, 0))
+    if d == 0:
+        return mpmath.eye(2) + a
+    return mpmath.cos(d) * mpmath.eye(2) + (mpmath.sin(d) / d) * a
+
+
+def canonical_propagators(ham, z: complex, ss) -> dict:
+    """Map each travel coordinate s in ``ss`` to U(s), the solution of
+    U' = -z Jt H U with U(0) = I."""
+    out = {}
+    with mpmath.workdps(DPS):
+        z = mpmath.mpc(z)
+        mat = mpmath.eye(2)
+        begin, k = mpmath.mpf(0), 0
+        for s in sorted({float(s) for s in ss}):
+            # The last piece is infinite, so k stays in range.
+            while begin + ham.pieces[k].length < s:
+                mat = _canonical_piece(ham.pieces[k], z, ham.pieces[k].length) * mat
+                begin += ham.pieces[k].length
+                k += 1
+            out[s] = _canonical_piece(ham.pieces[k], z, mpmath.mpf(s) - begin) * mat
+    return out
+
+
+def canonical_weyl_m(ham, z: complex) -> complex:
+    """lim U11/U12 as s -> inf, with U taken at the start of the infinite last piece.
+
+    On that piece the first row of exp(-z t Jt H) is proportional to
+    (r, 1) + o(1) as t -> inf, with r = (h12 + i sgn(Im z) sqrt(det H))/h22
+    (cot d -> -i sgn(Im z)), so m = (r U11 + U21)/(r U12 + U22); a blocked
+    last piece leaves the first row alone and m = U11/U12.
+    """
+    with mpmath.workdps(DPS):
+        zm = mpmath.mpc(z)
+        u = mpmath.eye(2)
+        for piece in ham.pieces[:-1]:
+            u = _canonical_piece(piece, zm, piece.length) * u
+        tail = ham.pieces[-1]
+        h11, h12 = mpmath.mpf(tail.h11), mpmath.mpf(tail.h12)
+        h22 = 1 - h11
+        if h22 == 0:
+            return complex(u[0, 0] / u[0, 1])
+        root = mpmath.sqrt(max(h11 * h22 - h12 * h12, 0))
+        r = (h12 + mpmath.mpc(0, math.copysign(1.0, complex(z).imag)) * root) / h22
+        return complex((r * u[0, 0] + u[1, 0]) / (r * u[0, 1] + u[1, 1]))

@@ -1,7 +1,8 @@
-"""Tests for the string <-> Hamiltonian transforms and the canonical solver."""
+"""Tests for the string <-> Hamiltonian transforms and the canonical Weyl function."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from indefstring import canonical, catalog
 from indefstring.canonical import (
     Hamiltonian,
     HamiltonianPiece,
-    canonical_m,
     canonical_m_grid,
-    canonical_solution,
     hamiltonian_from_json,
     hamiltonian_to_json,
     hamiltonian_to_string,
@@ -20,17 +19,23 @@ from indefstring.canonical import (
     string_to_hamiltonian,
     validate_hamiltonian,
 )
-from indefstring.coefficients import spec_discrepancy
+from indefstring.coefficients import MeasureData, StringSpec, spec_discrepancy
 from indefstring.errors import (
     DegenerateHamiltonian,
     NonPositiveLength,
     UnsupportedShape,
     ValidationError,
 )
-from indefstring.weyl import standard_grid, weyl_m
+from indefstring.propagation import fundamental_system
+from indefstring.weyl import standard_grid
+
+import oracle
 
 HALF = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.5, h12=0.0),))
 FREE = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.0, h12=0.0),))
+# A half-line with one omega point mass alpha = 1 at a = 0.5 and w = 1 beyond it.
+FREE_TAIL_SPEC = StringSpec(length=math.inf, omega=MeasureData(atoms=((0.5, 1.0),)))
+ORACLE_ZS = (1.3 + 0.7j, -2.0 + 1.0j, 0.5 + 2.0j, 0.4 - 1.1j)
 
 
 def _pieces(ham):
@@ -119,36 +124,101 @@ def test_prefix_equals_upsilon_mass_at_origin():
 
 
 def test_canonical_m_free():
-    assert canonical_m(FREE, 1j) == pytest.approx(0.0, abs=1e-9)
+    m = canonical_m_grid(FREE, 1j)
+    assert m.shape == ()
+    assert m == pytest.approx(0.0, abs=1e-9)
 
 
 def test_canonical_m_constant_half():
-    for z in (1j, 2.0 + 0.5j, -1.0 + 0.3j):
-        assert canonical_m(HALF, z) == pytest.approx(1j, abs=1e-8)
+    zs = np.array([[1j, 2.0 + 0.5j], [-1.0 + 0.3j, 0.2 - 4.0j]])
+    m = canonical_m_grid(HALF, zs)
+    assert m.shape == zs.shape
+    assert m == pytest.approx(1j * np.sign(zs.imag), abs=1e-8)
 
 
 def test_canonical_m_matches_atomic_string():
     ham = string_to_hamiltonian(catalog.omega_atom_origin())
-    assert canonical_m(ham, 1j) == pytest.approx(2.0 + 1j, abs=1e-12)
+    assert canonical_m_grid(ham, 1j) == pytest.approx(2.0 + 1j, abs=1e-12)
     ham3 = string_to_hamiltonian(catalog.upsilon_atom_origin())
-    assert canonical_m(ham3, 1j) == pytest.approx(4.0j, abs=1e-12)
+    assert canonical_m_grid(ham3, [1j]) == pytest.approx([4.0j], abs=1e-12)
 
 
-def test_canonical_m_grid_matches_weyl_spotwise():
-    spec = catalog.mixed_example()
-    ham = string_to_hamiltonian(spec)
-    zs = np.array([1j, 1.5 + 0.5j, -2.0 + 2.0j])
-    from_ham = canonical_m_grid(ham, zs)
-    for z, mh in zip(zs, from_ham):
-        assert mh == pytest.approx(weyl_m(spec, complex(z)).m, abs=1e-8)
+def _oracle_hamiltonians():
+    rng = np.random.default_rng(11)
+    hams = [(name, string_to_hamiltonian(spec)) for name, spec in catalog.CANONICAL_SPECS]
+    hams += [(f"discrete-{k}", string_to_hamiltonian(catalog.random_discrete_string(rng)))
+             for k in range(4)]
+    hams += [(f"atomic-omega-{k}", string_to_hamiltonian(catalog.random_atomic_omega_string(rng)))
+             for k in range(2)]
+    hams += [("half", HALF), ("free", FREE), ("free-tail", string_to_hamiltonian(FREE_TAIL_SPEC))]
+    return hams
 
 
-def test_canonical_solution_unimodular():
-    ham = string_to_hamiltonian(catalog.mixed_example())
-    sol = canonical_solution(ham, 1.3 + 0.7j, [0.5, 2.0, 4.0])
-    assert sol.samples[0][0] == 0.5
-    for _, mat in sol.samples:
-        assert abs(np.linalg.det(mat) - 1.0) < 1e-10
+def test_canonical_m_grid_matches_oracle():
+    for name, ham in _oracle_hamiltonians():
+        got = canonical_m_grid(ham, ORACLE_ZS)
+        for z, m in zip(ORACLE_ZS, got):
+            want = oracle.canonical_weyl_m(ham, z)
+            assert abs(m - want) <= 1e-9 * max(1.0, abs(want)), (name, z, m, want)
+
+
+def _travel_samples(ham):
+    """Travel coordinates s with x = xi(s) and the start s0 of the blocked run
+    holding s (s0 = s off blocked pieces): 0, the middle and the end of every
+    finite piece, and two points on the infinite last piece.  x is accumulated
+    as hamiltonian_to_string does, so it hits the string's breakpoints exactly."""
+    out = [(0.0, 0.0, 0.0)]
+    begin, x = 0.0, 0.0
+    for p in ham.pieces:
+        ends = (0.5, 2.0) if math.isinf(p.length) else (0.5 * p.length, p.length)
+        for ds in ends:
+            if p.is_blocked():
+                out.append((begin + ds, x, begin))
+            else:
+                out.append((begin + ds, x + p.h22 * ds, begin + ds))
+        begin += p.length
+        x += p.h22 * p.length
+    return out
+
+
+def test_travel_gauge_matches_oracle_propagator():
+    rng = np.random.default_rng(5)
+    hams = [string_to_hamiltonian(spec, mesh=64) for _, spec in catalog.CANONICAL_SPECS]
+    hams += [string_to_hamiltonian(catalog.random_discrete_string(rng)) for _ in range(4)]
+    in_blocked = past_end = 0
+    for ham in hams:
+        spec = hamiltonian_to_string(ham)
+        samples = _travel_samples(ham)
+        in_blocked += sum(s > s0 and x < spec.length for s, x, s0 in samples)
+        past_end += sum(s > s0 and x == spec.length for s, x, s0 in samples)
+        for z in ORACLE_ZS[:3]:
+            want = oracle.canonical_propagators(ham, z, [s for s, _, _ in samples])
+            fs = fundamental_system(spec, z, [x for _, x, _ in samples])
+            for (s, _, s0), th, ph in zip(samples, fs.theta, fs.phi):
+                gauge = np.array([[th.f, -z * ph.f], [-th.quasi / z, ph.quasi]])
+                gauge[1] += z * (s - s0) * gauge[0]
+                u = np.array(want[s].tolist(), dtype=complex)
+                assert np.max(np.abs(gauge - u)) <= 1e-12 * max(1.0, np.max(np.abs(u))), (s, z)
+    assert in_blocked >= 10 and past_end >= 10
+
+
+def test_canonical_m_grid_returns_on_a_grid_of_mixed_magnitudes():
+    ham = string_to_hamiltonian(catalog.upsilon_lebesgue_halfline())
+    for zs in ([1e-6j, 100.0 + 1j], [0.01 + 0.01j, 3000.0 + 1j]):
+        start = time.perf_counter()
+        got = canonical_m_grid(ham, zs)
+        elapsed = time.perf_counter() - start
+        assert got == pytest.approx([1j, 1j], abs=1e-9)
+        assert elapsed < 2.0, (zs, elapsed)
+
+
+def test_canonical_m_grid_on_a_free_tail():
+    alpha, a = 1.0, 0.5
+    zs = np.array([1.0 + 1j, -3.0 + 0.2j])
+    got = canonical_m_grid(string_to_hamiltonian(FREE_TAIL_SPEC), zs)
+    want = alpha / (1.0 - zs * alpha * a)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+    assert want[1] == pytest.approx(0.39936 + 0.01597j, abs=1e-5)
 
 
 def test_validate_rejects_finite_tail():
@@ -206,7 +276,6 @@ def test_canonical_evaluators_do_not_recheck_a_built_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(canonical, "_normalize_pieces", counting)
     canonical_m_grid(ham, standard_grid())
-    canonical_solution(ham, 1j, [0.5, 2.0])
     indivisible_prefix(ham)
     hamiltonian_to_string(ham)
     assert calls == []
