@@ -147,35 +147,18 @@ def _at_steps(view: CoefficientView, left: np.ndarray):
             view.dens_omega[j], view.dens_upsilon[j])
 
 
-class _Walk:
-    """The steps from 0 to the last sample position, as arrays.
-
-    Step k covers (points[k], points[k+1]): the point masses at points[k],
-    then the piece of length h[k] with the densities on it.  ``targets`` are
-    the point indices of the sample positions, in increasing order.  A chi
-    view adds its masses and density as the affine column.
+class _Steps:
+    """Steps as arrays: step k is the point masses of ``view`` at left[k], then
+    the piece of length h[k] with the densities on the interval that starts
+    at left[k].  A chi view adds its masses and density as the affine column.
     """
 
-    def __init__(self, view: CoefficientView, xs: np.ndarray, chi: CoefficientView | None):
-        if xs.size == 0:
-            raise PositionOutOfRange("need at least one sample position")
-        if not np.all(np.isfinite(xs)):
-            raise PositionOutOfRange("sample positions must be finite")
-        xs = np.unique(xs)
-        if xs[0] < 0.0 or xs[-1] > view.length:
-            raise PositionOutOfRange(
-                f"sample positions must lie in [0, {view.length}], got [{xs[0]}, {xs[-1]}]"
-            )
-        views = (view,) if chi is None else (view, chi)
-        points = np.unique(np.concatenate([xs] + [v.bp[v.bp <= xs[-1]] for v in views]))
-        self.points = points
-        self.targets = np.searchsorted(points, xs)
-        self.steps = points.size - 1
-        self.h = np.diff(points)
-        left = points[:-1]
+    def __init__(self, view: CoefficientView, left: np.ndarray, h: np.ndarray,
+                 chi: CoefficientView | None = None):
+        self.h = h
         self.aw, self.au, self.da, self.db = _at_steps(view, left)
-        # Decided per walk and per step, so a step is built the same way
-        # whatever range of steps and z it is built with.
+        # Decided per set of steps and per step, so a step is built the same
+        # way whatever range of steps and z it is built with.
         self.atomic = bool(np.any(self.aw) or np.any(self.au))
         self.dense = (self.da != 0.0) | (self.db != 0.0)
         self.affine = chi is not None
@@ -228,6 +211,30 @@ class _Walk:
             out[0, 2] = -dc * C2 - ac * S
             out[1, 2] = -dc * S - ac * C
         return out
+
+
+class _Walk(_Steps):
+    """The steps from 0 to the last sample position: step k covers
+    (points[k], points[k+1]).  ``targets`` are the point indices of the
+    sample positions, in increasing order.
+    """
+
+    def __init__(self, view: CoefficientView, xs: np.ndarray, chi: CoefficientView | None):
+        if xs.size == 0:
+            raise PositionOutOfRange("need at least one sample position")
+        if not np.all(np.isfinite(xs)):
+            raise PositionOutOfRange("sample positions must be finite")
+        xs = np.unique(xs)
+        if xs[0] < 0.0 or xs[-1] > view.length:
+            raise PositionOutOfRange(
+                f"sample positions must lie in [0, {view.length}], got [{xs[0]}, {xs[-1]}]"
+            )
+        views = (view,) if chi is None else (view, chi)
+        points = np.unique(np.concatenate([xs] + [v.bp[v.bp <= xs[-1]] for v in views]))
+        self.points = points
+        self.targets = np.searchsorted(points, xs)
+        self.steps = points.size - 1
+        super().__init__(view, points[:-1], np.diff(points), chi)
 
 
 def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,9 +7,13 @@ The Weyl function of a string is the locally uniform limit
 which maps the upper half-plane into itself and satisfies m(conj z) = conj m(z).
 For finite-length strings in the representable class the travel coordinate is
 finite at L, so the limit is attained at the endpoint; for infinite strings a
-truncation schedule doubles progress in the travel coordinate until three
-consecutive evaluations agree.  The schedule does not depend on z, so one
-sweep along it, vectorized over z, serves a whole grid.
+truncation schedule doubles progress in the travel coordinate until four
+consecutive values agree.  The schedule does not depend on z, and the
+coefficients are constant between breakpoints: the state at a truncation
+point x is P(x - b) J_b S(b-), the jump at the last breakpoint b strictly
+below x and the closed-form piece after it.  So one sweep to these
+breakpoints, vectorized over z, serves a whole grid, and the last pieces of
+many truncation points and z are built as one array.
 
 The integral representation
 
@@ -33,8 +37,17 @@ from .errors import (
     NonRealRequired,
     PositionOutOfRange,
     TruncationNotConverged,
+    ValidationError,
 )
-from .propagation import SystemState, _sweep_steps, fundamental_system, transfer_matrices
+from .propagation import (
+    _BUDGET,
+    SystemState,
+    _compose,
+    _Steps,
+    _sweep_steps,
+    fundamental_system,
+    transfer_matrices,
+)
 
 
 @dataclass(frozen=True)
@@ -87,24 +100,27 @@ def _require_nonreal(z: np.ndarray) -> None:
         raise NonRealRequired("Weyl evaluation needs Im z != 0")
 
 
-def _values_agree(history, tol: float) -> tuple[np.ndarray | bool, np.ndarray | float]:
-    """Whether an iteration has settled: the last four values are finite and
-    their three consecutive differences are each at most tol * max(1, |last|).
+def _values_agree(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether an iteration has settled, at every index of the last axis: the
+    value there and the three before it are finite, and their three
+    consecutive differences are each at most tol * max(1, |value|).
 
-    Works on Python scalars and elementwise on arrays, where the verdict is a
-    boolean array.  Returns the verdict and the last difference.
+    Returns the verdicts and the last differences |values[k] - values[k-1]|,
+    both shaped like ``values``.  No index before the fourth agrees, and the
+    first has difference NaN.
     """
-    if len(history) < 4:
-        return False, math.inf
-    t0, t1, t2, t3 = history[-4:]
-    diffs = (abs(t1 - t0), abs(t2 - t1), abs(t3 - t2))
-    size = abs(t3)
-    ok = size < math.inf
-    for d in diffs:
-        # d <= tol * max(1, size) for tol > 0, as two comparisons that work
-        # on scalars and arrays alike.
-        ok = ok & ((d <= tol) | (d <= tol * size))
-    return ok, diffs[-1]
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        diffs = np.abs(np.diff(values, axis=-1))
+    size = np.abs(values[..., 3:])
+    limit = tol * np.maximum(1.0, size)
+    # zeros_like/full_like keep the memory order of ``values``.
+    agree = np.zeros_like(values, dtype=bool)
+    agree[..., 3:] = ((size < math.inf) & (diffs[..., 2:] <= limit)
+                      & (diffs[..., 1:-1] <= limit) & (diffs[..., :-2] <= limit))
+    last = np.full_like(values, math.nan, dtype=float)
+    last[..., 1:] = diffs
+    return agree, last
 
 
 def _quotient(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -137,12 +153,17 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     """Weyl function at every z of ``zs``, with the truncation limit resolved
     automatically.
 
-    On a half-line one rescaled sweep along the z-independent truncation
-    schedule serves every z: each z stops at the first position where its
-    last four values agree (:func:`_values_agree`), and the sweep ends once
-    all have.  Raises :class:`ComputationError` rather than return a value
-    that is not finite, naming the first such z.
+    On a half-line each z stops at the first truncation point where its last
+    four values agree (:func:`_values_agree`).  The state at a truncation
+    point x is P(x - b) J_b S(b-), with b the last breakpoint strictly below
+    x: one rescaled sweep to these anchors b serves every z and ends once all
+    have stopped, and the last pieces P J of many points and z are built at
+    once.  Raises :class:`ValidationError` unless ``tol`` is finite and
+    positive, and :class:`ComputationError` rather than return a value that
+    is not finite, naming the first such z.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     zs = np.ravel(np.asarray(zs, dtype=complex))
     _require_nonreal(zs)
     if math.isfinite(spec.length):
@@ -151,23 +172,54 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
                 for z, m in zip(zs.tolist(), ms.tolist())]
 
     view = coefficient_view(spec)
+    xs = view.truncation_points
+    # bp[at] is the last breakpoint strictly below each truncation point; the
+    # sweep reaches it after ``at`` steps.
+    at = np.searchsorted(view.bp, xs) - 1
+    anchors, group = np.unique(at, return_inverse=True)
+    pieces = _Steps(view, view.bp[at], xs - view.bp[at])
+    sweep = _sweep_steps(view, zs, view.bp[anchors], rescale=True)
+    states = []  # S(b-) at the anchors the sweep has reached
     samples: list[WeylSample] = [None] * zs.size
-    settled = np.zeros(zs.size, dtype=bool)
-    history: list[np.ndarray] = []
-    for x, state in _sweep_steps(view, zs, view.truncation_points, rescale=True):
-        history = [*history[-3:], _quotient(state[0, 0], state[0, 1], zs)]
-        agree, last_diff = _values_agree(history, tol)
-        for k in np.flatnonzero(agree & ~settled):
-            samples[k] = WeylSample(z=complex(zs[k]), m=complex(history[-1][k]),
-                                    truncation_x=x, est_error=float(last_diff[k]))
-        settled |= agree
-        if settled.all():
-            return samples
-    k = int(np.flatnonzero(~settled)[0])
-    last_diff = abs(history[-1][k] - history[-2][k]) if len(history) > 1 else math.nan
-    raise TruncationNotConverged(
-        f"Weyl truncation did not stabilise at z={complex(zs[k])}; last diff {last_diff:g}"
-    )
+    # The z still to stop, their indices in zs, and their last three values
+    # (NaN before the first).  Arrays of a pass have z on the last axis.
+    z, active = zs, np.arange(zs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = z * z
+    recent = np.full((3, zs.size), complex("nan"))
+    lo = 0
+    while lo < xs.size and active.size:
+        # A pass: at most ``width`` points, whose anchors lie within ``width`` sweep steps.
+        width = max(1, _BUDGET // active.size)
+        hi = min(lo + width, int(np.searchsorted(at, at[lo] + width, side="right")))
+        while len(states) <= group[hi - 1]:
+            states.append(next(sweep)[1])
+        first = group[lo]
+        left = np.stack(states[first:group[hi - 1] + 1], axis=2)[:, :, group[lo:hi] - first]
+        with np.errstate(over="ignore", invalid="ignore"):
+            piece = pieces.matrices(lo, hi, z, zz, rescale=True)[:1]
+            top = _compose(np.ascontiguousarray(piece.transpose(0, 1, 3, 2)), left[..., active])
+        values = np.concatenate([recent, _quotient(top[0, 0], top[0, 1], z)])
+        agree, diff = (a.T[3:] for a in _values_agree(values.T, tol))
+        hit = np.flatnonzero(agree.any(axis=0))
+        if hit.size:
+            stop = agree[:, hit].argmax(axis=0)
+            for k, j, m, err in zip(active[hit].tolist(), (lo + stop).tolist(),
+                                    values[3 + stop, hit].tolist(), diff[stop, hit].tolist()):
+                samples[k] = WeylSample(z=complex(zs[k]), m=m, truncation_x=float(xs[j]),
+                                        est_error=err)
+            keep = np.ones(active.size, dtype=bool)
+            keep[hit] = False
+            z, zz, active, values = z[keep], zz[keep], active[keep], values[:, keep]
+        recent = values[-3:]
+        lo = hi
+    if active.size:
+        k = int(active[0])
+        last_diff = abs(recent[-1, 0] - recent[-2, 0])
+        raise TruncationNotConverged(
+            f"Weyl truncation did not stabilise at z={complex(zs[k])}; last diff {last_diff:g}"
+        )
+    return samples
 
 
 def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:

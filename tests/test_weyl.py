@@ -1,6 +1,7 @@
 """Tests for Weyl-function evaluation, representation constants, and flags."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -9,7 +10,12 @@ import pytest
 import oracle
 from indefstring import catalog, propagation, weyl
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
-from indefstring.errors import ComputationError, NonRealRequired, TruncationNotConverged
+from indefstring.errors import (
+    ComputationError,
+    NonRealRequired,
+    TruncationNotConverged,
+    ValidationError,
+)
 from indefstring.weyl import (
     _values_agree,
     classify,
@@ -246,18 +252,34 @@ def _doubling_schedule(spec: StringSpec) -> list[float]:
     return xs[1:]
 
 
-def _resweep_from_zero(spec: StringSpec, z: complex, xs, tol: float = 1e-10):
+def _truncated_or_nan(spec: StringSpec, zs: np.ndarray, x: float) -> np.ndarray:
+    """m_truncated at each z, NaN where it is refused."""
+    try:
+        return m_truncated(spec, zs, x)
+    except ComputationError:
+        if zs.size == 1:
+            return np.array([complex("nan")])
+        return np.concatenate([_truncated_or_nan(spec, zs[k:k + 1], x) for k in range(zs.size)])
+
+
+def _resweep_from_zero(spec: StringSpec, zs, xs, tol: float = 1e-10):
     """Reference: the truncation limit with a fresh sweep from 0 to every x_k,
-    one z at a time."""
-    history = []
+    each z stopped by the same rule.  Returns each z's limit and x_k."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    m, stop = np.full(zs.size, complex("nan")), np.full(zs.size, np.nan)
+    history = np.empty((zs.size, 0), dtype=complex)
     for x in xs:
-        try:
-            history.append(m_truncated(spec, z, x))
-        except ComputationError:
-            history.append(complex("nan"))
-        if _values_agree(history, tol)[0]:
-            return history[-1], x
-    raise TruncationNotConverged(f"no limit at z={z}")
+        todo = np.isnan(stop)
+        if not todo.any():
+            break
+        column = np.full(zs.size, complex("nan"))
+        column[todo] = _truncated_or_nan(spec, zs[todo], x)
+        history = np.column_stack([history, column])
+        settled = _values_agree(history, tol)[0][:, -1] & todo
+        m[settled], stop[settled] = history[settled, -1], x
+    if np.isnan(stop).any():
+        raise TruncationNotConverged(f"no limit at z={zs[np.isnan(stop)][0]}")
+    return m, stop
 
 
 def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
@@ -268,15 +290,18 @@ def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
                 one.z, one.m, one.truncation_x, one.est_error), (name, z)
 
 
+def _check_against_resweep(spec: StringSpec, zs, samples, name):
+    m, x = _resweep_from_zero(spec, zs, _doubling_schedule(spec))
+    for k, got in enumerate(samples):
+        assert got.truncation_x == x[k], (name, zs[k])
+        assert abs(got.m - m[k]) <= 1e-14 * abs(m[k]), (name, zs[k])
+
+
 def test_one_sweep_matches_resweeping_from_zero(grid_samples):
     for name, spec in _SWEEP_SPECS.items():
         if np.isfinite(spec.length):
             continue
-        xs = _doubling_schedule(spec)
-        for z, got in zip(_SWEEP_ZS, grid_samples[name]):
-            m, x = _resweep_from_zero(spec, complex(z), xs)
-            assert got.truncation_x == x, (name, z)
-            assert abs(got.m - m) <= 1e-14 * abs(m), (name, z)
+        _check_against_resweep(spec, _SWEEP_ZS, grid_samples[name], name)
     # Both ways give up at the same point.
     z = 1e-4 * cmath.exp(1e-8j)
     spec = catalog.uniform_halfline()
@@ -284,6 +309,42 @@ def test_one_sweep_matches_resweeping_from_zero(grid_samples):
         _resweep_from_zero(spec, z, _doubling_schedule(spec))
     with pytest.raises(TruncationNotConverged, match="z=\\(0.0001"):
         weyl_m_grid(catalog.uniform_halfline(), [1j, z, 2j])
+
+
+# 1000 z: a pass then covers at most four truncation points of all z, and the
+# z stop at points spread over many passes.
+_MANY_ZS = (np.logspace(-2, 3, 40)[:, None]
+            * np.exp(1j * np.linspace(0.1, np.pi - 0.1, 25))[None, :]).ravel()
+
+
+def test_many_z_match_one_z_calls_and_resweeping():
+    for name, spec in _SWEEP_SPECS.items():
+        if np.isfinite(spec.length):
+            continue
+        samples = weyl_m_grid(spec, _MANY_ZS)
+        for z, got in zip(_MANY_ZS, samples):
+            one = weyl_m(spec, z)
+            assert (got.z, got.m, got.truncation_x, got.est_error) == (
+                one.z, one.m, one.truncation_x, one.est_error), (name, z)
+        _check_against_resweep(spec, _MANY_ZS, samples, name)
+
+
+def test_truncation_point_on_an_atom():
+    """The truncation point 0.5 is the atom itself; the value there is the
+    left limit, and the Weyl function is alpha/(1 - z alpha a) = 1/(1 - z/2)."""
+    spec = _SWEEP_SPECS["atom"]
+    assert 0.5 in coefficient_view(spec).truncation_points
+    for z in (1 + 1j, -3 + 0.2j, 0.01 + 0.001j):
+        exact = 1.0 / (1.0 - z / 2.0)
+        assert abs(weyl_m(spec, z).m - exact) <= 1e-9 * abs(exact), z
+
+
+def test_tol_must_be_finite_and_positive():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            weyl_m(catalog.uniform_halfline(), 1 + 1j, tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            weyl_m_grid(catalog.uniform_string(), [1 + 1j], tol=tol)
 
 
 def test_one_grid_call_runs_one_sweep(monkeypatch):
@@ -303,6 +364,14 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
         sweeps.clear()
         call()
         assert len(sweeps) == 1
+    # The sweep goes to the breakpoints below the truncation points, not to
+    # each of the 140 points: one on a density half-line, at most 13 with 12 atoms.
+    sweeps.clear()
+    weyl_m_grid(catalog.uniform_halfline(), standard_grid())
+    assert len(sweeps) == 1 and len(sweeps[0]) == 1
+    sweeps.clear()
+    weyl_m_grid(_atomic_halfline(3), standard_grid())
+    assert len(sweeps) == 1 and 1 < len(sweeps[0]) <= 13
 
 
 def test_wide_range_matches_closed_forms_or_raises():
