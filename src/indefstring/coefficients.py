@@ -92,6 +92,16 @@ class StringSpec:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "upsilon", upsilon)
 
+    # The hash walks every atom and the view cache takes it on every lookup,
+    # so it is computed once and kept on the instance, outside the fields:
+    # repr, == and JSON do not see it.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.length, self.omega, self.upsilon))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def _as_measure(raw) -> MeasureData:
     if isinstance(raw, MeasureData):

@@ -10,10 +10,11 @@ are the exact residues 1/(norming constant) from the same recurrence.
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
 point masses, so atoms are located by peak search, refined per eps by one
-golden-section search over all candidates together (one evaluator call per
-step), and their masses extrapolated from eps * Im m at the peak.  The
-representation term -1/(L z) would masquerade as a point mass at 0; windows
-must therefore stay away from 0.
+section search over all candidates together (each evaluator call samples 16
+points per bracket and shrinks it 8.5-fold, and a parabola through the best
+samples places the peak), and their masses extrapolated from eps * Im m at
+the peak.  The representation term -1/(L z) would masquerade as a point mass
+at 0; windows must therefore stay away from 0.
 
 The model Hilbert space pairs a first component with finite Dirichlet energy
 and f1(0) = 0 against a second component square-summable over the upsilon
@@ -307,35 +308,50 @@ def _spec_evaluator(spec: StringSpec):
     return ev
 
 
-def _golden_peaks(ev, e: float, centers: np.ndarray,
-                  half: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maxima of l -> Im ev(l + i*e) on [center - half, center + half], one
-    golden-section search per center run in lockstep.
+# Samples per bracket and evaluator call in the peak search.  A call shrinks
+# every bracket by (k + 1)/2; fewer samples need more calls, each with a fixed
+# cost, and more make each call dearer without shrinking faster per sample.
+_SECTION_POINTS = 16
 
-    Every bracket takes the steps a lone search would take, and the new
-    interior points of all brackets still wider than their tolerance are
-    evaluated in one ``ev`` call.  Returns (positions, e * Im ev there).
+
+def _section_peaks(ev, e: float, centers: np.ndarray,
+                   half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of l -> Im ev(l + i*e) on [center - half, center + half], one
+    section search per center run in lockstep.
+
+    Every ``ev`` call samples ``_SECTION_POINTS`` equally spaced interior
+    points of each bracket still wider than its tolerance, and the bracket
+    shrinks to the two grid neighbours of its best sample.  The position is
+    the vertex of the parabola through the last call's best sample and its
+    neighbours, clipped to them, or the best sample where the three values are
+    not concave (the ends of the first bracket are never sampled and count as
+    -inf).  No bracket looks at another, so batching does not change any step.
+    Returns (positions, e * Im ev there).
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    k = _SECTION_POINTS
+    frac = np.arange(1, k + 1) / (k + 1)
     tol = 1e-9 * (1.0 + np.abs(centers))
     a, b = centers - half, centers + half
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    n = len(centers)
-    f = np.asarray(ev(np.concatenate((c, d)) + 1j * e)).imag
-    fc, fd = f[:n], f[n:]
+    fa, fb = np.full(len(centers), -np.inf), np.full(len(centers), -np.inf)
+    pos = centers.copy()
     active = np.flatnonzero(b - a > tol)
     while active.size:
-        left = fc[active] > fd[active]
-        lk, rk = active[left], active[~left]
-        b[lk], d[lk], fd[lk] = d[lk], c[lk], fc[lk]
-        c[lk] = b[lk] - invphi * (b[lk] - a[lk])
-        a[rk], c[rk], fc[rk] = c[rk], d[rk], fd[rk]
-        d[rk] = a[rk] + invphi * (b[rk] - a[rk])
-        f = np.asarray(ev(np.concatenate((c[lk], d[rk])) + 1j * e)).imag
-        fc[lk], fd[rk] = f[:lk.size], f[lk.size:]
+        lo, hi = a[active], b[active]
+        x = np.empty((active.size, k + 2))
+        x[:, 0], x[:, 1:-1], x[:, -1] = lo, lo[:, None] + (hi - lo)[:, None] * frac, hi
+        f = np.empty_like(x)
+        f[:, 0], f[:, -1] = fa[active], fb[active]
+        f[:, 1:-1] = np.asarray(ev(x[:, 1:-1].ravel() + 1j * e)).imag.reshape(-1, k)
+        rows = np.arange(active.size)
+        best = 1 + np.argmax(f[:, 1:-1], axis=1)
+        f0, f1, f2 = f[rows, best - 1], f[rows, best], f[rows, best + 1]
+        curv = f0 - 2.0 * f1 + f2
+        concave = np.isfinite(curv) & (curv < 0.0)
+        shift = np.where(concave, 0.5 * (f0 - f2) / np.where(concave, curv, -1.0), 0.0)
+        pos[active] = x[rows, best] + np.clip(shift, -1.0, 1.0) * (hi - lo) / (k + 1)
+        a[active], b[active] = x[rows, best - 1], x[rows, best + 1]
+        fa[active], fb[active] = f0, f2
         active = active[b[active] - a[active] > tol[active]]
-    pos = 0.5 * (a + b)
     return pos, e * np.asarray(ev(pos + 1j * e)).imag
 
 
@@ -343,18 +359,22 @@ def _checked_window(window, eps) -> tuple[float, float, list[float]]:
     """(lo, hi, eps in decreasing order) after the checks shared by every
     route to a measure on a window."""
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"window ({lo}, {hi}) must have finite edges")
     if not lo < hi:
         raise ValidationError(f"window ({lo}, {hi}) is empty")
     if lo <= 0.0 <= hi:
         raise WindowTouchesAtomZero("window must exclude 0")
-    eps = sorted((float(e) for e in eps), reverse=True)
+    eps = [float(e) for e in eps]
     if len(eps) < 2:
         # The mass stability test needs two eps; without it every rounding
         # peak of Im m would be reported as an atom.
         raise ValidationError(f"need at least two eps values, got {len(eps)}")
-    if not eps[-1] > 0.0:
-        raise ValidationError("eps values must be positive")
-    return lo, hi, eps
+    if not all(0.0 < e < math.inf for e in eps):
+        raise ValidationError(f"eps values must be positive and finite, got {eps}")
+    if len(set(eps)) < len(eps):
+        raise ValidationError(f"eps values must be distinct, got {eps}")
+    return lo, hi, sorted(eps, reverse=True)
 
 
 def stieltjes_inversion(source, window: tuple[float, float],
@@ -363,12 +383,13 @@ def stieltjes_inversion(source, window: tuple[float, float],
 
     ``source`` is a string spec or a vectorized callable z -> m(z).  Peaks of
     Im m(l + i*eps0) seed candidate atoms; at every eps all locations are
-    re-maximized together, one evaluator call per golden-section step for all
-    candidates, and eps * Im m at the peak is extrapolated in eps^2.  A mass
-    estimate that moves more than 5% across the two finest eps decades is
-    rejected as not atomic, so at least two eps values are required.  Windows
-    must exclude 0, where the finite-length representation term would fake a
-    point mass.
+    re-maximized together by a section search, one evaluator call per
+    8.5-fold shrink of all brackets, and eps * Im m at the peak is
+    extrapolated in eps^2 with the ratios of the given eps.  A mass estimate
+    that moves more than 5% across the two finest eps is rejected as not
+    atomic, so at least two distinct, finite eps are required.  Windows must
+    have finite edges and exclude 0, where the finite-length representation
+    term would fake a point mass.
     """
     lo, hi, eps = _checked_window(window, eps)
     if callable(source):
@@ -391,13 +412,14 @@ def stieltjes_inversion(source, window: tuple[float, float],
     if candidates:
         pos, half, masses = np.array(candidates), 2.0 * e0, []
         for e in eps:
-            pos, mass = _golden_peaks(ev, e, pos, half)
+            pos, mass = _section_peaks(ev, e, pos, half)
             masses.append(mass)
             half = 2.0 * e
+        ratios = [c / f for c, f in zip(eps, eps[1:])]
         for p, mk in zip(pos.tolist(), np.transpose(masses).tolist()):
             if mk[-1] <= 0.0 or abs(mk[-1] - mk[-2]) > 0.05 * abs(mk[-1]):
                 continue
-            atoms.append((p, _richardson(mk, 10.0, (2,))))
+            atoms.append((p, _richardson(mk, ratios, (2,))))
 
     stride = max(1, npts // 512)
     e_min = eps[-1]

@@ -239,20 +239,25 @@ def weyl_solution_psi(spec: StringSpec, z: complex, xs, tol: float = 1e-10) -> t
     return tuple(out)
 
 
-def _richardson(values, ratio: float, powers, scale_floor: float = 1.0) -> float:
-    """Eliminate the given error powers from a geometrically refined sequence.
+def _richardson(values, ratios, powers, scale_floor: float = 1.0) -> float:
+    """Eliminate the given error powers from a refined sequence.
 
-    ``values`` are ordered from coarsest to finest parameter; consecutive
-    parameters differ by ``ratio``.  Raises if the extrapolated tail spreads
+    ``values`` are ordered from coarsest to finest parameter; ``ratios`` gives
+    each step's parameter ratio (coarser over finer), one per consecutive
+    pair, or one number for a geometric sequence.  Eliminating more than one
+    power needs a geometric sequence.  Raises if the extrapolated tail spreads
     more than the raw tail, which signals a wrong error model.
     """
     seq = [float(v) for v in values]
+    steps = [float(r) for r in np.broadcast_to(ratios, (max(len(seq) - 1, 0),))]
+    if len(powers) > 1 and len(set(steps)) > 1:
+        raise ValueError("eliminating several powers needs one ratio for every step")
     raw_spread = abs(seq[-1] - seq[-2])
     for p in powers:
         if len(seq) < 2:
             break
-        f = ratio ** p
-        seq = [(f * seq[k + 1] - seq[k]) / (f - 1.0) for k in range(len(seq) - 1)]
+        seq = [(r ** p * seq[k + 1] - seq[k]) / (r ** p - 1.0)
+               for k, r in enumerate(steps[:len(seq) - 1])]
     if len(seq) >= 2:
         extrap_spread = abs(seq[-1] - seq[-2])
         if extrap_spread > 10.0 * raw_spread + 1e-12 * max(scale_floor, abs(seq[-1])):

@@ -200,6 +200,21 @@ def test_spectrum_window_checks_agree_on_both_routes(tmp_path, capsys, doc, wind
     assert not (tmp_path / "mu.json").exists()
 
 
+@pytest.mark.parametrize("doc", [ATOM_MID, UNIFORM, UPSILON_HALFLINE])
+@pytest.mark.parametrize("args,message", [
+    (["--window", "1", "inf"], "finite edges"),
+    (["--window", "1", "nan"], "finite edges"),
+    (["--window", "1", "6", "--eps", "inf", "0.001"], "positive and finite"),
+    (["--window", "1", "6", "--eps", "0.01", "0.01"], "distinct"),
+])
+def test_spectrum_rejects_bad_windows_and_eps_with_exit_1(tmp_path, capsys, doc, args, message):
+    spec = _dump(tmp_path / "spec.json", doc)
+    rc = main(["spectrum", "--spec", spec, *args, "--out", str(tmp_path / "mu.json")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mu.json").exists()
+
+
 # -- classify -----------------------------------------------------------------
 
 

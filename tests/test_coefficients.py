@@ -150,6 +150,31 @@ def test_built_spec_is_normal_and_equals_the_parsed_one():
         assert again.omega.atoms == spec.omega.atoms and again.upsilon.density == spec.upsilon.density
 
 
+def test_spec_hash_is_kept_and_equal_specs_share_a_view(monkeypatch):
+    rng = np.random.default_rng(3)
+    spec = catalog.random_discrete_string(rng)
+    twin = validate_spec(spec_to_json(spec))
+    assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+    assert hash(spec) == hash((spec.length, spec.omega, spec.upsilon))
+    coefficient_view.cache_clear()
+    assert coefficient_view(twin) is coefficient_view(spec)
+    assert coefficient_view.cache_info().hits == 1
+
+    # The kept hash is no field: repr, == and JSON see only the three fields.
+    assert [f.name for f in dataclasses.fields(StringSpec)] == ["length", "omega", "upsilon"]
+    assert repr(spec) == repr(twin) and spec_to_json(spec) == spec_to_json(twin)
+
+    # The atoms are hashed once per instance, not on every lookup.
+    hashed = []
+    measure_hash = MeasureData.__hash__
+    monkeypatch.setattr(MeasureData, "__hash__", lambda m: hashed.append(m) or measure_hash(m))
+    fresh = validate_spec(spec_to_json(spec))
+    for _ in range(3):
+        hash(fresh)
+        coefficient_view(fresh)
+    assert len(hashed) == 2
+
+
 def test_evaluators_do_not_renormalize_a_built_spec(monkeypatch):
     halfline = catalog.uniform_halfline()
     atomic = catalog.random_discrete_string(np.random.default_rng(5))

@@ -16,6 +16,8 @@ from indefstring.errors import (
 )
 from indefstring.spectral import (
     HilbertElement,
+    _SECTION_POINTS,
+    _section_peaks,
     discrete_eigenvalues,
     green_kernel,
     hilbert_inner,
@@ -152,9 +154,8 @@ def test_inversion_uniform_string():
     mu = stieltjes_inversion(catalog.uniform_string(), (5.0, 45.0))
     assert len(mu.atoms) == 2
     for (lam, mass), n in zip(mu.atoms, (1, 2)):
-        expected = (n * np.pi) ** 2
-        assert abs(lam - expected) <= 0.01 * expected
-        assert abs(mass - 2.0) <= 0.02
+        assert lam == pytest.approx((n * np.pi) ** 2, rel=1e-12)
+        assert mass == pytest.approx(2.0, rel=1e-12)
 
 
 def test_inversion_matches_discrete_residues():
@@ -177,6 +178,27 @@ def test_inversion_needs_two_eps():
         stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (0.5, 3.0), eps=(1e-2,))
     with pytest.raises(ValidationError, match="positive"):
         stieltjes_inversion(OMEGA_MID, (2.0, 6.0), eps=(1e-2, -1e-3))
+
+
+@pytest.mark.parametrize("window", [(1.0, np.inf), (-np.inf, -1.0), (np.nan, 2.0)])
+def test_inversion_window_edges_must_be_finite(window):
+    with pytest.raises(ValidationError, match="finite edges"):
+        stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), window)
+
+
+@pytest.mark.parametrize("eps", [(np.inf, 1e-3), (1e-2, np.inf), (np.nan, 1e-3), (1e-2, np.nan)])
+def test_inversion_eps_must_be_finite(eps):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (1.0, 2.0), eps=eps)
+
+
+def test_inversion_eps_must_be_distinct():
+    # With a repeated eps the stability test compares a mass with itself, and
+    # rounding peaks of Im m = 1 came back as atoms of mass eps.
+    with pytest.raises(ValidationError, match="distinct"):
+        stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (1.0, 1.1), eps=(1e-2, 1e-2))
+    with pytest.raises(ValidationError, match="distinct"):
+        stieltjes_inversion(OMEGA_MID, (2.0, 6.0), eps=(1e-2, 1e-3, 1e-2))
 
 
 def test_inversion_window_must_avoid_origin():
@@ -207,19 +229,54 @@ def _counting_poles(poles):
     return m, calls
 
 
+FIVE_POLES = [(1.5, 0.7), (2.5, 1.3), (3.5, 0.4), (4.5, 2.0), (5.5, 0.9)]
+
+
 def test_inversion_calls_do_not_grow_with_candidates():
     eps = (1e-2, 1e-3, 1e-4)
     counts = []
-    for poles in ([(2.0, 0.7)],
-                  [(1.5, 0.7), (2.5, 1.3), (3.5, 0.4), (4.5, 2.0), (5.5, 0.9)]):
+    for poles in ([(2.0, 0.7)], FIVE_POLES):
         m, calls = _counting_poles(poles)
         mu = stieltjes_inversion(m, (1.0, 6.0), eps=eps)
         assert len(mu.atoms) == len(poles)
         for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, poles):
-            assert abs(lam - want_lam) <= 1e-8 * want_lam
-            assert abs(mass - want_mass) <= 1e-7
+            assert abs(lam - want_lam) <= 1e-12 * want_lam
+            assert abs(mass - want_mass) <= 1e-10
         counts.append(calls[0])
+        # The scan, about 8 search calls and one mass call per eps, and the
+        # density samples; a search with one call per step needs over 100.
+        assert calls[0] <= 30
     assert counts[1] <= counts[0] + len(eps)
+
+
+@pytest.mark.parametrize("eps", [(3e-2, 1e-2, 3e-3), (2e-2, 5e-3, 1e-3), (1e-2, 2e-3)])
+def test_inversion_extrapolates_with_the_eps_ratios(eps):
+    # The masses are extrapolated in eps^2 with the actual ratios; assuming
+    # decades would leave errors of 3e-5 at eps (3e-2, 1e-2, 3e-3).
+    m, _ = _counting_poles(FIVE_POLES)
+    mu = stieltjes_inversion(m, (1.0, 6.0), eps=eps)
+    assert len(mu.atoms) == len(FIVE_POLES)
+    for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, FIVE_POLES):
+        assert abs(lam - want_lam) <= 1e-9 * want_lam
+        assert abs(mass - want_mass) <= 1e-7 * want_mass
+
+
+@pytest.mark.parametrize("sample", [1, _SECTION_POINTS, _SECTION_POINTS + 1])
+def test_peak_search_finds_peaks_at_the_edges_of_a_bracket(sample):
+    # On the first or last sample the best sample's outer neighbour is a
+    # bracket end, which is never evaluated; at the end itself (sample k + 1)
+    # every call picks its last sample.  The search must still close in.
+    e, center, half, gamma = 1e-4, 2.0, 2e-3, 0.7
+    lo, hi = center - half, center + half
+    peak = lo + (hi - lo) * (sample / (_SECTION_POINTS + 1))
+    m, _ = _counting_poles([(peak, gamma)])
+    pos, mass = _section_peaks(m, e, np.array([center]), half)
+    if sample <= _SECTION_POINTS:
+        assert abs(pos[0] - peak) <= 1e-12 * peak
+        assert abs(mass[0] - gamma) <= 1e-12
+    else:
+        assert abs(pos[0] - peak) <= 1e-9 * (1.0 + center)
+        assert abs(mass[0] - gamma) <= 1e-8 * gamma
 
 
 def test_inversion_halfline_default_eps_is_continuous():
