@@ -176,8 +176,12 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
     ``mesh`` equal travel-coordinate cells each, with cell averages of
     h22 and h12 (this preserves total extent, x-extent and int w exactly up
     to rounding).  A density of omega on an unbounded interval cannot be
-    meshed and raises UnsupportedShape.
+    meshed and raises UnsupportedShape.  Raises :class:`ValidationError`
+    unless ``mesh`` is an integer >= 1.
     """
+    if isinstance(mesh, bool) or not isinstance(mesh, (int, np.integer)) or mesh < 1:
+        raise ValidationError(f"mesh must be an integer >= 1, got {mesh!r}")
+    mesh = int(mesh)
     view = coefficient_view(spec)
     pieces: list[HamiltonianPiece] = []
     meshed = False

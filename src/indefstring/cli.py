@@ -75,6 +75,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="indefstring", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +95,7 @@ def build_parser() -> _Parser:
     fwd.add_argument("--out", required=True, help="output CSV for the m samples")
     fwd.add_argument("--hamiltonian", help="also write the Hamiltonian JSON here")
     fwd.add_argument("--tol", type=_positive, default=1e-10)
-    fwd.add_argument("--mesh", type=int, default=256)
+    fwd.add_argument("--mesh", type=_positive_int, default=256)
     fwd.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility; has no effect (one sweep serves the whole grid)")
     fwd.set_defaults(func=cmd_forward)
@@ -98,7 +108,7 @@ def build_parser() -> _Parser:
     rt = sub.add_parser("roundtrip", help="string -> Hamiltonian -> string discrepancy check")
     rt.add_argument("--spec", required=True)
     rt.add_argument("--tol", type=_positive, default=1e-9)
-    rt.add_argument("--mesh", type=int, default=256)
+    rt.add_argument("--mesh", type=_positive_int, default=256)
     rt.add_argument("--out", help="write a JSON report here")
     rt.set_defaults(func=cmd_roundtrip)
 

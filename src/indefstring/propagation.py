@@ -11,14 +11,24 @@ therefore exact (up to rounding) on the whole representable coefficient class.
 A sweep walks the intervals between consecutive points (coefficient
 breakpoints and sample positions).  Each interval is one step P J: the jump of
 the point mass at its left end, then the piece.  The step matrices of many
-steps and many z are built as arrays in one vectorized pass, and the run of
-steps between two sample positions is reduced by pairwise levels in log depth,
-later step on the left (Blelloch, "Prefix sums and their applications", 1990).
-Runs are also cut at multiples of ``_BLOCK_STEPS`` steps, so the order of every
-product, and so every rounding, is the same for any number of z: each z of a
-grid comes out bit for bit as in a one-z call.  ``_BUDGET`` bounds how many
-step x z matrices are built at once; it changes the memory used, not the
-result.
+steps and many z are built as arrays in one vectorized pass, laid out
+(2, width, steps, z) with z last, and the run of steps between two sample
+positions is reduced by pairwise levels in log depth, later step on the left
+(Blelloch, "Prefix sums and their applications", 1990); each level pairs the
+even and odd step slices, which run over contiguous z.  Runs are also cut at
+multiples of ``_BLOCK_STEPS`` steps, so the order of every product, and so
+every rounding, is the same for any number of z: each z of a grid comes out
+bit for bit as in a one-z call.
+
+Two constants bound the memory, not the result.  A run of at most
+``_BUDGET`` step x z matrices (every run at one z) is folded from step
+matrices built up to ``_BUDGET`` at a time and kept for the runs that follow.
+A larger run takes the wide path: it is built and folded a column of z at a
+time, at most ``_COLUMN`` step x z matrices per column, in one workspace per
+sweep that every column reuses (the step matrices, two fold levels that
+alternate, and the product temporary of a composition).  Fresh arrays of a
+column's size lie above the allocator's mmap threshold, and each would fault
+in new pages; only the trig entries of pieces with a density still are.
 
 With ``rescale`` the entries are kept in range by positive per-z factors,
 which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
@@ -49,8 +59,11 @@ from .errors import ComputationError, PositionOutOfRange
 
 # Runs of steps are cut at multiples of this many steps before they are folded.
 _BLOCK_STEPS = 256
-# Step x z matrices built in one pass.
+# Step x z matrices built in one pass of the narrow path (and the switch to
+# the wide path); also the width of a pass of weyl_m_grid.
 _BUDGET = 1 << 12
+# Step x z matrices in one column of the wide path.
+_COLUMN = 1 << 14
 # A rescaled piece whose phase has |Im s h| beyond this is built times e^{-|Im s h|}.
 _EXP_PHASE = 300.0
 # With rescale, matrices with an entry beyond this are divided by their largest entry.
@@ -168,46 +181,51 @@ class _Steps:
 
     def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool):
         """C, S, -kappa S and (affine only) C2 of the pieces, each broadcast to
-        (z.size, steps).  kappa = 0 on a step without density, where the series
+        (steps, z.size).  kappa = 0 on a step without density, where the series
         entries are exact."""
         h = self.h[steps]
         dense = np.flatnonzero(self.dense[steps])
         if dense.size == h.size:
-            kappa = z[:, None] * self.da[None, steps] + zz[:, None] * self.db[None, steps]
-            C, S, C2 = _piece_entries(kappa, h, rescale, self.affine)
+            kappa = z[None, :] * self.da[steps, None] + zz[None, :] * self.db[steps, None]
+            C, S, C2 = _piece_entries(kappa, h[:, None], rescale, self.affine)
             return C, S, -kappa * S, C2
-        C2 = 0.5 * h * h if self.affine else None
+        C2 = (0.5 * h * h)[:, None] if self.affine else None
         if dense.size == 0:
-            return 1.0, h, 0.0, C2
+            return 1.0, h[:, None], 0.0, C2
         # The free entries everywhere, then the dense steps over them.
-        shape = (z.size, h.size)
+        shape = (h.size, z.size)
         C, kS = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        S = np.broadcast_to(h, shape).astype(complex)
-        kappa = z[:, None] * self.da[steps][dense] + zz[:, None] * self.db[steps][dense]
-        C[:, dense], S[:, dense], C2_dense = _piece_entries(kappa, h[dense], rescale, self.affine)
-        kS[:, dense] = -kappa * S[:, dense]
+        S = np.broadcast_to(h[:, None], shape).astype(complex)
+        kappa = z[None, :] * self.da[steps][dense, None] + zz[None, :] * self.db[steps][dense, None]
+        C[dense], S[dense], C2_dense = _piece_entries(kappa, h[dense, None], rescale, self.affine)
+        kS[dense] = -kappa * S[dense]
         if self.affine:
             C2 = np.broadcast_to(C2, shape).astype(complex)
-            C2[:, dense] = C2_dense
+            C2[dense] = C2_dense
         return C, S, kS, C2
 
-    def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool):
+    def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
+                 out: np.ndarray | None = None):
         """Step matrices P J of steps lo..hi-1 at each z (zz = z^2), with shape
-        (2, width, z.size, hi - lo): the matrix first, the step last."""
+        (2, width, hi - lo, z.size): the matrix first, z last.  Written into
+        ``out`` if given."""
         steps = slice(lo, hi)
         C, S, kS, C2 = self._pieces(steps, z, zz, rescale)
-        out = np.empty((2, self.width, z.size, hi - lo), dtype=complex)
+        if out is None:
+            out = np.empty((2, self.width, hi - lo, z.size), dtype=complex)
         if self.atomic:
-            g = z[:, None] * self.aw[None, steps] + zz[:, None] * self.au[None, steps]
-            out[0, 0] = C - S * g
-            out[1, 0] = kS - C * g
+            # g = z alpha + z^2 mu, then C - S g and kS - C g, with out[:, 1] as scratch.
+            g = np.multiply(z[None, :], self.aw[steps, None], out=out[0, 1])
+            g += np.multiply(zz[None, :], self.au[steps, None], out=out[1, 1])
+            np.subtract(kS, np.multiply(C, g, out=out[1, 0]), out=out[1, 0])
+            np.subtract(C, np.multiply(S, g, out=out[0, 0]), out=out[0, 0])
         else:
             out[0, 0] = C
             out[1, 0] = kS
         out[0, 1] = S
         out[1, 1] = C
         if self.affine:
-            dc, ac = self.dc[None, steps], self.ac[None, steps]
+            dc, ac = self.dc[steps, None], self.ac[steps, None]
             out[0, 2] = -dc * C2 - ac * S
             out[1, 2] = -dc * S - ac * C
         return out
@@ -237,11 +255,30 @@ class _Walk(_Steps):
         super().__init__(view, points[:-1], np.diff(points), chi)
 
 
-def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+class _Workspace:
+    """Flat complex buffers that every column of a sweep's wide path reuses for
+    its step matrices, fold levels and products."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous array of ``shape`` on buffer ``key``: it overwrites
+        what the last take of ``key`` returned."""
+        size = int(np.prod(shape))
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[key] = np.empty(size, dtype=complex)
+        return buffer[:size].reshape(shape)
+
+
+def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """``left`` after ``right`` for arrays of 2 x 2 matrices or of 2 x 3 affine
-    maps of (u, u', 1), with the matrix on the two leading axes."""
+    maps of (u, u', 1), with the matrix on the two leading axes.  ``tmp``, of
+    the shape of the result, takes the second product."""
     out = np.multiply(left[:, :1], right[:1], out=out)
-    out += left[:, 1:2] * right[1:2]
+    out += np.multiply(left[:, 1:2], right[1:2], out=tmp)
     if out.shape[1] == 3:
         out[:, 2] += left[:, 2]
     return out
@@ -258,20 +295,27 @@ def _normalize(mats: np.ndarray) -> None:
     parts /= np.where(big > _BIG, big, 1.0)[None, None, ..., None]
 
 
-def _fold(mats: np.ndarray, rescale: bool) -> np.ndarray:
-    """The product of the steps on the last axis, later step on the left, by
-    pairwise levels."""
-    while mats.shape[-1] > 1:
-        n = mats.shape[-1]
+def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None) -> np.ndarray:
+    """The product of the steps on axis 2, later step on the left, by pairwise
+    levels.  With ``ws`` the levels alternate between two of its buffers."""
+    level_key = "even"
+    while mats.shape[2] > 1:
+        n = mats.shape[2]
         half = n // 2
-        level = np.empty(mats.shape[:-1] + (half + n % 2,), dtype=complex)
-        _compose(mats[..., 1:2 * half:2], mats[..., 0:2 * half:2], out=level[..., :half])
+        shape = mats.shape[:2] + (half + n % 2,) + mats.shape[3:]
+        if ws is None:
+            level, tmp = np.empty(shape, dtype=complex), None
+        else:
+            level = ws.take(level_key, shape)
+            tmp = ws.take("product", mats.shape[:2] + (half,) + mats.shape[3:])
+            level_key = "odd" if level_key == "even" else "even"
+        _compose(mats[:, :, 1:2 * half:2], mats[:, :, 0:2 * half:2], out=level[:, :, :half], tmp=tmp)
         if n % 2:
-            level[..., half] = mats[..., -1]
+            level[:, :, half] = mats[:, :, -1]
         if rescale:
             _normalize(level)
         mats = level
-    return mats[..., 0]
+    return mats[:, :, 0]
 
 
 def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
@@ -294,6 +338,7 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
     state[0, 0] = state[1, 1] = 1.0
     # Step matrices of steps cached_lo, cached_lo + 1, ... at every z.
     cached, cached_lo = None, 0
+    ws = _Workspace()  # its buffers are made by the first wide block
     done = 0
     for target in walk.targets.tolist():
         # The error state is set per run between two samples, never across a
@@ -302,13 +347,13 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
             while done < target:
                 stop = min(target, (done // _BLOCK_STEPS + 1) * _BLOCK_STEPS)
                 if (stop - done) * z.size > _BUDGET:
-                    state = _advance_in_columns(walk, done, stop, z, zz, state, rescale)
+                    state = _advance_in_columns(walk, done, stop, z, zz, state, rescale, ws)
                 else:
-                    if cached is None or stop > cached_lo + cached.shape[-1]:
+                    if cached is None or stop > cached_lo + cached.shape[2]:
                         cached_lo = done
                         cached = walk.matrices(
                             done, min(walk.steps, done + _BUDGET // max(1, z.size)), z, zz, rescale)
-                    run = _fold(cached[..., done - cached_lo:stop - cached_lo], rescale)
+                    run = _fold(cached[:, :, done - cached_lo:stop - cached_lo], rescale)
                     state = _compose(run, state)
                     if rescale:
                         _normalize(state)
@@ -316,14 +361,17 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
         yield float(walk.points[target]), state
 
 
-def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool):
-    """``state`` carried over steps lo..hi-1, building the steps a few z at a time."""
+def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool,
+                        ws: _Workspace):
+    """``state`` carried over steps lo..hi-1, building the steps of a column of
+    z at a time in the buffers of ``ws``."""
     out = np.empty_like(state)
-    width = max(1, _BUDGET // (hi - lo))
+    width = max(1, _COLUMN // (hi - lo))
     for c in range(0, z.size, width):
         cols = slice(c, c + width)
-        run = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale), rescale)
-        _compose(run, state[..., cols], out=out[..., cols])
+        mats = ws.take("steps", (2, walk.width, hi - lo, z[cols].size))
+        run = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale, out=mats), rescale, ws)
+        _compose(run, state[..., cols], out=out[..., cols], tmp=ws.take("product", run.shape))
     if rescale:
         _normalize(out)
     return out

@@ -182,14 +182,16 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     states = []  # S(b-) at the anchors the sweep has reached
     samples: list[WeylSample] = [None] * zs.size
     # The z still to stop, their indices in zs, and their last three values
-    # (NaN before the first).  Arrays of a pass have z on the last axis.
+    # (NaN before the first).  Arrays of a pass have z on the last axis, as
+    # _Steps.matrices builds them.
     z, active = zs, np.arange(zs.size)
     with np.errstate(over="ignore", invalid="ignore"):
         zz = z * z
     recent = np.full((3, zs.size), complex("nan"))
     lo = 0
     while lo < xs.size and active.size:
-        # A pass: at most ``width`` points, whose anchors lie within ``width`` sweep steps.
+        # A pass: at most ``width`` points, whose anchors lie within ``width``
+        # sweep steps, so at most _BUDGET point x z pieces are built at once.
         width = max(1, _BUDGET // active.size)
         hi = min(lo + width, int(np.searchsorted(at, at[lo] + width, side="right")))
         while len(states) <= group[hi - 1]:
@@ -198,7 +200,7 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
         left = np.stack(states[first:group[hi - 1] + 1], axis=2)[:, :, group[lo:hi] - first]
         with np.errstate(over="ignore", invalid="ignore"):
             piece = pieces.matrices(lo, hi, z, zz, rescale=True)[:1]
-            top = _compose(np.ascontiguousarray(piece.transpose(0, 1, 3, 2)), left[..., active])
+            top = _compose(piece, left[..., active])
         values = np.concatenate([recent, _quotient(top[0, 0], top[0, 1], z)])
         agree, diff = (a.T[3:] for a in _values_agree(values.T, tol))
         hit = np.flatnonzero(agree.any(axis=0))

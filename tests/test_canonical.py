@@ -70,6 +70,19 @@ def test_mesh_recorded_only_when_used():
     assert string_to_hamiltonian(catalog.uniform_string(), mesh=128).mesh == 128
 
 
+@pytest.mark.parametrize("mesh", [0, -3, 2.5, True, None, "4"])
+@pytest.mark.parametrize("spec", [catalog.uniform_string(), catalog.omega_atom_origin()])
+def test_mesh_must_be_a_positive_integer(spec, mesh):
+    with pytest.raises(ValidationError, match="mesh must be an integer >= 1"):
+        string_to_hamiltonian(spec, mesh=mesh)
+
+
+def test_mesh_accepts_numpy_integers():
+    ham = string_to_hamiltonian(catalog.uniform_string(), mesh=np.int64(8))
+    assert ham == string_to_hamiltonian(catalog.uniform_string(), mesh=8)
+    assert type(ham.mesh) is int
+
+
 def test_unbounded_omega_density_unsupported():
     with pytest.raises(UnsupportedShape):
         string_to_hamiltonian(catalog.uniform_halfline())

@@ -97,6 +97,21 @@ def test_forward_rejects_real_axis_grid_points(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mesh", ["0", "-3", "2.5", "many"])
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_mesh_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv, command, mesh):
+    spec = _dump(tmp_path / "spec.json", UNIFORM)
+    args = {"forward": ["--grid", grid_csv, "--out", str(tmp_path / "m.csv"),
+                        "--hamiltonian", str(tmp_path / "h.json")],
+            "roundtrip": []}[command]
+    with pytest.raises(SystemExit) as err:
+        main([command, "--spec", spec, *args, f"--mesh={mesh}"])
+    assert err.value.code == 1
+    captured = capsys.readouterr().err
+    assert "usage:" in captured and f"--mesh: must be a positive integer, got {mesh}" in captured
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "h.json").exists()
+
+
 # -- inverse ------------------------------------------------------------------
 
 

@@ -1,5 +1,11 @@
 """Tests for the transfer-matrix propagation of the first-order system."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +14,12 @@ from indefstring import catalog
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
+    _BLOCK_STEPS,
     fundamental_system,
     solve_inhomogeneous,
     transfer_matrices,
 )
-from indefstring.weyl import standard_grid
+from indefstring.weyl import m_truncated, standard_grid
 
 
 def test_empty_string_solutions_are_linear():
@@ -190,6 +197,66 @@ def test_blocked_fold_matches_mpmath_oracle():
             for col, st in ((0, fs.theta[k]), (1, fs.phi[k])):
                 assert _relative_error(mats[k, iz, :, col], r[:, col]) <= 1e-12, (z, x)
                 assert _relative_error([st.f], [r[0, col]]) <= 1e-12, (z, x)
+
+
+def _mixed_string(n: int, seed: int) -> StringSpec:
+    """A finite string with n atoms, each an omega atom of either sign or an
+    upsilon atom, and omega and upsilon densities on parts of [0, 1]."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 1.0, n)).tolist()
+    kinds = rng.integers(0, 3, n)
+    masses = (rng.uniform(-0.5, 1.0, n) * (4.0 / n)).tolist()
+    omega = [(x, m) for x, m, k in zip(xs, masses, kinds) if k < 2]
+    upsilon = [(x, abs(m) / 4.0) for x, m, k in zip(xs, masses, kinds) if k == 2]
+    return StringSpec(length=1.0,
+                      omega=MeasureData(atoms=tuple(omega), density=((0.1, 0.35, 1.5), (0.6, 0.7, -0.8))),
+                      upsilon=MeasureData(atoms=tuple(upsilon), density=((0.3, 0.55, 0.4),)))
+
+
+@pytest.mark.parametrize("n_z", [1001, 1, 0])
+def test_many_z_match_one_z_calls_bit_for_bit(n_z):
+    # Over 2 x _BLOCK_STEPS steps; at 1001 z every block is built a column of
+    # z at a time and the last column of each block is a partial one.  The
+    # rescaled z reach |z| ~ 6e6, where pieces take the e^{-|Im s h|} form and
+    # fold levels are normalized.
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    assert coefficient_view(spec).bp.size > 2 * _BLOCK_STEPS
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
+    xs = [0.05, 0.5, 0.83, 1.0]
+    for rescale, z_scale in ((False, 1.0), (True, 1e5)):
+        grid = zs * z_scale
+        mats = transfer_matrices(spec, grid, xs, rescale=rescale)
+        assert mats.shape == (len(xs), n_z, 2, 2)
+        for k, z in enumerate(grid):
+            assert np.array_equal(mats[:, k], transfer_matrices(spec, z, xs, rescale=rescale)), z
+    m = m_truncated(spec, zs, 0.83)
+    assert np.array_equal(m, [m_truncated(spec, z, 0.83) for z in zs])
+
+
+def test_second_wide_sweep_takes_few_page_faults():
+    pytest.importorskip("resource")
+    # A fresh interpreter, so the count does not depend on what ran before.
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from indefstring.coefficients import MeasureData, StringSpec
+        from indefstring.weyl import m_truncated
+        rng = np.random.default_rng(5)
+        atoms = zip(np.sort(rng.uniform(0.0, 1.0, 1000)).tolist(), (rng.uniform(-0.5, 1.0, 1000) / 250).tolist())
+        spec = StringSpec(length=1.0, omega=MeasureData(atoms=tuple(atoms)))
+        grid = (np.linspace(-40.0, 40.0, 40)[:, None] + 1j * np.geomspace(0.1, 10.0, 25)).ravel()
+        m_truncated(spec, grid, spec.length)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        m_truncated(spec, grid, spec.length)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 5000
 
 
 def test_unscaled_evaluators_refuse_non_finite_values():
