@@ -42,6 +42,9 @@ _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 _TRUNCATION_START = 2.0 ** -40
 _TRUNCATION_DOUBLINGS = 140
 
+# Evenly spaced probe positions of spec_discrepancy's distribution comparison.
+_DISCREPANCY_PROBES = 129
+
 
 @dataclass(frozen=True)
 class MeasureData:
@@ -415,7 +418,7 @@ def _atom_mismatch(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, flo
     return worst
 
 
-def spec_discrepancy(a: StringSpec, b: StringSpec, *, probes: int = 129) -> dict[str, float]:
+def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
     """Deviation between two strings as lengths, atoms, and primitives.
 
     Atoms are paired in order, so a jump that merely moved by a rounding
@@ -441,8 +444,8 @@ def spec_discrepancy(a: StringSpec, b: StringSpec, *, probes: int = 129) -> dict
     )
     guard = 1e-12 * max(1.0, span)
     pts = {0.5 * (lo + hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 4.0 * guard}
-    for k in range(probes):
-        x = span * (k + 0.5) / probes
+    for k in range(_DISCREPANCY_PROBES):
+        x = span * (k + 0.5) / _DISCREPANCY_PROBES
         if min(abs(x - c) for c in cuts) > guard:
             pts.add(x)
     dist_diff = 0.0

@@ -34,6 +34,9 @@ CONVERGES = "converges"
 DIVERGES = "diverges-to-inf"
 INCONCLUSIVE = "inconclusive"
 
+# Mollification indices n of mollified_family: bumps of width 1/n.
+_MOLLIFY_INDICES = (4, 16, 64)
+
 
 @dataclass(frozen=True)
 class StringSequence:
@@ -89,7 +92,7 @@ def _settled(diffs, threshold: float) -> bool:
     return bool(diffs) and diffs[-1] <= threshold and diffs[-1] <= diffs[0] * 1.001 + 1e-15
 
 
-def string_convergence_check(seq: StringSequence, xs=None, n_max: int | None = None,
+def string_convergence_check(seq: StringSequence, xs=None,
                              threshold: float = 1e-2) -> ConvergenceReport:
     """Coefficient-based convergence check for a family of strings.
 
@@ -97,7 +100,7 @@ def string_convergence_check(seq: StringSequence, xs=None, n_max: int | None = N
     surrogate), and sup-norm differences of int_0^x w_n and int_0^x sigma_n
     against the limit when one is given.
     """
-    specs, limit = seq.specs[: n_max], seq.limit
+    specs, limit = seq.specs, seq.limit
     grid = tuple(float(x) for x in (xs if xs is not None else _default_positions(limit, specs)))
     lim_view = coefficient_view(limit) if limit is not None else None
 
@@ -252,6 +255,8 @@ def mollify_string(spec: StringSpec, n: int) -> StringSpec:
     return StringSpec(length=spec.length, omega=widen(spec.omega), upsilon=widen(spec.upsilon))
 
 
-def mollified_family(spec: StringSpec, ns=(4, 16, 64)) -> StringSequence:
-    """Mollification family together with the original string as its limit."""
-    return StringSequence(specs=tuple(mollify_string(spec, n) for n in ns), limit=spec)
+def mollified_family(spec: StringSpec) -> StringSequence:
+    """Mollification family (indices ``_MOLLIFY_INDICES``) together with the
+    original string as its limit."""
+    return StringSequence(specs=tuple(mollify_string(spec, n) for n in _MOLLIFY_INDICES),
+                          limit=spec)

@@ -3,9 +3,11 @@
 For strings with finite length and purely atomic data the eigenproblem is the
 quadratic pencil T u = (l A + l^2 M) u on the atom nodes (T the Dirichlet
 stiffness matrix of the gaps, A and M the omega and upsilon masses).  Its
-linearization in 1/l gives the start values, each polished by Newton steps on
-phi(l, L) from the extended-precision node recurrence; spectral-measure masses
-are the exact residues 1/(norming constant) from the same recurrence.
+linearization in 1/l gives the start values.  One extended-precision
+recurrence over the same nodes evaluates phi(l, L), its l-derivative and the
+norming constant at a whole array of l: Newton polishes all start values in
+lockstep on it, and the spectral-measure masses, the exact residues
+1/(norming constant), come from one more call at all eigenvalues.
 
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
@@ -21,7 +23,8 @@ and f1(0) = 0 against a second component square-summable over the upsilon
 point masses; norms, point evaluators, the Green kernel, the transform
 f_hat(l) = int phi'(l,x) f1'(x) dx + l * sum mu_q f2(q) phi(l,q), and the
 projection energy used by the Parseval identity are all closed-form for
-piecewise-linear data.
+piecewise-linear data; the transform reads phi at the element's nodes for all
+l from one propagation sweep.
 """
 from __future__ import annotations
 
@@ -40,8 +43,8 @@ from .errors import (
     ValidationError,
     WindowTouchesAtomZero,
 )
-from .weyl import _richardson, m_truncated, weyl_m_grid, weyl_solution_psi
-from .propagation import fundamental_system
+from .weyl import _richardson, m_truncated, weyl_m, weyl_m_grid
+from .propagation import fundamental_system, transfer_matrices
 
 _MAX_ATOMS = 64
 
@@ -104,22 +107,9 @@ class HilbertElement:
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValidationError("nodes must be strictly increasing")
 
-    def f1(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        j = int(np.searchsorted(np.asarray(self.nodes), x, side="right")) - 1
-        if j + 1 >= len(self.nodes):
-            return self.values[-1]
-        a, b = self.nodes[j], self.nodes[j + 1]
-        va, vb = self.values[j], self.values[j + 1]
-        return va + (vb - va) * (x - a) / (b - a)
-
-    def segments(self) -> tuple[tuple[float, float, float], ...]:
-        """(a, b, slope) pieces of the first component; zero-slope pieces kept."""
-        out = []
-        for (a, b, va, vb) in zip(self.nodes, self.nodes[1:], self.values, self.values[1:]):
-            out.append((a, b, (vb - va) / (b - a)))
-        return tuple(out)
+    def f1(self, x):
+        """First component at ``x``, a position or an array of them."""
+        return np.interp(x, self.nodes, self.values)
 
 
 def point_evaluator(spec: StringSpec, x: float) -> HilbertElement:
@@ -132,32 +122,15 @@ def point_evaluator(spec: StringSpec, x: float) -> HilbertElement:
     return HilbertElement(nodes=(0.0, x), values=(0.0, x))
 
 
-def _f2_lookup(f: HilbertElement):
-    return {p: v for p, v in f.f2_atoms}
-
-
 def hilbert_inner(spec: StringSpec, f: HilbertElement, g: HilbertElement) -> float:
     """Model inner product: Dirichlet pairing of the first components plus the
     upsilon-atom-weighted pairing of the second."""
-    cuts = sorted({*f.nodes, *g.nodes})
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        sf = _slope_at(f, mid)
-        sg = _slope_at(g, mid)
-        total += sf * sg * (b - a)
-    gf2 = _f2_lookup(g)
-    ff2 = _f2_lookup(f)
+    cuts = np.union1d(f.nodes, g.nodes)
+    total = float(np.sum(np.diff(f.f1(cuts)) * np.diff(g.f1(cuts)) / np.diff(cuts)))
+    f2, g2 = dict(f.f2_atoms), dict(g.f2_atoms)
     for pos, mass in spec.upsilon.atoms:
-        total += mass * ff2.get(pos, 0.0) * gf2.get(pos, 0.0)
+        total += mass * f2.get(pos, 0.0) * g2.get(pos, 0.0)
     return total
-
-
-def _slope_at(f: HilbertElement, x: float) -> float:
-    for a, b, s in f.segments():
-        if a <= x < b:
-            return s
-    return 0.0
 
 
 def hilbert_norm_squared(spec: StringSpec, f: HilbertElement) -> float:
@@ -167,111 +140,107 @@ def hilbert_norm_squared(spec: StringSpec, f: HilbertElement) -> float:
 # -- eigenvalues and exact measures of finite atomic strings -----------------
 
 
-def _require_discrete(spec: StringSpec) -> None:
+def _nodes(spec: StringSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and omega, upsilon masses of the atoms in (0, L) of a finite
+    atomic string with at most ``_MAX_ATOMS`` point masses.  An atom at 0
+    does not act on phi, since phi(., 0) = 0."""
     if not math.isfinite(spec.length):
         raise NotFiniteLength("eigenvalue extraction needs a finite string")
     if not (spec.omega.is_atomic() and spec.upsilon.is_atomic()):
         raise NotAtomic("eigenvalue extraction needs purely atomic measures")
     if len(spec.omega.atoms) + len(spec.upsilon.atoms) > _MAX_ATOMS:
         raise UnsupportedShape(f"more than {_MAX_ATOMS} point masses")
-
-
-def _phi_scan(spec: StringSpec, lam: float,
-              record=()) -> tuple[float, float, float, dict[float, float]]:
-    """Propagate phi(lam, .) across an atomic string by direct recurrence.
-
-    Returns (phi(L), d phi(L)/d lam, norming, values) where the norming
-    constant is the squared energy of the eigen-pair candidate,
-    int phi'(x)^2 dx + lam^2 * int phi^2 d(upsilon), and ``values`` maps each
-    position in ``record`` to phi there.  The derivative in the spectral
-    parameter is carried alongside (product rule per step) for Newton root
-    polishing.  Intermediates are kept in extended precision: a solution that
-    decays across the string loses relative accuracy to forward recurrence at
-    a rate set by the atom jump factors, and the extra mantissa bits keep that
-    loss below double roundoff.
-    """
     view = coefficient_view(spec)
-    lam = np.longdouble(lam)
-    one = np.longdouble(1.0)
-    phi, slope = one * 0.0, one
-    dphi, dslope = one * 0.0, one * 0.0
-    norming = one * 0.0
-    wanted = sorted(set(record))
-    values: dict[float, float] = {}
-    wi = 0
-    bps = list(view.bp)
-    for j, pos in enumerate(bps):
-        alpha = np.longdouble(view.atom_omega[j])
-        mu = np.longdouble(view.atom_upsilon[j])
-        if alpha != 0.0 or mu != 0.0:
-            drop = -(alpha * lam + mu * lam * lam)
-            dslope += -(alpha + 2.0 * mu * lam) * phi + drop * dphi
-            slope += drop * phi
-            norming += mu * (lam * phi) ** 2
-        nxt = bps[j + 1] if j + 1 < len(bps) else spec.length
-        while wi < len(wanted) and pos <= wanted[wi] <= nxt:
-            values[wanted[wi]] = float(phi + (np.longdouble(wanted[wi]) - pos) * slope)
-            wi += 1
-        h = np.longdouble(nxt) - pos
-        if h > 0.0:
-            if np.isinf(h):
-                break
-            norming += h * slope * slope
-            dphi += h * dslope
-            phi += h * slope
-    return float(phi), float(dphi), float(norming), values
+    node = (view.bp > 0.0) & ((view.atom_omega != 0.0) | (view.atom_upsilon != 0.0))
+    return view.bp[node], view.atom_omega[node], view.atom_upsilon[node]
+
+
+def _phi_recurrence(spec: StringSpec, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(l, L), d phi(l, L)/d l and the norming constant
+    int phi'(l, x)^2 dx + l^2 int phi(l, x)^2 d upsilon at every l of ``lam``.
+
+    phi is carried across the gaps and atom jumps of :func:`_nodes` with its
+    l-derivative alongside (product rule per step).  Intermediates are kept
+    in extended precision: a solution that decays across the string loses
+    relative accuracy to forward recurrence at a rate set by the atom jump
+    factors, and the extra mantissa bits keep that loss below double
+    roundoff.  Each l runs through the same operations, so an array of l
+    gives bit for bit the values of one-l calls.
+    """
+    x, alpha, beta = _nodes(spec)
+    h = np.diff(np.concatenate(([0.0], x, [spec.length])).astype(np.longdouble))
+    alpha, beta = alpha.astype(np.longdouble), beta.astype(np.longdouble)
+    lam = np.asarray(lam, dtype=np.longdouble)
+    phi = dphi = dslope = norming = np.zeros_like(lam)
+    slope = np.ones_like(lam)
+    for k in range(h.size):
+        if k:
+            a, b = alpha[k - 1], beta[k - 1]
+            drop = -(a * lam + b * lam * lam)
+            dslope = dslope + (-(a + 2.0 * b * lam) * phi + drop * dphi)
+            slope = slope + drop * phi
+            norming = norming + b * (lam * phi) ** 2
+        norming = norming + h[k] * slope * slope
+        dphi = dphi + h[k] * dslope
+        phi = phi + h[k] * slope
+    return phi.astype(float), dphi.astype(float), norming.astype(float)
 
 
 def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = None) -> list[float]:
     """All eigenvalues (roots of phi(., L)) of a finite atomic string,
-    optionally restricted to a window; each is checked nonzero and simple.
+    optionally restricted to a closed window (its edges may be infinite);
+    each is checked nonzero and simple.
 
     The start values are the mu = 1/l of the pencil, linearized to
     [[0, I], [T^-1 M, T^-1 A]] on the n positive atom nodes (phi(., 0) = 0, so
     an atom at 0 does not act).  deg phi(., L) = n + #(upsilon nodes) of them
-    are nonzero and the rest come back at rounding level.  A complex pair among
-    the kept ones (rounding: the spectrum is real) polishes onto real roots or
-    trips the simplicity check, so no root is dropped silently.
+    are nonzero and the rest come back at rounding level.  Newton runs on all
+    of them in lockstep, each stopping on its own.  A complex pair among the
+    kept ones (rounding: the spectrum is real) polishes onto real roots or
+    trips the simplicity check, so no root is dropped silently.  Raises
+    :class:`ValidationError` for a window with a NaN edge or lo > hi.
     """
-    _require_discrete(spec)
-    view = coefficient_view(spec)
-    node = (view.bp > 0.0) & ((view.atom_omega != 0.0) | (view.atom_upsilon != 0.0))
-    alpha, beta = view.atom_omega[node], view.atom_upsilon[node]
-    inv_h = 1.0 / np.diff(np.concatenate(([0.0], view.bp[node], [spec.length])))
+    if window is not None:
+        lo, hi = float(window[0]), float(window[1])
+        if not lo <= hi:
+            raise ValidationError(f"window ({lo}, {hi}) needs edges with lo <= hi")
+    x, alpha, beta = _nodes(spec)
+    inv_h = 1.0 / np.diff(np.concatenate(([0.0], x, [spec.length])))
     stiff = np.diag(inv_h[:-1] + inv_h[1:]) - np.diag(inv_h[1:-1], 1) - np.diag(inv_h[1:-1], -1)
     tinv = np.linalg.inv(stiff)
     n = len(alpha)
     mus = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [tinv * beta, tinv * alpha]]))
-    roots = []
-    for mu in mus[np.argsort(-np.abs(mus))[:n + np.count_nonzero(beta)]]:
-        lam = 1.0 / float(mu.real)
-        for _ in range(6):
-            val, der, _, _ = _phi_scan(spec, lam)
-            if der == 0.0:
-                break
-            step = val / der
-            lam -= step
-            if abs(step) <= 1e-16 * (1.0 + abs(lam)):
-                break
-        roots.append(lam)
-    roots.sort()
-    kept = []
-    for lam in roots:
-        if kept and abs(lam - kept[-1]) <= 1e-8 * (1.0 + abs(lam)):
-            raise ComputationError(f"eigenvalues {kept[-1]} and {lam} are not resolved as simple")
-        kept.append(lam)
-    if any(abs(lam) <= 1e-12 for lam in kept):
+    with np.errstate(divide="ignore"):
+        lam = 1.0 / mus[np.argsort(-np.abs(mus))[:n + np.count_nonzero(beta)]].real
+    # Newton steps for the roots in ``active``; a root stops at a zero
+    # derivative or once its step is at most 1e-16 (1 + |l|).
+    active = np.arange(lam.size)
+    for _ in range(6):
+        if not active.size:
+            break
+        val, der, _ = _phi_recurrence(spec, lam[active])
+        go = der != 0.0
+        active, step = active[go], val[go] / der[go]
+        lam[active] -= step
+        active = active[~(np.abs(step) <= 1e-16 * (1.0 + np.abs(lam[active])))]
+    if not np.all(np.isfinite(lam)):
+        raise ComputationError("Newton iteration left a non-finite eigenvalue")
+    lam.sort()
+    close = np.flatnonzero(np.diff(lam) <= 1e-8 * (1.0 + np.abs(lam[1:])))
+    if close.size:
+        k = close[0]
+        raise ComputationError(f"eigenvalues {lam[k]} and {lam[k + 1]} are not resolved as simple")
+    if np.any(np.abs(lam) <= 1e-12):
         raise ComputationError("spurious eigenvalue at 0; all eigenvalues must be nonzero")
     if window is not None:
-        lo, hi = window
-        kept = [lam for lam in kept if lo <= lam <= hi]
-    return kept
+        lam = lam[(lo <= lam) & (lam <= hi)]
+    return lam.tolist()
 
 
 def spectral_measure_discrete(spec: StringSpec,
                               window: tuple[float, float] | None = None) -> SpectralMeasure:
     """Exact point spectral measure of a finite atomic string, optionally
-    restricted to a window.
+    restricted to a window (checked as in :func:`discrete_eigenvalues`).
 
     Masses are the (negated) residues of the Weyl function at its poles,
     evaluated in the equivalent inverse-norming form 1/(int phi'^2 dx +
@@ -281,13 +250,12 @@ def spectral_measure_discrete(spec: StringSpec,
     atoms: larger strings get wrong masses with no error (README Limitations).
     """
     lams = discrete_eigenvalues(spec, window)
-    atoms = []
-    for lam in lams:
-        _, _, norming, _ = _phi_scan(spec, lam)
-        if not (norming > 0.0 and math.isfinite(norming)):
-            raise ComputationError(f"degenerate norming constant {norming} at {lam}")
-        atoms.append((lam, 1.0 / norming))
-    return SpectralMeasure(atoms=tuple(atoms))
+    norming = _phi_recurrence(spec, lams)[2]
+    bad = np.flatnonzero(~((norming > 0.0) & np.isfinite(norming)))
+    if bad.size:
+        k = bad[0]
+        raise ComputationError(f"degenerate norming constant {norming[k]} at {lams[k]}")
+    return SpectralMeasure(atoms=tuple(zip(lams, (1.0 / norming).tolist())))
 
 
 # -- Stieltjes inversion ------------------------------------------------------
@@ -435,10 +403,12 @@ def green_kernel(spec: StringSpec, z: complex, x: float, t: float) -> np.ndarray
     """Resolvent kernel value (both components) at (x, t); symmetric in (x, t)."""
     z = complex(z)
     lo, hi = (x, t) if x <= t else (t, x)
-    psi = weyl_solution_psi(spec, z, [lo, hi])
+    mz = weyl_m(spec, z).m * z
     fs = fundamental_system(spec, z, [lo, hi])
-    wron = psi[0].f * fs.phi[0].quasi - psi[0].quasi * fs.phi[0].f
-    g1 = psi[1].f * fs.phi[0].f / wron
+    (th_lo, th_hi), (ph_lo, ph_hi) = fs.theta, fs.phi
+    # W(psi, phi) at lo and psi(hi) for the Weyl solution psi = theta + m z phi.
+    wron = (th_lo.f + mz * ph_lo.f) * ph_lo.quasi - (th_lo.quasi + mz * ph_lo.quasi) * ph_lo.f
+    g1 = (th_hi.f + mz * ph_hi.f) * ph_lo.f / wron
     return np.array([g1, z * g1])
 
 
@@ -446,7 +416,9 @@ def transform_hat(spec: StringSpec, f: HilbertElement, lambdas) -> np.ndarray:
     """Eigenfunction transform of a compactly supported element.
 
     f_hat(l) = sum_pieces slope * (phi(l, b) - phi(l, a))
-             + l * sum_atoms mu_q f2(q) phi(l, q).
+             + l * sum_atoms mu_q f2(q) phi(l, q),
+
+    with phi read at the element's positions for every l from one sweep.
     """
     if f.values[-1] != 0.0:
         raise UnsupportedShape("transform needs the first component to return to 0")
@@ -458,26 +430,17 @@ def transform_hat(spec: StringSpec, f: HilbertElement, lambdas) -> np.ndarray:
             raise UnsupportedShape(
                 f"second component value at {pos}, which carries no upsilon point mass"
             )
-    pts = sorted({*f.nodes, *(p for p, _ in f.f2_atoms)} - {0.0})
-    atomic = spec.omega.is_atomic() and spec.upsilon.is_atomic()
-    lamarr = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    out = np.zeros(lamarr.shape, dtype=float)
-    for k, lam in enumerate(lamarr):
-        phi_at = {0.0: 0.0}
-        if pts and atomic:
-            phi_at.update(_phi_scan(spec, float(lam), record=pts)[3])
-        elif pts:
-            fs = fundamental_system(spec, float(lam), pts)
-            for st in fs.phi:
-                phi_at[st.x] = st.f.real
-        acc = 0.0
-        for a, b, slope in f.segments():
-            acc += slope * (phi_at[b] - phi_at[a])
+    pts = sorted({*f.nodes, *(p for p, v in f.f2_atoms if v != 0.0)} - {0.0})
+    lam = np.asarray(lambdas, dtype=float)
+    out = np.zeros(lam.shape)
+    if pts:
+        phi = {0.0: out, **dict(zip(pts, transfer_matrices(spec, lam, pts)[..., 0, 1].real))}
+        for a, b, va, vb in zip(f.nodes, f.nodes[1:], f.values, f.values[1:]):
+            out = out + (vb - va) / (b - a) * (phi[b] - phi[a])
         for pos, val in f.f2_atoms:
             if val != 0.0:
-                acc += lam * upsilon_atoms[pos] * val * phi_at[pos]
-        out[k] = acc
-    return out if np.ndim(lambdas) else float(out[0])
+                out = out + lam * upsilon_atoms[pos] * val * phi[pos]
+    return out if out.ndim else float(out)
 
 
 def norm_squared_in_measure(mu: SpectralMeasure, fhat_at) -> float:
@@ -496,17 +459,13 @@ def projection_energy(spec: StringSpec, f: HilbertElement) -> float:
     unchanged.  Point masses sitting at 0 contribute nothing: their evaluator
     is the zero element and phi(., 0) = 0.
     """
-    _require_discrete(spec)
-    positions = sorted({x for x, _ in spec.omega.atoms if x > 0.0}
-                       | {x for x, _ in spec.upsilon.atoms if x > 0.0})
+    x = _nodes(spec)[0]
     energy = 0.0
-    if positions:
-        length = spec.length
-        k = lambda a, b: min(a, b) * (1.0 - max(a, b) / length)
-        gram = np.array([[k(a, b) for b in positions] for a in positions])
-        vec = np.array([f.f1(x) for x in positions])
+    if x.size:
+        gram = np.minimum.outer(x, x) * (1.0 - np.maximum.outer(x, x) / spec.length)
+        vec = f.f1(x)
         energy += float(vec @ np.linalg.solve(gram, vec))
-    f2 = _f2_lookup(f)
+    f2 = dict(f.f2_atoms)
     for pos, mass in spec.upsilon.atoms:
         if pos > 0.0:
             energy += mass * f2.get(pos, 0.0) ** 2

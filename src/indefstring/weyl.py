@@ -241,7 +241,7 @@ def weyl_solution_psi(spec: StringSpec, z: complex, xs, tol: float = 1e-10) -> t
     return tuple(out)
 
 
-def _richardson(values, ratios, powers, scale_floor: float = 1.0) -> float:
+def _richardson(values, ratios, powers) -> float:
     """Eliminate the given error powers from a refined sequence.
 
     ``values`` are ordered from coarsest to finest parameter; ``ratios`` gives
@@ -262,7 +262,7 @@ def _richardson(values, ratios, powers, scale_floor: float = 1.0) -> float:
                for k, r in enumerate(steps[:len(seq) - 1])]
     if len(seq) >= 2:
         extrap_spread = abs(seq[-1] - seq[-2])
-        if extrap_spread > 10.0 * raw_spread + 1e-12 * max(scale_floor, abs(seq[-1])):
+        if extrap_spread > 10.0 * raw_spread + 1e-12 * max(1.0, abs(seq[-1])):
             raise ExtrapolationUnstable(
                 f"extrapolation tail spread {extrap_spread:g} exceeds raw spread {raw_spread:g}"
             )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog
+from indefstring import catalog, propagation
 from indefstring.coefficients import StringSpec, validate_spec
 from indefstring.errors import (
     NotAtomic,
@@ -17,6 +17,7 @@ from indefstring.errors import (
 from indefstring.spectral import (
     HilbertElement,
     _SECTION_POINTS,
+    _phi_recurrence,
     _section_peaks,
     discrete_eigenvalues,
     green_kernel,
@@ -49,6 +50,22 @@ def test_eigenvalues_upsilon_atom():
 
 def test_eigenvalue_window_filter():
     assert discrete_eigenvalues(UPS_MID, window=(0.0, 3.0)) == pytest.approx([2.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("window", [(np.nan, 5.0), (-5.0, np.nan), (5.0, -5.0)])
+def test_exact_routes_reject_nan_and_reversed_windows(window):
+    # Such a window selects no eigenvalue, so an empty answer would hide the
+    # mistake.
+    with pytest.raises(ValidationError, match="lo <= hi"):
+        discrete_eigenvalues(UPS_MID, window)
+    with pytest.raises(ValidationError, match="lo <= hi"):
+        spectral_measure_discrete(UPS_MID, window)
+
+
+def test_exact_routes_keep_infinite_window_edges():
+    assert discrete_eigenvalues(UPS_MID, (-np.inf, 0.0)) == pytest.approx([-2.0], abs=1e-12)
+    assert spectral_measure_discrete(UPS_MID, (0.0, np.inf)).atoms == (
+        pytest.approx((2.0, 0.5), abs=1e-12),)
 
 
 def test_empty_string_has_no_eigenvalues():
@@ -131,6 +148,15 @@ def test_eigenvalues_match_mpmath_roots_of_phi(seed, n_omega, n_upsilon):
             # Secant steps on the oracle's phi, started 1e-6 apart at lam.
             root = float(mpmath.findroot(phi, (lam, lam * (1.0 + 1e-6)), verify=False))
             assert abs(lam - root) <= 1e-12 * abs(root)
+
+
+def test_recurrence_on_an_array_matches_one_lambda_calls():
+    spec = _jittered_string(0, 16, 8)
+    lams = np.concatenate([discrete_eigenvalues(spec), np.linspace(-300.0, 300.0, 7)])
+    batched = _phi_recurrence(spec, lams)
+    for k, lam in enumerate(lams):
+        single = _phi_recurrence(spec, [lam])
+        assert all(part[k] == one[0] for part, one in zip(batched, single))
 
 
 def test_discrete_measure_masses():
@@ -301,6 +327,16 @@ def test_green_kernel_symmetry():
     assert np.allclose(a, b, atol=1e-12)
 
 
+def test_green_kernel_takes_two_sweeps(monkeypatch):
+    # One sweep for m and one for theta and phi at both points.
+    calls = []
+    sweep = propagation._sweep_closed
+    monkeypatch.setattr(propagation, "_sweep_closed",
+                        lambda *args, **kw: calls.append(1) or sweep(*args, **kw))
+    green_kernel(catalog.mixed_example(), 1.5 + 0.5j, 0.4, 1.2)
+    assert len(calls) == 2
+
+
 def test_green_kernel_atomic_diagonal():
     g = green_kernel(catalog.omega_atom_origin(), 1j, 0.5, 0.5)
     assert g[0] == pytest.approx(0.25, abs=1e-12)
@@ -380,6 +416,46 @@ def test_parseval_projection_on_random_discrete_strings():
         lhs = norm_squared_in_measure(mu, lambda l: transform_hat(spec, f, l))
         rhs = projection_energy(spec, f)
         assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, rhs))
+
+
+def _element_on(spec: StringSpec, seed: int) -> HilbertElement:
+    """First component on every other omega atom in (0, L), second on every
+    upsilon atom."""
+    rng = np.random.default_rng(seed)
+    interior = [x for x, _ in spec.omega.atoms if x > 0.0][::2]
+    values = [0.0] + rng.uniform(-1.0, 1.0, len(interior)).tolist() + [0.0]
+    f2 = tuple((x, float(rng.uniform(-1.0, 1.0))) for x, _ in spec.upsilon.atoms)
+    return HilbertElement(nodes=(0.0, *interior, spec.length), values=tuple(values), f2_atoms=f2)
+
+
+def test_transform_on_an_array_matches_scalar_calls():
+    for spec in (_jittered_string(1, 8, 4), catalog.mixed_example()):
+        f = _element_on(spec, 3)
+        lams = np.linspace(-40.0, 40.0, 9)
+        batched = transform_hat(spec, f, lams)
+        assert batched.tolist() == [transform_hat(spec, f, float(lam)) for lam in lams]
+
+
+@pytest.mark.parametrize("seed,n_omega,n_upsilon", [(0, 6, 3), (1, 8, 4), (2, 12, 4)])
+def test_atomic_transform_matches_mpmath_oracle(seed, n_omega, n_upsilon):
+    # The transform reads phi from the double-precision sweep; against the
+    # 50-digit walk its error stays at rounding level relative to the sum of
+    # the magnitudes of its terms (measured: at most 1.3e-15 on these inputs),
+    # also where that sum reaches 1e23 at l = -1e3.
+    spec = _jittered_string(seed, n_omega, n_upsilon)
+    f = _element_on(spec, seed)
+    ups = dict(spec.upsilon.atoms)
+    pts = sorted(set(f.nodes[1:]) | {p for p, _ in f.f2_atoms})
+    lams = np.concatenate([-np.logspace(0.0, 3.0, 7), np.logspace(0.0, 3.0, 7)])
+    for lam, got in zip(lams, transform_hat(spec, f, lams)):
+        with mpmath.workdps(oracle.DPS):
+            walk = oracle.propagators(spec, lam, pts)
+            phi = {0.0: mpmath.mpf(0), **{x: walk[x][0, 1].real for x in pts}}
+            terms = [(mpmath.mpf(vb) - va) / (mpmath.mpf(b) - a) * (phi[b] - phi[a])
+                     for a, b, va, vb in zip(f.nodes, f.nodes[1:], f.values, f.values[1:])]
+            terms += [mpmath.mpf(lam) * ups[p] * v * phi[p] for p, v in f.f2_atoms]
+            want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+            assert abs(got - want) <= 1e-13 * scale
 
 
 def test_transform_requires_compact_support():

@@ -12,11 +12,13 @@ from indefstring import catalog, propagation, weyl
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import (
     ComputationError,
+    ExtrapolationUnstable,
     NonRealRequired,
     TruncationNotConverged,
     ValidationError,
 )
 from indefstring.weyl import (
+    _richardson,
     _values_agree,
     classify,
     integral_rep_constants,
@@ -446,3 +448,11 @@ def test_weyl_solution_vanishes_at_finite_endpoint():
     expected = np.sinh(1.0 - 0.3) / np.sinh(1.0)
     assert psi[0].f.real == pytest.approx(expected, abs=1e-6)
     assert abs(psi[1].f) < 1e-6
+
+
+def test_richardson_refuses_a_tail_that_extrapolation_spreads():
+    # The raw values have settled, so eliminating an eps^2 term can only move
+    # the tail apart: it spreads by 1/99 against a raw spread of 0.
+    with pytest.raises(ExtrapolationUnstable):
+        _richardson([0.0, 1.0, 1.0], 10.0, (2,))
+    assert _richardson([1.01, 1.0001, 1.000001], 10.0, (2,)) == pytest.approx(1.0, abs=1e-14)
