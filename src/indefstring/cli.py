@@ -96,8 +96,9 @@ def build_parser() -> _Parser:
     fwd.add_argument("--hamiltonian", help="also write the Hamiltonian JSON here")
     fwd.add_argument("--tol", type=_positive, default=1e-10)
     fwd.add_argument("--mesh", type=_positive_int, default=256)
-    fwd.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility; has no effect (one sweep serves the whole grid)")
+    fwd.add_argument("--jobs", type=_positive_int, default=1,
+                     help="accepted for compatibility; has no effect (long grids use every CPU "
+                          "the process may run on, with the same output)")
     fwd.set_defaults(func=cmd_forward)
 
     inv = sub.add_parser("inverse", help="string spec of a Hamiltonian")

@@ -25,10 +25,23 @@ Two constants bound the memory, not the result.  A run of at most
 matrices built up to ``_BUDGET`` at a time and kept for the runs that follow.
 A larger run takes the wide path: it is built and folded a column of z at a
 time, at most ``_COLUMN`` step x z matrices per column, in one workspace per
-sweep that every column reuses (the step matrices, two fold levels that
-alternate, and the product temporary of a composition).  Fresh arrays of a
+sweep that every column reuses: the step matrices, two fold levels that
+alternate (and hold the second product of a composition and the scratch of
+a build), and the entries of pieces with a density.  Fresh arrays of a
 column's size lie above the allocator's mmap threshold, and each would fault
-in new pages; only the trig entries of pieces with a density still are.
+in new pages.  The fold runs in two stages where that makes its operations
+larger: each column is folded down to at most ``_TAIL`` partial products,
+and the last levels run once over as many columns as a quarter of
+``_COLUMN`` matrices then hold.  The pairs are those of a one-stage fold.
+With ``rescale``, a fold level is checked against ``_BIG`` only where a
+bound on its entries allows that it exceeds it.
+
+A walk of at least one full block and ``_SPLIT_WORK`` step x z matrices is
+swept on ``_WORKERS`` threads, one per CPU the process may run on, each over
+a contiguous chunk of z with its own workspace.  numpy releases the
+interpreter lock inside its loops, so the chunks run in parallel, and since
+every z comes out as in a one-z call, the result does not depend on the
+number of threads.
 
 With ``rescale`` the entries are kept in range by positive per-z factors,
 which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
@@ -44,6 +57,9 @@ sitting exactly at x.
 """
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +80,13 @@ _BLOCK_STEPS = 256
 _BUDGET = 1 << 12
 # Step x z matrices in one column of the wide path.
 _COLUMN = 1 << 14
+# The wide path folds each column down to at most this many partial
+# products, and the rest over a group of columns.
+_TAIL = 16
+# Threads of a long sweep: one per CPU the process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# A sweep with a full block and at least this many step x z matrices is split.
+_SPLIT_WORK = 1 << 16
 # A rescaled piece whose phase has |Im s h| beyond this is built times e^{-|Im s h|}.
 _EXP_PHASE = 300.0
 # With rescale, matrices with an entry beyond this are divided by their largest entry.
@@ -101,47 +124,54 @@ def _series_entries(y: np.ndarray, h: np.ndarray, with_c2: bool):
     return 1.0 - y / 2.0 + y * y / 24.0, h * (1.0 - y / 6.0 + y * y / 120.0), C2
 
 
-def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool):
-    s = np.sqrt(kappa)
-    sh = s * h
-    C = np.cos(sh)
-    S = np.sin(sh) / s
+def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool,
+                    ws: _Workspace | None):
+    s = np.sqrt(kappa, out=_out(ws, "s", kappa.shape))
+    sh = np.multiply(s, h, out=_out(ws, "sh", kappa.shape))
+    S = np.sin(sh, out=_out(ws, "sin", kappa.shape))
+    S /= s
     C2 = None
     if with_c2:
         half = np.sin(sh / 2.0)
         C2 = 2.0 * half * half / kappa
-    if rescale:
-        t = np.abs(sh.imag)
-        far = t > _EXP_PHASE
-        if far.any():
-            # e^{+-i s h - t}: one has modulus 1, the other at most e^{-2 _EXP_PHASE}.
-            x, y, t = sh.real[far], sh.imag[far], t[far]
-            up = np.exp(-y - t + 1j * x)
-            down = np.exp(y - t - 1j * x)
-            C[far] = (up + down) / 2.0
-            S[far] = (up - down) / (2j * s[far])
+    # The phases of the far pieces, read before cos overwrites sh.
+    far = np.abs(sh.imag, out=_out(ws, "t", kappa.shape, float)) > _EXP_PHASE if rescale else None
+    if far is not None and far.any():
+        x, y = sh.real[far], sh.imag[far]
+    else:
+        far = None
+    C = np.cos(sh, out=sh)
+    if far is not None:
+        # e^{+-i s h - t}: one has modulus 1, the other at most e^{-2 _EXP_PHASE}.
+        t = np.abs(y)
+        up = np.exp(-y - t + 1j * x)
+        down = np.exp(y - t - 1j * x)
+        C[far] = (up + down) / 2.0
+        S[far] = (up - down) / (2j * s[far])
     return C, S, C2
 
 
-def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool):
+def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool,
+                   ws: _Workspace | None):
     """Entries of the constant-coefficient transfer, elementwise.
 
     Returns (C, S, C2) with C = cos(s h), S = sin(s h)/s and, if asked,
     C2 = (1 - cos(s h))/kappa for s = sqrt(kappa); series branches keep the
     kappa -> 0 limit exact.  With ``rescale``, C and S of a piece whose phase
-    has |Im s h| > _EXP_PHASE come times e^{-|Im s h|}.
+    has |Im s h| > _EXP_PHASE come times e^{-|Im s h|}.  C and S of the closed
+    form lie in buffers of ``ws`` if given.
     """
-    y = kappa * (h * h)
-    small = np.abs(y) < 1e-12
+    y = np.multiply(kappa, h * h, out=_out(ws, "sh", kappa.shape))
+    small = np.abs(y, out=_out(ws, "t", kappa.shape, float)) < 1e-12
     if not small.any():
-        return _closed_entries(kappa, h, rescale, with_c2)
+        return _closed_entries(kappa, h, rescale, with_c2, ws)
     if small.all():
         return _series_entries(y, h, with_c2)
     h = np.broadcast_to(h, y.shape)
     big = ~small
     out = []
     for series, closed in zip(_series_entries(y[small], h[small], with_c2),
-                              _closed_entries(kappa[big], h[big], rescale, with_c2)):
+                              _closed_entries(kappa[big], h[big], rescale, with_c2, None)):
         entry = None
         if series is not None:
             entry = np.empty_like(y)
@@ -179,51 +209,66 @@ class _Steps:
         if self.affine:
             self.ac, _, self.dc, _ = _at_steps(chi, left)
 
-    def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool):
+    def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool,
+                ws: _Workspace | None, out: np.ndarray):
         """C, S, -kappa S and (affine only) C2 of the pieces, each broadcast to
-        (steps, z.size).  kappa = 0 on a step without density, where the series
-        entries are exact."""
+        (steps, z.size), in buffers of ``ws`` if given.  Where only some steps
+        have a density, C, S and -kappa S are written into out[1, 1],
+        out[0, 1] and out[1, 0] instead, and come back as None.  kappa = 0 on a
+        step without density, where the series entries are exact."""
         h = self.h[steps]
         dense = np.flatnonzero(self.dense[steps])
-        if dense.size == h.size:
-            kappa = z[None, :] * self.da[steps, None] + zz[None, :] * self.db[steps, None]
-            C, S, C2 = _piece_entries(kappa, h[:, None], rescale, self.affine)
-            return C, S, -kappa * S, C2
         C2 = (0.5 * h * h)[:, None] if self.affine else None
         if dense.size == 0:
             return 1.0, h[:, None], 0.0, C2
+        rows = slice(None) if dense.size == h.size else dense
+        shape = (dense.size, z.size)
+        kappa = np.multiply(z[None, :], self.da[steps][rows, None], out=_out(ws, "kappa", shape))
+        kappa += np.multiply(zz[None, :], self.db[steps][rows, None], out=_out(ws, "sh", shape))
+        C, S, C2_dense = _piece_entries(kappa, h[rows, None], rescale, self.affine, ws)
+        kS = np.multiply(np.negative(kappa, out=kappa), S, out=kappa)
+        if dense.size == h.size:
+            return C, S, kS, C2_dense
         # The free entries everywhere, then the dense steps over them.
-        shape = (h.size, z.size)
-        C, kS = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        S = np.broadcast_to(h[:, None], shape).astype(complex)
-        kappa = z[None, :] * self.da[steps][dense, None] + zz[None, :] * self.db[steps][dense, None]
-        C[dense], S[dense], C2_dense = _piece_entries(kappa, h[dense, None], rescale, self.affine)
-        kS[dense] = -kappa * S[dense]
+        for entry, free, value in ((out[1, 1], 1.0, C), (out[0, 1], h[:, None], S), (out[1, 0], 0.0, kS)):
+            entry[...] = free
+            entry[dense] = value
         if self.affine:
-            C2 = np.broadcast_to(C2, shape).astype(complex)
+            C2 = np.broadcast_to(C2, (h.size, z.size)).astype(complex)
             C2[dense] = C2_dense
-        return C, S, kS, C2
+        return None, None, None, C2
 
     def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
-                 out: np.ndarray | None = None):
+                 ws: _Workspace | None = None):
         """Step matrices P J of steps lo..hi-1 at each z (zz = z^2), with shape
-        (2, width, hi - lo, z.size): the matrix first, z last.  Written into
-        ``out`` if given."""
+        (2, width, hi - lo, z.size): the matrix first, z last.  Built in the
+        buffers of ``ws`` if given (its fold buffers serve as scratch), else in
+        fresh arrays."""
         steps = slice(lo, hi)
-        C, S, kS, C2 = self._pieces(steps, z, zz, rescale)
-        if out is None:
-            out = np.empty((2, self.width, hi - lo, z.size), dtype=complex)
+        shape = (2, self.width, hi - lo, z.size)
+        out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
+        C, S, kS, C2 = self._pieces(steps, z, zz, rescale, ws, out)
+        placed = C is None
+        if placed:
+            C, S, kS = out[1, 1], out[0, 1], out[1, 0]
         if self.atomic:
-            # g = z alpha + z^2 mu, then C - S g and kS - C g, with out[:, 1] as scratch.
-            g = np.multiply(z[None, :], self.aw[steps, None], out=out[0, 1])
-            g += np.multiply(zz[None, :], self.au[steps, None], out=out[1, 1])
-            np.subtract(kS, np.multiply(C, g, out=out[1, 0]), out=out[1, 0])
-            np.subtract(C, np.multiply(S, g, out=out[0, 0]), out=out[0, 0])
+            # g = z alpha + z^2 mu, then C - S g and kS - C g, with out[:, 1] as
+            # scratch unless it holds the pieces.
+            if placed:
+                g, tmp = out[0, 0], _out(ws, "odd", shape[2:])
+            else:
+                g, tmp = out[0, 1], out[1, 1]
+            np.multiply(z[None, :], self.aw[steps, None], out=g)
+            g += np.multiply(zz[None, :], self.au[steps, None], out=tmp)
+            np.subtract(kS, np.multiply(C, g, out=tmp), out=out[1, 0])
+            np.subtract(C, np.multiply(S, g, out=tmp), out=out[0, 0])
         else:
             out[0, 0] = C
-            out[1, 0] = kS
-        out[0, 1] = S
-        out[1, 1] = C
+            if not placed:
+                out[1, 0] = kS
+        if not placed:
+            out[0, 1] = S
+            out[1, 1] = C
         if self.affine:
             dc, ac = self.dc[steps, None], self.ac[steps, None]
             out[0, 2] = -dc * C2 - ac * S
@@ -256,20 +301,26 @@ class _Walk(_Steps):
 
 
 class _Workspace:
-    """Flat complex buffers that every column of a sweep's wide path reuses for
-    its step matrices, fold levels and products."""
+    """Flat buffers that every column of a sweep's wide path reuses for its
+    piece entries, step matrices, fold levels and products."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous array of ``shape`` on buffer ``key``: it overwrites
-        what the last take of ``key`` returned."""
-        size = int(np.prod(shape))
+    def take(self, key: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """A C-contiguous array of ``shape`` on buffer ``key`` (always of one
+        ``dtype``): it overwrites what the last take of ``key`` returned."""
+        size = math.prod(shape)
         buffer = self._buffers.get(key)
         if buffer is None or buffer.size < size:
-            buffer = self._buffers[key] = np.empty(size, dtype=complex)
+            buffer = self._buffers[key] = np.empty(size, dtype=dtype)
         return buffer[:size].reshape(shape)
+
+
+def _out(ws: _Workspace | None, key: str, shape: tuple[int, ...], dtype=complex):
+    """``ws.take(key, shape, dtype)`` as the ``out`` of a ufunc: None, so a
+    fresh array, without ``ws``."""
+    return None if ws is None else ws.take(key, shape, dtype)
 
 
 def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
@@ -284,38 +335,58 @@ def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _normalize(mats: np.ndarray) -> None:
-    """Divide, in place, each matrix of a contiguous array (matrix on the two
-    leading axes) whose largest real or imaginary part exceeds _BIG by it."""
+def _largest_part(mats: np.ndarray) -> float:
+    """The largest |real or imaginary part| of an entry of ``mats``; nan if one is nan."""
     parts = mats.view(float)
-    if parts.size == 0 or (parts.max() <= _BIG and parts.min() >= -_BIG):  # a NaN fails both
-        return
-    parts = parts.reshape(mats.shape + (2,))
+    return max(parts.max(), -parts.min()) if parts.size else 0.0
+
+
+def _normalize(mats: np.ndarray) -> float:
+    """Divide, in place, each matrix of a contiguous array (matrix on the two
+    leading axes) whose largest real or imaginary part exceeds _BIG by it.
+    Returns :func:`_largest_part` before, if no matrix is divided, else nan."""
+    largest = _largest_part(mats)
+    if largest <= _BIG:  # a nan fails
+        return largest
+    parts = mats.view(float).reshape(mats.shape + (2,))
     big = np.abs(parts).max(axis=(0, 1, -1))
     parts /= np.where(big > _BIG, big, 1.0)[None, None, ..., None]
+    return math.nan
 
 
-def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None) -> np.ndarray:
+def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
+          steps: int = 1) -> np.ndarray:
     """The product of the steps on axis 2, later step on the left, by pairwise
-    levels.  With ``ws`` the levels alternate between two of its buffers."""
-    level_key = "even"
-    while mats.shape[2] > 1:
+    levels, down to at most ``steps`` partial products (still on axis 2).
+    With ``ws`` the levels alternate between two of its buffers, and the
+    second product of a composition goes into the other one at the first
+    level (``mats`` lies in neither), then into the buffer of the steps.
+
+    With ``rescale``, a level is normalized only where its entries may exceed
+    _BIG: an entry of a product has parts of at most 4 b^2 + b (the last term
+    for an affine column) if the factors' parts are at most b."""
+    keys = ("even", "odd", "odd")
+    bound = _largest_part(mats) if rescale and mats.shape[2] > steps else 0.0
+    while mats.shape[2] > steps:
         n = mats.shape[2]
         half = n // 2
         shape = mats.shape[:2] + (half + n % 2,) + mats.shape[3:]
         if ws is None:
             level, tmp = np.empty(shape, dtype=complex), None
         else:
-            level = ws.take(level_key, shape)
-            tmp = ws.take("product", mats.shape[:2] + (half,) + mats.shape[3:])
-            level_key = "odd" if level_key == "even" else "even"
+            level = ws.take(keys[0], shape)
+            tmp = ws.take(keys[2], mats.shape[:2] + (half,) + mats.shape[3:])
+            keys = (keys[1], keys[0], "steps")
         _compose(mats[:, :, 1:2 * half:2], mats[:, :, 0:2 * half:2], out=level[:, :, :half], tmp=tmp)
         if n % 2:
             level[:, :, half] = mats[:, :, -1]
         if rescale:
-            _normalize(level)
+            # 1 + 1e-12 covers the rounding of the products and their sum.
+            bound = (4.0 * bound * bound + bound) * (1.0 + 1e-12)
+            if not bound <= _BIG:
+                bound = _normalize(level)
         mats = level
-    return mats[:, :, 0]
+    return mats
 
 
 def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
@@ -330,8 +401,12 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
     """
     if rescale and chi is not None:
         raise ValueError("rescale applies to homogeneous sweeps only")
-    z = np.asarray(z, dtype=complex)
-    walk = _Walk(view, np.asarray(xs, dtype=float), chi)
+    yield from _walk_states(_Walk(view, np.asarray(xs, dtype=float), chi),
+                            np.asarray(z, dtype=complex), rescale)
+
+
+def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
+    """The ``(x, state)`` of :func:`_sweep_steps` along ``walk``."""
     with np.errstate(over="ignore", invalid="ignore"):
         zz = z * z
     state = np.zeros((2, walk.width, z.size), dtype=complex)
@@ -353,7 +428,7 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
                         cached_lo = done
                         cached = walk.matrices(
                             done, min(walk.steps, done + _BUDGET // max(1, z.size)), z, zz, rescale)
-                    run = _fold(cached[:, :, done - cached_lo:stop - cached_lo], rescale)
+                    run = _fold(cached[:, :, done - cached_lo:stop - cached_lo], rescale)[:, :, 0]
                     state = _compose(run, state)
                     if rescale:
                         _normalize(state)
@@ -364,14 +439,33 @@ def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool 
 def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool,
                         ws: _Workspace):
     """``state`` carried over steps lo..hi-1, building the steps of a column of
-    z at a time in the buffers of ``ws``."""
+    z at a time in the buffers of ``ws``.
+
+    Where several columns fit in a quarter of _COLUMN matrices once folded
+    down to at most _TAIL steps, each column is folded only that far, and the
+    last levels run once over such a group of columns: the same pairs in the
+    same order, in fewer and larger operations."""
     out = np.empty_like(state)
     width = max(1, _COLUMN // (hi - lo))
-    for c in range(0, z.size, width):
-        cols = slice(c, c + width)
-        mats = ws.take("steps", (2, walk.width, hi - lo, z[cols].size))
-        run = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale, out=mats), rescale, ws)
-        _compose(run, state[..., cols], out=out[..., cols], tmp=ws.take("product", run.shape))
+    tail = hi - lo
+    while tail > _TAIL:
+        tail -= tail // 2
+    per_group = max(1, _COLUMN // (4 * tail * width))
+    if per_group == 1:
+        tail = 1
+    for g in range(0, z.size, per_group * width):
+        group = slice(g, g + per_group * width)
+        if per_group > 1:
+            run = ws.take("tail", (2, walk.width, tail, z[group].size))
+        for c in range(g, min(g + per_group * width, z.size), width):
+            cols = slice(c, c + width)
+            part = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale, ws), rescale, ws, tail)
+            if per_group > 1:
+                run[..., c - g:c - g + part.shape[3]] = part
+            else:
+                run = part
+        run = _fold(run, rescale, ws)[:, :, 0]
+        _compose(run, state[..., group], out=out[..., group], tmp=ws.take("product", run.shape))
     if rescale:
         _normalize(out)
     return out
@@ -380,14 +474,53 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
 def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
     """All states of :func:`_sweep_steps`, keyed by sample position.
 
-    Raises :class:`ComputationError`, naming the first z, when a state is not finite.
+    A walk of at least one full block and _SPLIT_WORK step x z matrices is
+    swept on _WORKERS threads (:func:`_split_states`).  Raises
+    :class:`ComputationError`, naming the first z, when a state is not finite.
     """
-    records = dict(_sweep_steps(view, z, xs, chi, rescale))
+    if rescale and chi is not None:
+        raise ValueError("rescale applies to homogeneous sweeps only")
+    z = np.asarray(z, dtype=complex)
+    walk = _Walk(view, np.asarray(xs, dtype=float), chi)
+    workers = 1
+    if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
+        workers = min(_WORKERS, z.size)
+    if workers > 1:
+        records = _split_states(walk, z, rescale, workers)
+    else:
+        records = dict(_walk_states(walk, z, rescale))
     finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ComputationError(f"transfer matrix at z={complex(z[k])} is not finite")
     return records
+
+
+def _split_states(walk: _Walk, z: np.ndarray, rescale: bool, workers: int) -> dict:
+    """The states of :func:`_walk_states`, keyed by sample position, from
+    ``workers`` contiguous chunks of z swept on one thread each.  Every z
+    comes out as in a one-z call, so the merged states are the same bits for
+    any number of workers."""
+    bounds = [z.size * k // workers for k in range(workers + 1)]
+    parts, errors = [None] * workers, [None] * workers
+
+    def sweep(k):
+        try:
+            parts[k] = list(_walk_states(walk, z[bounds[k]:bounds[k + 1]], rescale))
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    sweep(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return {x: np.concatenate([part[i][1] for part in parts], axis=-1)
+            for i, (x, _) in enumerate(parts[0])}
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:

@@ -358,6 +358,11 @@ def stieltjes_inversion(source, window: tuple[float, float],
     atomic, so at least two distinct, finite eps are required.  Windows must
     have finite edges and exclude 0, where the finite-length representation
     term would fake a point mass.
+
+    Only peaks with eps0 * Im m > 1e-6 at the coarsest eps0 become candidates:
+    an absolute floor, so atoms of mass below about 1e-6 are left out, and no
+    error is raised and nothing in the result says so (on
+    ``mixed_example()`` over (0.5, 200) this returns 4 of its 54 atoms).
     """
     lo, hi, eps = _checked_window(window, eps)
     if callable(source):

@@ -112,6 +112,18 @@ def test_mesh_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv,
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "h.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "2.5"])
+def test_jobs_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv, jobs):
+    spec = _dump(tmp_path / "spec.json", ATOM_MID)
+    with pytest.raises(SystemExit) as err:
+        main(["forward", "--spec", spec, "--grid", grid_csv, "--out", str(tmp_path / "m.csv"),
+              f"--jobs={jobs}"])
+    assert err.value.code == 1
+    captured = capsys.readouterr().err
+    assert "usage:" in captured and f"--jobs: must be a positive integer, got {jobs}" in captured
+    assert not (tmp_path / "m.csv").exists()
+
+
 # -- inverse ------------------------------------------------------------------
 
 

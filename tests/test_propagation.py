@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog
+from indefstring import catalog, propagation
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
@@ -214,11 +215,11 @@ def _mixed_string(n: int, seed: int) -> StringSpec:
 
 
 @pytest.mark.parametrize("n_z", [1001, 1, 0])
-def test_many_z_match_one_z_calls_bit_for_bit(n_z):
+def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
     # Over 2 x _BLOCK_STEPS steps; at 1001 z every block is built a column of
-    # z at a time and the last column of each block is a partial one.  The
-    # rescaled z reach |z| ~ 6e6, where pieces take the e^{-|Im s h|} form and
-    # fold levels are normalized.
+    # z at a time and the last column of each block is a partial one, and the
+    # sweep is split over 1, 2 or 3 threads.  The rescaled z reach |z| ~ 6e6,
+    # where pieces take the e^{-|Im s h|} form and fold levels are normalized.
     spec = _mixed_string(3 * _BLOCK_STEPS, 17)
     assert coefficient_view(spec).bp.size > 2 * _BLOCK_STEPS
     rng = np.random.default_rng(3)
@@ -226,12 +227,109 @@ def test_many_z_match_one_z_calls_bit_for_bit(n_z):
     xs = [0.05, 0.5, 0.83, 1.0]
     for rescale, z_scale in ((False, 1.0), (True, 1e5)):
         grid = zs * z_scale
-        mats = transfer_matrices(spec, grid, xs, rescale=rescale)
-        assert mats.shape == (len(xs), n_z, 2, 2)
-        for k, z in enumerate(grid):
-            assert np.array_equal(mats[:, k], transfer_matrices(spec, z, xs, rescale=rescale)), z
+        one = [transfer_matrices(spec, z, xs, rescale=rescale) for z in grid]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(propagation, "_WORKERS", workers)
+            mats = transfer_matrices(spec, grid, xs, rescale=rescale)
+            assert mats.shape == (len(xs), n_z, 2, 2)
+            for k, z in enumerate(grid):
+                assert np.array_equal(mats[:, k], one[k]), (workers, z)
     m = m_truncated(spec, zs, 0.83)
     assert np.array_equal(m, [m_truncated(spec, z, 0.83) for z in zs])
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads that start while the test runs."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
+def test_long_sweeps_split_and_short_walks_stay_on_one_thread(monkeypatch, started):
+    monkeypatch.setattr(propagation, "_WORKERS", 3)
+    grid = 1j + np.linspace(-40.0, 40.0, 10_000)
+    # 10^4 z over 16 atoms: a large grid, but the walk is shorter than a block.
+    short = _signed_atoms(16, 4)
+    assert coefficient_view(short).bp.size < _BLOCK_STEPS
+    m_truncated(short, grid, short.length)
+    assert started == []
+    long = _mixed_string(3 * _BLOCK_STEPS, 17)
+    m_truncated(long, grid[:64], long.length)
+    assert started == []
+    m_truncated(long, grid[:1001], long.length)
+    assert len(started) == 2
+
+
+def test_positions_are_checked_before_any_thread_starts(monkeypatch, started):
+    monkeypatch.setattr(propagation, "_WORKERS", 2)
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    with pytest.raises(PositionOutOfRange):
+        transfer_matrices(spec, 1j + np.arange(1001.0), [0.5, 1.5])
+    assert started == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_non_finite_z_in_the_last_chunk_is_named(monkeypatch, started, workers):
+    # cosh(Im sqrt(z) h) overflows on the omega density at z = -1e12 + i.
+    monkeypatch.setattr(propagation, "_WORKERS", workers)
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    grid = np.append(1j + np.linspace(-40.0, 40.0, 1000), -1e12 + 1j)
+    with pytest.raises(ComputationError, match=r"z=\(-1000000000000\+1j\).*not finite"):
+        transfer_matrices(spec, grid, [0.5, 1.0])
+    assert len(started) == workers - 1
+
+
+def _fold_checking_every_level(mats):
+    """Pairwise fold that normalizes every level, and how many levels it changed."""
+    changed = 0
+    while mats.shape[2] > 1:
+        half = mats.shape[2] // 2
+        level = np.concatenate([propagation._compose(mats[:, :, 1:2 * half:2], mats[:, :, 0:2 * half:2]),
+                                mats[:, :, 2 * half:]], axis=2)
+        before = level.copy()
+        propagation._normalize(level)
+        changed += not np.array_equal(before, level)
+        mats = level
+    return mats[:, :, 0], changed
+
+
+def test_rescaled_fold_checks_every_level_that_may_normalize():
+    # The fold skips a level's check where a bound on its entries stays below
+    # _BIG; it must give the bits of a fold that checks every level.
+    walk = propagation._Walk(coefficient_view(_mixed_string(3 * _BLOCK_STEPS, 17)), np.array([1.0]), None)
+    changes = []
+    for z in ([3.0 + 1j, -20.0 + 0.5j], [-1e9 + 1j, 1e5 + 3e4j, 3.0 + 1j]):
+        z = np.array(z)
+        for lo, hi in ((0, _BLOCK_STEPS), (_BLOCK_STEPS, _BLOCK_STEPS + 77)):
+            mats = walk.matrices(lo, hi, z, z * z, True)
+            reference, changed = _fold_checking_every_level(mats)
+            assert np.array_equal(propagation._fold(mats, True)[:, :, 0], reference)
+            changes.append(changed)
+    assert changes[:2] == [0, 0] and min(changes[2:]) > 0
+
+
+def test_split_sweeps_agree_under_frequent_thread_switches(monkeypatch, started):
+    # More threads than CPUs, switching between most numpy calls.
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    grid = 1j + np.linspace(-40.0, 40.0, 1001)
+    monkeypatch.setattr(propagation, "_WORKERS", 1)
+    one = m_truncated(spec, grid, 1.0)
+    monkeypatch.setattr(propagation, "_WORKERS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = m_truncated(spec, grid, 1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(many, one)
+    assert len(started) == 4 and not any(thread.is_alive() for thread in started)
 
 
 def test_second_wide_sweep_takes_few_page_faults():
