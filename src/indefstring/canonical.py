@@ -87,6 +87,16 @@ class Hamiltonian:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
+        if self.mesh is not None:
+            object.__setattr__(self, "mesh", _checked_mesh(self.mesh))
+
+
+def _checked_mesh(mesh) -> int:
+    """``mesh`` as an int; raises :class:`ValidationError` unless it is an
+    integer >= 1 (numpy integers count, bools do not)."""
+    if isinstance(mesh, bool) or not isinstance(mesh, (int, np.integer)) or mesh < 1:
+        raise ValidationError(f"mesh must be an integer >= 1, got {mesh!r}")
+    return int(mesh)
 
 
 def _coerce_piece(raw) -> HamiltonianPiece:
@@ -179,9 +189,7 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
     meshed and raises UnsupportedShape.  Raises :class:`ValidationError`
     unless ``mesh`` is an integer >= 1.
     """
-    if isinstance(mesh, bool) or not isinstance(mesh, (int, np.integer)) or mesh < 1:
-        raise ValidationError(f"mesh must be an integer >= 1, got {mesh!r}")
-    mesh = int(mesh)
+    mesh = _checked_mesh(mesh)
     view = coefficient_view(spec)
     pieces: list[HamiltonianPiece] = []
     meshed = False

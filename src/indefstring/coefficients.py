@@ -65,11 +65,6 @@ class MeasureData:
                 return mass
         return 0.0
 
-    def total_variation_bound(self) -> float:
-        tv = sum(abs(m) for _, m in self.atoms)
-        tv += sum(abs(v) * (b - a) for a, b, v in self.density if math.isfinite(b))
-        return tv
-
 
 @dataclass(frozen=True)
 class StringSpec:

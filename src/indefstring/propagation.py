@@ -1,18 +1,17 @@
-"""Propagation of the string equation -u'' = z w' u + z^2 Upsilon' u + chi.
+"""Propagation of the string equation -u'' = z w' u + z^2 Upsilon' u.
 
 Between consecutive coefficient breakpoints both densities are constant, so
 the second-order equation has the constant coefficient kappa = z*a + z^2*b
 and its transfer matrix P in (u, u') variables is the exact trig/hyperbolic
 form; a point mass contributes the unimodular jump J = [[1, 0], [-g, 1]] with
-g = z*alpha + z^2*mu.  A load chi enters the same transfers by variation of
-parameters, as an affine third column acting on (u, u', 1).  The product is
-therefore exact (up to rounding) on the whole representable coefficient class.
+g = z*alpha + z^2*mu.  The product is therefore exact (up to rounding) on the
+whole representable coefficient class.
 
 A sweep walks the intervals between consecutive points (coefficient
 breakpoints and sample positions).  Each interval is one step P J: the jump of
 the point mass at its left end, then the piece.  The step matrices of many
 steps and many z are built as arrays in one vectorized pass, laid out
-(2, width, steps, z) with z last, and the run of steps between two sample
+(2, 2, steps, z) with z last, and the run of steps between two sample
 positions is reduced by pairwise levels in log depth, later step on the left
 (Blelloch, "Prefix sums and their applications", 1990); each level pairs the
 even and odd step slices, which run over contiguous z.  Runs are also cut at
@@ -64,13 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientView,
-    StringSpec,
-    _as_measure,
-    _normalize_measure,
-    coefficient_view,
-)
+from .coefficients import CoefficientView, StringSpec, coefficient_view
 from .errors import ComputationError, PositionOutOfRange
 
 # Runs of steps are cut at multiples of this many steps before they are folded.
@@ -97,9 +90,9 @@ _BIG = 1e120
 class SystemState:
     """Solution sample: value, first-order-system component, quasi-derivative.
 
-    ``f2 = u' + n_z(x) u (+ q(x))`` stays absolutely continuous across point
-    masses; ``quasi = u' + z w(x) u`` is the quasi-derivative, equal to
-    ``f2 - z^2 Upsilon(x) f`` for homogeneous solutions.
+    ``f2 = u' + n_z(x) u`` stays absolutely continuous across point masses;
+    ``quasi = u' + z w(x) u`` is the quasi-derivative, equal to
+    ``f2 - z^2 Upsilon(x) f``.
     """
 
     x: float
@@ -119,21 +112,15 @@ class FundamentalSystem:
     wronskian: complex
 
 
-def _series_entries(y: np.ndarray, h: np.ndarray, with_c2: bool):
-    C2 = h * h * (0.5 - y / 24.0 + y * y / 720.0) if with_c2 else None
-    return 1.0 - y / 2.0 + y * y / 24.0, h * (1.0 - y / 6.0 + y * y / 120.0), C2
+def _series_entries(y: np.ndarray, h: np.ndarray):
+    return 1.0 - y / 2.0 + y * y / 24.0, h * (1.0 - y / 6.0 + y * y / 120.0)
 
 
-def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool,
-                    ws: _Workspace | None):
+def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace | None):
     s = np.sqrt(kappa, out=_out(ws, "s", kappa.shape))
     sh = np.multiply(s, h, out=_out(ws, "sh", kappa.shape))
     S = np.sin(sh, out=_out(ws, "sin", kappa.shape))
     S /= s
-    C2 = None
-    if with_c2:
-        half = np.sin(sh / 2.0)
-        C2 = 2.0 * half * half / kappa
     # The phases of the far pieces, read before cos overwrites sh.
     far = np.abs(sh.imag, out=_out(ws, "t", kappa.shape, float)) > _EXP_PHASE if rescale else None
     if far is not None and far.any():
@@ -148,35 +135,32 @@ def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bo
         down = np.exp(y - t - 1j * x)
         C[far] = (up + down) / 2.0
         S[far] = (up - down) / (2j * s[far])
-    return C, S, C2
+    return C, S
 
 
-def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, with_c2: bool,
-                   ws: _Workspace | None):
+def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace | None):
     """Entries of the constant-coefficient transfer, elementwise.
 
-    Returns (C, S, C2) with C = cos(s h), S = sin(s h)/s and, if asked,
-    C2 = (1 - cos(s h))/kappa for s = sqrt(kappa); series branches keep the
-    kappa -> 0 limit exact.  With ``rescale``, C and S of a piece whose phase
-    has |Im s h| > _EXP_PHASE come times e^{-|Im s h|}.  C and S of the closed
-    form lie in buffers of ``ws`` if given.
+    Returns (C, S) with C = cos(s h) and S = sin(s h)/s for s = sqrt(kappa);
+    series branches keep the kappa -> 0 limit exact.  With ``rescale``, C and
+    S of a piece whose phase has |Im s h| > _EXP_PHASE come times
+    e^{-|Im s h|}.  C and S of the closed form lie in buffers of ``ws`` if
+    given.
     """
     y = np.multiply(kappa, h * h, out=_out(ws, "sh", kappa.shape))
     small = np.abs(y, out=_out(ws, "t", kappa.shape, float)) < 1e-12
     if not small.any():
-        return _closed_entries(kappa, h, rescale, with_c2, ws)
+        return _closed_entries(kappa, h, rescale, ws)
     if small.all():
-        return _series_entries(y, h, with_c2)
+        return _series_entries(y, h)
     h = np.broadcast_to(h, y.shape)
     big = ~small
     out = []
-    for series, closed in zip(_series_entries(y[small], h[small], with_c2),
-                              _closed_entries(kappa[big], h[big], rescale, with_c2, None)):
-        entry = None
-        if series is not None:
-            entry = np.empty_like(y)
-            entry[small] = series
-            entry[big] = closed
+    for series, closed in zip(_series_entries(y[small], h[small]),
+                              _closed_entries(kappa[big], h[big], rescale, None)):
+        entry = np.empty_like(y)
+        entry[small] = series
+        entry[big] = closed
         out.append(entry)
     return out
 
@@ -193,61 +177,51 @@ def _at_steps(view: CoefficientView, left: np.ndarray):
 class _Steps:
     """Steps as arrays: step k is the point masses of ``view`` at left[k], then
     the piece of length h[k] with the densities on the interval that starts
-    at left[k].  A chi view adds its masses and density as the affine column.
-    """
+    at left[k]."""
 
-    def __init__(self, view: CoefficientView, left: np.ndarray, h: np.ndarray,
-                 chi: CoefficientView | None = None):
+    def __init__(self, view: CoefficientView, left: np.ndarray, h: np.ndarray):
         self.h = h
         self.aw, self.au, self.da, self.db = _at_steps(view, left)
         # Decided per set of steps and per step, so a step is built the same
         # way whatever range of steps and z it is built with.
         self.atomic = bool(np.any(self.aw) or np.any(self.au))
         self.dense = (self.da != 0.0) | (self.db != 0.0)
-        self.affine = chi is not None
-        self.width = 3 if self.affine else 2
-        if self.affine:
-            self.ac, _, self.dc, _ = _at_steps(chi, left)
 
     def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool,
                 ws: _Workspace | None, out: np.ndarray):
-        """C, S, -kappa S and (affine only) C2 of the pieces, each broadcast to
-        (steps, z.size), in buffers of ``ws`` if given.  Where only some steps
-        have a density, C, S and -kappa S are written into out[1, 1],
-        out[0, 1] and out[1, 0] instead, and come back as None.  kappa = 0 on a
-        step without density, where the series entries are exact."""
+        """C, S and -kappa S of the pieces, each broadcast to (steps, z.size),
+        in buffers of ``ws`` if given.  Where only some steps have a density,
+        they are written into out[1, 1], out[0, 1] and out[1, 0] instead, and
+        come back as None.  kappa = 0 on a step without density, where the
+        series entries are exact."""
         h = self.h[steps]
         dense = np.flatnonzero(self.dense[steps])
-        C2 = (0.5 * h * h)[:, None] if self.affine else None
         if dense.size == 0:
-            return 1.0, h[:, None], 0.0, C2
+            return 1.0, h[:, None], 0.0
         rows = slice(None) if dense.size == h.size else dense
         shape = (dense.size, z.size)
         kappa = np.multiply(z[None, :], self.da[steps][rows, None], out=_out(ws, "kappa", shape))
         kappa += np.multiply(zz[None, :], self.db[steps][rows, None], out=_out(ws, "sh", shape))
-        C, S, C2_dense = _piece_entries(kappa, h[rows, None], rescale, self.affine, ws)
+        C, S = _piece_entries(kappa, h[rows, None], rescale, ws)
         kS = np.multiply(np.negative(kappa, out=kappa), S, out=kappa)
         if dense.size == h.size:
-            return C, S, kS, C2_dense
+            return C, S, kS
         # The free entries everywhere, then the dense steps over them.
         for entry, free, value in ((out[1, 1], 1.0, C), (out[0, 1], h[:, None], S), (out[1, 0], 0.0, kS)):
             entry[...] = free
             entry[dense] = value
-        if self.affine:
-            C2 = np.broadcast_to(C2, (h.size, z.size)).astype(complex)
-            C2[dense] = C2_dense
-        return None, None, None, C2
+        return None, None, None
 
     def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
                  ws: _Workspace | None = None):
         """Step matrices P J of steps lo..hi-1 at each z (zz = z^2), with shape
-        (2, width, hi - lo, z.size): the matrix first, z last.  Built in the
+        (2, 2, hi - lo, z.size): the matrix first, z last.  Built in the
         buffers of ``ws`` if given (its fold buffers serve as scratch), else in
         fresh arrays."""
         steps = slice(lo, hi)
-        shape = (2, self.width, hi - lo, z.size)
+        shape = (2, 2, hi - lo, z.size)
         out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
-        C, S, kS, C2 = self._pieces(steps, z, zz, rescale, ws, out)
+        C, S, kS = self._pieces(steps, z, zz, rescale, ws, out)
         placed = C is None
         if placed:
             C, S, kS = out[1, 1], out[0, 1], out[1, 0]
@@ -269,10 +243,6 @@ class _Steps:
         if not placed:
             out[0, 1] = S
             out[1, 1] = C
-        if self.affine:
-            dc, ac = self.dc[steps, None], self.ac[steps, None]
-            out[0, 2] = -dc * C2 - ac * S
-            out[1, 2] = -dc * S - ac * C
         return out
 
 
@@ -282,7 +252,7 @@ class _Walk(_Steps):
     sample positions, in increasing order.
     """
 
-    def __init__(self, view: CoefficientView, xs: np.ndarray, chi: CoefficientView | None):
+    def __init__(self, view: CoefficientView, xs: np.ndarray):
         if xs.size == 0:
             raise PositionOutOfRange("need at least one sample position")
         if not np.all(np.isfinite(xs)):
@@ -292,12 +262,11 @@ class _Walk(_Steps):
             raise PositionOutOfRange(
                 f"sample positions must lie in [0, {view.length}], got [{xs[0]}, {xs[-1]}]"
             )
-        views = (view,) if chi is None else (view, chi)
-        points = np.unique(np.concatenate([xs] + [v.bp[v.bp <= xs[-1]] for v in views]))
+        points = np.unique(np.concatenate([xs, view.bp[view.bp <= xs[-1]]]))
         self.points = points
         self.targets = np.searchsorted(points, xs)
         self.steps = points.size - 1
-        super().__init__(view, points[:-1], np.diff(points), chi)
+        super().__init__(view, points[:-1], np.diff(points))
 
 
 class _Workspace:
@@ -325,13 +294,11 @@ def _out(ws: _Workspace | None, key: str, shape: tuple[int, ...], dtype=complex)
 
 def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
-    """``left`` after ``right`` for arrays of 2 x 2 matrices or of 2 x 3 affine
-    maps of (u, u', 1), with the matrix on the two leading axes.  ``tmp``, of
-    the shape of the result, takes the second product."""
+    """``left`` after ``right`` for arrays of 2 x 2 matrices, with the matrix
+    on the two leading axes.  ``tmp``, of the shape of the result, takes the
+    second product."""
     out = np.multiply(left[:, :1], right[:1], out=out)
     out += np.multiply(left[:, 1:2], right[1:2], out=tmp)
-    if out.shape[1] == 3:
-        out[:, 2] += left[:, 2]
     return out
 
 
@@ -363,8 +330,9 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
     level (``mats`` lies in neither), then into the buffer of the steps.
 
     With ``rescale``, a level is normalized only where its entries may exceed
-    _BIG: an entry of a product has parts of at most 4 b^2 + b (the last term
-    for an affine column) if the factors' parts are at most b."""
+    _BIG: an entry of a product has parts of at most 4 b^2 if the factors'
+    parts are at most b (the unpaired last step of a level keeps b, which
+    exceeds 4 b^2 only where b < 1/4, far below _BIG)."""
     keys = ("even", "odd", "odd")
     bound = _largest_part(mats) if rescale and mats.shape[2] > steps else 0.0
     while mats.shape[2] > steps:
@@ -382,34 +350,26 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
             level[:, :, half] = mats[:, :, -1]
         if rescale:
             # 1 + 1e-12 covers the rounding of the products and their sum.
-            bound = (4.0 * bound * bound + bound) * (1.0 + 1e-12)
+            bound = 4.0 * bound * bound * (1.0 + 1e-12)
             if not bound <= _BIG:
                 bound = _normalize(level)
         mats = level
     return mats
 
 
-def _sweep_steps(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
-    """Closed-form transfer in (u, u') variables; vectorized over a 1-D z.
+def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
+    """Closed-form transfer in (u, u') variables along ``walk``, vectorized
+    over a 1-D complex z.
 
     Yields ``(x, state)`` at each sample position in increasing order, so a
-    caller may stop early.  ``state`` has shape (2, 2, z.size), or (2, 3, z.size)
-    with ``chi``: a solution with u(0)=d1, u'(0-)=d2 has
-    (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2 (+ state[:, 2]).  A
-    yielded state is never modified afterwards.  ``rescale`` (homogeneous
-    sweeps only) scales each z's state by a positive factor to keep it finite.
+    caller may stop early.  ``state`` has shape (2, 2, z.size): a solution
+    with u(0)=d1, u'(0-)=d2 has (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.
+    A yielded state is never modified afterwards.  ``rescale`` scales each
+    z's state by a positive factor to keep it finite.
     """
-    if rescale and chi is not None:
-        raise ValueError("rescale applies to homogeneous sweeps only")
-    yield from _walk_states(_Walk(view, np.asarray(xs, dtype=float), chi),
-                            np.asarray(z, dtype=complex), rescale)
-
-
-def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
-    """The ``(x, state)`` of :func:`_sweep_steps` along ``walk``."""
     with np.errstate(over="ignore", invalid="ignore"):
         zz = z * z
-    state = np.zeros((2, walk.width, z.size), dtype=complex)
+    state = np.zeros((2, 2, z.size), dtype=complex)
     state[0, 0] = state[1, 1] = 1.0
     # Step matrices of steps cached_lo, cached_lo + 1, ... at every z.
     cached, cached_lo = None, 0
@@ -456,7 +416,7 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
     for g in range(0, z.size, per_group * width):
         group = slice(g, g + per_group * width)
         if per_group > 1:
-            run = ws.take("tail", (2, walk.width, tail, z[group].size))
+            run = ws.take("tail", (2, 2, tail, z[group].size))
         for c in range(g, min(g + per_group * width, z.size), width):
             cols = slice(c, c + width)
             part = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale, ws), rescale, ws, tail)
@@ -471,17 +431,15 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
     return out
 
 
-def _sweep_closed(view, z, xs, chi: CoefficientView | None = None, rescale: bool = False):
-    """All states of :func:`_sweep_steps`, keyed by sample position.
+def _sweep_closed(view, z, xs, rescale: bool = False):
+    """All states of :func:`_walk_states`, keyed by sample position.
 
     A walk of at least one full block and _SPLIT_WORK step x z matrices is
     swept on _WORKERS threads (:func:`_split_states`).  Raises
     :class:`ComputationError`, naming the first z, when a state is not finite.
     """
-    if rescale and chi is not None:
-        raise ValueError("rescale applies to homogeneous sweeps only")
     z = np.asarray(z, dtype=complex)
-    walk = _Walk(view, np.asarray(xs, dtype=float), chi)
+    walk = _Walk(view, np.asarray(xs, dtype=float))
     workers = 1
     if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
         workers = min(_WORKERS, z.size)
@@ -564,31 +522,3 @@ def fundamental_system(spec: StringSpec, z: complex, xs) -> FundamentalSystem:
     wronskian = complex(a * d - b * c)
     return FundamentalSystem(z=complex(z), xs=tuple(float(x) for x in arr),
                              theta=tuple(theta), phi=tuple(phi), wronskian=wronskian)
-
-
-def solve_inhomogeneous(spec: StringSpec, z: complex, chi, d1: complex, d2: complex,
-                        xs) -> tuple[SystemState, ...]:
-    """Solve -f'' = z omega f + z^2 upsilon f + chi with f(0)=d1, f'(0-)=d2.
-
-    ``chi`` is measure data in the same atoms+density format as the string
-    coefficients; the solve is closed-form on the whole class (variation of
-    parameters built into the piece transfers).  Raises
-    :class:`ComputationError` where the solution is not finite.
-    """
-    view = coefficient_view(spec)
-    arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    chi_data = _normalize_measure(_as_measure(chi), view.length, nonneg=False, label="chi")
-    # chi is read as the omega of a string on the same interval: w(x) = chi([0, x)).
-    chi_view = CoefficientView(StringSpec(length=view.length, omega=chi_data))
-    records = _sweep_closed(view, np.array([complex(z)]), arr, chi=chi_view)
-    out = []
-    for x in arr:
-        xf = float(x)
-        (a, b, r1), (c, d, r2) = records[xf][..., 0]
-        u = complex(a * d1 + b * d2 + r1)
-        up = complex(c * d1 + d * d2 + r2)
-        w_x = view.w(xf)
-        n_x = z * w_x + z * z * view.upsilon(xf)
-        q_x = chi_view.w(xf)
-        out.append(SystemState(x=xf, f=u, f2=up + n_x * u + q_x, quasi=up + z * w_x * u))
-    return tuple(out)

@@ -102,6 +102,9 @@ class HilbertElement:
     def __post_init__(self):
         if len(self.nodes) != len(self.values) or not self.nodes:
             raise ValidationError("nodes and values must align and be non-empty")
+        entries = (self.nodes, self.values, [c for pair in self.f2_atoms for c in pair])
+        if not all(np.isfinite(np.asarray(e, dtype=float)).all() for e in entries):
+            raise ValidationError("nodes, values and f2_atoms must be finite")
         if self.nodes[0] != 0.0 or self.values[0] != 0.0:
             raise ValidationError("elements start at f1(0) = 0")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):

@@ -44,7 +44,8 @@ from .propagation import (
     SystemState,
     _compose,
     _Steps,
-    _sweep_steps,
+    _Walk,
+    _walk_states,
     fundamental_system,
     transfer_matrices,
 )
@@ -178,7 +179,7 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     at = np.searchsorted(view.bp, xs) - 1
     anchors, group = np.unique(at, return_inverse=True)
     pieces = _Steps(view, view.bp[at], xs - view.bp[at])
-    sweep = _sweep_steps(view, zs, view.bp[anchors], rescale=True)
+    sweep = _walk_states(_Walk(view, view.bp[anchors]), zs, rescale=True)
     states = []  # S(b-) at the anchors the sweep has reached
     samples: list[WeylSample] = [None] * zs.size
     # The z still to stop, their indices in zs, and their last three values

@@ -75,12 +75,23 @@ def test_mesh_recorded_only_when_used():
 def test_mesh_must_be_a_positive_integer(spec, mesh):
     with pytest.raises(ValidationError, match="mesh must be an integer >= 1"):
         string_to_hamiltonian(spec, mesh=mesh)
+    if mesh is None:  # a Hamiltonian without mesh has exact pieces
+        return
+    pieces = string_to_hamiltonian(spec, mesh=4).pieces
+    with pytest.raises(ValidationError, match="mesh must be an integer >= 1"):
+        Hamiltonian(pieces, mesh=mesh)
+    doc = {"pieces": hamiltonian_to_json(Hamiltonian(pieces))["pieces"], "mesh": mesh}
+    with pytest.raises(ValidationError, match="mesh must be an integer >= 1"):
+        hamiltonian_from_json(doc)
 
 
 def test_mesh_accepts_numpy_integers():
     ham = string_to_hamiltonian(catalog.uniform_string(), mesh=np.int64(8))
     assert ham == string_to_hamiltonian(catalog.uniform_string(), mesh=8)
     assert type(ham.mesh) is int
+    for built in (Hamiltonian(ham.pieces, mesh=np.int64(8)),
+                  hamiltonian_from_json({"pieces": hamiltonian_to_json(ham)["pieces"], "mesh": np.int64(8)})):
+        assert built == ham and type(built.mesh) is int
 
 
 def test_unbounded_omega_density_unsupported():

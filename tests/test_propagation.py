@@ -17,7 +17,6 @@ from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
     _BLOCK_STEPS,
     fundamental_system,
-    solve_inhomogeneous,
     transfer_matrices,
 )
 from indefstring.weyl import m_truncated, standard_grid
@@ -152,26 +151,6 @@ def test_closed_engine_matches_mpmath_oracle():
                     assert _relative_error(got, expected) <= 1e-12, (spec, z, x)
 
 
-def test_inhomogeneous_matches_mpmath_oracle():
-    # The load has an atom on a string atom (0.5), one off it, and two density
-    # pieces, one ending where the string's upsilon density starts.
-    chi = MeasureData(atoms=((0.5, 0.8), (1.3, -0.4)),
-                      density=((0.2, 1.0, 1.1), (1.5, 2.0, -0.6)))
-    d1, d2 = 0.3 - 0.2j, -1.1 + 0.5j
-    xs = [0.0, 0.2, 0.5, 0.75, 1.0, 1.3, 1.6, 2.0]
-    for spec in (catalog.mixed_example(), catalog.uniform_string(2.0)):
-        for z in (0.7 + 0.9j, -2.0 + 0.1j, 30j, 1e-6j):
-            ref = oracle.propagators(spec, z, xs, chi)
-            sol = solve_inhomogeneous(spec, z, chi, d1, d2, xs)
-            for x, st in zip(xs, sol):
-                u, up, _ = np.array(ref[x].tolist(), dtype=complex) @ np.array([d1, d2, 1.0])
-                w = complex(oracle.distribution(spec.omega, x))
-                n = z * w + z * z * complex(oracle.distribution(spec.upsilon, x))
-                q = complex(oracle.distribution(chi, x))
-                expected = np.array([u, up + n * u + q, up + z * w * u])
-                assert _relative_error([st.f, st.f2, st.quasi], expected) <= 1e-12, (spec, z, x)
-
-
 def _signed_atoms(n: int, seed: int) -> StringSpec:
     """A finite string with n small omega atoms of both signs and an upsilon density."""
     rng = np.random.default_rng(seed)
@@ -303,7 +282,7 @@ def _fold_checking_every_level(mats):
 def test_rescaled_fold_checks_every_level_that_may_normalize():
     # The fold skips a level's check where a bound on its entries stays below
     # _BIG; it must give the bits of a fold that checks every level.
-    walk = propagation._Walk(coefficient_view(_mixed_string(3 * _BLOCK_STEPS, 17)), np.array([1.0]), None)
+    walk = propagation._Walk(coefficient_view(_mixed_string(3 * _BLOCK_STEPS, 17)), np.array([1.0]))
     changes = []
     for z in ([3.0 + 1j, -20.0 + 0.5j], [-1e9 + 1j, 1e5 + 3e4j, 3.0 + 1j]):
         z = np.array(z)
@@ -364,8 +343,6 @@ def test_unscaled_evaluators_refuse_non_finite_values():
         transfer_matrices(spec, [1j, z], [0.5, 1.0])
     with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\).*not finite"):
         fundamental_system(spec, z, [0.5, 1.0])
-    with pytest.raises(ComputationError, match=r"z=\(-1000000\+1j\).*not finite"):
-        solve_inhomogeneous(spec, z, {"atoms": [{"x": 0.5, "mass": 1.0}]}, 1.0, 0.0, [0.5, 1.0])
     # The rescaled sweep keeps the same matrix finite: its ratios are what a
     # Weyl quotient reads.
     assert np.all(np.isfinite(transfer_matrices(spec, z, [1.0], rescale=True)))
@@ -381,31 +358,3 @@ def test_transfer_shape_and_duplicates():
 def test_position_out_of_range_rejected():
     with pytest.raises(PositionOutOfRange):
         fundamental_system(catalog.empty_string(), 1j, [1.5])
-
-
-def test_inhomogeneous_lebesgue_load():
-    xs = [0.0, 0.3, 0.5, 1.0]
-    sol = solve_inhomogeneous(catalog.empty_string(), 0.0, {"density": [{"a": 0.0, "b": 1.0, "value": 1.0}]},
-                              0.0, 0.0, xs)
-    for st, x in zip(sol, xs):
-        assert st.f == pytest.approx(-x * x / 2.0, abs=1e-13)
-
-
-def test_inhomogeneous_point_load():
-    xs = [0.25, 0.5, 0.75, 1.0]
-    sol = solve_inhomogeneous(catalog.empty_string(), 0.0, {"atoms": [{"x": 0.5, "mass": 1.0}]},
-                              0.0, 0.0, xs)
-    for st, x in zip(sol, xs):
-        expected = 0.0 if x <= 0.5 else -(x - 0.5)
-        assert st.f == pytest.approx(expected, abs=1e-14)
-
-
-def test_inhomogeneous_zero_load_reduces_to_fundamental():
-    spec = catalog.mixed_example()
-    z = 0.7 + 0.9j
-    xs = [0.4, 1.2, 2.0]
-    d1, d2 = 0.3 - 0.2j, -1.1 + 0.5j
-    sol = solve_inhomogeneous(spec, z, {}, d1, d2, xs)
-    fs = fundamental_system(spec, z, xs)
-    for st, th, ph in zip(sol, fs.theta, fs.phi):
-        assert st.f == pytest.approx(d1 * th.f + d2 * ph.f, abs=1e-12)

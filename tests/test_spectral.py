@@ -1,5 +1,7 @@
 """Tests for eigenvalues, spectral measures, Green kernel, and the transform."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -456,6 +458,19 @@ def test_atomic_transform_matches_mpmath_oracle(seed, n_omega, n_upsilon):
             terms += [mpmath.mpf(lam) * ups[p] * v * phi[p] for p, v in f.f2_atoms]
             want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
             assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nodes, values, f2", [
+    ((0.0, math.nan, 1.0), (0.0, 1.0, 0.0), ()),
+    ((0.0, 0.5, 1.0), (0.0, math.nan, 0.0), ()),
+    ((0.0, 0.5, math.inf), (0.0, 1.0, 0.0), ()),
+    ((0.0, 0.5), (0.0, -math.inf), ()),
+    ((0.0, 0.5), (0.0, 1.0), ((0.25, math.nan),)),
+    ((0.0, 0.5), (0.0, 1.0), ((math.inf, 1.0),)),
+])
+def test_element_rejects_non_finite_data(nodes, values, f2):
+    with pytest.raises(ValidationError, match="finite"):
+        HilbertElement(nodes=nodes, values=values, f2_atoms=f2)
 
 
 def test_transform_requires_compact_support():

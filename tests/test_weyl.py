@@ -351,14 +351,14 @@ def test_tol_must_be_finite_and_positive():
 
 def test_one_grid_call_runs_one_sweep(monkeypatch):
     sweeps = []
-    sweep = propagation._sweep_steps
+    sweep = propagation._walk_states
 
-    def counted(*args, **kwargs):
-        sweeps.append(args[2])
-        return sweep(*args, **kwargs)
+    def counted(walk, *args, **kwargs):
+        sweeps.append(walk.targets)
+        return sweep(walk, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "_sweep_steps", counted)
-    monkeypatch.setattr(propagation, "_sweep_steps", counted)
+    monkeypatch.setattr(weyl, "_walk_states", counted)
+    monkeypatch.setattr(propagation, "_walk_states", counted)
     spec = catalog.uniform_halfline()
     for call in (lambda: weyl_m_grid(spec, standard_grid()),
                  lambda: classify(spec),
