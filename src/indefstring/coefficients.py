@@ -16,6 +16,7 @@ cubic with a jump of size upsilon({p}) just after each point mass p; xi is
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping
@@ -41,6 +42,10 @@ _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 # push trig factors toward overflow.
 _TRUNCATION_START = 2.0 ** -40
 _TRUNCATION_DOUBLINGS = 140
+
+# Sweep plans kept with one view: the half-line plan, the walk to L and a few
+# walks to positions that callers choose; the least recently used goes first.
+_PLANS = 4
 
 # Evenly spaced probe positions of spec_discrepancy's distribution comparison.
 _DISCREPANCY_PROBES = 129
@@ -256,6 +261,8 @@ class CoefficientView:
         self.sigma_left = self.bp + self.i2 + self.ups_left
         self.sigma_right = self.bp + self.i2 + self.ups_right
         self.sigma_length = self.sigma_left[-1] if math.isfinite(self.length) else _INF
+        self._plans: dict = {}
+        self._plans_lock = threading.Lock()
 
     def _atoms(self, data: MeasureData) -> np.ndarray:
         out = np.zeros(len(self.bp))
@@ -269,6 +276,24 @@ class CoefficientView:
         a, b, value = np.array(data.density, dtype=float).T
         k = np.searchsorted(a, self.bp, side="right") - 1
         return np.where((k >= 0) & (self.bp < b[k]), value[k], 0.0)
+
+    def plan(self, key, build: Callable[[], object]):
+        """The z-independent sweep plan ``build()`` for ``key``, built on first
+        use and kept with this view (at most ``_PLANS``), so that evicting the
+        view frees it.  Plans are read-only once built: two threads that first
+        ask for one key at once may both build it, harmlessly, so the lock
+        guards only the map."""
+        with self._plans_lock:
+            plan = self._plans.pop(key, None)
+            if plan is not None:
+                self._plans[key] = plan
+                return plan
+        plan = build()
+        with self._plans_lock:
+            self._plans[key] = plan
+            while len(self._plans) > _PLANS:
+                del self._plans[next(iter(self._plans))]
+        return plan
 
     # -- point queries (left-continuous convention throughout) --------------
 

@@ -50,6 +50,12 @@ largest entry.  The public evaluators raise :class:`ComputationError`,
 naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
+What a sweep derives from the string and the sample positions without z
+(the points, step lengths, and the point masses and densities at the steps)
+is its plan, a :class:`_Walk`.  It is built once per string and positions, on
+first use, and kept with the string's coefficient view, so later sweeps at
+other z start at once; the positions are still checked on every call.
+
 Every coefficient breakpoint is a step boundary, and states are reported with
 left-continuous conventions: the value at x never includes a point mass
 sitting exactly at x.
@@ -249,19 +255,12 @@ class _Steps:
 class _Walk(_Steps):
     """The steps from 0 to the last sample position: step k covers
     (points[k], points[k+1]).  ``targets`` are the point indices of the
-    sample positions, in increasing order.
+    sample positions, in increasing order.  The positions must lie in
+    [0, L]; :func:`_sweep_closed` checks them.
     """
 
     def __init__(self, view: CoefficientView, xs: np.ndarray):
-        if xs.size == 0:
-            raise PositionOutOfRange("need at least one sample position")
-        if not np.all(np.isfinite(xs)):
-            raise PositionOutOfRange("sample positions must be finite")
         xs = np.unique(xs)
-        if xs[0] < 0.0 or xs[-1] > view.length:
-            raise PositionOutOfRange(
-                f"sample positions must lie in [0, {view.length}], got [{xs[0]}, {xs[-1]}]"
-            )
         points = np.unique(np.concatenate([xs, view.bp[view.bp <= xs[-1]]]))
         self.points = points
         self.targets = np.searchsorted(points, xs)
@@ -434,12 +433,22 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
 def _sweep_closed(view, z, xs, rescale: bool = False):
     """All states of :func:`_walk_states`, keyed by sample position.
 
-    A walk of at least one full block and _SPLIT_WORK step x z matrices is
-    swept on _WORKERS threads (:func:`_split_states`).  Raises
-    :class:`ComputationError`, naming the first z, when a state is not finite.
+    The positions are checked on every call; the walk to them is built once
+    per view and positions and kept with the view.  A walk of at least one
+    full block and _SPLIT_WORK step x z matrices is swept on _WORKERS threads
+    (:func:`_split_states`).  Raises :class:`ComputationError`, naming the
+    first z, when a state is not finite.
     """
     z = np.asarray(z, dtype=complex)
-    walk = _Walk(view, np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise PositionOutOfRange("need at least one sample position")
+    if not np.all(np.isfinite(xs)):
+        raise PositionOutOfRange("sample positions must be finite")
+    lo, hi = xs.min(), xs.max()
+    if lo < 0.0 or hi > view.length:
+        raise PositionOutOfRange(f"sample positions must lie in [0, {view.length}], got [{lo}, {hi}]")
+    walk = view.plan(("walk", xs.tobytes()), lambda: _Walk(view, xs))
     workers = 1
     if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
         workers = min(_WORKERS, z.size)

@@ -13,7 +13,10 @@ coefficients are constant between breakpoints: the state at a truncation
 point x is P(x - b) J_b S(b-), the jump at the last breakpoint b strictly
 below x and the closed-form piece after it.  So one sweep to these
 breakpoints, vectorized over z, serves a whole grid, and the last pieces of
-many truncation points and z are built as one array.
+many truncation points and z are built as one array.  Everything the schedule
+derives without z (the points, their anchors, the walk to the anchors and the
+last pieces' coefficients) is built once per string, on first use, and kept
+with its coefficient view, so a later call on the same string starts at once.
 
 The integral representation
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import StringSpec, coefficient_view
+from .coefficients import CoefficientView, StringSpec, coefficient_view
 from .errors import (
     ComputationError,
     ExtrapolationUnstable,
@@ -97,8 +100,13 @@ def standard_grid() -> np.ndarray:
 
 
 def _require_nonreal(z: np.ndarray) -> None:
-    if np.any(np.asarray(z).imag == 0.0):
+    """Refuse a z on the real axis, or one with a part that is not finite."""
+    z = np.asarray(z)
+    if np.any(z.imag == 0.0):
         raise NonRealRequired("Weyl evaluation needs Im z != 0")
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValidationError(f"Weyl evaluation needs a finite z, got {complex(z[~finite][0])}")
 
 
 def _values_agree(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +141,9 @@ def _quotient(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 def m_truncated(spec: StringSpec, z, x: float):
     """Truncated Weyl function -theta(z, x)/(z phi(z, x)); vectorized in z.
 
-    Raises :class:`ComputationError` rather than return a value that is not finite.
+    Raises :class:`ValidationError` unless every z is finite and off the real
+    axis, and :class:`ComputationError` rather than return a value that is
+    not finite.
     """
     zarr = np.asarray(z, dtype=complex)
     _require_nonreal(zarr)
@@ -150,6 +160,22 @@ def m_truncated(spec: StringSpec, z, x: float):
     return complex(m) if zarr.shape == () else m
 
 
+class _HalflinePlan:
+    """What the truncation schedule of a half-line derives from its view
+    without z: the truncation points ``xs``; ``at``, the index of the last
+    breakpoint strictly below each point (the sweep reaches it after ``at``
+    steps); the distinct anchors among them, each point's index ``group``
+    into them and the ``walk`` to them; and the last ``pieces`` P J from the
+    anchors to the points."""
+
+    def __init__(self, view: CoefficientView):
+        self.xs = view.truncation_points
+        self.at = np.searchsorted(view.bp, self.xs) - 1
+        anchors, self.group = np.unique(self.at, return_inverse=True)
+        self.pieces = _Steps(view, view.bp[self.at], self.xs - view.bp[self.at])
+        self.walk = _Walk(view, view.bp[anchors])
+
+
 def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     """Weyl function at every z of ``zs``, with the truncation limit resolved
     automatically.
@@ -160,8 +186,9 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
     x: one rescaled sweep to these anchors b serves every z and ends once all
     have stopped, and the last pieces P J of many points and z are built at
     once.  Raises :class:`ValidationError` unless ``tol`` is finite and
-    positive, and :class:`ComputationError` rather than return a value that
-    is not finite, naming the first such z.
+    positive and every z finite and off the real axis, and
+    :class:`ComputationError` rather than return a value that is not finite,
+    naming the first such z.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
@@ -173,13 +200,9 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
                 for z, m in zip(zs.tolist(), ms.tolist())]
 
     view = coefficient_view(spec)
-    xs = view.truncation_points
-    # bp[at] is the last breakpoint strictly below each truncation point; the
-    # sweep reaches it after ``at`` steps.
-    at = np.searchsorted(view.bp, xs) - 1
-    anchors, group = np.unique(at, return_inverse=True)
-    pieces = _Steps(view, view.bp[at], xs - view.bp[at])
-    sweep = _walk_states(_Walk(view, view.bp[anchors]), zs, rescale=True)
+    plan = view.plan("halfline", lambda: _HalflinePlan(view))
+    xs, at, group = plan.xs, plan.at, plan.group
+    sweep = _walk_states(plan.walk, zs, rescale=True)
     states = []  # S(b-) at the anchors the sweep has reached
     samples: list[WeylSample] = [None] * zs.size
     # The z still to stop, their indices in zs, and their last three values
@@ -200,7 +223,7 @@ def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
         first = group[lo]
         left = np.stack(states[first:group[hi - 1] + 1], axis=2)[:, :, group[lo:hi] - first]
         with np.errstate(over="ignore", invalid="ignore"):
-            piece = pieces.matrices(lo, hi, z, zz, rescale=True)[:1]
+            piece = plan.pieces.matrices(lo, hi, z, zz, rescale=True)[:1]
             top = _compose(piece, left[..., active])
         values = np.concatenate([recent, _quotient(top[0, 0], top[0, 1], z)])
         agree, diff = (a.T[3:] for a in _values_agree(values.T, tol))
@@ -298,6 +321,8 @@ def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classificatio
     the structural one must agree on valid inputs; both are reported.
     """
     zs = standard_grid() if samples is None else np.ravel(np.asarray(samples, dtype=complex))
+    if zs.size == 0:
+        raise ValidationError("classify needs at least one sample point")
     both = np.array([s.m for s in weyl_m_grid(spec, np.concatenate([zs, zs.conj()]))])
     ms, ms_conj = both[:zs.size], both[zs.size:]
     scale = max(1.0, float(np.max(np.abs(ms))))

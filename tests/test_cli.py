@@ -97,6 +97,18 @@ def test_forward_rejects_real_axis_grid_points(tmp_path):
     assert rc == 1
 
 
+def test_forward_refuses_non_finite_grid_points_with_exit_1(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("re_z,im_z\n0,1\nnan,1\n", encoding="utf-8")
+    for doc in (HALFLINE, UNIFORM):
+        out = tmp_path / "m.csv"
+        rc = main(["forward", "--spec", _dump(tmp_path / "spec.json", doc), "--grid", str(grid),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Weyl evaluation needs a finite z")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("mesh", ["0", "-3", "2.5", "many"])
 @pytest.mark.parametrize("command", ["forward", "roundtrip"])
 def test_mesh_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv, command, mesh):

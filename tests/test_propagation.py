@@ -1,5 +1,6 @@
 """Tests for the transfer-matrix propagation of the first-order system."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog, propagation
+from indefstring import catalog, coefficients, propagation
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
@@ -358,3 +359,27 @@ def test_transfer_shape_and_duplicates():
 def test_position_out_of_range_rejected():
     with pytest.raises(PositionOutOfRange):
         fundamental_system(catalog.empty_string(), 1j, [1.5])
+
+
+def test_positions_are_checked_after_a_planned_sweep():
+    # The sweep plans kept with the view must not let a bad position through.
+    spec = catalog.mixed_example()
+    fundamental_system(spec, 1j, [0.5, 1.0])
+    m_truncated(spec, 1j, spec.length)
+    for bad in ([0.5, spec.length + 0.5], [math.nan], [math.inf], [-0.1], []):
+        with pytest.raises(PositionOutOfRange):
+            fundamental_system(spec, 1j, bad)
+        with pytest.raises(PositionOutOfRange):
+            transfer_matrices(spec, [1j, 2j], bad)
+    for x in (spec.length + 0.5, math.nan, math.inf):
+        with pytest.raises(PositionOutOfRange):
+            m_truncated(spec, 1j, x)
+
+
+def test_plans_for_caller_chosen_positions_stay_bounded():
+    spec = _mixed_string(50, 3)
+    view = coefficient_view(spec)
+    for x in np.linspace(1e-3, spec.length, 1000):
+        fundamental_system(spec, 1j, [x])
+    assert coefficient_view(spec) is view
+    assert 0 < len(view._plans) <= coefficients._PLANS

@@ -17,6 +17,7 @@ from indefstring.errors import (
     TruncationNotConverged,
     ValidationError,
 )
+from indefstring.spectral import stieltjes_inversion
 from indefstring.weyl import (
     _richardson,
     _values_agree,
@@ -68,6 +69,14 @@ def test_real_spectral_parameter_rejected():
         weyl_m(catalog.empty_string(), 2.0)
     with pytest.raises(NonRealRequired):
         m_truncated(catalog.empty_string(), 2.0 + 0j, 1.0)
+    # A part that is not finite is bad input too, not a numerical failure.
+    for z in (complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, 1.0),
+              complex(1.0, math.inf), complex(-math.inf, -math.inf)):
+        for spec in (catalog.uniform_halfline(), catalog.uniform_string()):
+            with pytest.raises(ValidationError, match="finite z"):
+                weyl_m(spec, z)
+        with pytest.raises(ValidationError, match="finite z"):
+            m_truncated(catalog.uniform_string(), [1j, z], 0.5)
 
 
 def test_finite_length_limit_is_attained():
@@ -376,6 +385,61 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
     assert len(sweeps) == 1 and 1 < len(sweeps[0]) <= 13
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The string of every sweep plan (_Walk) built, from an empty view cache on."""
+    built = []
+
+    class Counted(propagation._Walk):
+        def __init__(self, view, xs):
+            built.append(view.spec)
+            super().__init__(view, xs)
+
+    monkeypatch.setattr(propagation, "_Walk", Counted)
+    monkeypatch.setattr(weyl, "_Walk", Counted)
+    coefficient_view.cache_clear()
+    yield built
+    coefficient_view.cache_clear()
+
+
+def test_each_string_plans_its_sweep_once(walks):
+    halfline, finite = catalog.uniform_halfline(), catalog.mixed_example()
+    weyl_m_grid(halfline, standard_grid())
+    m_truncated(finite, standard_grid(), finite.length)
+    assert walks == [halfline, finite]
+    walks.clear()
+    weyl_m_grid(halfline, standard_grid() + 1.0)
+    weyl_m(halfline, 2j)
+    m_truncated(finite, 1j, finite.length)
+    weyl_m_grid(finite, [3j])
+    assert walks == []
+    # Each inversion evaluates m on a few dozen grids of its string.
+    for spec, window in ((catalog.uniform_string(), (5.0, 45.0)),
+                         (catalog.upsilon_lebesgue_halfline(), (0.5, 3.0))):
+        stieltjes_inversion(spec, window)
+        assert walks == [spec]
+        walks.clear()
+
+
+def test_planned_sweeps_give_the_bits_of_a_cold_call():
+    zs = np.concatenate([standard_grid(), [1e6j, -1e3 + 1e-2j, 1e-6 + 1e-8j]])
+    specs = (catalog.uniform_halfline(), catalog.upsilon_lebesgue_halfline(), _atomic_halfline(3),
+             catalog.mixed_example(), _many_atoms(300, 1.0, 5))
+    runs = []
+    for _ in range(2):
+        coefficient_view.cache_clear()
+        for _ in range(2):  # cold, then warm
+            out = []
+            for spec in specs:
+                samples = weyl_m_grid(spec, zs)
+                out.append(np.array([[s.m, s.truncation_x, s.est_error] for s in samples]))
+                out.append(np.array([weyl_m(spec, z).m for z in zs[:3]]))
+                if math.isfinite(spec.length):
+                    out.append(propagation.transfer_matrices(spec, zs[:49], [0.3, spec.length]))
+            runs.append(b"".join(a.tobytes() for a in out))
+    assert runs[1:] == runs[:1] * 3
+
+
 def test_wide_range_matches_closed_forms_or_raises():
     """|z| from 1e-8 to 1e6 on five rays from arg 1e-8 to pi - 1e-8: each value is
     finite and matches the closed form, or the evaluation raises a typed error."""
@@ -412,6 +476,12 @@ def test_classification_negative_density():
     assert not result.stieltjes
     assert not result.nonneg_spectrum_predicted
     assert result.stieltjes == result.stieltjes_structural
+
+
+def test_classification_needs_a_sample():
+    for spec in (catalog.uniform_string(), catalog.uniform_halfline()):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            classify(spec, samples=[])
 
 
 def test_classification_negative_atom():
