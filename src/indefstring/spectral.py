@@ -11,11 +11,12 @@ lockstep on it, and the spectral-measure masses, the exact residues
 
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
-point masses, so atoms are located by peak search, refined per eps by one
-section search over all candidates together (each evaluator call samples 16
-points per bracket and shrinks it 8.5-fold, and a parabola through the best
-samples places the peak), and their masses extrapolated from eps * Im m at
-the peak.  The representation term -1/(L z) would masquerade as a point mass
+point masses, so atoms are located by peak search (a peak must bend more
+than the scan's own rounding noise), refined per eps by one section search
+over all candidates together (each evaluator call samples 16 points per
+bracket and shrinks it 8.5-fold, and a parabola through the best samples
+places the peak), and their masses extrapolated from eps * Im m at the
+peak.  The representation term -1/(L z) would masquerade as a point mass
 at 0; windows must therefore stay away from 0.
 
 The model Hilbert space pairs a first component with finite Dirichlet energy
@@ -279,6 +280,24 @@ def _spec_evaluator(spec: StringSpec):
     return ev
 
 
+def _checked_evaluator(ev):
+    """``ev`` refusing values whose shape is not that of its z
+    (:class:`ValidationError`) or that are not finite
+    (:class:`ComputationError`, naming the first such l)."""
+
+    def checked(zs: np.ndarray) -> np.ndarray:
+        m = np.asarray(ev(zs))
+        if m.shape != zs.shape:
+            raise ValidationError(f"the evaluator returned shape {m.shape} for z of shape {zs.shape}")
+        bad = np.flatnonzero(~np.isfinite(m))
+        if bad.size:
+            z = complex(zs[bad[0]])
+            raise ComputationError(f"m(l + i*eps) is not finite at l = {z.real!r}, eps = {z.imag!r}")
+        return m
+
+    return checked
+
+
 # Samples per bracket and evaluator call in the peak search.  A call shrinks
 # every bracket by (k + 1)/2; fewer samples need more calls, each with a fixed
 # cost, and more make each call dearer without shrinking faster per sample.
@@ -352,15 +371,25 @@ def stieltjes_inversion(source, window: tuple[float, float],
                         eps=(1e-2, 1e-3, 1e-4)) -> SpectralMeasure:
     """Recover the point part of the spectral measure on a real window.
 
-    ``source`` is a string spec or a vectorized callable z -> m(z).  Peaks of
-    Im m(l + i*eps0) seed candidate atoms; at every eps all locations are
-    re-maximized together by a section search, one evaluator call per
-    8.5-fold shrink of all brackets, and eps * Im m at the peak is
+    ``source`` is a string spec or a vectorized callable z -> m(z); values
+    whose shape is not that of z raise :class:`ValidationError`, and a value
+    that is not finite raises :class:`ComputationError` naming the first l.
+    Peaks of Im m(l + i*eps0) seed candidate atoms; at every eps all
+    locations are re-maximized together by a section search, one evaluator
+    call per 8.5-fold shrink of all brackets, and eps * Im m at the peak is
     extrapolated in eps^2 with the ratios of the given eps.  A mass estimate
     that moves more than 5% across the two finest eps is rejected as not
     atomic, so at least two distinct, finite eps are required.  Windows must
     have finite edges and exclude 0, where the finite-length representation
     term would fake a point mass.
+
+    A local maximum of the scan Im m(l + i*eps0) becomes a candidate only if
+    its bend 2 Im m_i - Im m_(i-1) - Im m_(i+1) exceeds the scan's own noise:
+    eight times the median change of the bend between neighbouring samples,
+    and at least 64 ulps of the largest |Im m| in the scan.  Rounding maxima
+    of a flat density are thus dropped before any refinement; on
+    ``upsilon_lebesgue_halfline()`` (m = i) the inversion makes two evaluator
+    calls, the scan and the density samples.
 
     Only peaks with eps0 * Im m > 1e-6 at the coarsest eps0 become candidates:
     an absolute floor, so atoms of mass below about 1e-6 are left out, and no
@@ -368,17 +397,26 @@ def stieltjes_inversion(source, window: tuple[float, float],
     ``mixed_example()`` over (0.5, 200) this returns 4 of its 54 atoms).
     """
     lo, hi, eps = _checked_window(window, eps)
-    if callable(source):
-        ev = source
-    else:
-        ev = _spec_evaluator(source)
+    ev = _checked_evaluator(source if callable(source) else _spec_evaluator(source))
 
     e0 = eps[0]
     npts = int(min(max(math.ceil((hi - lo) / (e0 / 4.0)) + 1, 101), 200_001))
     lam = np.linspace(lo, hi, npts)
-    im0 = np.asarray(ev(lam + 1j * e0)).imag
+    im0 = ev(lam + 1j * e0).imag
     inner = im0[1:-1]
-    peaks = lam[1:-1][(inner >= im0[:-2]) & (inner > im0[2:]) & (e0 * inner > 1e-6)]
+    peak = (inner >= im0[:-2]) & (inner > im0[2:]) & (e0 * inner > 1e-6)
+    if peak.any():
+        # Noise changes the bend from one sample to the next by about as much
+        # as the bend itself, a smooth peak by the spacing over its width
+        # less; so the noise level is read from those changes, and the
+        # curvature of a peak that fills a narrow window is not taken for it.
+        bend = 2.0 * inner - im0[:-2] - im0[2:]
+        jump = np.abs(np.diff(bend))
+        mid = jump.size // 2
+        jump.partition(mid)
+        noise = max(8.0 * jump[mid], 64.0 * np.finfo(float).eps * np.max(np.abs(im0)))
+        peak &= bend > noise
+    peaks = lam[1:-1][peak]
     candidates = []
     for l in peaks:
         if not (candidates and l - candidates[-1] < 4.0 * e0):
@@ -399,7 +437,7 @@ def stieltjes_inversion(source, window: tuple[float, float],
 
     stride = max(1, npts // 512)
     e_min = eps[-1]
-    im_min = np.asarray(ev(lam[::stride] + 1j * e_min)).imag
+    im_min = ev(lam[::stride] + 1j * e_min).imag
     cont = tuple((float(l), float(v / math.pi)) for l, v in zip(lam[::stride], im_min))
     return SpectralMeasure(atoms=tuple(atoms), continuous_samples=cont, epsilon_used=e_min)
 

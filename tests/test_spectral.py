@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog, propagation
+from indefstring import catalog, propagation, spectral
 from indefstring.coefficients import StringSpec, validate_spec
 from indefstring.errors import (
+    ComputationError,
     NotAtomic,
     NotFiniteLength,
     UnsupportedShape,
@@ -34,7 +35,7 @@ from indefstring.spectral import (
     stieltjes_inversion,
     transform_hat,
 )
-from indefstring.weyl import m_truncated, structural_flags
+from indefstring.weyl import m_truncated, structural_flags, weyl_m_grid
 
 OMEGA_MID = catalog.omega_atom_middle()            # omega = 1*delta at 1/2
 OMEGA_MID_NEG = catalog.omega_atom_middle(-1.0)
@@ -314,6 +315,84 @@ def test_inversion_halfline_default_eps_is_continuous():
     assert mu.continuous_samples
     for _, density in mu.continuous_samples:
         assert abs(density - 1.0 / np.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("window, eps", [((1.0, 1.1), (1e-2, 1e-3)), ((0.5, 3.0), None)])
+def test_flat_density_inversion_makes_two_calls(monkeypatch, window, eps):
+    # Im m = 1 up to rounding: no maximum of the scan bends above its noise,
+    # so nothing is refined; the scan and the density samples are the calls.
+    calls = []
+
+    def counting(spec, zs, *args, **kwargs):
+        calls.append(len(zs))
+        return weyl_m_grid(spec, zs, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "weyl_m_grid", counting)
+    kwargs = {} if eps is None else {"eps": eps}
+    mu = stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), window, **kwargs)
+    assert len(calls) == 2
+    assert mu.atoms == ()
+    for _, density in mu.continuous_samples:
+        assert abs(density - 1.0 / np.pi) <= 1e-8
+
+
+def _atom_on_flat_density(noise, counts):
+    rng = np.random.default_rng(7)
+
+    def m(zs):
+        counts.append(zs.size)
+        return 1j * (1.0 + noise * rng.standard_normal(zs.shape)) + 0.5 / (3.0 - zs)
+
+    return m
+
+
+def test_noise_on_a_flat_density_leaves_its_atom_alone():
+    # Relative noise of 1e-12 on Im m = 1 raises the scan's noise level; the
+    # atom of mass 1/2 at 3 still stands far above it, and the noise maxima
+    # stay below it, so no extra candidate is refined.
+    clean_counts, noisy_counts = [], []
+    clean = stieltjes_inversion(_atom_on_flat_density(0.0, clean_counts), (1.0, 5.0))
+    noisy = stieltjes_inversion(_atom_on_flat_density(1e-12, noisy_counts), (1.0, 5.0))
+    assert len(clean.atoms) == len(noisy.atoms) == 1
+    (lam, mass), (clean_lam, clean_mass) = noisy.atoms[0], clean.atoms[0]
+    assert abs(clean_lam - 3.0) <= 1e-12
+    assert abs(lam - 3.0) <= 1e-9
+    assert abs(mass - clean_mass) <= 1e-9 * clean_mass
+    assert len(noisy_counts) <= len(clean_counts)
+    assert sum(noisy_counts) <= sum(clean_counts)
+
+
+@pytest.mark.parametrize("window", [(3.99, 4.01), (3.98, 4.02), (3.999, 4.001)])
+def test_inversion_finds_an_atom_that_fills_a_narrow_window(window):
+    # The peak at 4 is wider than the window, so most bends of the scan are
+    # the peak's own curvature; the noise level must not count them as noise.
+    mu = stieltjes_inversion(OMEGA_MID, window)
+    assert len(mu.atoms) == 1
+    lam, mass = mu.atoms[0]
+    assert lam == pytest.approx(4.0, rel=1e-12)
+    assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda zs: 1j,
+    lambda zs: np.full(zs.size - 1, 1j),
+    lambda zs: np.full((zs.size, 1), 1j),
+], ids=["scalar", "short", "column"])
+def test_inversion_refuses_values_of_the_wrong_shape(wrong):
+    with pytest.raises(ValidationError, match="shape"):
+        stieltjes_inversion(wrong, (1.0, 5.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inversion_refuses_non_finite_values(bad):
+    # A NaN around the atom is never a local maximum of the scan, so unless
+    # it is refused the atom silently drops out of the result.
+    def m(zs):
+        values = 1j + 0.5 / (3.0 - zs)
+        return np.where(np.abs(zs.real - 3.0) < 0.01, bad, values)
+
+    with pytest.raises(ComputationError, match=r"not finite at l = 2\.99"):
+        stieltjes_inversion(m, (1.0, 5.0))
 
 
 def test_green_kernel_empty_string():
