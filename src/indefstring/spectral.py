@@ -12,7 +12,7 @@ lockstep on it, and the spectral-measure masses, the exact residues
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
 point masses, so atoms are located by peak search (a peak must bend more
-than the scan's own rounding noise), refined per eps by one section search
+than the scan's own noise), refined per eps by one section search
 over all candidates together (each evaluator call samples 16 points per
 bracket and shrinks it 8.5-fold, and a parabola through the best samples
 places the peak), and their masses extrapolated from eps * Im m at the
@@ -331,7 +331,7 @@ def _section_peaks(ev, e: float, centers: np.ndarray,
         x[:, 0], x[:, 1:-1], x[:, -1] = lo, lo[:, None] + (hi - lo)[:, None] * frac, hi
         f = np.empty_like(x)
         f[:, 0], f[:, -1] = fa[active], fb[active]
-        f[:, 1:-1] = np.asarray(ev(x[:, 1:-1].ravel() + 1j * e)).imag.reshape(-1, k)
+        f[:, 1:-1] = ev(x[:, 1:-1].ravel() + 1j * e).imag.reshape(-1, k)
         rows = np.arange(active.size)
         best = 1 + np.argmax(f[:, 1:-1], axis=1)
         f0, f1, f2 = f[rows, best - 1], f[rows, best], f[rows, best + 1]
@@ -342,7 +342,7 @@ def _section_peaks(ev, e: float, centers: np.ndarray,
         a[active], b[active] = x[rows, best - 1], x[rows, best + 1]
         fa[active], fb[active] = f0, f2
         active = active[b[active] - a[active] > tol[active]]
-    return pos, e * np.asarray(ev(pos + 1j * e)).imag
+    return pos, e * ev(pos + 1j * e).imag
 
 
 def _checked_window(window, eps) -> tuple[float, float, list[float]]:
@@ -384,12 +384,19 @@ def stieltjes_inversion(source, window: tuple[float, float],
     term would fake a point mass.
 
     A local maximum of the scan Im m(l + i*eps0) becomes a candidate only if
-    its bend 2 Im m_i - Im m_(i-1) - Im m_(i+1) exceeds the scan's own noise:
-    eight times the median change of the bend between neighbouring samples,
-    and at least 64 ulps of the largest |Im m| in the scan.  Rounding maxima
-    of a flat density are thus dropped before any refinement; on
-    ``upsilon_lebesgue_halfline()`` (m = i) the inversion makes two evaluator
-    calls, the scan and the density samples.
+    its bend 2 Im m_i - Im m_(i-1) - Im m_(i+1) exceeds the scan's own noise
+    level: eight times the median bend change where the bend changes sign
+    three times in a row (the smaller of two neighbouring changes there), and
+    at least 64 ulps of the largest |Im m| in the scan.  Im m at height eps0
+    is smooth over eps0, four samples, so such sign changes come from noise,
+    and the curvature of atoms, however closely packed, does not raise the
+    level.  Maxima of a flat or noisy density are thus dropped before any
+    refinement: a window whose density has no local maximum, such as a flat
+    density on a half-line (``upsilon_lebesgue_halfline()``, m = i), costs two
+    evaluator calls, the scan and the density samples.  A window wider than
+    50,000 * eps0 is scanned at the 200,001-point cap, coarser than eps0/4,
+    where a sampled peak alone can flip the sign; there only the 64-ulp
+    minimum applies, and maxima of noise are refined and rejected.
 
     Only peaks with eps0 * Im m > 1e-6 at the coarsest eps0 become candidates:
     an absolute floor, so atoms of mass below about 1e-6 are left out, and no
@@ -397,24 +404,37 @@ def stieltjes_inversion(source, window: tuple[float, float],
     ``mixed_example()`` over (0.5, 200) this returns 4 of its 54 atoms).
     """
     lo, hi, eps = _checked_window(window, eps)
-    ev = _checked_evaluator(source if callable(source) else _spec_evaluator(source))
+    ev = _checked_evaluator(source) if callable(source) else _spec_evaluator(source)
 
     e0 = eps[0]
-    npts = int(min(max(math.ceil((hi - lo) / (e0 / 4.0)) + 1, 101), 200_001))
+    steps = math.ceil((hi - lo) / (e0 / 4.0))
+    npts = int(min(max(steps + 1, 101), 200_001))
     lam = np.linspace(lo, hi, npts)
     im0 = ev(lam + 1j * e0).imag
     inner = im0[1:-1]
     peak = (inner >= im0[:-2]) & (inner > im0[2:]) & (e0 * inner > 1e-6)
     if peak.any():
-        # Noise changes the bend from one sample to the next by about as much
-        # as the bend itself, a smooth peak by the spacing over its width
-        # less; so the noise level is read from those changes, and the
-        # curvature of a peak that fills a narrow window is not taken for it.
+        # The noise level is read where noise shows: where the bend changes
+        # sign three times in a row.  Im m at height eps0 is smooth over
+        # eps0, four samples, so it does not; two neighbouring changes of the
+        # bend there go opposite ways, and the smaller is no larger than the
+        # noise's own.  So neither the curvature of a peak nor the tails of
+        # atoms packed in the window, however many, are taken for noise.  A
+        # scan capped at 200,001 points (steps >= npts) is coarser than
+        # eps0/4, where a sampled peak alone can flip the sign, so there
+        # only the 64-ulp minimum applies.
         bend = 2.0 * inner - im0[:-2] - im0[2:]
-        jump = np.abs(np.diff(bend))
-        mid = jump.size // 2
-        jump.partition(mid)
-        noise = max(8.0 * jump[mid], 64.0 * np.finfo(float).eps * np.max(np.abs(im0)))
+        noise = 64.0 * np.finfo(float).eps * np.max(np.abs(im0))
+        if steps < npts:
+            up, down = bend > 0.0, bend < 0.0
+            flip = (up[:-1] & down[1:]) | (down[:-1] & up[1:])
+            at = np.flatnonzero(flip[:-2] & flip[1:-1] & flip[2:])
+            b0, b1, b2 = bend[at], bend[at + 1], bend[at + 2]
+            changes = np.minimum(np.abs(b1 - b0), np.abs(b2 - b1))
+            if changes.size:
+                mid = changes.size // 2
+                changes.partition(mid)
+                noise = max(8.0 * changes[mid], noise)
         peak &= bend > noise
     peaks = lam[1:-1][peak]
     candidates = []

@@ -362,6 +362,22 @@ def test_noise_on_a_flat_density_leaves_its_atom_alone():
     assert sum(noisy_counts) <= sum(clean_counts)
 
 
+@pytest.mark.parametrize("noise", [1e-12, 1e-9])
+def test_noise_on_a_flat_density_is_not_refined(noise):
+    # Every sample of Im m = 1 + noise stands above the absolute floor, and
+    # about a third of them are maxima; none bends above the scan's noise.
+    rng = np.random.default_rng(7)
+    counts = []
+
+    def m(zs):
+        counts.append(zs.size)
+        return 1j * (1.0 + noise * rng.standard_normal(zs.shape))
+
+    mu = stieltjes_inversion(m, (1.0, 5.0))
+    assert mu.atoms == ()
+    assert len(counts) == 2
+
+
 @pytest.mark.parametrize("window", [(3.99, 4.01), (3.98, 4.02), (3.999, 4.001)])
 def test_inversion_finds_an_atom_that_fills_a_narrow_window(window):
     # The peak at 4 is wider than the window, so most bends of the scan are
@@ -371,6 +387,40 @@ def test_inversion_finds_an_atom_that_fills_a_narrow_window(window):
     lam, mass = mu.atoms[0]
     assert lam == pytest.approx(4.0, rel=1e-12)
     assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.05, 0.1, 0.2])
+def test_inversion_finds_a_small_atom_among_large_ones(gap):
+    # Poles every gap (5, 10 and 20 eps0), mass 1 but one of 0.05.  Nearly
+    # every bend of the scan is the curvature of some atom's tail; counted as
+    # noise, it would hide the small atom, which has a maximum of its own.
+    poles = [(1.0 + gap * k, 0.05 if k == 4 else 1.0) for k in range(11)]
+
+    def m(zs):
+        return sum(gamma / (lam - zs) for lam, gamma in poles)
+
+    mu = stieltjes_inversion(m, (0.95, 1.05 + 10 * gap))
+    assert len(mu.atoms) == len(poles)
+    for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, poles):
+        assert abs(lam - want_lam) <= 1e-6
+        assert abs(mass - want_mass) <= 1e-3 * want_mass
+
+
+def test_inversion_keeps_packed_atoms_on_a_capped_scan():
+    # A window of 2000 is scanned at the 200,001-point cap, a spacing of
+    # eps0: there each sampled peak flips the sign of the bend by itself, and
+    # the extra atom of 0.3 (2 * eps0 from one of mass 1, so merged with it)
+    # makes three flips in a row.  Read as noise, they would hide every atom.
+    unit = [1000.0 + 0.05 * k for k in range(5)]
+    poles = [(lam, 1.0) for lam in unit] + [(1000.12, 0.3)]
+
+    def m(zs):
+        return sum(gamma / (lam - zs) for lam, gamma in poles)
+
+    mu = stieltjes_inversion(m, (0.5, 2000.5))
+    for want in unit:
+        assert any(abs(lam - want) <= 1e-9 * want and abs(mass - 1.0) <= 1e-6
+                   for lam, mass in mu.atoms)
 
 
 @pytest.mark.parametrize("wrong", [
