@@ -280,7 +280,7 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
 # -- canonical Weyl function -------------------------------------------------
 
 
-def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
+def canonical_m_grid(ham: Hamiltonian, zs) -> np.ndarray:
     """Canonical Weyl function lim U11/U12 for an array of non-real z.
 
     It is the Weyl function of :func:`hamiltonian_to_string` of ``ham``, so
@@ -288,7 +288,7 @@ def canonical_m_grid(ham: Hamiltonian, zs, tol: float = 1e-10) -> np.ndarray:
     shape of ``zs``.
     """
     zarr = np.asarray(zs, dtype=complex)
-    samples = weyl_m_grid(hamiltonian_to_string(ham), zarr, tol)
+    samples = weyl_m_grid(hamiltonian_to_string(ham), zarr)
     return np.array([s.m for s in samples], dtype=complex).reshape(zarr.shape)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: JSON/CSV plumbing around the library operations.
 
 Exit codes: 0 success, 1 parse/validation problems (including usage errors),
-2 numerical non-convergence, 3 roundtrip discrepancy above tolerance.
+2 numerical failure (a value that is not finite), 3 roundtrip discrepancy
+above tolerance.
 Floats are written with 17 significant digits so outputs are byte-stable.
 """
 from __future__ import annotations
@@ -94,7 +95,6 @@ def build_parser() -> _Parser:
     fwd.add_argument("--grid", required=True, help="CSV with re_z, im_z rows")
     fwd.add_argument("--out", required=True, help="output CSV for the m samples")
     fwd.add_argument("--hamiltonian", help="also write the Hamiltonian JSON here")
-    fwd.add_argument("--tol", type=_positive, default=1e-10)
     fwd.add_argument("--mesh", type=_positive_int, default=256)
     fwd.add_argument("--jobs", type=_positive_int, default=1,
                      help="accepted for compatibility; has no effect (long grids use every CPU "
@@ -139,7 +139,7 @@ def cmd_forward(args) -> int:
     zs = _read_grid(args.grid)
     if any(z.imag == 0.0 for z in zs):
         raise ValidationError("grid points must have nonzero imaginary part")
-    samples = weyl_m_grid(spec, zs, tol=args.tol)
+    samples = weyl_m_grid(spec, zs)
     lines = ["re_z,im_z,re_m,im_m,trunc_x,est_err"]
     for s in samples:
         lines.append(

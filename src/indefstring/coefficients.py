@@ -36,15 +36,9 @@ _INF = math.inf
 # Two-point Gauss-Legendre nodes on [0, 1]; exact through cubic integrands.
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
-# Half-line truncation schedule: travel coordinates 2^k * _TRUNCATION_START
-# for k < _TRUNCATION_DOUBLINGS.  It starts far below unit travel distance: at
-# large |z| the Weyl limit is already reached at tiny x, and late starts would
-# push trig factors toward overflow.
-_TRUNCATION_START = 2.0 ** -40
-_TRUNCATION_DOUBLINGS = 140
-
-# Sweep plans kept with one view: the half-line plan, the walk to L and a few
-# walks to positions that callers choose; the least recently used goes first.
+# Sweep plans kept with one view: the walk to L (or, on a half-line, to its
+# last breakpoint) and a few walks to positions that callers choose; the least
+# recently used goes first.
 _PLANS = 4
 
 # Evenly spaced probe positions of spec_discrepancy's distribution comparison.
@@ -360,19 +354,6 @@ class CoefficientView:
         return total
 
     # -- generalized inverse of the travel coordinate ------------------------
-
-    @cached_property
-    def truncation_points(self) -> np.ndarray:
-        """The increasing positive positions among xi(2^k s0): where a half-line
-        is truncated to approach its Weyl limit.  They do not depend on z."""
-        points = [0.0]
-        s = _TRUNCATION_START
-        for _ in range(_TRUNCATION_DOUBLINGS):
-            x = self.xi(s)
-            s *= 2.0
-            if x > points[-1]:
-                points.append(x)
-        return np.array(points[1:])
 
     def xi(self, s: float) -> float:
         """xi(s) = sup{x in [0, L) : sigma(x) <= s}, with xi(s) = L past sigma(L)."""

@@ -132,14 +132,13 @@ def string_convergence_check(seq: StringSequence, xs=None,
     return ConvergenceReport(verdict=verdict, grid=grid, per_member=tuple(rows), margins=margins)
 
 
-def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2,
-                        tol: float = 1e-10) -> ConvergenceReport:
+def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2) -> ConvergenceReport:
     """Direct route: compare Weyl functions on a compact grid of z values."""
     specs, limit = seq.specs, seq.limit
     grid = standard_grid() if zs is None else np.asarray(zs, dtype=complex)
 
     def weyl_values(spec: StringSpec) -> np.ndarray:
-        return np.array([s.m for s in weyl_m_grid(spec, grid, tol=tol)])
+        return np.array([s.m for s in weyl_m_grid(spec, grid)])
 
     m_lim = weyl_values(limit) if limit is not None else None
     rows = []

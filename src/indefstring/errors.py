@@ -54,9 +54,5 @@ class ComputationError(IndefStringError, ArithmeticError):
     """A numerical procedure failed to reach its target accuracy."""
 
 
-class TruncationNotConverged(ComputationError):
-    """Truncation limit did not stabilise within the schedule."""
-
-
 class ExtrapolationUnstable(ComputationError):
     """Limit extrapolation produced a non-contracting correction sequence."""

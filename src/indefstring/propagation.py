@@ -75,7 +75,7 @@ from .errors import ComputationError, PositionOutOfRange
 # Runs of steps are cut at multiples of this many steps before they are folded.
 _BLOCK_STEPS = 256
 # Step x z matrices built in one pass of the narrow path (and the switch to
-# the wide path); also the width of a pass of weyl_m_grid.
+# the wide path).
 _BUDGET = 1 << 12
 # Step x z matrices in one column of the wide path.
 _COLUMN = 1 << 14

@@ -6,17 +6,14 @@ The Weyl function of a string is the locally uniform limit
 
 which maps the upper half-plane into itself and satisfies m(conj z) = conj m(z).
 For finite-length strings in the representable class the travel coordinate is
-finite at L, so the limit is attained at the endpoint; for infinite strings a
-truncation schedule doubles progress in the travel coordinate until four
-consecutive values agree.  The schedule does not depend on z, and the
-coefficients are constant between breakpoints: the state at a truncation
-point x is P(x - b) J_b S(b-), the jump at the last breakpoint b strictly
-below x and the closed-form piece after it.  So one sweep to these
-breakpoints, vectorized over z, serves a whole grid, and the last pieces of
-many truncation points and z are built as one array.  Everything the schedule
-derives without z (the points, their anchors, the walk to the anchors and the
-last pieces' coefficients) is built once per string, on first use, and kept
-with its coefficient view, so a later call on the same string starts at once.
+finite at L, so the limit is attained at the endpoint.  A half-line in the
+class has constant densities a (omega) and b (upsilon) past its last
+breakpoint x0, so -u'' = kappa u there with kappa = z a + z^2 b; for Im z != 0
+kappa is never real and non-negative, and the solution that stays bounded is
+e^{is(x - x0)} with s = sqrt(kappa), Im s > 0 (the limit-point case,
+Titchmarsh, "Eigenfunction Expansions" I, 1962).  The limit is then explicit
+in the state just after the jump at x0, and one sweep to x0, vectorized over
+z, serves a whole grid: no truncation, and no truncation error.
 
 The integral representation
 
@@ -33,34 +30,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientView, StringSpec, coefficient_view
+from .coefficients import StringSpec, coefficient_view
 from .errors import (
     ComputationError,
     ExtrapolationUnstable,
     NonRealRequired,
     PositionOutOfRange,
-    TruncationNotConverged,
     ValidationError,
 )
-from .propagation import (
-    _BUDGET,
-    SystemState,
-    _compose,
-    _Steps,
-    _Walk,
-    _walk_states,
-    fundamental_system,
-    transfer_matrices,
-)
+from .propagation import SystemState, _sweep_closed, fundamental_system, transfer_matrices
 
 
 @dataclass(frozen=True)
 class WeylSample:
-    """One Weyl-function evaluation with truncation metadata.
+    """One Weyl-function evaluation.
 
-    ``est_error`` is the last Cauchy difference of the truncation sequence --
-    a heuristic indicator, not a rigorous bound (exactly 0.0 when the value
-    is attained at a finite endpoint).
+    ``truncation_x`` is where the limit is read: L on a finite string, the
+    last breakpoint x0 on a half-line, past which the limit is explicit.
+    Both are exact up to rounding, so ``est_error`` is always 0.0.
     """
 
     z: complex
@@ -109,33 +96,14 @@ def _require_nonreal(z: np.ndarray) -> None:
         raise ValidationError(f"Weyl evaluation needs a finite z, got {complex(z[~finite][0])}")
 
 
-def _values_agree(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whether an iteration has settled, at every index of the last axis: the
-    value there and the three before it are finite, and their three
-    consecutive differences are each at most tol * max(1, |value|).
-
-    Returns the verdicts and the last differences |values[k] - values[k-1]|,
-    both shaped like ``values``.  No index before the fourth agrees, and the
-    first has difference NaN.
-    """
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        diffs = np.abs(np.diff(values, axis=-1))
-    size = np.abs(values[..., 3:])
-    limit = tol * np.maximum(1.0, size)
-    # zeros_like/full_like keep the memory order of ``values``.
-    agree = np.zeros_like(values, dtype=bool)
-    agree[..., 3:] = ((size < math.inf) & (diffs[..., 2:] <= limit)
-                      & (diffs[..., 1:-1] <= limit) & (diffs[..., :-2] <= limit))
-    last = np.full_like(values, math.nan, dtype=float)
-    last[..., 1:] = diffs
-    return agree, last
-
-
-def _quotient(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The truncated Weyl function -a/(z b) of transfer-matrix entries a = theta, b = phi."""
-    with np.errstate(invalid="ignore"):
-        return -a / (z * b)
+def _refuse_non_finite(zs: np.ndarray, m: np.ndarray) -> None:
+    """Raise :class:`ComputationError`, naming the first z, where m is not finite."""
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        k = bad[0]
+        raise ComputationError(
+            f"Weyl function at z={complex(zs.flat[k])} is not finite: {complex(m.flat[k])}"
+        )
 
 
 def m_truncated(spec: StringSpec, z, x: float):
@@ -150,112 +118,55 @@ def m_truncated(spec: StringSpec, z, x: float):
     if not x > 0.0:
         raise PositionOutOfRange(f"truncation point must be positive, got {x}")
     mats = transfer_matrices(spec, zarr, [float(x)], rescale=True)[0]
-    m = _quotient(mats[..., 0, 0], mats[..., 0, 1], zarr)
-    bad = np.flatnonzero(~np.isfinite(m))
-    if bad.size:
-        k = bad[0]
-        raise ComputationError(
-            f"Weyl function at z={complex(zarr.flat[k])} is not finite: {complex(m.flat[k])}"
-        )
+    with np.errstate(invalid="ignore"):
+        m = -mats[..., 0, 0] / (zarr * mats[..., 0, 1])
+    _refuse_non_finite(zarr, m)
     return complex(m) if zarr.shape == () else m
 
 
-class _HalflinePlan:
-    """What the truncation schedule of a half-line derives from its view
-    without z: the truncation points ``xs``; ``at``, the index of the last
-    breakpoint strictly below each point (the sweep reaches it after ``at``
-    steps); the distinct anchors among them, each point's index ``group``
-    into them and the ``walk`` to them; and the last ``pieces`` P J from the
-    anchors to the points."""
+def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
+    """Weyl function at every z of ``zs``.
 
-    def __init__(self, view: CoefficientView):
-        self.xs = view.truncation_points
-        self.at = np.searchsorted(view.bp, self.xs) - 1
-        anchors, self.group = np.unique(self.at, return_inverse=True)
-        self.pieces = _Steps(view, view.bp[self.at], self.xs - view.bp[self.at])
-        self.walk = _Walk(view, view.bp[anchors])
-
-
-def weyl_m_grid(spec: StringSpec, zs, tol: float = 1e-10) -> list[WeylSample]:
-    """Weyl function at every z of ``zs``, with the truncation limit resolved
-    automatically.
-
-    On a half-line each z stops at the first truncation point where its last
-    four values agree (:func:`_values_agree`).  The state at a truncation
-    point x is P(x - b) J_b S(b-), with b the last breakpoint strictly below
-    x: one rescaled sweep to these anchors b serves every z and ends once all
-    have stopped, and the last pieces P J of many points and z are built at
-    once.  Raises :class:`ValidationError` unless ``tol`` is finite and
-    positive and every z finite and off the real axis, and
-    :class:`ComputationError` rather than return a value that is not finite,
-    naming the first such z.
+    A finite string attains the limit at L.  On a half-line the densities a
+    (omega) and b (upsilon) are constant past the last breakpoint x0, so the
+    Weyl solution there is e^{is(x - x0)} with s = sqrt(z a + z^2 b), Im s > 0
+    (the limit-point case): with theta, phi and their slopes just after the
+    jump at x0, m = (i s theta - theta')/(z (phi' - i s phi)).  A free tail
+    has s = 0 and m = -theta'/(z phi').  One rescaled sweep to x0 serves
+    every z.  Raises :class:`ValidationError` unless every z is finite and
+    off the real axis, and :class:`ComputationError` rather than return a
+    value that is not finite, naming the first such z.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
     zs = np.ravel(np.asarray(zs, dtype=complex))
     _require_nonreal(zs)
     if math.isfinite(spec.length):
-        ms = m_truncated(spec, zs, spec.length)
-        return [WeylSample(z=z, m=m, truncation_x=spec.length, est_error=0.0)
-                for z, m in zip(zs.tolist(), ms.tolist())]
-
-    view = coefficient_view(spec)
-    plan = view.plan("halfline", lambda: _HalflinePlan(view))
-    xs, at, group = plan.xs, plan.at, plan.group
-    sweep = _walk_states(plan.walk, zs, rescale=True)
-    states = []  # S(b-) at the anchors the sweep has reached
-    samples: list[WeylSample] = [None] * zs.size
-    # The z still to stop, their indices in zs, and their last three values
-    # (NaN before the first).  Arrays of a pass have z on the last axis, as
-    # _Steps.matrices builds them.
-    z, active = zs, np.arange(zs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        zz = z * z
-    recent = np.full((3, zs.size), complex("nan"))
-    lo = 0
-    while lo < xs.size and active.size:
-        # A pass: at most ``width`` points, whose anchors lie within ``width``
-        # sweep steps, so at most _BUDGET point x z pieces are built at once.
-        width = max(1, _BUDGET // active.size)
-        hi = min(lo + width, int(np.searchsorted(at, at[lo] + width, side="right")))
-        while len(states) <= group[hi - 1]:
-            states.append(next(sweep)[1])
-        first = group[lo]
-        left = np.stack(states[first:group[hi - 1] + 1], axis=2)[:, :, group[lo:hi] - first]
+        x, m = spec.length, m_truncated(spec, zs, spec.length)
+    else:
+        view = coefficient_view(spec)
+        x = float(view.bp[-1])
+        mats = _sweep_closed(view, zs, [x], rescale=True)[x]
+        theta, phi = mats[0, 0], mats[0, 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            piece = plan.pieces.matrices(lo, hi, z, zz, rescale=True)[:1]
-            top = _compose(piece, left[..., active])
-        values = np.concatenate([recent, _quotient(top[0, 0], top[0, 1], z)])
-        agree, diff = (a.T[3:] for a in _values_agree(values.T, tol))
-        hit = np.flatnonzero(agree.any(axis=0))
-        if hit.size:
-            stop = agree[:, hit].argmax(axis=0)
-            for k, j, m, err in zip(active[hit].tolist(), (lo + stop).tolist(),
-                                    values[3 + stop, hit].tolist(), diff[stop, hit].tolist()):
-                samples[k] = WeylSample(z=complex(zs[k]), m=m, truncation_x=float(xs[j]),
-                                        est_error=err)
-            keep = np.ones(active.size, dtype=bool)
-            keep[hit] = False
-            z, zz, active, values = z[keep], zz[keep], active[keep], values[:, keep]
-        recent = values[-3:]
-        lo = hi
-    if active.size:
-        k = int(active[0])
-        last_diff = abs(recent[-1, 0] - recent[-2, 0])
-        raise TruncationNotConverged(
-            f"Weyl truncation did not stabilise at z={complex(zs[k])}; last diff {last_diff:g}"
-        )
-    return samples
+            zz = zs * zs
+            # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0).
+            g = zs * view.atom_omega[-1] + zz * view.atom_upsilon[-1]
+            dtheta, dphi = mats[1, 0] - g * theta, mats[1, 1] - g * phi
+            s = np.sqrt(zs * view.dens_omega[-1] + zz * view.dens_upsilon[-1])
+            s = np.where(s.imag < 0.0, -s, s)
+            m = (1j * s * theta - dtheta) / (zs * (dphi - 1j * s * phi))
+        _refuse_non_finite(zs, m)
+    return [WeylSample(z=z, m=v, truncation_x=x, est_error=0.0)
+            for z, v in zip(zs.tolist(), m.tolist())]
 
 
-def weyl_m(spec: StringSpec, z: complex, tol: float = 1e-10) -> WeylSample:
-    """Weyl function at one z: ``weyl_m_grid(spec, [z], tol)[0]``."""
-    return weyl_m_grid(spec, [complex(z)], tol)[0]
+def weyl_m(spec: StringSpec, z: complex) -> WeylSample:
+    """Weyl function at one z: ``weyl_m_grid(spec, [z])[0]``."""
+    return weyl_m_grid(spec, [complex(z)])[0]
 
 
-def weyl_solution_psi(spec: StringSpec, z: complex, xs, tol: float = 1e-10) -> tuple[SystemState, ...]:
+def weyl_solution_psi(spec: StringSpec, z: complex, xs) -> tuple[SystemState, ...]:
     """The Weyl solution psi = theta + m z phi sampled along the string."""
-    sample = weyl_m(spec, z, tol=tol)
+    sample = weyl_m(spec, z)
     fs = fundamental_system(spec, z, xs)
     mz = sample.m * sample.z
     out = []
@@ -346,7 +257,7 @@ def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classificatio
     )
 
 
-def integral_rep_constants(spec: StringSpec, tol: float = 1e-12) -> IntegralRep:
+def integral_rep_constants(spec: StringSpec) -> IntegralRep:
     """Estimate c1 = upsilon({0}), 1/L, and (Stieltjes only) c2 = omega({0}).
 
     c1 comes from Im m(i eta)/eta over eta = 1e2..1e6 with even-power
@@ -356,7 +267,7 @@ def integral_rep_constants(spec: StringSpec, tol: float = 1e-12) -> IntegralRep:
     """
     etas = [10.0 ** k for k in range(2, 7)]
     eps = [10.0 ** (-k) for k in range(2, 7)]
-    ms = [s.m for s in weyl_m_grid(spec, [1j * t for t in etas + eps], tol=tol)]
+    ms = [s.m for s in weyl_m_grid(spec, [1j * t for t in etas + eps])]
     m_eta, m_eps = ms[:len(etas)], ms[len(etas):]
     c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
     inv_l = _richardson([(-1j * e * m).real for m, e in zip(m_eps, eps)], 10.0, (1, 2))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
+import cmath
 import json
 import math
 import os
@@ -330,11 +331,26 @@ def test_invalid_spec_exits_1(tmp_path, grid_csv):
     assert rc == 1
 
 
-def test_nonconvergence_exits_2(tmp_path, grid_csv):
+def test_forward_on_a_halfline_at_tiny_im_z_exits_0(tmp_path, capsys):
+    """Im sqrt(z) = 5e-10 or less: the tail past the last breakpoint gives
+    m = i/sqrt(z), read at x0 = 0 with no error estimate to carry."""
     spec = _dump(tmp_path / "spec.json", HALFLINE)
-    rc = main(["forward", "--spec", spec, "--grid", grid_csv,
-               "--out", str(tmp_path / "m.csv"), "--tol", "1e-30"])
-    assert rc == 2
+    grid = tmp_path / "grid.csv"
+    zs = (100 + 1e-8j, 1e4 + 1e-8j, 1e6 + 1e-8j)
+    grid.write_text("re_z,im_z\n" + "".join(f"{z.real!r},{z.imag!r}\n" for z in zs), encoding="utf-8")
+    out = tmp_path / "m.csv"
+    assert main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == len(zs)
+    for z, row in zip(zs, rows):
+        exact = 1j / cmath.sqrt(z)
+        assert abs(complex(float(row[2]), float(row[3])) - exact) <= 1e-14 * abs(exact), z
+        assert row[4:] == ["0", "0"]
+    # The truncation tolerance is gone with the truncation.
+    with pytest.raises(SystemExit) as err:
+        main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out), "--tol", "1e-10"])
+    assert err.value.code == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_non_finite_weyl_value_exits_2(tmp_path):

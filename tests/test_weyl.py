@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog, propagation, weyl
+from indefstring import catalog, propagation
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import (
     ComputationError,
     ExtrapolationUnstable,
     NonRealRequired,
-    TruncationNotConverged,
     ValidationError,
 )
 from indefstring.spectral import stieltjes_inversion
 from indefstring.weyl import (
     _richardson,
-    _values_agree,
     classify,
     integral_rep_constants,
     m_truncated,
@@ -176,6 +174,11 @@ def test_weyl_m_refuses_non_finite_values():
     # z^2 overflows at |z| = 1e160: the value is refused.
     with pytest.raises(ComputationError, match="not finite"):
         weyl_m(catalog.mixed_example(), 1e160j)
+    # On a half-line z^2 overflows in the tail's s, or in the jump at x0; the
+    # first such z is named.
+    for spec in (catalog.upsilon_lebesgue_halfline(), _SWEEP_SPECS["atom"]):
+        with pytest.raises(ComputationError, match=r"z=1e\+160j"):
+            weyl_m_grid(spec, [1j, 1e160j, 2e160j])
 
 
 def test_m_truncated_refuses_non_finite_values():
@@ -210,15 +213,15 @@ def test_wide_range_finite_strings_match_oracles_or_raise():
 # -- one sweep per grid ---------------------------------------------------------
 
 
-def _atomic_halfline(seed: int) -> StringSpec:
-    """Twelve positive omega atoms on [0, 2), one per cell, an upsilon atom at 0
-    and a free tail."""
+def _atomic_halfline(seed: int, upsilon0: float = 0.8) -> StringSpec:
+    """Twelve positive omega atoms on [0, 2), one per cell, an upsilon atom
+    ``upsilon0`` at 0 and a free tail."""
     rng = np.random.default_rng(seed)
     xs = (np.arange(12) + rng.uniform(0.1, 0.9, 12)) / 6.0
     masses = rng.uniform(0.2, 1.0, 12)
     return StringSpec(length=np.inf,
                       omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))),
-                      upsilon=MeasureData(atoms=((0.0, 0.8),)))
+                      upsilon=MeasureData(atoms=((0.0, upsilon0),)))
 
 
 def _many_atoms(n: int, length: float, seed: int) -> StringSpec:
@@ -252,47 +255,6 @@ def grid_samples():
     return {name: weyl_m_grid(spec, _SWEEP_ZS) for name, spec in _SWEEP_SPECS.items()}
 
 
-def _doubling_schedule(spec: StringSpec) -> list[float]:
-    """The positions x_k = xi(2^k 2^-40), k < 140, each kept if it moves on."""
-    view = coefficient_view(spec)
-    xs = [0.0]
-    for k in range(140):
-        x = view.xi(2.0 ** (k - 40))
-        if x > xs[-1]:
-            xs.append(x)
-    return xs[1:]
-
-
-def _truncated_or_nan(spec: StringSpec, zs: np.ndarray, x: float) -> np.ndarray:
-    """m_truncated at each z, NaN where it is refused."""
-    try:
-        return m_truncated(spec, zs, x)
-    except ComputationError:
-        if zs.size == 1:
-            return np.array([complex("nan")])
-        return np.concatenate([_truncated_or_nan(spec, zs[k:k + 1], x) for k in range(zs.size)])
-
-
-def _resweep_from_zero(spec: StringSpec, zs, xs, tol: float = 1e-10):
-    """Reference: the truncation limit with a fresh sweep from 0 to every x_k,
-    each z stopped by the same rule.  Returns each z's limit and x_k."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    m, stop = np.full(zs.size, complex("nan")), np.full(zs.size, np.nan)
-    history = np.empty((zs.size, 0), dtype=complex)
-    for x in xs:
-        todo = np.isnan(stop)
-        if not todo.any():
-            break
-        column = np.full(zs.size, complex("nan"))
-        column[todo] = _truncated_or_nan(spec, zs[todo], x)
-        history = np.column_stack([history, column])
-        settled = _values_agree(history, tol)[0][:, -1] & todo
-        m[settled], stop[settled] = history[settled, -1], x
-    if np.isnan(stop).any():
-        raise TruncationNotConverged(f"no limit at z={zs[np.isnan(stop)][0]}")
-    return m, stop
-
-
 def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
     for name, spec in _SWEEP_SPECS.items():
         for z, got in zip(_SWEEP_ZS, grid_samples[name]):
@@ -301,34 +263,85 @@ def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
                 one.z, one.m, one.truncation_x, one.est_error), (name, z)
 
 
-def _check_against_resweep(spec: StringSpec, zs, samples, name):
-    m, x = _resweep_from_zero(spec, zs, _doubling_schedule(spec))
-    for k, got in enumerate(samples):
-        assert got.truncation_x == x[k], (name, zs[k])
-        assert abs(got.m - m[k]) <= 1e-14 * abs(m[k]), (name, zs[k])
+def _tailed_halfline(a: float, b: float) -> StringSpec:
+    """omega and upsilon atoms and a finite density piece, then the tail
+    densities (a, b) from the last breakpoint 1.5 on, which carries atoms of
+    both measures."""
+    return StringSpec(
+        length=np.inf,
+        omega=MeasureData(atoms=((0.3, 0.7), (1.1, -0.4), (1.5, 0.3)),
+                          density=((0.6, 1.0, 0.8), (1.5, np.inf, a))),
+        upsilon=MeasureData(atoms=((0.0, 0.4), (0.8, 0.5), (1.5, 0.2)),
+                            density=((1.5, np.inf, b),) if b else ()))
 
 
-def test_one_sweep_matches_resweeping_from_zero(grid_samples):
-    for name, spec in _SWEEP_SPECS.items():
-        if np.isfinite(spec.length):
-            continue
-        _check_against_resweep(spec, _SWEEP_ZS, grid_samples[name], name)
-    # Both ways give up at the same point.
-    z = 1e-4 * cmath.exp(1e-8j)
+_HALFLINES = {
+    "uniform": catalog.uniform_halfline(),
+    "upsilon": catalog.upsilon_lebesgue_halfline(),
+    "atomic": _atomic_halfline(3, 0.0),
+    "atomic-ups0": _atomic_halfline(4),
+    **{f"tail {a}, {b}": _tailed_halfline(a, b) for a, b in ((0.5, 2.0), (-0.7, 1.0), (-1.0, 0.0))},
+}
+# |z| from 1e-8 to 1e6 on rays from arg 1e-8 to pi - 1e-8, and Im z = 1e-8
+# on both sides of the origin; then the conjugates.
+_wide = [r * cmath.exp(1j * t) for r in np.logspace(-8, 6, 8)
+         for t in (1e-8, 0.3, np.pi / 2, np.pi - 0.3, np.pi - 1e-8)]
+_wide += [x + 1e-8j for x in (1e-2, 1.0, 1e2, 1e4, 1e6, -1e-2, -1.0, -1e2, -1e4, -1e6)]
+_WIDE_ZS = np.array(_wide + [z.conjugate() for z in _wide])
+
+
+def _m_oracle_halfline(spec: StringSpec, z: complex) -> complex:
+    """-theta/(z phi) from the 50-digit propagator, truncated at X = 1e40 on a
+    free tail, else at X = x0 + 60/Im s past the last breakpoint x0, where the
+    tail solution that grows has outgrown the one that decays by e^{120}."""
+    view = coefficient_view(spec)
+    x0, a, b = float(view.bp[-1]), view.dens_omega[-1], view.dens_upsilon[-1]
+    with mpmath.workdps(oracle.DPS):
+        zm = mpmath.mpc(z)
+        s = mpmath.sqrt(zm * a + zm * zm * b)
+        x = 1e40 if s == 0 else x0 + 60.0 / abs(float(s.imag))
+        ref = oracle.propagators(spec, z, [x])[x]
+        return complex(-ref[0, 0] / (zm * ref[0, 1]))
+
+
+def test_halfline_matches_oracle_over_the_wide_range():
+    """Every catalog half-line with a nonzero m, the benchmark's kind of
+    atomic half-line (with and without an upsilon atom at 0) and atoms before
+    three kinds of tail: within 1e-14 of the truncated 50-digit reference,
+    symmetric under conjugation, and Herglotz (Im m sign(Im z) >= 0)."""
+    half = _WIDE_ZS.size // 2
+    for name, spec in _HALFLINES.items():
+        samples = weyl_m_grid(spec, _WIDE_ZS)
+        ms = np.array([s.m for s in samples])
+        x0 = float(coefficient_view(spec).bp[-1])
+        assert all(s.truncation_x == x0 and s.est_error == 0.0 for s in samples), name
+        for z, m in zip(_WIDE_ZS, ms):
+            ref = _m_oracle_halfline(spec, z)
+            assert abs(m - ref) <= 1e-14 * abs(ref), (name, z, m, ref)
+        assert np.array_equal(ms[half:], ms[:half].conj()), name
+        assert np.all(ms.imag * np.sign(_WIDE_ZS.imag) >= 0.0), name
+
+
+def test_halfline_closed_form_where_truncation_converges_slowly():
+    """Im sqrt(z) = 5e-10 at z = 100 + 1e-8i, so truncating the uniform
+    half-line even at x = 1.2e10 moves m by about 4e-6; the tail gives
+    i/sqrt(z) up to rounding.  The empty half-line gives exactly 0, where a
+    truncation at x gives -1/(z x)."""
     spec = catalog.uniform_halfline()
-    with pytest.raises(TruncationNotConverged):
-        _resweep_from_zero(spec, z, _doubling_schedule(spec))
-    with pytest.raises(TruncationNotConverged, match="z=\\(0.0001"):
-        weyl_m_grid(catalog.uniform_halfline(), [1j, z, 2j])
+    for z in (100 + 1e-8j, 1e4 + 1e-8j, 1e6 + 1e-8j, 1e-4 * cmath.exp(1e-8j)):
+        exact = 1j / cmath.sqrt(z)
+        assert abs(weyl_m(spec, z).m - exact) <= 1e-14 * abs(exact), z
+    for z in (1j, -3 + 1e-8j, 1e6 - 2j):
+        sample = weyl_m(catalog.empty_halfline(), z)
+        assert sample.m == 0.0 and sample.est_error == 0.0 and sample.truncation_x == 0.0
 
 
-# 1000 z: a pass then covers at most four truncation points of all z, and the
-# z stop at points spread over many passes.
+# 1000 z over five decades of |z| and most of the upper half-plane.
 _MANY_ZS = (np.logspace(-2, 3, 40)[:, None]
             * np.exp(1j * np.linspace(0.1, np.pi - 0.1, 25))[None, :]).ravel()
 
 
-def test_many_z_match_one_z_calls_and_resweeping():
+def test_many_z_match_one_z_calls():
     for name, spec in _SWEEP_SPECS.items():
         if np.isfinite(spec.length):
             continue
@@ -337,25 +350,18 @@ def test_many_z_match_one_z_calls_and_resweeping():
             one = weyl_m(spec, z)
             assert (got.z, got.m, got.truncation_x, got.est_error) == (
                 one.z, one.m, one.truncation_x, one.est_error), (name, z)
-        _check_against_resweep(spec, _MANY_ZS, samples, name)
 
 
 def test_truncation_point_on_an_atom():
-    """The truncation point 0.5 is the atom itself; the value there is the
-    left limit, and the Weyl function is alpha/(1 - z alpha a) = 1/(1 - z/2)."""
+    """The last breakpoint 0.5 is the atom itself; the sweep's state there is
+    the left limit, the atom's jump follows, and the Weyl function is
+    alpha/(1 - z alpha a) = 1/(1 - z/2)."""
     spec = _SWEEP_SPECS["atom"]
-    assert 0.5 in coefficient_view(spec).truncation_points
     for z in (1 + 1j, -3 + 0.2j, 0.01 + 0.001j):
         exact = 1.0 / (1.0 - z / 2.0)
-        assert abs(weyl_m(spec, z).m - exact) <= 1e-9 * abs(exact), z
-
-
-def test_tol_must_be_finite_and_positive():
-    for tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="tol"):
-            weyl_m(catalog.uniform_halfline(), 1 + 1j, tol=tol)
-        with pytest.raises(ValidationError, match="tol"):
-            weyl_m_grid(catalog.uniform_string(), [1 + 1j], tol=tol)
+        sample = weyl_m(spec, z)
+        assert sample.truncation_x == 0.5
+        assert abs(sample.m - exact) <= 1e-9 * abs(exact), z
 
 
 def test_one_grid_call_runs_one_sweep(monkeypatch):
@@ -363,10 +369,9 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
     sweep = propagation._walk_states
 
     def counted(walk, *args, **kwargs):
-        sweeps.append(walk.targets)
+        sweeps.append(walk.points[walk.targets])
         return sweep(walk, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "_walk_states", counted)
     monkeypatch.setattr(propagation, "_walk_states", counted)
     spec = catalog.uniform_halfline()
     for call in (lambda: weyl_m_grid(spec, standard_grid()),
@@ -375,14 +380,13 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
         sweeps.clear()
         call()
         assert len(sweeps) == 1
-    # The sweep goes to the breakpoints below the truncation points, not to
-    # each of the 140 points: one on a density half-line, at most 13 with 12 atoms.
-    sweeps.clear()
-    weyl_m_grid(catalog.uniform_halfline(), standard_grid())
-    assert len(sweeps) == 1 and len(sweeps[0]) == 1
-    sweeps.clear()
-    weyl_m_grid(_atomic_halfline(3), standard_grid())
-    assert len(sweeps) == 1 and 1 < len(sweeps[0]) <= 13
+    # The sweep on a half-line has one target: its last breakpoint.
+    atomic = _atomic_halfline(3)
+    for spec, x0 in ((catalog.uniform_halfline(), 0.0), (atomic, atomic.omega.atoms[-1][0]),
+                     (_tailed_halfline(0.5, 2.0), 1.5)):
+        sweeps.clear()
+        weyl_m_grid(spec, standard_grid())
+        assert len(sweeps) == 1 and sweeps[0].tolist() == [x0]
 
 
 @pytest.fixture
@@ -396,7 +400,6 @@ def walks(monkeypatch):
             super().__init__(view, xs)
 
     monkeypatch.setattr(propagation, "_Walk", Counted)
-    monkeypatch.setattr(weyl, "_Walk", Counted)
     coefficient_view.cache_clear()
     yield built
     coefficient_view.cache_clear()
@@ -442,16 +445,13 @@ def test_planned_sweeps_give_the_bits_of_a_cold_call():
 
 def test_wide_range_matches_closed_forms_or_raises():
     """|z| from 1e-8 to 1e6 on five rays from arg 1e-8 to pi - 1e-8: each value is
-    finite and matches the closed form, or the evaluation raises a typed error."""
+    finite and matches the closed form; none is refused."""
     zs = [r * cmath.exp(1j * a) for r in np.logspace(-8, 6, 15)
           for a in np.linspace(1e-8, np.pi - 1e-8, 5)]
     for spec, exact in ((catalog.uniform_halfline(), lambda z: 1j / cmath.sqrt(z)),
                         (catalog.upsilon_lebesgue_halfline(), lambda z: 1j)):
         for z in zs:
-            try:
-                (sample,) = weyl_m_grid(spec, [z])
-            except ComputationError:
-                continue
+            (sample,) = weyl_m_grid(spec, [z])
             assert cmath.isfinite(sample.m)
             assert abs(sample.m - exact(z)) <= 1e-10 * abs(exact(z)), z
 
