@@ -13,15 +13,17 @@ the point mass at its left end, then the piece.  The step matrices of many
 steps and many z are built as arrays in one vectorized pass, laid out
 (2, 2, steps, z) with z last, and the run of steps between two sample
 positions is reduced by pairwise levels in log depth, later step on the left
-(Blelloch, "Prefix sums and their applications", 1990); each level pairs the
-even and odd step slices, which run over contiguous z.  Runs are also cut at
+(Blelloch, "Prefix sums and their applications", 1990).  A run's steps are
+stored in the fold's pair order (:func:`_order`), so each level composes two
+contiguous halves that pair steps 2j and 2j + 1.  Runs are also cut at
 multiples of ``_BLOCK_STEPS`` steps, so the order of every product, and so
 every rounding, is the same for any number of z: each z of a grid comes out
 bit for bit as in a one-z call.
 
-Two constants bound the memory, not the result.  A run of at most
-``_BUDGET`` step x z matrices (every run at one z) is folded from step
-matrices built up to ``_BUDGET`` at a time and kept for the runs that follow.
+Two constants bound the memory, not the result.  Runs of at most
+``_BUDGET`` step x z matrices (every run at one z) are built up to
+``_BUDGET`` matrices at a time, and consecutive runs of one length in a build
+are folded together, stacked on an axis of their own.
 A larger run takes the wide path: it is built and folded a column of z at a
 time, at most ``_COLUMN`` step x z matrices per column, in one workspace per
 sweep that every column reuses: the step matrices, two fold levels that
@@ -50,11 +52,11 @@ largest entry.  The public evaluators raise :class:`ComputationError`,
 naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
-What a sweep derives from the string and the sample positions without z
-(the points, step lengths, and the point masses and densities at the steps)
-is its plan, a :class:`_Walk`.  It is built once per string and positions, on
-first use, and kept with the string's coefficient view, so later sweeps at
-other z start at once; the positions are still checked on every call.
+What a sweep derives from the string and the sample positions without z (the
+points, the runs, and the steps' lengths, point masses and densities in pair
+order) is its plan, a :class:`_Walk`.  It is built once per string and
+positions, on first use, and kept with the string's coefficient view, so later
+sweeps at other z start at once; the positions are still checked on every call.
 
 Every coefficient breakpoint is a step boundary, and states are reported with
 left-continuous conventions: the value at x never includes a point mass
@@ -62,6 +64,9 @@ sitting exactly at x.
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import os
 import threading
@@ -190,8 +195,10 @@ class _Steps:
         self.aw, self.au, self.da, self.db = _at_steps(view, left)
         # Decided per set of steps and per step, so a step is built the same
         # way whatever range of steps and z it is built with.
-        self.atomic = bool(np.any(self.aw) or np.any(self.au))
+        self.upsilon_atoms = bool(np.any(self.au))
+        self.atomic = bool(np.any(self.aw) or self.upsilon_atoms)
         self.dense = (self.da != 0.0) | (self.db != 0.0)
+        self.free = self.atomic and not self.dense.any()
 
     def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool,
                 ws: _Workspace | None, out: np.ndarray):
@@ -227,6 +234,15 @@ class _Steps:
         steps = slice(lo, hi)
         shape = (2, 2, hi - lo, z.size)
         out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
+        if self.free:
+            # [[1 - h g, h], [-g, 1]] from -g, its zeros made +0 as below.
+            g = np.multiply(z[None, :], -self.aw[steps, None], out=out[1, 0])
+            if self.upsilon_atoms:
+                g -= np.multiply(zz[None, :], self.au[steps, None], out=out[1, 1])
+            g += 0.0
+            np.add(np.multiply(self.h[steps, None], g, out=out[0, 0]), 1.0, out=out[0, 0])
+            out[0, 1], out[1, 1] = self.h[steps, None], 1.0
+            return out
         C, S, kS = self._pieces(steps, z, zz, rescale, ws, out)
         placed = C is None
         if placed:
@@ -253,11 +269,11 @@ class _Steps:
 
 
 class _Walk(_Steps):
-    """The steps from 0 to the last sample position: step k covers
-    (points[k], points[k+1]).  ``targets`` are the point indices of the
-    sample positions, in increasing order.  The positions must lie in
-    [0, L]; :func:`_sweep_closed` checks them.
-    """
+    """The steps from 0 to the last sample position: step k covers (points[k],
+    points[k+1]).  ``targets`` are the point indices of the sample positions,
+    in increasing order; run k (steps cuts[k] to cuts[k+1] - 1) is stored in
+    its pair order.  The positions must lie in [0, L]; :func:`_sweep_closed`
+    checks them."""
 
     def __init__(self, view: CoefficientView, xs: np.ndarray):
         xs = np.unique(xs)
@@ -265,7 +281,10 @@ class _Walk(_Steps):
         self.points = points
         self.targets = np.searchsorted(points, xs)
         self.steps = points.size - 1
-        super().__init__(view, points[:-1], np.diff(points))
+        self.cuts = np.union1d(self.targets, np.arange(0, self.steps, _BLOCK_STEPS)).tolist()
+        runs = itertools.pairwise(self.cuts)
+        stored = np.concatenate([np.zeros(0, int)] + [lo + _order(hi - lo) for lo, hi in runs])
+        super().__init__(view, points[stored], np.diff(points)[stored])
 
 
 class _Workspace:
@@ -320,33 +339,43 @@ def _normalize(mats: np.ndarray) -> float:
     return math.nan
 
 
+@functools.lru_cache(maxsize=None)
+def _order(n: int) -> np.ndarray:
+    """The pair order of n steps: position p holds step _order(n)[p]; p and
+    p + n // 2 hold steps 2j and 2j + 1, and an odd last step sits at the end."""
+    pairs = 2 * _order(n - n // 2)[:n // 2] if n > 1 else np.zeros(0, dtype=int)
+    return np.concatenate([pairs, pairs + 1] + [[n - 1]] * (n % 2))
+
+
 def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
           steps: int = 1) -> np.ndarray:
-    """The product of the steps on axis 2, later step on the left, by pairwise
-    levels, down to at most ``steps`` partial products (still on axis 2).
-    With ``ws`` the levels alternate between two of its buffers, and the
-    second product of a composition goes into the other one at the first
-    level (``mats`` lies in neither), then into the buffer of the steps.
+    """The product of the steps on the second last axis, in the pair order of
+    :func:`_order`, later step on the left, by levels that compose the second
+    half after the first, down to at most ``steps`` partial products (in pair
+    order too); axes between the matrix and the steps hold separate products.
+    With ``ws`` the levels alternate between two of its buffers, and the second
+    product of a composition goes into the other one at the first level
+    (``mats`` lies in neither), then into the buffer of the steps.
 
     With ``rescale``, a level is normalized only where its entries may exceed
     _BIG: an entry of a product has parts of at most 4 b^2 if the factors'
     parts are at most b (the unpaired last step of a level keeps b, which
     exceeds 4 b^2 only where b < 1/4, far below _BIG)."""
     keys = ("even", "odd", "odd")
-    bound = _largest_part(mats) if rescale and mats.shape[2] > steps else 0.0
-    while mats.shape[2] > steps:
-        n = mats.shape[2]
+    bound = _largest_part(mats) if rescale and mats.shape[-2] > steps else 0.0
+    while mats.shape[-2] > steps:
+        n = mats.shape[-2]
         half = n // 2
-        shape = mats.shape[:2] + (half + n % 2,) + mats.shape[3:]
+        shape = mats.shape[:-2] + (n - half, mats.shape[-1])
         if ws is None:
             level, tmp = np.empty(shape, dtype=complex), None
         else:
             level = ws.take(keys[0], shape)
-            tmp = ws.take(keys[2], mats.shape[:2] + (half,) + mats.shape[3:])
+            tmp = ws.take(keys[2], mats.shape[:-2] + (half, mats.shape[-1]))
             keys = (keys[1], keys[0], "steps")
-        _compose(mats[:, :, 1:2 * half:2], mats[:, :, 0:2 * half:2], out=level[:, :, :half], tmp=tmp)
+        _compose(mats[..., half:2 * half, :], mats[..., :half, :], out=level[..., :half, :], tmp=tmp)
         if n % 2:
-            level[:, :, half] = mats[:, :, -1]
+            level[..., half, :] = mats[..., -1, :]
         if rescale:
             # 1 + 1e-12 covers the rounding of the products and their sum.
             bound = 4.0 * bound * bound * (1.0 + 1e-12)
@@ -370,29 +399,39 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
         zz = z * z
     state = np.zeros((2, 2, z.size), dtype=complex)
     state[0, 0] = state[1, 1] = 1.0
-    # Step matrices of steps cached_lo, cached_lo + 1, ... at every z.
-    cached, cached_lo = None, 0
+    # The products of runs first, first + 1, ... at every z; run k is next.
+    products, first, k = [], 0, 0
     ws = _Workspace()  # its buffers are made by the first wide block
-    done = 0
     for target in walk.targets.tolist():
         # The error state is set per run between two samples, never across a
         # yield, so it does not leak into the caller while the sweep waits.
         with np.errstate(over="ignore", invalid="ignore"):
-            while done < target:
-                stop = min(target, (done // _BLOCK_STEPS + 1) * _BLOCK_STEPS)
-                if (stop - done) * z.size > _BUDGET:
-                    state = _advance_in_columns(walk, done, stop, z, zz, state, rescale, ws)
+            while walk.cuts[k] < target:
+                lo, hi = walk.cuts[k:k + 2]
+                if (hi - lo) * z.size > _BUDGET:
+                    state = _advance_in_columns(walk, lo, hi, z, zz, state, rescale, ws)
                 else:
-                    if cached is None or stop > cached_lo + cached.shape[2]:
-                        cached_lo = done
-                        cached = walk.matrices(
-                            done, min(walk.steps, done + _BUDGET // max(1, z.size)), z, zz, rescale)
-                    run = _fold(cached[:, :, done - cached_lo:stop - cached_lo], rescale)[:, :, 0]
-                    state = _compose(run, state)
+                    if k >= first + len(products):
+                        products, first = _run_products(walk, k, z, zz, rescale), k
+                    state = _compose(products[k - first], state)
                     if rescale:
                         _normalize(state)
-                done = stop
+                k += 1
         yield float(walk.points[target]), state
+
+
+def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
+    """The products of runs k, k + 1, ... of ``walk`` that fit in one build of
+    _BUDGET step x z matrices, consecutive runs of one length folded together."""
+    end = bisect.bisect_right(walk.cuts, walk.cuts[k] + _BUDGET // max(1, z.size)) - 1
+    mats = walk.matrices(walk.cuts[k], walk.cuts[end], z, zz, rescale)
+    products, a = [], 0
+    for n, group in itertools.groupby(hi - lo for lo, hi in itertools.pairwise(walk.cuts[k:end + 1])):
+        count = len(list(group))
+        folded = _fold(mats[:, :, a:a + count * n].reshape(2, 2, count, n, z.size), rescale)
+        products += [folded[:, :, r, 0] for r in range(count)]
+        a += count * n
+    return products
 
 
 def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool,

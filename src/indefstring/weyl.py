@@ -38,7 +38,8 @@ from .errors import (
     PositionOutOfRange,
     ValidationError,
 )
-from .propagation import SystemState, _sweep_closed, fundamental_system, transfer_matrices
+from . import propagation
+from .propagation import SystemState, fundamental_system
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ def m_truncated(spec: StringSpec, z, x: float):
     _require_nonreal(zarr)
     if not x > 0.0:
         raise PositionOutOfRange(f"truncation point must be positive, got {x}")
-    mats = transfer_matrices(spec, zarr, [float(x)], rescale=True)[0]
+    state = propagation._sweep_closed(coefficient_view(spec), zarr.ravel(), [x], rescale=True)[float(x)]
     with np.errstate(invalid="ignore"):
-        m = -mats[..., 0, 0] / (zarr * mats[..., 0, 1])
+        m = (-state[0, 0] / (zarr.ravel() * state[0, 1])).reshape(zarr.shape)
     _refuse_non_finite(zarr, m)
     return complex(m) if zarr.shape == () else m
 
@@ -144,7 +145,7 @@ def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
     else:
         view = coefficient_view(spec)
         x = float(view.bp[-1])
-        mats = _sweep_closed(view, zs, [x], rescale=True)[x]
+        mats = propagation._sweep_closed(view, zs, [x], rescale=True)[x]
         theta, phi = mats[0, 0], mats[0, 1]
         with np.errstate(over="ignore", invalid="ignore"):
             zz = zs * zs

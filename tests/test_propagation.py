@@ -266,30 +266,100 @@ def test_non_finite_z_in_the_last_chunk_is_named(monkeypatch, started, workers):
     assert len(started) == workers - 1
 
 
-def _fold_checking_every_level(mats):
-    """Pairwise fold that normalizes every level, and how many levels it changed."""
+def _fold_checking_every_level(mats, normalize=True):
+    """Pairwise fold of the steps in logical order, pairing the even and the
+    odd steps, that normalizes every level (unless told not to), and how many
+    levels it changed."""
     changed = 0
     while mats.shape[2] > 1:
         half = mats.shape[2] // 2
         level = np.concatenate([propagation._compose(mats[:, :, 1:2 * half:2], mats[:, :, 0:2 * half:2]),
                                 mats[:, :, 2 * half:]], axis=2)
         before = level.copy()
-        propagation._normalize(level)
+        if normalize:
+            propagation._normalize(level)
         changed += not np.array_equal(before, level)
         mats = level
     return mats[:, :, 0], changed
 
 
+@pytest.mark.parametrize("rescale", [False, True])
+def test_fold_in_pair_order_matches_an_even_odd_fold(rescale):
+    # Near-identity steps keep the products in range; a few steps times 1e130
+    # lie above _BIG, so the rescaled folds normalize some levels.
+    rng = np.random.default_rng(11)
+    assert 1e130 > propagation._BIG
+    for n in range(1, 601):
+        noise = rng.normal(size=(2, 2, n, 2)) + 1j * rng.normal(size=(2, 2, n, 2))
+        mats = np.eye(2)[:, :, None, None] + 0.3 * noise
+        mats[:, :, rng.integers(0, n, 2)] *= 1e130
+        reference, _ = _fold_checking_every_level(mats, normalize=rescale)
+        folded = propagation._fold(mats[:, :, propagation._order(n)], rescale)
+        assert folded.shape == (2, 2, 1, 2)
+        assert np.all(np.isfinite(reference)) and np.array_equal(folded[:, :, 0], reference), n
+
+
+@pytest.mark.parametrize("n_z", [1, 3, 9])
+def test_narrow_sweep_matches_a_run_by_run_fold(n_z):
+    # Sample positions on breakpoints cut the first block into six runs of 40
+    # steps and one of 16, the second into runs of 25, 25, 25 and 181, and
+    # leave the third whole.  At 1 and 3 z every run is built in one pass and
+    # runs of one length are folded together; at 9 z the builds cut the walk.
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    view = coefficient_view(spec)
+    cuts = [40, 80, 120, 160, 200, 240, 281, 306, 331, 512, 768]
+    assert view.bp[0] == 0.0 and view.bp.size > 769
+    xs = view.bp[cuts]
+    walk = propagation._Walk(view, xs)
+    assert walk.cuts == [0] + cuts[:6] + [256] + cuts[6:]
+    steps = propagation._Steps(view, walk.points[:-1], np.diff(walk.points))
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
+    for rescale, z_scale in ((False, 1.0), (True, 1e5)):
+        z = zs * z_scale
+        state, want = np.eye(2, dtype=complex)[:, :, None] * np.ones(n_z), []
+        for lo, hi in zip(walk.cuts[:-1], walk.cuts[1:]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                mats = steps.matrices(lo, hi, z, z * z, rescale)
+            run, _ = _fold_checking_every_level(mats, normalize=rescale)
+            state = propagation._compose(run, state)
+            if rescale:
+                propagation._normalize(state)
+            if hi in cuts:
+                want.append(np.moveaxis(state, -1, 0))
+        got = transfer_matrices(spec, z, xs, rescale=rescale)
+        assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+
+
+def test_free_steps_match_the_general_form_bit_for_bit():
+    # Steps of a string without densities are built from -g in fewer passes;
+    # their bits, signed zeros included, are those of the general form, with
+    # and without upsilon atoms and on steps without a point mass.
+    z = np.array([0.0, 2.0, -3.0, 1.5j, -1.5j, 1.0 + 1.0j, -4.0 - 0.5j, 1e5 + 3e4j])
+    for upsilon in ((), ((0.3, 0.2), (0.7, 0.1))):
+        spec = StringSpec(length=1.0, omega=MeasureData(atoms=((0.0, 0.5), (0.2, -0.3), (0.5, 1.0))),
+                          upsilon=MeasureData(atoms=upsilon))
+        free, general = (propagation._Walk(coefficient_view(spec), np.array([0.25, 1.0])) for _ in range(2))
+        assert free.free and free.upsilon_atoms == bool(upsilon)
+        general.free = False
+        assert free.matrices(0, free.steps, z, z * z, False).tobytes() == \
+            general.matrices(0, free.steps, z, z * z, False).tobytes()
+
+
 def test_rescaled_fold_checks_every_level_that_may_normalize():
     # The fold skips a level's check where a bound on its entries stays below
     # _BIG; it must give the bits of a fold that checks every level.
-    walk = propagation._Walk(coefficient_view(_mixed_string(3 * _BLOCK_STEPS, 17)), np.array([1.0]))
+    # The reference folds the steps in logical order, _fold in its pair order.
+    view = coefficient_view(_mixed_string(3 * _BLOCK_STEPS, 17))
+    points = propagation._Walk(view, np.array([1.0])).points
+    walk = propagation._Steps(view, points[:-1], np.diff(points))
     changes = []
     for z in ([3.0 + 1j, -20.0 + 0.5j], [-1e9 + 1j, 1e5 + 3e4j, 3.0 + 1j]):
         z = np.array(z)
         for lo, hi in ((0, _BLOCK_STEPS), (_BLOCK_STEPS, _BLOCK_STEPS + 77)):
-            mats = walk.matrices(lo, hi, z, z * z, True)
-            reference, changed = _fold_checking_every_level(mats)
+            logical = walk.matrices(lo, hi, z, z * z, True)
+            reference, changed = _fold_checking_every_level(logical)
+            mats = logical[:, :, propagation._order(hi - lo)]
             assert np.array_equal(propagation._fold(mats, True)[:, :, 0], reference)
             changes.append(changed)
     assert changes[:2] == [0, 0] and min(changes[2:]) > 0
