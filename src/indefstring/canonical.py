@@ -145,20 +145,6 @@ def _normalize_pieces(raw) -> tuple[HamiltonianPiece, ...]:
     return tuple(fused)
 
 
-def validate_hamiltonian(raw) -> Hamiltonian:
-    """Parse Hamiltonian data.
-
-    A :class:`Hamiltonian` is already valid and is returned unchanged; a
-    mapping with a ``pieces`` list (and optionally ``mesh``) or an iterable
-    of pieces is built into one.
-    """
-    if isinstance(raw, Hamiltonian):
-        return raw
-    if isinstance(raw, Mapping):
-        return Hamiltonian(pieces=raw.get("pieces", ()), mesh=raw.get("mesh"))
-    return Hamiltonian(pieces=raw)
-
-
 def hamiltonian_to_json(ham: Hamiltonian) -> dict:
     doc = {
         "pieces": [
@@ -172,7 +158,11 @@ def hamiltonian_to_json(ham: Hamiltonian) -> dict:
 
 
 def hamiltonian_from_json(doc: Mapping) -> Hamiltonian:
-    return validate_hamiltonian(doc)
+    """Build a :class:`Hamiltonian` from a mapping with a ``pieces`` list and,
+    optionally, ``mesh``."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"cannot interpret Hamiltonian data: {doc!r}")
+    return Hamiltonian(pieces=doc.get("pieces", ()), mesh=doc.get("mesh"))
 
 
 # -- string -> Hamiltonian ----------------------------------------------------
@@ -219,16 +209,14 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
         s0 = float(view.sigma_right[j])
         s1 = float(view.sigma_left[j + 1])
         step = (s1 - s0) / mesh
-        prev_s, prev_x, prev_i1 = s0, x0, view.w_integral(x0)
-        for k in range(1, mesh + 1):
-            sk = s1 if k == mesh else s0 + k * step
-            xk = x1 if k == mesh else view.xi(sk)
-            ik = view.w_integral(xk)
-            ds = sk - prev_s
-            h22 = (xk - prev_x) / ds
-            h12 = (ik - prev_i1) / ds
+        ss = [s0 + k * step for k in range(mesh)] + [s1]
+        xs = [x0] + [view.xi(sk) for sk in ss[1:-1]] + [x1]
+        ints = view.w_integral(np.array(xs)).tolist()
+        for k in range(mesh):
+            ds = ss[k + 1] - ss[k]
+            h22 = (xs[k + 1] - xs[k]) / ds
+            h12 = (ints[k + 1] - ints[k]) / ds
             pieces.append(HamiltonianPiece(ds, 1.0 - h22, h12))
-            prev_s, prev_x, prev_i1 = sk, xk, ik
     if math.isfinite(spec.length):
         pieces.append(HamiltonianPiece(_INF, 1.0, 0.0))
     return Hamiltonian(tuple(pieces), mesh=mesh if meshed else None)
@@ -290,14 +278,3 @@ def canonical_m_grid(ham: Hamiltonian, zs) -> np.ndarray:
     zarr = np.asarray(zs, dtype=complex)
     samples = weyl_m_grid(hamiltonian_to_string(ham), zarr)
     return np.array([s.m for s in samples], dtype=complex).reshape(zarr.shape)
-
-
-def indivisible_prefix(ham: Hamiltonian) -> float:
-    """Extent of the initial blocked run [[1,0],[0,0]]; equals upsilon({0})
-    for Hamiltonians produced from strings."""
-    total = 0.0
-    for p in ham.pieces:
-        if not p.is_blocked():
-            break
-        total += p.length
-    return total

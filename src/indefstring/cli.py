@@ -140,11 +140,11 @@ def cmd_forward(args) -> int:
     if any(z.imag == 0.0 for z in zs):
         raise ValidationError("grid points must have nonzero imaginary part")
     samples = weyl_m_grid(spec, zs)
+    # est_err stays for old readers of the file: nothing is truncated, so it is 0.
     lines = ["re_z,im_z,re_m,im_m,trunc_x,est_err"]
     for s in samples:
         lines.append(
-            ",".join(_fmt(v) for v in (s.z.real, s.z.imag, s.m.real, s.m.imag,
-                                       s.truncation_x, s.est_error))
+            ",".join(_fmt(v) for v in (s.z.real, s.z.imag, s.m.real, s.m.imag, s.truncation_x, 0.0))
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.hamiltonian:

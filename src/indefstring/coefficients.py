@@ -41,9 +41,6 @@ _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 # recently used goes first.
 _PLANS = 4
 
-# Evenly spaced probe positions of spec_discrepancy's distribution comparison.
-_DISCREPANCY_PROBES = 129
-
 
 @dataclass(frozen=True)
 class MeasureData:
@@ -312,16 +309,25 @@ class CoefficientView:
             return float(self.ups_left[j])
         return float(self.ups_right[j] + self.dens_upsilon[j] * (x - self.bp[j]))
 
-    def w_integral(self, x: float) -> float:
-        """int_0^x w(t) dt in closed form."""
-        self._check(x)
-        j = self.locate(x)
-        h = x - self.bp[j]
-        wr = self.w_right[j]
-        a = self.dens_omega[j]
-        if h == 0.0:
-            return float(self.i1[j])
-        return float(self.i1[j] + h * wr + a * h * h / 2.0)
+    def _pieces_at(self, x):
+        """The pieces j holding the positions ``x`` and the offsets h = x - bp[j]."""
+        x = np.asarray(x, dtype=float)
+        bad = np.isnan(x) | (x < 0.0) | (x > self.length)
+        if bad.any():
+            raise PositionOutOfRange(f"position {x[bad].flat[0]} outside [0, {self.length}]")
+        j = np.maximum(np.searchsorted(self.bp, x, side="right") - 1, 0)
+        return j, x - self.bp[j]
+
+    def w_integral(self, x):
+        """int_0^x w(t) dt in closed form; a float for a scalar x, else an array."""
+        j, h = self._pieces_at(x)
+        out = self.i1[j] + h * self.w_right[j] + self.dens_omega[j] * h * h / 2.0
+        return float(out) if out.ndim == 0 else out
+
+    def _wsq_at(self, j, h):
+        """int_0^(bp[j] + h) w(t)^2 dt for h inside piece j."""
+        wr, a = self.w_right[j], self.dens_omega[j]
+        return self.i2[j] + h * wr * wr + wr * a * h * h + a * a * h ** 3 / 3.0
 
     def wsq_integral(self, x: float) -> float:
         """int_0^x w(t)^2 dt in closed form."""
@@ -330,9 +336,7 @@ class CoefficientView:
         h = x - self.bp[j]
         if h == 0.0:
             return float(self.i2[j])
-        wr = self.w_right[j]
-        a = self.dens_omega[j]
-        return float(self.i2[j] + h * wr * wr + wr * a * h * h + a * a * h ** 3 / 3.0)
+        return float(self._wsq_at(j, h))
 
     def sigma(self, x: float) -> float:
         if x == self.length and not math.isfinite(x):
@@ -340,18 +344,28 @@ class CoefficientView:
         self._check(x)
         return x + self.wsq_integral(x) + self.upsilon(x)
 
-    def sigma_integral(self, x: float) -> float:
-        """int_0^x sigma(t) dt, exact per piece (two-point Gauss on cubics)."""
-        self._check(x)
+    def _gauss_sigma(self, j: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """int of sigma over [bp[j], bp[j] + h] inside piece j, by two-point
+        Gauss, which is exact since sigma is cubic there."""
+        lo = self.bp[j]
         total = 0.0
-        for j in range(len(self.bp)):
-            lo = self.bp[j]
-            if lo >= x:
-                break
-            hi = min(self.bp[j + 1] if j + 1 < len(self.bp) else _INF, x)
-            h = hi - lo
-            total += h * sum(self.sigma(lo + t * h) for t in _GAUSS2) / 2.0
-        return total
+        for t in _GAUSS2:
+            x = lo + t * h
+            d = x - lo
+            total = total + (x + self._wsq_at(j, d) + (self.ups_right[j] + self.dens_upsilon[j] * d))
+        return h * total / 2.0
+
+    @cached_property
+    def _sigma_totals(self) -> np.ndarray:
+        """int_0^bp[j] sigma for every breakpoint, summed on first use."""
+        h = np.append(np.diff(self.bp), 0.0)
+        return _running_totals(self._gauss_sigma(np.arange(len(self.bp)), h))[0]
+
+    def sigma_integral(self, x):
+        """int_0^x sigma(t) dt, exact per piece; a float for a scalar x, else an array."""
+        j, h = self._pieces_at(x)
+        out = self._sigma_totals[j] + self._gauss_sigma(j, h)
+        return float(out) if out.ndim == 0 else out
 
     # -- generalized inverse of the travel coordinate ------------------------
 
@@ -409,56 +423,38 @@ def travel_coords(spec: StringSpec) -> TravelCoords:
     return TravelCoords(sigma=view.sigma, xi=view.xi, sigma_L=view.sigma_length)
 
 
-def _atom_mismatch(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, float], ...]) -> float:
-    """Worst position/mass defect between two sorted atom lists."""
-    if len(a) != len(b):
-        return _INF
-    worst = 0.0
-    for (xa, ma), (xb, mb) in zip(a, b):
-        worst = max(worst, abs(xa - xb), abs(ma - mb))
-    return worst
+def _primitive_gaps(a: CoefficientView, b: CoefficientView, xs) -> tuple[float, float]:
+    """sup over ``xs`` of |int_0^x (w_a - w_b)| and of |int_0^x (sigma_a - sigma_b)|,
+    each string's primitives read at min(x, its length)."""
+    xs = np.asarray(xs, dtype=float)
+    xa, xb = np.minimum(xs, a.length), np.minimum(xs, b.length)
+    return (float(np.max(np.abs(a.w_integral(xa) - b.w_integral(xb)))),
+            float(np.max(np.abs(a.sigma_integral(xa) - b.sigma_integral(xb)))))
 
 
 def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
-    """Deviation between two strings as lengths, atoms, and primitives.
+    """Distance between two strings: their lengths and the primitives
+    int_0^x w and int_0^x sigma, whose closeness makes the Weyl functions
+    close.
 
-    Atoms are paired in order, so a jump that merely moved by a rounding
-    error contributes its tiny position error rather than its full mass.
-    The primitive functions of both measures are compared on a probe grid
-    kept away from jump points for the same reason.  Returns the parts and
-    their maximum under ``"overall"``.
+    The primitives are compared at the breakpoints of both strings and the
+    midpoints between them, up to the shorter length (on two half-lines, up
+    to max(10, last finite breakpoint + 1)).  A jump that moved by a rounding
+    error changes the primitives by that error times its mass, and a meshed
+    density by the square of the mesh width.  Returns the parts and their
+    maximum under ``"overall"``.
     """
     va, vb = coefficient_view(a), coefficient_view(b)
-    if math.isinf(a.length) and math.isinf(b.length):
-        length_diff = 0.0
-    else:
-        length_diff = abs(a.length - b.length)
+    length_diff = 0.0 if a.length == b.length else abs(a.length - b.length)
+    cuts = np.union1d(va.bp, vb.bp)
     span = min(a.length, b.length)
     if math.isinf(span):
-        finite = [float(p) for p in va.bp if math.isfinite(p)]
-        finite += [float(p) for p in vb.bp if math.isfinite(p)]
-        span = max(10.0, max(finite, default=0.0) + 1.0)
-    cuts = sorted(
-        {float(p) for p in va.bp if p <= span}
-        | {float(p) for p in vb.bp if p <= span}
-        | {0.0, span}
-    )
-    guard = 1e-12 * max(1.0, span)
-    pts = {0.5 * (lo + hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 4.0 * guard}
-    for k in range(_DISCREPANCY_PROBES):
-        x = span * (k + 0.5) / _DISCREPANCY_PROBES
-        if min(abs(x - c) for c in cuts) > guard:
-            pts.add(x)
-    dist_diff = 0.0
-    for x in sorted(pts):
-        dist_diff = max(dist_diff, abs(va.w(x) - vb.w(x)), abs(va.upsilon(x) - vb.upsilon(x)))
-    atom_diff = max(
-        _atom_mismatch(a.omega.atoms, b.omega.atoms),
-        _atom_mismatch(a.upsilon.atoms, b.upsilon.atoms),
-    )
+        span = max(10.0, cuts[-1] + 1.0)
+    cuts = np.union1d(cuts[cuts <= span], [span])
+    w_gap, sigma_gap = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
     return {
         "length": length_diff,
-        "atoms": atom_diff,
-        "distributions": dist_diff,
-        "overall": max(length_diff, atom_diff, dist_diff),
+        "w_primitive": w_gap,
+        "sigma_primitive": sigma_gap,
+        "overall": max(length_diff, w_gap, sigma_gap),
     }

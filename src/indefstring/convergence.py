@@ -1,13 +1,10 @@
-"""Convergence checks for sequences of strings and Hamiltonians.
+"""Convergence checks for sequences of strings.
 
 A family of strings converges (in the sense that the Weyl functions converge
 locally uniformly) exactly when the travel coordinates stay bounded pointwise
 and the primitives int_0^x w_n and int_0^x sigma_n converge to those of the
-limit; the matching Hamiltonian statement compares entrywise primitives
-int_0^x H_n.  The divergence branch (Weyl functions escaping to infinity)
-corresponds to travel coordinates blowing up pointwise, and on the
-Hamiltonian side to the primitives approaching those of the blocked matrix
-[[1, 0], [0, 0]].
+limit.  The divergence branch (Weyl functions escaping to infinity)
+corresponds to travel coordinates blowing up pointwise.
 
 Everything here is a finite surrogate: boundedness and sup-norms are
 measured over a recorded finite grid and a finite family tail, so verdicts
@@ -21,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import Hamiltonian
-from .coefficients import MeasureData, StringSpec, coefficient_view
+from .coefficients import MeasureData, StringSpec, _primitive_gaps, coefficient_view
 from .weyl import standard_grid, weyl_m_grid
 
 _SURROGATE_NOTE = (
@@ -36,6 +32,10 @@ INCONCLUSIVE = "inconclusive"
 
 # Mollification indices n of mollified_family: bumps of width 1/n.
 _MOLLIFY_INDICES = (4, 16, 64)
+
+# A family converges once its last sup-norm difference from the limit is at
+# most this, and no larger than its first.
+_THRESHOLD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,11 @@ def _escape_detected(tables, key: str) -> bool:
     return bool(ratios) and all(r >= 1.5 for r in ratios) and vals[-1] >= 10.0 * vals[0]
 
 
-def _settled(diffs, threshold: float) -> bool:
-    return bool(diffs) and diffs[-1] <= threshold and diffs[-1] <= diffs[0] * 1.001 + 1e-15
+def _settled(diffs) -> bool:
+    return bool(diffs) and diffs[-1] <= _THRESHOLD and diffs[-1] <= diffs[0] * 1.001 + 1e-15
 
 
-def string_convergence_check(seq: StringSequence, xs=None,
-                             threshold: float = 1e-2) -> ConvergenceReport:
+def string_convergence_check(seq: StringSequence, xs=None) -> ConvergenceReport:
     """Coefficient-based convergence check for a family of strings.
 
     Per member: the pointwise maximum of sigma_n over the grid (boundedness
@@ -110,14 +109,8 @@ def string_convergence_check(seq: StringSequence, xs=None,
         pos = [x for x in grid if x <= spec.length]
         row = {"sigma_max": max(view.sigma(x) for x in pos)}
         if lim_view is not None:
-            row["sup_w_primitive_diff"] = max(
-                abs(view.w_integral(min(x, spec.length)) - lim_view.w_integral(min(x, limit.length)))
-                for x in grid
-            )
-            row["sup_sigma_primitive_diff"] = max(
-                abs(view.sigma_integral(min(x, spec.length)) - lim_view.sigma_integral(min(x, limit.length)))
-                for x in grid
-            )
+            row["sup_w_primitive_diff"], row["sup_sigma_primitive_diff"] = _primitive_gaps(
+                view, lim_view, grid)
         rows.append(row)
 
     margins = {"sigma_max": [r["sigma_max"] for r in rows]}
@@ -127,12 +120,12 @@ def string_convergence_check(seq: StringSequence, xs=None,
     elif lim_view is not None and rows:
         diffs = [max(r["sup_w_primitive_diff"], r["sup_sigma_primitive_diff"]) for r in rows]
         margins["sup_diffs"] = diffs
-        if _settled(diffs, threshold):
+        if _settled(diffs):
             verdict = CONVERGES
     return ConvergenceReport(verdict=verdict, grid=grid, per_member=tuple(rows), margins=margins)
 
 
-def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2) -> ConvergenceReport:
+def m_convergence_check(seq: StringSequence, zs=None) -> ConvergenceReport:
     """Direct route: compare Weyl functions on a compact grid of z values."""
     specs, limit = seq.specs, seq.limit
     grid = standard_grid() if zs is None else np.asarray(zs, dtype=complex)
@@ -156,7 +149,7 @@ def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2) -
     elif m_lim is not None and rows:
         diffs = [r["sup_m_diff"] for r in rows]
         margins["sup_diffs"] = diffs
-        if _settled(diffs, threshold):
+        if _settled(diffs):
             verdict = CONVERGES
     return ConvergenceReport(
         verdict=verdict,
@@ -164,61 +157,6 @@ def m_convergence_check(seq: StringSequence, zs=None, threshold: float = 1e-2) -
         per_member=tuple(rows),
         margins=margins,
     )
-
-
-def _hamiltonian_primitive(ham: Hamiltonian, x: float) -> tuple[float, float, float]:
-    """(int h11, int h12, int h22) over [0, x]."""
-    p11 = p12 = p22 = 0.0
-    pos = 0.0
-    for piece in ham.pieces:
-        if pos >= x:
-            break
-        step = min(piece.length, x - pos)
-        p11 += piece.h11 * step
-        p12 += piece.h12 * step
-        p22 += piece.h22 * step
-        pos += step
-    return p11, p12, p22
-
-
-def hamiltonian_convergence_check(hams, limit=None, xs=None,
-                                  threshold: float = 1e-2) -> ConvergenceReport:
-    """Primitive-based convergence check for a family of Hamiltonians.
-
-    Convergence compares entrywise primitives against the limit; the
-    divergence branch compares them against the blocked matrix's primitives
-    (x, 0, 0), which is where escaping Weyl functions end up.
-    """
-    grid = tuple(float(x) for x in (xs if xs is not None else np.linspace(0.5, 8.0, 16)))
-    rows = []
-    for ham in hams:
-        prim = [_hamiltonian_primitive(ham, x) for x in grid]
-        row = {
-            "sup_blocked_diff": max(
-                max(abs(p11 - x), abs(p12), abs(p22))
-                for x, (p11, p12, p22) in zip(grid, prim)
-            )
-        }
-        if limit is not None:
-            lprim = [_hamiltonian_primitive(limit, x) for x in grid]
-            row["sup_primitive_diff"] = max(
-                max(abs(a - la), abs(b - lb), abs(c - lc))
-                for (a, b, c), (la, lb, lc) in zip(prim, lprim)
-            )
-        rows.append(row)
-
-    margins = {"sup_blocked_diff": [r["sup_blocked_diff"] for r in rows]}
-    verdict = INCONCLUSIVE
-    if limit is not None and rows:
-        diffs = [r["sup_primitive_diff"] for r in rows]
-        margins["sup_diffs"] = diffs
-        if _settled(diffs, threshold):
-            verdict = CONVERGES
-    if verdict is INCONCLUSIVE and rows and _settled(
-        [r["sup_blocked_diff"] for r in rows], threshold
-    ):
-        verdict = DIVERGES
-    return ConvergenceReport(verdict=verdict, grid=grid, per_member=tuple(rows), margins=margins)
 
 
 # -- test-family generation ---------------------------------------------------

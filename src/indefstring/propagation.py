@@ -385,27 +385,24 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
     return mats
 
 
-def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
+def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
     """Closed-form transfer in (u, u') variables along ``walk``, vectorized
     over a 1-D complex z.
 
-    Yields ``(x, state)`` at each sample position in increasing order, so a
-    caller may stop early.  ``state`` has shape (2, 2, z.size): a solution
-    with u(0)=d1, u'(0-)=d2 has (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.
-    A yielded state is never modified afterwards.  ``rescale`` scales each
-    z's state by a positive factor to keep it finite.
+    Returns the state at each sample position, keyed by position.  A state
+    has shape (2, 2, z.size): a solution with u(0)=d1, u'(0-)=d2 has
+    (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.  ``rescale`` scales
+    each z's state by a positive factor to keep it finite.
     """
+    records = {}
     with np.errstate(over="ignore", invalid="ignore"):
         zz = z * z
-    state = np.zeros((2, 2, z.size), dtype=complex)
-    state[0, 0] = state[1, 1] = 1.0
-    # The products of runs first, first + 1, ... at every z; run k is next.
-    products, first, k = [], 0, 0
-    ws = _Workspace()  # its buffers are made by the first wide block
-    for target in walk.targets.tolist():
-        # The error state is set per run between two samples, never across a
-        # yield, so it does not leak into the caller while the sweep waits.
-        with np.errstate(over="ignore", invalid="ignore"):
+        state = np.zeros((2, 2, z.size), dtype=complex)
+        state[0, 0] = state[1, 1] = 1.0
+        # The products of runs first, first + 1, ... at every z; run k is next.
+        products, first, k = [], 0, 0
+        ws = _Workspace()  # its buffers are made by the first wide block
+        for target in walk.targets.tolist():
             while walk.cuts[k] < target:
                 lo, hi = walk.cuts[k:k + 2]
                 if (hi - lo) * z.size > _BUDGET:
@@ -417,7 +414,8 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool):
                     if rescale:
                         _normalize(state)
                 k += 1
-        yield float(walk.points[target]), state
+            records[float(walk.points[target])] = state
+    return records
 
 
 def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
@@ -494,7 +492,7 @@ def _sweep_closed(view, z, xs, rescale: bool = False):
     if workers > 1:
         records = _split_states(walk, z, rescale, workers)
     else:
-        records = dict(_walk_states(walk, z, rescale))
+        records = _walk_states(walk, z, rescale)
     finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -512,7 +510,7 @@ def _split_states(walk: _Walk, z: np.ndarray, rescale: bool, workers: int) -> di
 
     def sweep(k):
         try:
-            parts[k] = list(_walk_states(walk, z[bounds[k]:bounds[k + 1]], rescale))
+            parts[k] = _walk_states(walk, z[bounds[k]:bounds[k + 1]], rescale)
         except BaseException as exc:  # re-raised on the calling thread
             errors[k] = exc
 
@@ -525,8 +523,7 @@ def _split_states(walk: _Walk, z: np.ndarray, rescale: bool, workers: int) -> di
     for exc in errors:
         if exc is not None:
             raise exc
-    return {x: np.concatenate([part[i][1] for part in parts], axis=-1)
-            for i, (x, _) in enumerate(parts[0])}
+    return {x: np.concatenate([part[x] for part in parts], axis=-1) for x in parts[0]}
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:

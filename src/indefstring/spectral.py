@@ -63,9 +63,6 @@ class SpectralMeasure:
     continuous_samples: tuple[tuple[float, float], ...] | None = None
     epsilon_used: float | None = None
 
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
-
 
 def measure_to_json(mu: SpectralMeasure) -> dict:
     doc = {"atoms": [{"lambda": l, "mass": m} for l, m in mu.atoms]}

@@ -39,7 +39,10 @@ from .errors import (
     ValidationError,
 )
 from . import propagation
-from .propagation import SystemState, fundamental_system
+
+# How far below zero classify lets Im m and Im z m fall on its grid and still
+# call m Herglotz (Stieltjes).
+_SIGN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,11 @@ class WeylSample:
 
     ``truncation_x`` is where the limit is read: L on a finite string, the
     last breakpoint x0 on a half-line, past which the limit is explicit.
-    Both are exact up to rounding, so ``est_error`` is always 0.0.
     """
 
     z: complex
     m: complex
     truncation_x: float
-    est_error: float
 
 
 @dataclass(frozen=True)
@@ -156,25 +157,12 @@ def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
             s = np.where(s.imag < 0.0, -s, s)
             m = (1j * s * theta - dtheta) / (zs * (dphi - 1j * s * phi))
         _refuse_non_finite(zs, m)
-    return [WeylSample(z=z, m=v, truncation_x=x, est_error=0.0)
-            for z, v in zip(zs.tolist(), m.tolist())]
+    return [WeylSample(z=z, m=v, truncation_x=x) for z, v in zip(zs.tolist(), m.tolist())]
 
 
 def weyl_m(spec: StringSpec, z: complex) -> WeylSample:
     """Weyl function at one z: ``weyl_m_grid(spec, [z])[0]``."""
     return weyl_m_grid(spec, [complex(z)])[0]
-
-
-def weyl_solution_psi(spec: StringSpec, z: complex, xs) -> tuple[SystemState, ...]:
-    """The Weyl solution psi = theta + m z phi sampled along the string."""
-    sample = weyl_m(spec, z)
-    fs = fundamental_system(spec, z, xs)
-    mz = sample.m * sample.z
-    out = []
-    for th, ph in zip(fs.theta, fs.phi):
-        out.append(SystemState(x=th.x, f=th.f + mz * ph.f, f2=th.f2 + mz * ph.f2,
-                               quasi=th.quasi + mz * ph.quasi))
-    return tuple(out)
 
 
 def _richardson(values, ratios, powers) -> float:
@@ -205,7 +193,7 @@ def _richardson(values, ratios, powers) -> float:
     return seq[-1]
 
 
-def structural_flags(spec: StringSpec) -> tuple[bool, bool]:
+def _structural_flags(spec: StringSpec) -> tuple[bool, bool]:
     """(stieltjes, nonneg_spectrum) predicates read off the coefficients.
 
     Stieltjes needs upsilon identically zero and omega a non-negative measure.
@@ -226,7 +214,7 @@ def structural_flags(spec: StringSpec) -> tuple[bool, bool]:
     return stieltjes, upsilon_interior_zero and w_nondecreasing
 
 
-def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classification:
+def classify(spec: StringSpec, samples=None) -> Classification:
     """Herglotz/Stieltjes checks on a grid plus structural spectrum prediction.
 
     The numerical Stieltjes flag (Im m >= 0 and Im z m >= 0 on the grid) and
@@ -241,9 +229,9 @@ def classify(spec: StringSpec, samples=None, tol: float = 1e-8) -> Classificatio
     min_im_m = float(np.min(ms.imag * np.sign(zs.imag)))
     symmetry_defect = float(np.max(np.abs(ms_conj - np.conj(ms))))
     min_im_zm = float(np.min((zs * ms).imag * np.sign(zs.imag)))
-    herglotz = min_im_m >= -tol and symmetry_defect <= 1e-10 * scale
-    stieltjes_num = herglotz and min_im_zm >= -tol
-    stieltjes_struct, nonneg = structural_flags(spec)
+    herglotz = min_im_m >= -_SIGN_TOL and symmetry_defect <= 1e-10 * scale
+    stieltjes_num = herglotz and min_im_zm >= -_SIGN_TOL
+    stieltjes_struct, nonneg = _structural_flags(spec)
     return Classification(
         herglotz=herglotz,
         stieltjes=stieltjes_num,
@@ -272,7 +260,7 @@ def integral_rep_constants(spec: StringSpec) -> IntegralRep:
     m_eta, m_eps = ms[:len(etas)], ms[len(etas):]
     c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
     inv_l = _richardson([(-1j * e * m).real for m, e in zip(m_eps, eps)], 10.0, (1, 2))
-    stieltjes_struct, _ = structural_flags(spec)
+    stieltjes_struct, _ = _structural_flags(spec)
     c2 = None
     if stieltjes_struct:
         c2 = _richardson([m.real for m in m_eta], 10.0, (1, 2))

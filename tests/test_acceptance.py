@@ -29,7 +29,6 @@ from indefstring.weyl import (
     classify,
     integral_rep_constants,
     standard_grid,
-    structural_flags,
     weyl_m,
 )
 
@@ -88,7 +87,7 @@ def test_03_randomized_transform_roundtrips(capsys):
         back = hamiltonian_to_string(string_to_hamiltonian(spec))
         parts = spec_discrepancy(spec, back)
         worst_len = max(worst_len, parts["length"])
-        worst_shape = max(worst_shape, parts["atoms"], parts["distributions"])
+        worst_shape = max(worst_shape, parts["w_primitive"], parts["sigma_primitive"])
     ok = worst_len <= 1e-12 and worst_shape < 1e-9
     _report(capsys, ok, "string -> Hamiltonian -> string roundtrips",
             f"max length defect {worst_len:.2e}, max shape defect {worst_shape:.2e}")
@@ -134,13 +133,14 @@ def test_06_herglotz_symmetry_and_sign_laws(capsys):
         min_im = min(min_im, float(np.min(ms.imag)))
         conj = np.array([weyl_m(spec, complex(np.conj(z))).m for z in zs])
         worst_sym = max(worst_sym, float(np.max(np.abs(conj - np.conj(ms)))))
-        if classify(spec).stieltjes != structural_flags(spec)[0]:
+        flags = classify(spec)
+        if flags.stieltjes != flags.stieltjes_structural:
             mismatches += 1
     rng = np.random.default_rng(77)
     for _ in range(20):
         spec = catalog.random_discrete_string(rng)
         nonneg = all(lam >= 0.0 for lam in discrete_eigenvalues(spec))
-        if nonneg != structural_flags(spec)[1]:
+        if nonneg != classify(spec).nonneg_spectrum_predicted:
             mismatches += 1
     ok = min_im >= -1e-8 and worst_sym <= 1e-12 and mismatches == 0
     _report(capsys, ok, "Herglotz positivity, conjugation symmetry, sign laws",

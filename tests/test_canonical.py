@@ -15,9 +15,7 @@ from indefstring.canonical import (
     hamiltonian_from_json,
     hamiltonian_to_json,
     hamiltonian_to_string,
-    indivisible_prefix,
     string_to_hamiltonian,
-    validate_hamiltonian,
 )
 from indefstring.coefficients import MeasureData, StringSpec, spec_discrepancy
 from indefstring.errors import (
@@ -114,7 +112,7 @@ def test_inverse_free_hamiltonian():
 
 
 def test_inverse_atomic_hamiltonian():
-    ham = validate_hamiltonian([(5.0, 0.8, 0.4), (math.inf, 1.0, 0.0)])
+    ham = Hamiltonian(pieces=[(5.0, 0.8, 0.4), (math.inf, 1.0, 0.0)])
     spec = hamiltonian_to_string(ham)
     assert spec.length == pytest.approx(1.0, abs=1e-14)
     assert spec.upsilon.is_zero()
@@ -133,17 +131,24 @@ def test_roundtrip_on_regression_specs():
             assert parts["length"] < 1e-12, name
 
 
+def _blocked_prefix(ham: Hamiltonian) -> float:
+    """Extent of the initial blocked run [[1, 0], [0, 0]]: adjacent equal
+    pieces are fused, so it is the first piece or nothing."""
+    first = ham.pieces[0]
+    return first.length if first.is_blocked() else 0.0
+
+
 def test_indivisible_prefix_values():
-    assert indivisible_prefix(HALF) == 0.0
-    assert indivisible_prefix(string_to_hamiltonian(catalog.upsilon_atom_origin())) == 3.0
-    direct = validate_hamiltonian([(7.0, 1.0, 0.0), (math.inf, 0.0, 0.0)])
-    assert indivisible_prefix(direct) == 7.0
+    assert _blocked_prefix(HALF) == 0.0
+    assert _blocked_prefix(string_to_hamiltonian(catalog.upsilon_atom_origin())) == 3.0
+    direct = Hamiltonian(pieces=[(7.0, 1.0, 0.0), (math.inf, 0.0, 0.0)])
+    assert _blocked_prefix(direct) == 7.0
 
 
 def test_prefix_equals_upsilon_mass_at_origin():
     for name, spec in catalog.CANONICAL_SPECS:
         ham = string_to_hamiltonian(spec)
-        assert indivisible_prefix(ham) == pytest.approx(
+        assert _blocked_prefix(ham) == pytest.approx(
             spec.upsilon.atom_at(0.0), abs=1e-12), name
 
 
@@ -247,20 +252,20 @@ def test_canonical_m_grid_on_a_free_tail():
 
 def test_validate_rejects_finite_tail():
     with pytest.raises(ValidationError):
-        validate_hamiltonian([(1.0, 0.5, 0.0)])
+        Hamiltonian(pieces=[(1.0, 0.5, 0.0)])
 
 
 def test_validate_rejects_entry_range():
     with pytest.raises(ValidationError):
-        validate_hamiltonian([(1.0, 1.5, 0.0), (math.inf, 0.5, 0.0)])
+        Hamiltonian(pieces=[(1.0, 1.5, 0.0), (math.inf, 0.5, 0.0)])
     with pytest.raises(ValidationError):
         # det = 0.25 - 0.36 < 0
-        validate_hamiltonian([(1.0, 0.5, 0.6), (math.inf, 0.5, 0.0)])
+        Hamiltonian(pieces=[(1.0, 0.5, 0.6), (math.inf, 0.5, 0.0)])
 
 
 def test_validate_rejects_all_blocked():
     with pytest.raises(DegenerateHamiltonian):
-        validate_hamiltonian([(math.inf, 1.0, 0.0)])
+        Hamiltonian(pieces=[(math.inf, 1.0, 0.0)])
 
 
 @pytest.mark.parametrize("pieces, error", [
@@ -274,7 +279,7 @@ def test_building_an_invalid_hamiltonian_raises_like_validate_hamiltonian(pieces
     with pytest.raises(error) as direct:
         Hamiltonian(pieces=tuple(HamiltonianPiece(*p) for p in pieces))
     with pytest.raises(error) as parsed:
-        validate_hamiltonian(pieces)
+        hamiltonian_from_json({"pieces": pieces})
     assert type(direct.value) is type(parsed.value)
 
 
@@ -282,7 +287,7 @@ def test_built_hamiltonian_is_fused_and_rebuilding_is_a_no_op():
     ham = Hamiltonian(pieces=[(1.0, 0.5, 0.25), {"len": 2.0, "h11": 0.5, "h12": 0.25},
                               HamiltonianPiece(1.0, 1.0, 0.0), ("inf", 1.0, 0.0)], mesh=8)
     assert _pieces(ham) == [(3.0, 0.5, 0.25), (math.inf, 1.0, 0.0)]
-    assert ham == validate_hamiltonian(hamiltonian_to_json(ham))
+    assert ham == hamiltonian_from_json(hamiltonian_to_json(ham))
     assert Hamiltonian(ham.pieces, ham.mesh) == ham
     for _, spec in catalog.CANONICAL_SPECS:
         built = string_to_hamiltonian(spec)
@@ -300,7 +305,6 @@ def test_canonical_evaluators_do_not_recheck_a_built_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(canonical, "_normalize_pieces", counting)
     canonical_m_grid(ham, standard_grid())
-    indivisible_prefix(ham)
     hamiltonian_to_string(ham)
     assert calls == []
     Hamiltonian(ham.pieces)

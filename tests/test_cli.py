@@ -153,6 +153,13 @@ def test_inverse_recovers_string_from_hamiltonian(tmp_path):
     assert mass == pytest.approx(2.0, abs=1e-12)
 
 
+def test_inverse_refuses_a_hamiltonian_that_is_not_a_mapping(tmp_path, capsys):
+    ham = _dump(tmp_path / "h.json", HAMILTONIAN["pieces"])
+    assert main(["inverse", "--hamiltonian", ham, "--out", str(tmp_path / "spec.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot interpret Hamiltonian data")
+    assert not (tmp_path / "spec.json").exists()
+
+
 # -- roundtrip ----------------------------------------------------------------
 
 
@@ -165,7 +172,7 @@ def test_roundtrip_passes_on_atomic_string(tmp_path, capsys):
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["passed"] is True
     assert doc["overall"] <= doc["tol"]
-    assert {"length", "atoms", "distributions"} <= set(doc)
+    assert set(doc) == {"length", "w_primitive", "sigma_primitive", "overall", "tol", "passed"}
 
 
 def test_roundtrip_flags_mesh_limited_density_at_tight_tolerance(tmp_path):
@@ -176,6 +183,18 @@ def test_roundtrip_flags_mesh_limited_density_at_tight_tolerance(tmp_path):
     assert rc == 3
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["passed"] is False
+
+
+def test_roundtrip_passes_on_a_density_string_at_mesh_accuracy(tmp_path, capsys):
+    # The primitives of a meshed density come back at second order in the
+    # mesh width: about 3.4e-6 at --mesh 256.
+    spec = _dump(tmp_path / "spec.json", UNIFORM)
+    report = tmp_path / "report.json"
+    assert main(["roundtrip", "--spec", spec, "--mesh", "256", "--tol", "1e-5",
+                 "--out", str(report)]) == 0
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["passed"] is True and 1e-6 < doc["overall"] <= 5e-6
+    assert doc["overall"] == max(doc["w_primitive"], doc["sigma_primitive"], doc["length"])
 
 
 # -- spectrum -----------------------------------------------------------------

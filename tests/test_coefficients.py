@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from indefstring import catalog, coefficients
+from indefstring.canonical import hamiltonian_to_string, string_to_hamiltonian
 from indefstring.coefficients import (
     MeasureData,
     StringSpec,
@@ -420,6 +421,40 @@ def test_change_of_variables_identity():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def _sigma_integral_loop(view, x: float) -> float:
+    """int_0^x sigma as a sum over pieces, each by two-point Gauss on the
+    scalar sigma (exact on cubics)."""
+    nodes = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+    total = 0.0
+    for lo, hi in zip(view.bp, [*view.bp[1:], math.inf]):
+        if lo >= x:
+            break
+        h = min(hi, x) - lo
+        total += h * sum(view.sigma(float(lo + t * h)) for t in nodes) / 2.0
+    return total
+
+
+def test_primitives_take_arrays_and_match_closed_forms():
+    view = coefficient_view(catalog.uniform_string())  # w(x) = x, sigma(x) = x + x^3/3
+    xs = np.linspace(0.0, 1.0, 257)
+    assert np.allclose(view.w_integral(xs), xs ** 2 / 2.0, rtol=0.0, atol=2e-16)
+    assert np.allclose(view.sigma_integral(xs), xs ** 2 / 2.0 + xs ** 4 / 12.0, rtol=0.0, atol=4e-16)
+    assert view.sigma_integral(xs[:, None]).shape == (257, 1)
+    assert type(view.w_integral(0.5)) is float and type(view.sigma_integral(0.5)) is float
+    with pytest.raises(PositionOutOfRange):
+        view.sigma_integral(np.array([0.5, 1.5]))
+    with pytest.raises(PositionOutOfRange):
+        view.w_integral(np.array([math.nan]))
+
+    view = coefficient_view(catalog.mixed_example())
+    xs = np.concatenate([view.bp, np.linspace(0.0, 2.0, 41), view.bp[1:] - 1e-9])
+    w_arr, sigma_arr = view.w_integral(xs), view.sigma_integral(xs)
+    for x, w_int, sigma_int in zip(xs.tolist(), w_arr, sigma_arr):
+        assert w_int == view.w_integral(x)
+        assert sigma_int == view.sigma_integral(x)
+        assert abs(sigma_int - _sigma_integral_loop(view, x)) <= 4e-16 * max(1.0, sigma_int), x
+
+
 def test_discrepancy_zero_on_identical_specs():
     parts = spec_discrepancy(catalog.mixed_example(), catalog.mixed_example())
     assert parts["overall"] == 0.0
@@ -431,10 +466,39 @@ def test_discrepancy_detects_shifted_atom():
                    omega=MeasureData(atoms=((0.5 + 1e-6, 1.0),)),
                    upsilon=MeasureData())
     parts = spec_discrepancy(a, b)
-    assert parts["atoms"] == pytest.approx(1e-6, rel=1e-6)
+    # Past the atoms int w differs by the shift times the unit mass.
+    assert parts["w_primitive"] == pytest.approx(1e-6, rel=1e-6)
     assert parts["overall"] >= 1e-6 / 2
 
 
 def test_discrepancy_detects_structure_mismatch():
+    # int_0^1 w = 1/2 against 0; int_0^1 sigma differs by int_(1/2)^1 (x - 1/2) = 1/8.
     parts = spec_discrepancy(catalog.omega_atom_middle(), catalog.empty_string())
-    assert parts["overall"] == math.inf
+    assert parts["w_primitive"] == 0.5 and parts["sigma_primitive"] == 0.125
+    assert parts["overall"] == 0.5
+
+
+def test_atomic_roundtrips_keep_the_primitives_to_rounding():
+    eps = np.finfo(float).eps
+    for name, spec in catalog.REGRESSION_SPECS:
+        if not spec.omega.is_atomic():
+            continue
+        parts = spec_discrepancy(spec, hamiltonian_to_string(string_to_hamiltonian(spec)))
+        view = coefficient_view(spec)
+        end = min(spec.length, max(10.0, float(view.bp[-1]) + 1.0))
+        scale = max(1.0, view.sigma_integral(end))
+        assert parts["length"] <= 2.0 * eps * spec.length, name
+        assert parts["w_primitive"] <= 8.0 * eps * scale, (name, parts)
+        assert parts["sigma_primitive"] <= 8.0 * eps * scale, (name, parts)
+
+
+def test_meshed_density_roundtrips_at_second_order():
+    # The mesh keeps int w at every cell edge, so the primitives differ only
+    # inside the cells, by the square of their width.
+    spec = catalog.uniform_string()
+    parts = [spec_discrepancy(spec, hamiltonian_to_string(string_to_hamiltonian(spec, mesh=mesh)))
+             for mesh in (64, 256, 1024)]
+    for key in ("w_primitive", "sigma_primitive", "overall"):
+        values = [p[key] for p in parts]
+        assert values[0] / values[1] >= 12.0 and values[1] / values[2] >= 12.0, (key, values)
+    assert parts[1]["overall"] <= 5e-6 and parts[2]["overall"] <= 3e-7

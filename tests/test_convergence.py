@@ -1,18 +1,16 @@
-"""Tests for string/Hamiltonian family convergence checks and mollification."""
+"""Tests for string family convergence checks and mollification."""
 
 import json
 
 import pytest
 
 from indefstring import catalog
-from indefstring.canonical import Hamiltonian, HamiltonianPiece, string_to_hamiltonian
 from indefstring.coefficients import validate_spec
 from indefstring.convergence import (
     CONVERGES,
     DIVERGES,
     INCONCLUSIVE,
     StringSequence,
-    hamiltonian_convergence_check,
     m_convergence_check,
     mollified_family,
     mollify_string,
@@ -21,12 +19,6 @@ from indefstring.convergence import (
 )
 
 COMPACT_ZS = (3 + 0.3j, 2.5 + 0.6j)
-
-
-def _blocked_then_free(n: float) -> Hamiltonian:
-    return Hamiltonian(
-        (HamiltonianPiece(float(n), 1.0, 0.0), HamiltonianPiece(float("inf"), 0.5, 0.0))
-    )
 
 
 # -- mollification ------------------------------------------------------------
@@ -149,31 +141,6 @@ def test_m_route_agrees_with_string_route_on_all_three_families():
         via_string = string_convergence_check(fam).verdict
         via_m = m_convergence_check(fam, zs=COMPACT_ZS).verdict
         assert via_string == via_m
-
-
-# -- Hamiltonian route --------------------------------------------------------
-
-
-def test_hamiltonian_route_mollified_family_converges():
-    fam = mollified_family(catalog.omega_atom_origin(mass=1.0))
-    hams = [string_to_hamiltonian(s) for s in fam.specs]
-    rep = hamiltonian_convergence_check(hams, limit=string_to_hamiltonian(fam.limit))
-    assert rep.verdict == CONVERGES
-    diffs = rep.margins["sup_diffs"]
-    assert diffs == pytest.approx([0.125, 0.03125, 0.0078125], abs=1e-9)
-
-
-def test_hamiltonian_route_constant_family_converges():
-    ham = string_to_hamiltonian(catalog.upsilon_atom_origin())
-    rep = hamiltonian_convergence_check([ham] * 3, limit=ham)
-    assert rep.verdict == CONVERGES
-    assert rep.margins["sup_diffs"] == [0.0, 0.0, 0.0]
-
-
-def test_hamiltonian_route_blocked_tail_diverges():
-    rep = hamiltonian_convergence_check([_blocked_then_free(n) for n in (2, 8, 16)])
-    assert rep.verdict == DIVERGES
-    assert rep.margins["sup_blocked_diff"][-1] == 0.0
 
 
 # -- report serialization -----------------------------------------------------

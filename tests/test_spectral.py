@@ -35,7 +35,7 @@ from indefstring.spectral import (
     stieltjes_inversion,
     transform_hat,
 )
-from indefstring.weyl import m_truncated, structural_flags, weyl_m_grid
+from indefstring.weyl import classify, m_truncated, weyl_m_grid
 
 OMEGA_MID = catalog.omega_atom_middle()            # omega = 1*delta at 1/2
 OMEGA_MID_NEG = catalog.omega_atom_middle(-1.0)
@@ -619,5 +619,5 @@ def test_sign_law_on_random_strings():
     for _ in range(8):
         spec = catalog.random_discrete_string(rng)
         eigs = discrete_eigenvalues(spec)
-        predicted = structural_flags(spec)[1]
+        predicted = classify(spec).nonneg_spectrum_predicted
         assert (all(l >= 0.0 for l in eigs)) == predicted

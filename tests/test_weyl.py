@@ -23,10 +23,8 @@ from indefstring.weyl import (
     integral_rep_constants,
     m_truncated,
     standard_grid,
-    structural_flags,
     weyl_m,
     weyl_m_grid,
-    weyl_solution_psi,
 )
 
 
@@ -80,7 +78,6 @@ def test_real_spectral_parameter_rejected():
 def test_finite_length_limit_is_attained():
     sample = weyl_m(catalog.mixed_example(), 1.4 + 0.6j)
     assert sample.truncation_x == 2.0
-    assert sample.est_error == 0.0
 
 
 def test_closed_forms_at_spot_values():
@@ -259,8 +256,7 @@ def test_grid_matches_one_z_calls_bit_for_bit(grid_samples):
     for name, spec in _SWEEP_SPECS.items():
         for z, got in zip(_SWEEP_ZS, grid_samples[name]):
             one = weyl_m(spec, z)
-            assert (got.z, got.m, got.truncation_x, got.est_error) == (
-                one.z, one.m, one.truncation_x, one.est_error), (name, z)
+            assert (got.z, got.m, got.truncation_x) == (one.z, one.m, one.truncation_x), (name, z)
 
 
 def _tailed_halfline(a: float, b: float) -> StringSpec:
@@ -314,7 +310,7 @@ def test_halfline_matches_oracle_over_the_wide_range():
         samples = weyl_m_grid(spec, _WIDE_ZS)
         ms = np.array([s.m for s in samples])
         x0 = float(coefficient_view(spec).bp[-1])
-        assert all(s.truncation_x == x0 and s.est_error == 0.0 for s in samples), name
+        assert all(s.truncation_x == x0 for s in samples), name
         for z, m in zip(_WIDE_ZS, ms):
             ref = _m_oracle_halfline(spec, z)
             assert abs(m - ref) <= 1e-14 * abs(ref), (name, z, m, ref)
@@ -333,7 +329,7 @@ def test_halfline_closed_form_where_truncation_converges_slowly():
         assert abs(weyl_m(spec, z).m - exact) <= 1e-14 * abs(exact), z
     for z in (1j, -3 + 1e-8j, 1e6 - 2j):
         sample = weyl_m(catalog.empty_halfline(), z)
-        assert sample.m == 0.0 and sample.est_error == 0.0 and sample.truncation_x == 0.0
+        assert sample.m == 0.0 and sample.truncation_x == 0.0
 
 
 # 1000 z over five decades of |z| and most of the upper half-plane.
@@ -348,8 +344,7 @@ def test_many_z_match_one_z_calls():
         samples = weyl_m_grid(spec, _MANY_ZS)
         for z, got in zip(_MANY_ZS, samples):
             one = weyl_m(spec, z)
-            assert (got.z, got.m, got.truncation_x, got.est_error) == (
-                one.z, one.m, one.truncation_x, one.est_error), (name, z)
+            assert (got.z, got.m, got.truncation_x) == (one.z, one.m, one.truncation_x), (name, z)
 
 
 def test_truncation_point_on_an_atom():
@@ -435,7 +430,7 @@ def test_planned_sweeps_give_the_bits_of_a_cold_call():
             out = []
             for spec in specs:
                 samples = weyl_m_grid(spec, zs)
-                out.append(np.array([[s.m, s.truncation_x, s.est_error] for s in samples]))
+                out.append(np.array([[s.m, s.truncation_x] for s in samples]))
                 out.append(np.array([weyl_m(spec, z).m for z in zs[:3]]))
                 if math.isfinite(spec.length):
                     out.append(propagation.transfer_matrices(spec, zs[:49], [0.3, spec.length]))
@@ -457,10 +452,14 @@ def test_wide_range_matches_closed_forms_or_raises():
 
 
 def test_structural_flags():
-    assert structural_flags(catalog.uniform_string()) == (True, True)
-    assert structural_flags(catalog.negative_uniform_string()) == (False, False)
+    def flags(spec):
+        result = classify(spec)
+        return result.stieltjes_structural, result.nonneg_spectrum_predicted
+
+    assert flags(catalog.uniform_string()) == (True, True)
+    assert flags(catalog.negative_uniform_string()) == (False, False)
     # upsilon mass at the origin forbids Stieltjes but not non-negative spectrum
-    assert structural_flags(catalog.upsilon_atom_origin()) == (False, True)
+    assert flags(catalog.upsilon_atom_origin()) == (False, True)
 
 
 def test_classification_uniform_string():
@@ -500,24 +499,6 @@ def test_nevanlinna_kernel_positive_semidefinite():
                       for zj, mj in zip(zs, ms)]
                      for zi, mi in zip(zs, ms)])
     assert np.linalg.eigvalsh(kern).min() >= -1e-8 * max(1.0, np.abs(kern).max())
-
-
-def test_weyl_solution_empty_string():
-    xs = [0.0, 0.4, 1.0]
-    psi = weyl_solution_psi(catalog.empty_string(), 1j, xs)
-    for st, x in zip(psi, xs):
-        assert st.f == pytest.approx(1.0 - x, abs=1e-13)
-
-
-def test_weyl_solution_vanishes_at_finite_endpoint():
-    psi = weyl_solution_psi(catalog.omega_atom_origin(), 1j, [0.5, 1.0])
-    assert psi[0].f == pytest.approx(0.5, abs=1e-13)
-    assert abs(psi[1].f) < 1e-12
-
-    psi = weyl_solution_psi(catalog.uniform_string(), -1.0 + 1e-9j, [0.3, 1.0])
-    expected = np.sinh(1.0 - 0.3) / np.sinh(1.0)
-    assert psi[0].f.real == pytest.approx(expected, abs=1e-6)
-    assert abs(psi[1].f) < 1e-6
 
 
 def test_richardson_refuses_a_tail_that_extrapolation_spreads():
