@@ -41,7 +41,7 @@ import numpy as np
 
 from .coefficients import MeasureData, StringSpec, _parse_extent, coefficient_view
 from .errors import DegenerateHamiltonian, NonPositiveLength, UnsupportedShape, ValidationError
-from .weyl import weyl_m_grid
+from .weyl import _m_values
 
 _INF = math.inf
 _DET_TOL = 1e-12
@@ -276,5 +276,4 @@ def canonical_m_grid(ham: Hamiltonian, zs) -> np.ndarray:
     shape of ``zs``.
     """
     zarr = np.asarray(zs, dtype=complex)
-    samples = weyl_m_grid(hamiltonian_to_string(ham), zarr)
-    return np.array([s.m for s in samples], dtype=complex).reshape(zarr.shape)
+    return _m_values(hamiltonian_to_string(ham), zarr.ravel())[1].reshape(zarr.shape)

@@ -254,6 +254,7 @@ class CoefficientView:
         self.sigma_length = self.sigma_left[-1] if math.isfinite(self.length) else _INF
         self._plans: dict = {}
         self._plans_lock = threading.Lock()
+        self._last: tuple = (None, None)
 
     def _atoms(self, data: MeasureData) -> np.ndarray:
         out = np.zeros(len(self.bp))
@@ -273,15 +274,21 @@ class CoefficientView:
         use and kept with this view (at most ``_PLANS``), so that evicting the
         view frees it.  Plans are read-only once built: two threads that first
         ask for one key at once may both build it, harmlessly, so the lock
-        guards only the map."""
+        guards only the map.  The plan asked for last is returned without
+        the lock: it is already the most recently used."""
+        last_key, last_plan = self._last
+        if key == last_key:
+            return last_plan
         with self._plans_lock:
             plan = self._plans.pop(key, None)
             if plan is not None:
                 self._plans[key] = plan
+                self._last = key, plan
                 return plan
         plan = build()
         with self._plans_lock:
             self._plans[key] = plan
+            self._last = key, plan
             while len(self._plans) > _PLANS:
                 del self._plans[next(iter(self._plans))]
         return plan
@@ -432,26 +439,53 @@ def _primitive_gaps(a: CoefficientView, b: CoefficientView, xs) -> tuple[float, 
             float(np.max(np.abs(a.sigma_integral(xa) - b.sigma_integral(xb)))))
 
 
+def _tail(view: CoefficientView, x: float) -> tuple[tuple, tuple]:
+    """w and sigma of a half-line past x, at or after its last breakpoint, in
+    exact arithmetic, so that rounding cannot make equal tails differ: with t
+    the distance past x, w = w(x+) + a t, and sigma is sigma(x+) plus the
+    integral of 1 + w^2 + b.  Returns (a, w(x+)) and (sigma(x+) and the
+    coefficients of 1, t and t^2 in w^2 + b)."""
+    # Imported here, so that only a comparison of two half-lines pays for it.
+    from fractions import Fraction
+
+    bp = [Fraction(v) for v in view.bp.tolist() + [x]]
+    w = ups = wsq = Fraction(0)
+    for j, (lo, hi) in enumerate(zip(bp, bp[1:])):
+        a, h = Fraction(view.dens_omega[j]), hi - lo
+        w += Fraction(view.atom_omega[j])
+        ups += Fraction(view.atom_upsilon[j]) + Fraction(view.dens_upsilon[j]) * h
+        wsq += (w * w + w * a * h + a * a * h * h / 3) * h
+        w += a * h
+    b = Fraction(view.dens_upsilon[-1])
+    return (a, w), (bp[-1] + wsq + ups, w * w + b, w * a, a * a)
+
+
 def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
     """Distance between two strings: their lengths and the primitives
     int_0^x w and int_0^x sigma, whose closeness makes the Weyl functions
     close.
 
     The primitives are compared at the breakpoints of both strings and the
-    midpoints between them, up to the shorter length (on two half-lines, up
-    to max(10, last finite breakpoint + 1)).  A jump that moved by a rounding
-    error changes the primitives by that error times its mass, and a meshed
-    density by the square of the mesh width.  Returns the parts and their
-    maximum under ``"overall"``.
+    midpoints between them, up to the shorter length.  On two half-lines
+    they are compared up to the later last breakpoint x1, past which both
+    strings have constant densities: a primitive's gap is constant past x1
+    where w (or sigma) of the two strings agree there, so its sup is reached
+    by x1, and it grows without bound otherwise, where the part is inf.  A
+    jump that moved by a rounding error changes the primitives by that error
+    times its mass, and a meshed density by the square of the mesh width.
+    Returns the parts and their maximum under ``"overall"``.
     """
     va, vb = coefficient_view(a), coefficient_view(b)
     length_diff = 0.0 if a.length == b.length else abs(a.length - b.length)
     cuts = np.union1d(va.bp, vb.bp)
     span = min(a.length, b.length)
+    bounded = (True, True)
     if math.isinf(span):
-        span = max(10.0, cuts[-1] + 1.0)
+        span = float(cuts[-1])
+        bounded = tuple(p == q for p, q in zip(_tail(va, span), _tail(vb, span)))
     cuts = np.union1d(cuts[cuts <= span], [span])
-    w_gap, sigma_gap = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
+    gaps = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
+    w_gap, sigma_gap = (gap if ok else _INF for gap, ok in zip(gaps, bounded))
     return {
         "length": length_diff,
         "w_primitive": w_gap,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import MeasureData, StringSpec, _primitive_gaps, coefficient_view
-from .weyl import standard_grid, weyl_m_grid
+from .weyl import _m_values, standard_grid
 
 _SURROGATE_NOTE = (
     "finite surrogate: boundedness and sup-norms measured on the recorded grid"
@@ -131,7 +131,7 @@ def m_convergence_check(seq: StringSequence, zs=None) -> ConvergenceReport:
     grid = standard_grid() if zs is None else np.asarray(zs, dtype=complex)
 
     def weyl_values(spec: StringSpec) -> np.ndarray:
-        return np.array([s.m for s in weyl_m_grid(spec, grid)])
+        return _m_values(spec, grid.ravel())[1]
 
     m_lim = weyl_values(limit) if limit is not None else None
     rows = []

@@ -53,10 +53,18 @@ naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
 What a sweep derives from the string and the sample positions without z (the
-points, the runs, and the steps' lengths, point masses and densities in pair
-order) is its plan, a :class:`_Walk`.  It is built once per string and
-positions, on first use, and kept with the string's coefficient view, so later
-sweeps at other z start at once; the positions are still checked on every call.
+points, the runs and which of them have one length, and the steps' lengths,
+point masses and densities in pair order) is its plan, a :class:`_Walk`.  It
+is built once per string and positions, on first use, after the positions are
+checked, and kept with the string's coefficient view, so later sweeps at other
+z start at once: a plan kept for the same positions means they passed.
+
+A call makes only the numpy calls its arithmetic needs: each check is one
+reduction that passes on good input, and the value that fails it is looked
+for only then, to name it in the error.  The state still starts as the
+identity and composes the first run's product onto it: starting from that
+product instead changes the sign of zero parts (the real part of
+m_truncated(upsilon_lebesgue_halfline(), i, 0.5) comes out +0, not -0).
 
 Every coefficient breakpoint is a step boundary, and states are reported with
 left-continuous conventions: the value at x never includes a point mass
@@ -271,20 +279,41 @@ class _Steps:
 class _Walk(_Steps):
     """The steps from 0 to the last sample position: step k covers (points[k],
     points[k+1]).  ``targets`` are the point indices of the sample positions,
-    in increasing order; run k (steps cuts[k] to cuts[k+1] - 1) is stored in
-    its pair order.  The positions must lie in [0, L]; :func:`_sweep_closed`
-    checks them."""
+    in increasing order, and ``samples`` pairs each position with its index;
+    run k (steps cuts[k] to cuts[k+1] - 1) is stored in its pair order, and
+    runs k to same[k] - 1 have one length.  Raises
+    :class:`PositionOutOfRange` unless the positions lie in [0, L]."""
 
     def __init__(self, view: CoefficientView, xs: np.ndarray):
+        _check_positions(view, xs)
         xs = np.unique(xs)
         points = np.unique(np.concatenate([xs, view.bp[view.bp <= xs[-1]]]))
         self.points = points
         self.targets = np.searchsorted(points, xs)
+        self.samples = list(zip(xs.tolist(), self.targets.tolist()))
         self.steps = points.size - 1
         self.cuts = np.union1d(self.targets, np.arange(0, self.steps, _BLOCK_STEPS)).tolist()
+        lengths = np.diff(self.cuts).tolist()
+        self.same = list(range(1, len(lengths) + 1))
+        for k in reversed(range(len(lengths) - 1)):
+            if lengths[k] == lengths[k + 1]:
+                self.same[k] = self.same[k + 1]
         runs = itertools.pairwise(self.cuts)
         stored = np.concatenate([np.zeros(0, int)] + [lo + _order(hi - lo) for lo, hi in runs])
         super().__init__(view, points[stored], np.diff(points)[stored])
+
+
+def _check_positions(view: CoefficientView, xs: np.ndarray) -> None:
+    """Refuse sample positions that are missing, not finite or outside [0, L]:
+    their min and max decide, and the finiteness test runs only where they fail."""
+    if xs.size == 0:
+        raise PositionOutOfRange("need at least one sample position")
+    lo, hi = xs.min(), xs.max()  # nan if one is nan
+    if 0.0 <= lo and hi <= view.length and hi < math.inf:
+        return
+    if not np.isfinite(xs).all():
+        raise PositionOutOfRange("sample positions must be finite")
+    raise PositionOutOfRange(f"sample positions must lie in [0, {view.length}], got [{lo}, {hi}]")
 
 
 class _Workspace:
@@ -313,8 +342,12 @@ def _out(ws: _Workspace | None, key: str, shape: tuple[int, ...], dtype=complex)
 def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
     """``left`` after ``right`` for arrays of 2 x 2 matrices, with the matrix
-    on the two leading axes.  ``tmp``, of the shape of the result, takes the
-    second product."""
+    on the two leading axes: left[i, 0] right[0, j] + left[i, 1] right[1, j].
+    ``tmp``, of the shape of the result, takes the second products; without
+    it the eight products come from one call, in scratch of twice that size."""
+    if tmp is None:
+        terms = np.multiply(left[:, :, None], right[None])
+        return np.add(terms[:, 0], terms[:, 1], out=out)
     out = np.multiply(left[:, :1], right[:1], out=out)
     out += np.multiply(left[:, 1:2], right[1:2], out=tmp)
     return out
@@ -327,8 +360,9 @@ def _largest_part(mats: np.ndarray) -> float:
 
 
 def _normalize(mats: np.ndarray) -> float:
-    """Divide, in place, each matrix of a contiguous array (matrix on the two
-    leading axes) whose largest real or imaginary part exceeds _BIG by it.
+    """Divide, in place, each matrix of an array whose last axis is contiguous
+    (matrix on the two leading axes) whose largest real or imaginary part
+    exceeds _BIG by it.
     Returns :func:`_largest_part` before, if no matrix is divided, else nan."""
     largest = _largest_part(mats)
     if largest <= _BIG:  # a nan fails
@@ -360,7 +394,8 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
     With ``rescale``, a level is normalized only where its entries may exceed
     _BIG: an entry of a product has parts of at most 4 b^2 if the factors'
     parts are at most b (the unpaired last step of a level keeps b, which
-    exceeds 4 b^2 only where b < 1/4, far below _BIG)."""
+    exceeds 4 b^2 only where b < 1/4, far below _BIG).  So after one level
+    or more no part of the result exceeds _BIG."""
     keys = ("even", "odd", "odd")
     bound = _largest_part(mats) if rescale and mats.shape[-2] > steps else 0.0
     while mats.shape[-2] > steps:
@@ -392,17 +427,20 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
     Returns the state at each sample position, keyed by position.  A state
     has shape (2, 2, z.size): a solution with u(0)=d1, u'(0-)=d2 has
     (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.  ``rescale`` scales
-    each z's state by a positive factor to keep it finite.
+    each z's state by a positive factor to keep it finite.  A walk without
+    steps gives the identity at its one position.
     """
+    state = np.zeros((2, 2, z.size), dtype=complex)
+    state[0, 0] = state[1, 1] = 1.0
+    if not walk.steps:
+        return {x: state for x, _ in walk.samples}
     records = {}
     with np.errstate(over="ignore", invalid="ignore"):
         zz = z * z
-        state = np.zeros((2, 2, z.size), dtype=complex)
-        state[0, 0] = state[1, 1] = 1.0
         # The products of runs first, first + 1, ... at every z; run k is next.
         products, first, k = [], 0, 0
         ws = _Workspace()  # its buffers are made by the first wide block
-        for target in walk.targets.tolist():
+        for x, target in walk.samples:
             while walk.cuts[k] < target:
                 lo, hi = walk.cuts[k:k + 2]
                 if (hi - lo) * z.size > _BUDGET:
@@ -411,24 +449,31 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
                     if k >= first + len(products):
                         products, first = _run_products(walk, k, z, zz, rescale), k
                     state = _compose(products[k - first], state)
-                    if rescale:
+                    # Folded over two or more steps, the first run's product
+                    # has no part above _BIG (:func:`_fold`), and composing
+                    # it onto the identity changes no part's size.
+                    if rescale and (k or hi - lo == 1):
                         _normalize(state)
                 k += 1
-            records[float(walk.points[target])] = state
+            records[x] = state
     return records
 
 
 def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
     """The products of runs k, k + 1, ... of ``walk`` that fit in one build of
     _BUDGET step x z matrices, consecutive runs of one length folded together."""
-    end = bisect.bisect_right(walk.cuts, walk.cuts[k] + _BUDGET // max(1, z.size)) - 1
-    mats = walk.matrices(walk.cuts[k], walk.cuts[end], z, zz, rescale)
-    products, a = [], 0
-    for n, group in itertools.groupby(hi - lo for lo, hi in itertools.pairwise(walk.cuts[k:end + 1])):
-        count = len(list(group))
+    cuts = walk.cuts
+    end = bisect.bisect_right(cuts, cuts[k] + _BUDGET // max(1, z.size)) - 1
+    lo = cuts[k]
+    mats = walk.matrices(lo, cuts[end], z, zz, rescale)
+    products = []
+    while k < end:
+        stop = min(walk.same[k], end)
+        n, count = cuts[k + 1] - cuts[k], stop - k
+        a = cuts[k] - lo
         folded = _fold(mats[:, :, a:a + count * n].reshape(2, 2, count, n, z.size), rescale)
         products += [folded[:, :, r, 0] for r in range(count)]
-        a += count * n
+        k = stop
     return products
 
 
@@ -470,21 +515,17 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
 def _sweep_closed(view, z, xs, rescale: bool = False):
     """All states of :func:`_walk_states`, keyed by sample position.
 
-    The positions are checked on every call; the walk to them is built once
-    per view and positions and kept with the view.  A walk of at least one
-    full block and _SPLIT_WORK step x z matrices is swept on _WORKERS threads
-    (:func:`_split_states`).  Raises :class:`ComputationError`, naming the
-    first z, when a state is not finite.
+    The walk to the positions is built once per view and positions, and kept
+    with the view; the positions are checked when it is built
+    (:class:`_Walk`), and a walk kept for the same positions passed that
+    check.  A walk of at least one full block and _SPLIT_WORK step x z
+    matrices is swept on _WORKERS threads (:func:`_split_states`).  Each
+    state is checked to be finite by one reduction; only where a check fails
+    is the first z whose state is not finite looked for, and named in a
+    :class:`ComputationError`.
     """
     z = np.asarray(z, dtype=complex)
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise PositionOutOfRange("need at least one sample position")
-    if not np.all(np.isfinite(xs)):
-        raise PositionOutOfRange("sample positions must be finite")
-    lo, hi = xs.min(), xs.max()
-    if lo < 0.0 or hi > view.length:
-        raise PositionOutOfRange(f"sample positions must lie in [0, {view.length}], got [{lo}, {hi}]")
     walk = view.plan(("walk", xs.tobytes()), lambda: _Walk(view, xs))
     workers = 1
     if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
@@ -493,8 +534,8 @@ def _sweep_closed(view, z, xs, rescale: bool = False):
         records = _split_states(walk, z, rescale, workers)
     else:
         records = _walk_states(walk, z, rescale)
-    finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
-    if not finite.all():
+    if walk.steps and not all(np.isfinite(state).all() for state in records.values()):
+        finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
         k = int(np.argmin(finite))
         raise ComputationError(f"transfer matrix at z={complex(z[k])} is not finite")
     return records

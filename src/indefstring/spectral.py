@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     WindowTouchesAtomZero,
 )
-from .weyl import _richardson, m_truncated, weyl_m, weyl_m_grid
+from .weyl import _m_values, _richardson, m_truncated, weyl_m
 from .propagation import fundamental_system, transfer_matrices
 
 _MAX_ATOMS = 64
@@ -272,7 +272,7 @@ def _spec_evaluator(spec: StringSpec):
         return ev
 
     def ev(zs: np.ndarray) -> np.ndarray:
-        return np.array([s.m for s in weyl_m_grid(spec, zs)])
+        return _m_values(spec, np.asarray(zs, dtype=complex).ravel())[1]
 
     return ev
 

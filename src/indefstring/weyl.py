@@ -89,20 +89,20 @@ def standard_grid() -> np.ndarray:
 
 
 def _require_nonreal(z: np.ndarray) -> None:
-    """Refuse a z on the real axis, or one with a part that is not finite."""
-    z = np.asarray(z)
-    if np.any(z.imag == 0.0):
+    """Refuse a z on the real axis, or one with a part that is not finite.
+
+    Each test is one reduction; the z to name is looked for only where it fails.
+    """
+    if not z.imag.all():
         raise NonRealRequired("Weyl evaluation needs Im z != 0")
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise ValidationError(f"Weyl evaluation needs a finite z, got {complex(z[~finite][0])}")
+    if not np.isfinite(z).all():
+        raise ValidationError(f"Weyl evaluation needs a finite z, got {complex(z[~np.isfinite(z)][0])}")
 
 
 def _refuse_non_finite(zs: np.ndarray, m: np.ndarray) -> None:
     """Raise :class:`ComputationError`, naming the first z, where m is not finite."""
-    bad = np.flatnonzero(~np.isfinite(m))
-    if bad.size:
-        k = bad[0]
+    if not np.isfinite(m).all():
+        k = np.flatnonzero(~np.isfinite(m))[0]
         raise ComputationError(
             f"Weyl function at z={complex(zs.flat[k])} is not finite: {complex(m.flat[k])}"
         )
@@ -119,11 +119,19 @@ def m_truncated(spec: StringSpec, z, x: float):
     _require_nonreal(zarr)
     if not x > 0.0:
         raise PositionOutOfRange(f"truncation point must be positive, got {x}")
-    state = propagation._sweep_closed(coefficient_view(spec), zarr.ravel(), [x], rescale=True)[float(x)]
-    with np.errstate(invalid="ignore"):
-        m = (-state[0, 0] / (zarr.ravel() * state[0, 1])).reshape(zarr.shape)
-    _refuse_non_finite(zarr, m)
+    m = _truncated(spec, zarr, x)
     return complex(m) if zarr.shape == () else m
+
+
+def _truncated(spec: StringSpec, zarr: np.ndarray, x: float) -> np.ndarray:
+    """:func:`m_truncated` at z that have passed its checks, as an array of
+    the shape of ``zarr``."""
+    zs = zarr.ravel()
+    state = propagation._sweep_closed(coefficient_view(spec), zs, [x], rescale=True)[float(x)]
+    with np.errstate(invalid="ignore"):
+        m = (-state[0, 0] / (zs * state[0, 1])).reshape(zarr.shape)
+    _refuse_non_finite(zarr, m)
+    return m
 
 
 def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
@@ -138,26 +146,44 @@ def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
     every z.  Raises :class:`ValidationError` unless every z is finite and
     off the real axis, and :class:`ComputationError` rather than return a
     value that is not finite, naming the first such z.
+
+    The values come from :func:`_m_values`, which checks the z once per
+    call.  Each check on the way (the z, the swept states, the values of m)
+    is one reduction, and the z to name is looked for only where one fails.
     """
-    zs = np.ravel(np.asarray(zs, dtype=complex))
+    zs = np.asarray(zs, dtype=complex).ravel()
+    x, m = _m_values(spec, zs)
+    return [WeylSample(z=z, m=v, truncation_x=x) for z, v in zip(zs.tolist(), m.tolist())]
+
+
+def _m_values(spec: StringSpec, zs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Where the limit is read, and m at every z of the 1-D complex array
+    ``zs``: the values of :func:`weyl_m_grid`, for callers that read only m.
+
+    The z are checked here; the sweep's checks find an offender only where
+    they fail (:mod:`indefstring.propagation`).  theta and phi are read with
+    their slopes in one pass, and every term is computed even where its
+    coefficient is 0, so the z whose z^2 overflows (z = 1e160i) is refused.
+    """
     _require_nonreal(zs)
     if math.isfinite(spec.length):
-        x, m = spec.length, m_truncated(spec, zs, spec.length)
+        x, m = spec.length, _truncated(spec, zs, spec.length)
     else:
         view = coefficient_view(spec)
         x = float(view.bp[-1])
         mats = propagation._sweep_closed(view, zs, [x], rescale=True)[x]
-        theta, phi = mats[0, 0], mats[0, 1]
         with np.errstate(over="ignore", invalid="ignore"):
             zz = zs * zs
-            # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0).
+            # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0),
+            # for theta and phi at once.
             g = zs * view.atom_omega[-1] + zz * view.atom_upsilon[-1]
-            dtheta, dphi = mats[1, 0] - g * theta, mats[1, 1] - g * phi
+            slopes = mats[1] - g * mats[0]
             s = np.sqrt(zs * view.dens_omega[-1] + zz * view.dens_upsilon[-1])
-            s = np.where(s.imag < 0.0, -s, s)
-            m = (1j * s * theta - dtheta) / (zs * (dphi - 1j * s * phi))
+            np.negative(s, out=s, where=s.imag < 0.0)
+            waves = 1j * s * mats[0]
+            m = (waves[0] - slopes[0]) / (zs * (slopes[1] - waves[1]))
         _refuse_non_finite(zs, m)
-    return [WeylSample(z=z, m=v, truncation_x=x) for z, v in zip(zs.tolist(), m.tolist())]
+    return x, m
 
 
 def weyl_m(spec: StringSpec, z: complex) -> WeylSample:
@@ -223,7 +249,7 @@ def classify(spec: StringSpec, samples=None) -> Classification:
     zs = standard_grid() if samples is None else np.ravel(np.asarray(samples, dtype=complex))
     if zs.size == 0:
         raise ValidationError("classify needs at least one sample point")
-    both = np.array([s.m for s in weyl_m_grid(spec, np.concatenate([zs, zs.conj()]))])
+    both = _m_values(spec, np.concatenate([zs, zs.conj()]))[1]
     ms, ms_conj = both[:zs.size], both[zs.size:]
     scale = max(1.0, float(np.max(np.abs(ms))))
     min_im_m = float(np.min(ms.imag * np.sign(zs.imag)))
@@ -256,7 +282,7 @@ def integral_rep_constants(spec: StringSpec) -> IntegralRep:
     """
     etas = [10.0 ** k for k in range(2, 7)]
     eps = [10.0 ** (-k) for k in range(2, 7)]
-    ms = [s.m for s in weyl_m_grid(spec, [1j * t for t in etas + eps])]
+    ms = _m_values(spec, np.array([1j * t for t in etas + eps]))[1].tolist()
     m_eta, m_eps = ms[:len(etas)], ms[len(etas):]
     c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
     inv_l = _richardson([(-1j * e * m).real for m, e in zip(m_eps, eps)], 10.0, (1, 2))

@@ -478,6 +478,34 @@ def test_discrepancy_detects_structure_mismatch():
     assert parts["overall"] == 0.5
 
 
+def _halfline(omega_atoms=(), omega_density=()):
+    return StringSpec(length=math.inf, omega=MeasureData(atoms=omega_atoms, density=omega_density))
+
+
+def test_discrepancy_of_two_halflines_is_a_sup_over_the_whole_line():
+    # Tails with other densities, or with another w past the last breakpoint,
+    # make a primitive's gap grow without bound.
+    parts = spec_discrepancy(catalog.uniform_halfline(), catalog.empty_halfline())
+    assert parts == {"length": 0.0, "w_primitive": math.inf, "sigma_primitive": math.inf,
+                     "overall": math.inf}
+    parts = spec_discrepancy(_halfline(((0.5, 1.0),)), catalog.empty_halfline())
+    assert parts["w_primitive"] == parts["sigma_primitive"] == math.inf
+    # w = +1 against -1 past 0.3: int w parts, but sigma = x + int w^2 agrees.
+    parts = spec_discrepancy(_halfline(((0.3, 1.0),)), _halfline(((0.3, -1.0),)))
+    assert parts["w_primitive"] == math.inf and parts["sigma_primitive"] == 0.0
+    # Atoms of +-1/2 at 0.2 and 0.4 on the uniform half-line: past 0.4 w agrees,
+    # so int w differs by 1/2 * 0.2 from there on, while sigma differs by
+    # int_0.2^0.4 ((t + 1/2)^2 - t^2) dt = 0.11, so int sigma grows.
+    dens = ((0.0, math.inf, 1.0),)
+    atoms = _halfline(((0.2, 0.5), (0.4, -0.5)), dens)
+    parts = spec_discrepancy(catalog.uniform_halfline(), atoms)
+    assert parts["w_primitive"] == pytest.approx(0.1, rel=1e-14)
+    assert parts["sigma_primitive"] == math.inf
+    # Equal strings agree everywhere.
+    for spec in (catalog.upsilon_lebesgue_halfline(), atoms):
+        assert spec_discrepancy(spec, spec)["overall"] == 0.0
+
+
 def test_atomic_roundtrips_keep_the_primitives_to_rounding():
     eps = np.finfo(float).eps
     for name, spec in catalog.REGRESSION_SPECS:

@@ -35,7 +35,7 @@ from indefstring.spectral import (
     stieltjes_inversion,
     transform_hat,
 )
-from indefstring.weyl import classify, m_truncated, weyl_m_grid
+from indefstring.weyl import classify, m_truncated
 
 OMEGA_MID = catalog.omega_atom_middle()            # omega = 1*delta at 1/2
 OMEGA_MID_NEG = catalog.omega_atom_middle(-1.0)
@@ -322,12 +322,13 @@ def test_flat_density_inversion_makes_two_calls(monkeypatch, window, eps):
     # Im m = 1 up to rounding: no maximum of the scan bends above its noise,
     # so nothing is refined; the scan and the density samples are the calls.
     calls = []
+    values = spectral._m_values
 
     def counting(spec, zs, *args, **kwargs):
         calls.append(len(zs))
-        return weyl_m_grid(spec, zs, *args, **kwargs)
+        return values(spec, zs, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "weyl_m_grid", counting)
+    monkeypatch.setattr(spectral, "_m_values", counting)
     kwargs = {} if eps is None else {"eps": eps}
     mu = stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), window, **kwargs)
     assert len(calls) == 2

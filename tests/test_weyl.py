@@ -14,6 +14,7 @@ from indefstring.errors import (
     ComputationError,
     ExtrapolationUnstable,
     NonRealRequired,
+    PositionOutOfRange,
     ValidationError,
 )
 from indefstring.spectral import stieltjes_inversion
@@ -449,6 +450,71 @@ def test_wide_range_matches_closed_forms_or_raises():
             (sample,) = weyl_m_grid(spec, [z])
             assert cmath.isfinite(sample.m)
             assert abs(sample.m - exact(z)) <= 1e-10 * abs(exact(z)), z
+
+
+def _parts_bits(m: complex) -> bytes:
+    """The bytes of m, so that signed zeros count."""
+    return np.array([m.real, m.imag]).tobytes()
+
+
+def test_one_z_calls_give_the_bytes_of_their_grid_rows():
+    # Every catalog half-line, and twelve-atom free-tail half-lines with and
+    # without an upsilon atom at 0, over the wide range and a ray of i 10^k.
+    specs = [spec for _, spec in catalog.REGRESSION_SPECS if math.isinf(spec.length)]
+    specs += [_atomic_halfline(seed, upsilon0) for seed, upsilon0 in ((3, 0.0), (4, 0.8), (5, 0.0), (6, 1.3))]
+    zs = np.concatenate([_WIDE_ZS, 1j * 10.0 ** np.arange(-6, 7, 2)])
+    for spec in specs:
+        for z, got in zip(zs, weyl_m_grid(spec, zs)):
+            one = weyl_m(spec, z)
+            assert _parts_bits(one.m) == _parts_bits(got.m), (spec, z)
+            assert (one.z, one.truncation_x) == (got.z, got.truncation_x)
+    # On the empty half-line m is an exact zero whose signs depend on z.
+    empty = catalog.empty_halfline()
+    signs = set()
+    for z, got in zip(zs, weyl_m_grid(empty, zs)):
+        one = weyl_m(empty, z).m
+        assert one == 0.0 and got.m == 0.0
+        assert np.array_equal(np.signbit([one.real, one.imag]), np.signbit([got.m.real, got.m.imag])), z
+        signs.add(tuple(np.signbit([one.real, one.imag])))
+    assert len(signs) > 1
+    # z^2 overflows at z = 1e160 i: refused on every one of them, named.
+    for spec in specs:
+        with pytest.raises(ComputationError, match=r"z=1e\+160j.*not finite"):
+            weyl_m(spec, 1e160j)
+        with pytest.raises(ComputationError, match=r"z=1e\+160j.*not finite"):
+            weyl_m_grid(spec, [1j, 1e160j])
+
+
+def test_checks_keep_their_order_types_and_messages(monkeypatch):
+    finite = catalog.mixed_example()
+    # A sample position that is not finite, wherever it stands.
+    for bad in (math.nan, math.inf, -math.inf):
+        for xs in ([bad], [0.5, bad], [bad, 0.5]):
+            with pytest.raises(PositionOutOfRange, match="sample positions must be finite"):
+                propagation.transfer_matrices(finite, 1j, xs)
+            with pytest.raises(PositionOutOfRange, match="sample positions must be finite"):
+                propagation.fundamental_system(catalog.uniform_halfline(), 1j, xs)
+    with pytest.raises(PositionOutOfRange, match=r"must lie in \[0, 2.0\], got \[-0.5, 1.0\]"):
+        propagation.transfer_matrices(finite, 1j, [1.0, -0.5])
+    # A real z is refused before a z with a part that is not finite.
+    for spec in (catalog.uniform_halfline(), finite):
+        for zs in ([2.0, complex(math.nan, 1.0)], [complex(math.nan, 1.0), 2.0]):
+            with pytest.raises(NonRealRequired):
+                weyl_m_grid(spec, zs)
+            with pytest.raises(NonRealRequired):
+                m_truncated(finite, zs, 1.0)
+        with pytest.raises(ValidationError, match=r"finite z, got \(nan\+1j\)") as caught:
+            weyl_m_grid(spec, [1j, complex(math.nan, 1.0), complex(1.0, math.inf)])
+        assert caught.type is ValidationError
+    # A state that is not finite in the last chunk of a sweep split over
+    # three threads names its z.
+    monkeypatch.setattr(propagation, "_WORKERS", 3)
+    spec = _SWEEP_SPECS["finite-many"]
+    grid = np.append(1j + np.linspace(-40.0, 40.0, 60), 1e160j)
+    steps = coefficient_view(spec).bp.size - 1
+    assert steps >= propagation._BLOCK_STEPS and grid.size * steps >= propagation._SPLIT_WORK
+    with pytest.raises(ComputationError, match=r"transfer matrix at z=1e\+160j is not finite"):
+        weyl_m_grid(spec, grid)
 
 
 def test_structural_flags():
