@@ -210,7 +210,7 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
         s1 = float(view.sigma_left[j + 1])
         step = (s1 - s0) / mesh
         ss = [s0 + k * step for k in range(mesh)] + [s1]
-        xs = [x0] + [view.xi(sk) for sk in ss[1:-1]] + [x1]
+        xs = [x0] + view.xi(np.array(ss[1:-1])).tolist() + [x1]
         ints = view.w_integral(np.array(xs)).tolist()
         for k in range(mesh):
             ds = ss[k + 1] - ss[k]

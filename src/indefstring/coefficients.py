@@ -24,6 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    ComputationError,
     NegativeUpsilon,
     NonPositiveLength,
     OverlappingDensityIntervals,
@@ -201,6 +202,17 @@ def spec_from_json(doc: Mapping) -> StringSpec:
     return validate_spec(doc)
 
 
+def _distinct(*parts) -> np.ndarray:
+    """The distinct values of all ``parts``, sorted: the bits of numpy's set
+    routines (signed zeros included) without the ``numpy.ma`` import that
+    their first call costs a fresh process."""
+    out = np.sort(np.concatenate([np.ravel(p) for p in parts]))
+    keep = np.empty(out.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _running_totals(*steps: np.ndarray) -> list[np.ndarray]:
     """Totals of a running sum that adds ``steps[0][i], steps[1][i], ...`` for i = 0, 1, ...
 
@@ -236,7 +248,7 @@ class CoefficientView:
             points += [v for a, b, _ in data.density for v in (a, b) if math.isfinite(v)]
         if math.isfinite(self.length):
             points.append(self.length)
-        self.bp = np.unique(points)
+        self.bp = _distinct(points)
         self.atom_omega, self.atom_upsilon = (self._atoms(data) for data in measures)
         self.dens_omega, self.dens_upsilon = (self._densities(data) for data in measures)
 
@@ -293,63 +305,47 @@ class CoefficientView:
                 del self._plans[next(iter(self._plans))]
         return plan
 
-    # -- point queries (left-continuous convention throughout) --------------
-
-    def _check(self, x: float) -> None:
-        if math.isnan(x) or x < 0.0 or x > self.length:
-            raise PositionOutOfRange(f"position {x} outside [0, {self.length}]")
-
-    def locate(self, x: float) -> int:
-        return max(0, int(np.searchsorted(self.bp, x, side="right")) - 1)
-
-    def w(self, x: float) -> float:
-        self._check(x)
-        j = self.locate(x)
-        if x == self.bp[j]:
-            return float(self.w_left[j])
-        return float(self.w_right[j] + self.dens_omega[j] * (x - self.bp[j]))
-
-    def upsilon(self, x: float) -> float:
-        self._check(x)
-        j = self.locate(x)
-        if x == self.bp[j]:
-            return float(self.ups_left[j])
-        return float(self.ups_right[j] + self.dens_upsilon[j] * (x - self.bp[j]))
+    # -- point queries: a position or an array of them, left-continuous -------
 
     def _pieces_at(self, x):
-        """The pieces j holding the positions ``x`` and the offsets h = x - bp[j]."""
+        """The positions ``x`` as an array, the pieces j holding them and the
+        offsets h = x - bp[j]; h = 0 exactly at a breakpoint."""
         x = np.asarray(x, dtype=float)
         bad = np.isnan(x) | (x < 0.0) | (x > self.length)
         if bad.any():
             raise PositionOutOfRange(f"position {x[bad].flat[0]} outside [0, {self.length}]")
         j = np.maximum(np.searchsorted(self.bp, x, side="right") - 1, 0)
-        return j, x - self.bp[j]
+        return x, j, x - self.bp[j]
+
+    def _distribution(self, x, left, right, slope):
+        """left[j] at the breakpoint bp[j] and affine in piece j after it."""
+        _, j, h = self._pieces_at(x)
+        return _float_or_array(np.where(h == 0.0, left[j], right[j] + slope[j] * h))
+
+    def w(self, x):
+        """w(x) = omega([0, x)); a float for a scalar x, else an array."""
+        return self._distribution(x, self.w_left, self.w_right, self.dens_omega)
+
+    def upsilon(self, x):
+        """Upsilon(x) = upsilon([0, x)); a float for a scalar x, else an array."""
+        return self._distribution(x, self.ups_left, self.ups_right, self.dens_upsilon)
 
     def w_integral(self, x):
         """int_0^x w(t) dt in closed form; a float for a scalar x, else an array."""
-        j, h = self._pieces_at(x)
-        out = self.i1[j] + h * self.w_right[j] + self.dens_omega[j] * h * h / 2.0
-        return float(out) if out.ndim == 0 else out
+        _, j, h = self._pieces_at(x)
+        return _float_or_array(self.i1[j] + h * self.w_right[j] + self.dens_omega[j] * h * h / 2.0)
 
     def _wsq_at(self, j, h):
         """int_0^(bp[j] + h) w(t)^2 dt for h inside piece j."""
         wr, a = self.w_right[j], self.dens_omega[j]
         return self.i2[j] + h * wr * wr + wr * a * h * h + a * a * h ** 3 / 3.0
 
-    def wsq_integral(self, x: float) -> float:
-        """int_0^x w(t)^2 dt in closed form."""
-        self._check(x)
-        j = self.locate(x)
-        h = x - self.bp[j]
-        if h == 0.0:
-            return float(self.i2[j])
-        return float(self._wsq_at(j, h))
-
-    def sigma(self, x: float) -> float:
-        if x == self.length and not math.isfinite(x):
-            return _INF
-        self._check(x)
-        return x + self.wsq_integral(x) + self.upsilon(x)
+    def sigma(self, x):
+        """sigma(x) = x + int_0^x w^2 + Upsilon(x), and inf at x = L = inf; a
+        float for a scalar x, else an array."""
+        x, j, h = self._pieces_at(x)
+        with np.errstate(invalid="ignore"):
+            return _float_or_array(np.where(x == _INF, _INF, x + self._wsq_at(j, h) + self.upsilon(x)))
 
     def _gauss_sigma(self, j: np.ndarray, h: np.ndarray) -> np.ndarray:
         """int of sigma over [bp[j], bp[j] + h] inside piece j, by two-point
@@ -370,45 +366,65 @@ class CoefficientView:
 
     def sigma_integral(self, x):
         """int_0^x sigma(t) dt, exact per piece; a float for a scalar x, else an array."""
-        j, h = self._pieces_at(x)
-        out = self._sigma_totals[j] + self._gauss_sigma(j, h)
-        return float(out) if out.ndim == 0 else out
+        _, j, h = self._pieces_at(x)
+        return _float_or_array(self._sigma_totals[j] + self._gauss_sigma(j, h))
 
     # -- generalized inverse of the travel coordinate ------------------------
 
-    def xi(self, s: float) -> float:
-        """xi(s) = sup{x in [0, L) : sigma(x) <= s}, with xi(s) = L past sigma(L)."""
-        if math.isnan(s) or s < 0.0:
-            raise PositionOutOfRange(f"travel coordinate {s} must be non-negative")
-        if s >= self.sigma_length:
-            return self.length
-        j = int(np.searchsorted(self.sigma_right, s, side="right")) - 1
-        if j < 0:
-            return 0.0
-        if j + 1 < len(self.bp) and s >= self.sigma_left[j + 1]:
-            return float(self.bp[j + 1])
-        rhs = s - self.sigma_right[j]
-        wr = self.w_right[j]
-        a = self.dens_omega[j]
-        c1 = 1.0 + wr * wr + self.dens_upsilon[j]
-        h_max = (self.bp[j + 1] - self.bp[j]) if j + 1 < len(self.bp) else _INF
-        if a == 0.0:
-            h = rhs / c1
-        else:
-            c2 = wr * a
-            c3 = a * a / 3.0
-            roots = np.roots([c3, c2, c1, -rhs])
-            real = [r.real for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
-            inside = [r for r in real if -1e-9 <= r <= h_max + 1e-9]
-            # The cubic is strictly monotone, so there is exactly one real root
-            # in range; fall back to a Newton start if rounding hid it.
-            h = inside[0] if inside else (real[0] if real else rhs / c1)
-            for _ in range(3):
-                p = ((c3 * h + c2) * h + c1) * h - rhs
-                dp = (3.0 * c3 * h + 2.0 * c2) * h + c1
-                h -= p / dp
-        h = min(max(h, 0.0), h_max)
-        return float(min(self.bp[j] + h, self.length))
+    def xi(self, s):
+        """xi(s) = sup{x in [0, L) : sigma(x) <= s}, with xi(s) = L from sigma(L)
+        on; a float for a scalar s, else an array.  xi is bp[j] across sigma's
+        jump at bp[j]; inside piece j, sigma(bp[j] + h) - sigma_right[j] is a
+        rising cubic in h, solved by :func:`_rising_cubic_root`."""
+        s = np.asarray(s, dtype=float)
+        bad = np.isnan(s) | (s < 0.0)
+        if bad.any():
+            raise PositionOutOfRange(f"travel coordinate {s[bad].flat[0]} must be non-negative")
+        j = np.searchsorted(self.sigma_left, s, side="right") - 1
+        x = np.where(s >= self.sigma_length, self.length, self.bp[j])
+        inside = (s > self.sigma_right[j]) & (s < self.sigma_length)
+        if inside.any():
+            j = j[inside]
+            wr, a = self.w_right[j], self.dens_omega[j]
+            h = _rising_cubic_root(1.0 + wr * wr + self.dens_upsilon[j], wr * a, a * a / 3.0,
+                                   s[inside] - self.sigma_right[j], np.append(np.diff(self.bp), _INF)[j])
+            x[inside] = np.minimum(self.bp[j] + h, self.length)
+        return _float_or_array(x)
+
+
+def _float_or_array(out: np.ndarray):
+    """A float for a 0-d result, the array otherwise."""
+    return float(out) if out.ndim == 0 else out
+
+
+# Newton steps before :func:`_rising_cubic_root` gives up; roots settle in
+# at most about 20.
+_ROOT_STEPS = 100
+
+
+def _rising_cubic_root(c1, c2, c3, rhs, top):
+    """The root h in [0, top] of c1 h + c2 h^2 + c3 h^3 = rhs >= 0, elementwise.
+
+    The slope, 1 + w^2 + b, is at least 1, so the root is at most rhs.  Newton
+    starts from min(rhs/c1, cbrt(rhs/c3)); the residuals' signs keep a bracket
+    [lo, hi] of the root, bisected where a step would leave it.  Each move
+    lands strictly inside the bracket, which then shrinks, so the loop ends
+    when no h moves; it raises :class:`ComputationError` after _ROOT_STEPS.
+    """
+    lo, hi = np.zeros_like(rhs), np.minimum(top, rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.minimum(np.fmin(rhs / c1, np.cbrt(rhs / c3)), hi)
+    for _ in range(_ROOT_STEPS):
+        p = ((c3 * h + c2) * h + c1) * h - rhs
+        lo = np.where(p < 0.0, h, lo)
+        hi = np.where(p > 0.0, h, hi)
+        step = h - p / ((3.0 * c3 * h + 2.0 * c2) * h + c1)
+        step = np.where((lo < step) & (step < hi) | (step == h), step, 0.5 * (lo + hi))
+        moved = np.where((lo < step) & (step < hi), step, h)
+        if np.array_equal(moved, h):
+            return h
+        h = moved
+    raise ComputationError(f"xi: the travel-coordinate cubic did not settle in {_ROOT_STEPS} Newton steps")
 
 
 @lru_cache(maxsize=256)
@@ -418,10 +434,11 @@ def coefficient_view(spec: StringSpec) -> CoefficientView:
 
 @dataclass(frozen=True)
 class TravelCoords:
-    """Travel coordinate sigma, its generalized inverse xi, and sigma's limit at L."""
+    """Travel coordinate sigma, its generalized inverse xi, and sigma's limit
+    at L; sigma and xi take a position or an array of them."""
 
-    sigma: Callable[[float], float]
-    xi: Callable[[float], float]
+    sigma: Callable
+    xi: Callable
     sigma_L: float
 
 
@@ -477,13 +494,13 @@ def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
     """
     va, vb = coefficient_view(a), coefficient_view(b)
     length_diff = 0.0 if a.length == b.length else abs(a.length - b.length)
-    cuts = np.union1d(va.bp, vb.bp)
+    cuts = _distinct(va.bp, vb.bp)
     span = min(a.length, b.length)
     bounded = (True, True)
     if math.isinf(span):
         span = float(cuts[-1])
         bounded = tuple(p == q for p, q in zip(_tail(va, span), _tail(vb, span)))
-    cuts = np.union1d(cuts[cuts <= span], [span])
+    cuts = _distinct(cuts[cuts <= span], span)
     gaps = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
     w_gap, sigma_gap = (gap if ok else _INF for gap, ok in zip(gaps, bounded))
     return {

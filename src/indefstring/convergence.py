@@ -103,11 +103,11 @@ def string_convergence_check(seq: StringSequence, xs=None) -> ConvergenceReport:
     grid = tuple(float(x) for x in (xs if xs is not None else _default_positions(limit, specs)))
     lim_view = coefficient_view(limit) if limit is not None else None
 
+    pos = np.array(grid)
     rows = []
     for spec in specs:
         view = coefficient_view(spec)
-        pos = [x for x in grid if x <= spec.length]
-        row = {"sigma_max": max(view.sigma(x) for x in pos)}
+        row = {"sigma_max": float(np.max(view.sigma(pos[pos <= spec.length])))}
         if lim_view is not None:
             row["sup_w_primitive_diff"], row["sup_sigma_primitive_diff"] = _primitive_gaps(
                 view, lim_view, grid)

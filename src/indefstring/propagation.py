@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientView, StringSpec, coefficient_view
+from .coefficients import CoefficientView, StringSpec, _distinct, coefficient_view
 from .errors import ComputationError, PositionOutOfRange
 
 # Runs of steps are cut at multiples of this many steps before they are folded.
@@ -286,13 +286,13 @@ class _Walk(_Steps):
 
     def __init__(self, view: CoefficientView, xs: np.ndarray):
         _check_positions(view, xs)
-        xs = np.unique(xs)
-        points = np.unique(np.concatenate([xs, view.bp[view.bp <= xs[-1]]]))
+        xs = _distinct(xs)
+        points = _distinct(xs, view.bp[view.bp <= xs[-1]])
         self.points = points
         self.targets = np.searchsorted(points, xs)
         self.samples = list(zip(xs.tolist(), self.targets.tolist()))
         self.steps = points.size - 1
-        self.cuts = np.union1d(self.targets, np.arange(0, self.steps, _BLOCK_STEPS)).tolist()
+        self.cuts = _distinct(self.targets, np.arange(0, self.steps, _BLOCK_STEPS)).tolist()
         lengths = np.diff(self.cuts).tolist()
         self.same = list(range(1, len(lengths) + 1))
         for k in reversed(range(len(lengths) - 1)):
@@ -594,11 +594,8 @@ def fundamental_system(spec: StringSpec, z: complex, xs) -> FundamentalSystem:
     records = _sweep_closed(view, np.array([complex(z)]), arr)
     theta = []
     phi = []
-    for x in arr:
-        xf = float(x)
+    for xf, w_x, ups_x in zip(arr.tolist(), view.w(arr).tolist(), view.upsilon(arr).tolist()):
         (a, b), (c, d) = records[xf][..., 0]
-        w_x = view.w(xf)
-        ups_x = view.upsilon(xf)
         n_x = z * w_x + z * z * ups_x
         theta.append(SystemState(x=xf, f=complex(a), f2=complex(c + n_x * a),
                                  quasi=complex(c + z * w_x * a)))

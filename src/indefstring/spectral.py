@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import StringSpec, coefficient_view
+from .coefficients import StringSpec, _distinct, coefficient_view
 from .errors import (
     ComputationError,
     NotAtomic,
@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     WindowTouchesAtomZero,
 )
-from .weyl import _m_values, _richardson, m_truncated, weyl_m
+from .weyl import _m_values, _richardson, weyl_m
 from .propagation import fundamental_system, transfer_matrices
 
 _MAX_ATOMS = 64
@@ -126,7 +126,7 @@ def point_evaluator(spec: StringSpec, x: float) -> HilbertElement:
 def hilbert_inner(spec: StringSpec, f: HilbertElement, g: HilbertElement) -> float:
     """Model inner product: Dirichlet pairing of the first components plus the
     upsilon-atom-weighted pairing of the second."""
-    cuts = np.union1d(f.nodes, g.nodes)
+    cuts = _distinct(f.nodes, g.nodes)
     total = float(np.sum(np.diff(f.f1(cuts)) * np.diff(g.f1(cuts)) / np.diff(cuts)))
     f2, g2 = dict(f.f2_atoms), dict(g.f2_atoms)
     for pos, mass in spec.upsilon.atoms:
@@ -262,21 +262,6 @@ def spectral_measure_discrete(spec: StringSpec,
 # -- Stieltjes inversion ------------------------------------------------------
 
 
-def _spec_evaluator(spec: StringSpec):
-    if math.isfinite(spec.length):
-        endpoint = spec.length
-
-        def ev(zs: np.ndarray) -> np.ndarray:
-            return np.asarray(m_truncated(spec, zs, endpoint))
-
-        return ev
-
-    def ev(zs: np.ndarray) -> np.ndarray:
-        return _m_values(spec, np.asarray(zs, dtype=complex).ravel())[1]
-
-    return ev
-
-
 def _checked_evaluator(ev):
     """``ev`` refusing values whose shape is not that of its z
     (:class:`ValidationError`) or that are not finite
@@ -401,7 +386,7 @@ def stieltjes_inversion(source, window: tuple[float, float],
     ``mixed_example()`` over (0.5, 200) this returns 4 of its 54 atoms).
     """
     lo, hi, eps = _checked_window(window, eps)
-    ev = _checked_evaluator(source) if callable(source) else _spec_evaluator(source)
+    ev = _checked_evaluator(source) if callable(source) else (lambda zs: _m_values(source, zs)[1])
 
     e0 = eps[0]
     steps = math.ceil((hi - lo) / (e0 / 4.0))

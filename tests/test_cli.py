@@ -441,3 +441,37 @@ def test_cli_roundtrip_agrees_with_library(tmp_path, grid_csv):
     recovered = spec_from_json(json.loads(back.read_text(encoding="utf-8")))
     parts = spec_discrepancy(spec_from_json(spec_doc), recovered)
     assert parts["overall"] < 1e-9
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path, grid_csv):
+    # numpy.ma costs every fresh process some 15 ms to import; np.unique
+    # pulls it in on its first call.  Each subcommand runs in one fresh
+    # interpreter, on inputs that reach its sweeps, searches and meshes.
+    family = tmp_path / "family"
+    family.mkdir()
+    for n in (4, 16):
+        _dump(family / f"member_{n:03d}.json", spec_to_json(mollify_string(catalog.omega_atom_origin(), n)))
+    uniform = _dump(tmp_path / "uniform.json", UNIFORM)
+    out = str(tmp_path / "out")
+    runs = [
+        ["forward", "--spec", uniform, "--grid", grid_csv, "--out", out, "--hamiltonian", out + ".json"],
+        ["forward", "--spec", _dump(tmp_path / "halfline.json", HALFLINE), "--grid", grid_csv, "--out", out],
+        ["inverse", "--hamiltonian", _dump(tmp_path / "ham.json", HAMILTONIAN), "--out", out],
+        ["roundtrip", "--spec", uniform, "--tol", "1e-3"],
+        ["spectrum", "--spec", uniform, "--window", "5", "45", "--out", out],
+        ["spectrum", "--spec", _dump(tmp_path / "omega.json", ATOM_MID), "--window", "1", "60", "--out", out],
+        ["classify", "--spec", _dump(tmp_path / "mixed.json", spec_to_json(catalog.mixed_example()))],
+        ["converge", "--family", str(family), "--limit",
+         _dump(tmp_path / "limit.json", spec_to_json(catalog.omega_atom_origin()))],
+    ]
+    src = str(Path(indefstring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in runs:
+        code = ("import sys\nfrom indefstring.cli import main\n"
+                f"rc = main({argv!r})\n"
+                "print(rc, 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False", (argv[0], done.stdout, done.stderr)

@@ -455,6 +455,125 @@ def test_primitives_take_arrays_and_match_closed_forms():
         assert abs(sigma_int - _sigma_integral_loop(view, x)) <= 4e-16 * max(1.0, sigma_int), x
 
 
+CATALOG_SPECS = (
+    catalog.empty_string(), catalog.empty_halfline(), catalog.uniform_string(),
+    catalog.negative_uniform_string(), catalog.uniform_halfline(),
+    catalog.upsilon_lebesgue_halfline(), ATOM2, UPS3, catalog.omega_atom_middle(),
+    catalog.upsilon_atom_middle(), catalog.mixed_example(),
+)
+
+
+def _density_string(rng, scale, *, halfline=False):
+    """A seeded string whose omega and upsilon densities reach |scale|, with
+    omega atoms and upsilon atoms (flats of xi), one of them at 0."""
+    cuts = np.sort(rng.uniform(0.0, 1.0, 24))
+    pieces = list(zip(cuts[0::2].tolist(), cuts[1::2].tolist()))
+    omega = [{"a": a, "b": b, "value": v} for (a, b), v in zip(pieces, rng.uniform(-scale, scale, 12))]
+    upsilon = [{"a": a, "b": b, "value": v} for (a, b), v in zip(pieces[::2], rng.uniform(0.0, scale, 6))]
+    if halfline:
+        omega.append({"a": 1.0, "b": "inf", "value": float(rng.uniform(-scale, scale))})
+        upsilon.append({"a": 1.0, "b": "inf", "value": float(rng.uniform(0.0, scale))})
+    return validate_spec({
+        "L": "inf" if halfline else 1.0,
+        "omega": {"atoms": [{"x": x, "mass": m} for x, m in zip(rng.uniform(0.0, 1.0, 6), rng.normal(size=6))],
+                  "density": omega},
+        "upsilon": {"atoms": [{"x": x, "mass": m} for x, m in zip([0.0, *rng.uniform(0.0, 1.0, 2)],
+                                                                   rng.uniform(0.1, 1.0, 3))],
+                    "density": upsilon},
+    })
+
+
+def _query_specs():
+    rng = np.random.default_rng(25)
+    seeded = [_density_string(rng, scale, halfline=halfline)
+              for scale in (1.0, 30.0, 1e3) for halfline in (False, True) for _ in range(3)]
+    return [*CATALOG_SPECS, *EDGE_SPECS, *seeded]
+
+
+def test_point_queries_take_arrays_with_the_values_of_scalar_calls():
+    rng = np.random.default_rng(8)
+    for spec in _query_specs():
+        view = coefficient_view(spec)
+        top = min(spec.length, float(view.bp[-1]) + 2.0)
+        xs = np.concatenate([view.bp, view.bp + 1e-9, view.bp - 1e-9, rng.uniform(0.0, top, 64)])
+        xs = xs[(xs >= 0.0) & (xs <= top)]
+        scalar = {name: np.array([getattr(view, name)(x) for x in xs.tolist()])
+                  for name in ("w", "upsilon", "sigma")}
+        assert all(type(getattr(view, name)(0.0)) is float for name in scalar)
+        assert np.array_equal(view.w(xs), scalar["w"])
+        assert np.array_equal(view.upsilon(xs), scalar["upsilon"])
+        assert np.all(np.abs(view.sigma(xs) - scalar["sigma"]) <= 2.0 * np.spacing(scalar["sigma"]))
+        assert view.sigma(xs[:, None]).shape == (xs.size, 1)
+        # left-continuous at the breakpoints
+        assert np.array_equal(view.w(view.bp[view.bp <= top]), view.w_left[view.bp <= top])
+
+
+def test_xi_inverts_sigma_on_arrays():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(9)
+    for spec in _query_specs():
+        view = coefficient_view(spec)
+        finite = math.isfinite(spec.length)
+        top = view.sigma_length if finite else 1e12
+        ss = np.concatenate([rng.uniform(0.0, top, 256), np.geomspace(1e-12, top, 64),
+                             view.sigma_left, view.sigma_right])
+        xs = view.xi(ss)
+        assert np.array_equal(xs, [view.xi(s) for s in ss.tolist()])
+        assert type(view.xi(0.5)) is float
+        # s in sigma's jump at bp[k], [sigma_left[k], sigma_right[k]], maps to
+        # bp[k]; for k = 0 these are the s below sigma_right[0]
+        k = np.searchsorted(view.sigma_left, ss, side="right") - 1
+        jump = ss <= view.sigma_right[k]
+        assert np.array_equal(xs[jump], view.bp[k[jump]])
+        if finite:
+            assert np.all(xs[ss >= view.sigma_length] == spec.length)
+        inside = ~jump & (ss < view.sigma_length)
+        s, x = ss[inside], xs[inside]
+        j = np.maximum(np.searchsorted(view.bp, x, side="right") - 1, 0)
+        slope = 1.0 + np.maximum(view.w(x) ** 2, view.w_right[j] ** 2) + view.dens_upsilon[j]
+        assert np.all(np.abs(view.sigma(x) - s) <= 4.0 * eps * (s + slope * x)), spec
+        assert np.all(np.diff(view.xi(np.sort(ss))) >= 0.0)
+    x = coefficient_view(catalog.uniform_halfline()).xi(1e12)  # sigma(x) = x + x^3/3
+    assert x + x ** 3 / 3.0 == pytest.approx(1e12, rel=4.0 * eps)
+    assert np.array_equal(coefficient_view(UPS3).xi(np.array([0.0, 1.0, 2.999])), [0.0, 0.0, 0.0])
+
+
+def test_queries_name_a_bad_entry_of_an_array():
+    view = coefficient_view(catalog.mixed_example())
+    for query in (view.w, view.upsilon, view.sigma):
+        with pytest.raises(PositionOutOfRange, match="position -0.25 "):
+            query(np.array([0.5, -0.25, 1.0]))
+        with pytest.raises(PositionOutOfRange, match="position nan "):
+            query(np.array([[0.5, 1.0], [math.nan, 0.0]]))
+        with pytest.raises(PositionOutOfRange, match="position 2.5 "):
+            query(np.array([0.5, 2.5]))
+    with pytest.raises(PositionOutOfRange, match="coordinate -1.0 "):
+        view.xi(np.array([0.0, 3.0, -1.0]))
+    with pytest.raises(PositionOutOfRange, match="coordinate nan "):
+        view.xi(np.array([math.nan, 1.0]))
+
+
+def test_travel_coords_take_arrays():
+    spec = catalog.mixed_example()
+    tc, view = travel_coords(spec), coefficient_view(spec)
+    xs = np.linspace(0.0, spec.length, 41)
+    assert np.array_equal(tc.sigma(xs), view.sigma(xs))
+    assert np.allclose(tc.xi(tc.sigma(xs)), xs, rtol=0.0, atol=1e-14)
+    assert tc.xi(np.array([tc.sigma_L, 2.0 * tc.sigma_L])).tolist() == [spec.length] * 2
+
+
+def test_distinct_has_the_bits_of_np_unique():
+    rng = np.random.default_rng(10)
+    cases = [(rng.integers(0, 8, 40).astype(float),), (np.array([0.0, -0.0, 1.0, -0.0]),),
+             (np.array([-0.0, 1.0, 0.0]),), (rng.integers(0, 30, 50),),
+             (rng.integers(0, 5, 9).astype(float), np.array([2.0, -0.0, 7.5]))]
+    for parts in cases:
+        want = np.unique(np.concatenate(parts))
+        got = coefficients._distinct(*parts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_discrepancy_zero_on_identical_specs():
     parts = spec_discrepancy(catalog.mixed_example(), catalog.mixed_example())
     assert parts["overall"] == 0.0
