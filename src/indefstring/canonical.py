@@ -2,9 +2,10 @@
 
 A Hamiltonian here is a piecewise-constant, real, symmetric, positive
 semidefinite 2x2 matrix function H on [0, inf) with unit trace per piece
-(h22 = 1 - h11 is implied).  Strings map onto such Hamiltonians through the
-travel-coordinate change of variables: with xi the generalized inverse of
-sigma,
+(h22 = 1 - h11 is implied).  It is stored as one read-only (n, 3) array
+whose row k holds the extent, h11 and h12 of piece k.  Strings map onto such
+Hamiltonians through the travel-coordinate change of variables: with xi the
+generalized inverse of sigma,
 
     H(s) = [[1 - xi'(s),  xi'(s) w(xi(s))],
             [xi'(s) w(xi(s)),  xi'(s)]],
@@ -14,10 +15,11 @@ for purely atomic omega; pieces where omega carries a density are resolved
 by a recorded equal-travel-step mesh.  Blocked pieces ([[1, 0], [0, 0]])
 appear exactly where sigma jumps (upsilon point masses) and beyond sigma(L).
 
-The reverse direction reads the string off H piece by piece: position
-x(s) = int_0^s h22, w = h12/h22, upsilon density det H / h22^2, finite
-blocked pieces become upsilon point masses, and a trailing infinite blocked
-piece ends the string at the current position.
+The reverse direction reads the string off the columns of H: position
+x(s) = int_0^s h22 is the running sum of h22 times the extents, w = h12/h22,
+the upsilon density is det H / h22^2, finite blocked pieces become upsilon
+point masses, and a trailing infinite blocked piece ends the string at the
+current position.
 
 The matrix solution of U' = -z Jt H U, U(0) = I, Jt = [[0, 1], [-1, 0]], is
 the string's fundamental system in travel gauge.  With x = xi(s) and
@@ -39,56 +41,45 @@ from typing import Mapping
 
 import numpy as np
 
-from .coefficients import MeasureData, StringSpec, _parse_extent, coefficient_view
+from .coefficients import MeasureData, StringSpec, _extent_to_json, _parse_extent, coefficient_view
 from .errors import DegenerateHamiltonian, NonPositiveLength, UnsupportedShape, ValidationError
 from .weyl import _m_values
 
 _INF = math.inf
 _DET_TOL = 1e-12
+# A change of slope within this many ulps of 1, relative to the slopes, is
+# rounding and not an omega point mass.
+_JUMP_TOL = 4.0 * math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class HamiltonianPiece:
-    """One constant piece: extent and the two free matrix entries."""
-
-    length: float
-    h11: float
-    h12: float
-
-    @property
-    def h22(self) -> float:
-        return 1.0 - self.h11
-
-    @property
-    def det(self) -> float:
-        return self.h11 * self.h22 - self.h12 * self.h12
-
-    def is_blocked(self) -> bool:
-        """True for the rank-one piece [[1, 0], [0, 0]] (no travel in x)."""
-        return self.h11 == 1.0 and self.h12 == 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Piecewise-constant trace-normed Hamiltonian covering [0, inf).
 
-    Validated when it is built: pieces must have positive extent, unit trace
-    (implied), h11 in [0, 1], det >= -1e-12, exactly one infinite piece at
-    the end, and must not all be blocked; adjacent equal pieces are merged.
-    Pieces may be given as :class:`HamiltonianPiece`, ``(len, h11, h12)``
-    entries or mappings with those keys.
+    ``pieces`` is a read-only (n, 3) float array: row k holds the extent,
+    h11 and h12 of piece k.  It may be given as such an array, or as rows
+    ``(len, h11, h12)`` or mappings with those keys, where an extent of
+    ``"inf"`` or None is infinite.  It is checked when it is built: pieces
+    must have positive extent, unit trace (implied), h11 in [0, 1],
+    det >= -1e-12, exactly one infinite piece at the end, and must not all
+    be blocked; adjacent equal pieces are merged.
 
     ``mesh`` records the equal-travel-step resolution used when a string
     with omega densities was approximated; None means the pieces are exact.
     """
 
-    pieces: tuple[HamiltonianPiece, ...]
+    pieces: np.ndarray
     mesh: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
         if self.mesh is not None:
             object.__setattr__(self, "mesh", _checked_mesh(self.mesh))
+
+    def __eq__(self, other):
+        if not isinstance(other, Hamiltonian):
+            return NotImplemented
+        return self.mesh == other.mesh and np.array_equal(self.pieces, other.pieces)
 
 
 def _checked_mesh(mesh) -> int:
@@ -99,57 +90,60 @@ def _checked_mesh(mesh) -> int:
     return int(mesh)
 
 
-def _coerce_piece(raw) -> HamiltonianPiece:
-    if isinstance(raw, HamiltonianPiece):
-        return raw
-    if isinstance(raw, Mapping):
-        return HamiltonianPiece(
-            length=_parse_extent(raw["len"]), h11=float(raw["h11"]), h12=float(raw["h12"])
-        )
-    length, h11, h12 = raw
-    return HamiltonianPiece(length=_parse_extent(length), h11=float(h11), h12=float(h12))
-
-
-def _normalize_pieces(raw) -> tuple[HamiltonianPiece, ...]:
-    """Coerce, check and fuse the pieces of a :class:`Hamiltonian`."""
-    pieces = [_coerce_piece(p) for p in raw]
-    if not pieces:
-        raise ValidationError("Hamiltonian needs at least one piece")
-    for k, p in enumerate(pieces):
-        if math.isnan(p.length) or p.length <= 0.0:
-            raise NonPositiveLength(f"piece {k} has non-positive extent {p.length}")
-        if math.isinf(p.length) and k + 1 < len(pieces):
-            raise ValidationError(f"only the final piece may be infinite (piece {k})")
-        if not (math.isfinite(p.h11) and math.isfinite(p.h12)):
-            raise ValidationError(f"piece {k} entries must be finite")
-        if not 0.0 <= p.h11 <= 1.0:
-            raise ValidationError(f"piece {k} has h11={p.h11} outside [0, 1]")
-        if p.det < -_DET_TOL:
-            raise ValidationError(f"piece {k} is not positive semidefinite (det={p.det:g})")
-        if p.h22 == 0.0 and p.h12 != 0.0:
-            raise ValidationError(f"piece {k} has h22=0 but h12={p.h12}; semidefiniteness needs h12=0")
-        if p.h11 == 0.0 and p.h12 != 0.0:
-            raise ValidationError(f"piece {k} has h11=0 but h12={p.h12}; semidefiniteness needs h12=0")
-    if not math.isinf(pieces[-1].length):
+def _normalize_pieces(raw) -> np.ndarray:
+    """Check and fuse the pieces of a :class:`Hamiltonian`, given as it takes
+    them; the error names the first piece that fails a check."""
+    if not isinstance(raw, np.ndarray):
+        raw = [(_parse_extent(p["len"]), p["h11"], p["h12"]) if isinstance(p, Mapping)
+               else (_parse_extent(p[0]), *p[1:]) for p in raw]
+    pieces = np.array(raw, dtype=float)
+    if pieces.ndim != 2 or pieces.shape[1] != 3 or not len(pieces):
+        raise ValidationError(f"Hamiltonian needs at least one piece (len, h11, h12), got shape {pieces.shape}")
+    length, h11, h12 = pieces.T
+    h22 = 1.0 - h11
+    with np.errstate(invalid="ignore"):
+        det = h11 * h22 - h12 * h12
+    # Each check as the mask of the pieces that fail it, in the order a piece
+    # is checked.
+    checks = (
+        (np.isnan(length) | (length <= 0.0), NonPositiveLength, "piece {k} has non-positive extent {length}"),
+        (np.append(np.isinf(length[:-1]), False), ValidationError,
+         "only the final piece may be infinite (piece {k})"),
+        (~(np.isfinite(h11) & np.isfinite(h12)), ValidationError, "piece {k} entries must be finite"),
+        (~((0.0 <= h11) & (h11 <= 1.0)), ValidationError, "piece {k} has h11={h11} outside [0, 1]"),
+        (det < -_DET_TOL, ValidationError, "piece {k} is not positive semidefinite (det={det:g})"),
+        ((h22 == 0.0) & (h12 != 0.0), ValidationError,
+         "piece {k} has h22=0 but h12={h12}; semidefiniteness needs h12=0"),
+        ((h11 == 0.0) & (h12 != 0.0), ValidationError,
+         "piece {k} has h11=0 but h12={h12}; semidefiniteness needs h12=0"),
+    )
+    failed = np.array([mask for mask, _, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=0)))
+        _, error, message = checks[int(np.argmax(failed[:, k]))]
+        raise error(message.format(k=k, length=float(length[k]), h11=float(h11[k]),
+                                   h12=float(h12[k]), det=float(det[k])))
+    if not math.isinf(length[-1]):
         raise ValidationError("the final piece must be infinite so H covers [0, inf)")
 
-    fused: list[HamiltonianPiece] = []
-    for p in pieces:
-        if fused and fused[-1].h11 == p.h11 and fused[-1].h12 == p.h12:
-            prev = fused[-1]
-            fused[-1] = HamiltonianPiece(prev.length + p.length, prev.h11, prev.h12)
-        else:
-            fused.append(p)
-    if all(p.is_blocked() for p in fused):
+    start = np.flatnonzero(np.append(True, (h11[1:] != h11[:-1]) | (h12[1:] != h12[:-1])))
+    end = np.append(start[1:], len(pieces))
+    fused = pieces[start]
+    # A run's extent is summed left to right, piece after piece;
+    # np.add.reduceat would sum it pairwise.
+    for r in np.flatnonzero(end - start > 1).tolist():
+        fused[r, 0] = np.add.accumulate(length[start[r]:end[r]])[-1]
+    if np.all((fused[:, 1] == 1.0) & (fused[:, 2] == 0.0)):
         raise DegenerateHamiltonian("H is the blocked matrix [[1,0],[0,0]] everywhere")
-    return tuple(fused)
+    fused.flags.writeable = False
+    return fused
 
 
 def hamiltonian_to_json(ham: Hamiltonian) -> dict:
     doc = {
         "pieces": [
-            {"len": "inf" if math.isinf(p.length) else p.length, "h11": p.h11, "h12": p.h12}
-            for p in ham.pieces
+            {"len": _extent_to_json(length), "h11": h11, "h12": h12}
+            for length, h11, h12 in ham.pieces.tolist()
         ]
     }
     if ham.mesh is not None:
@@ -181,45 +175,41 @@ def string_to_hamiltonian(spec: StringSpec, mesh: int = 256) -> Hamiltonian:
     """
     mesh = _checked_mesh(mesh)
     view = coefficient_view(spec)
-    pieces: list[HamiltonianPiece] = []
-    meshed = False
-    n = len(view.bp)
-    for j in range(n):
-        x0 = float(view.bp[j])
-        mass = float(view.atom_upsilon[j])
-        if mass > 0.0:
-            pieces.append(HamiltonianPiece(mass, 1.0, 0.0))
-        x1 = float(view.bp[j + 1]) if j + 1 < n else spec.length
-        if not x1 > x0:
-            continue
-        slope = float(view.dens_omega[j])
-        bval = float(view.dens_upsilon[j])
-        w0 = float(view.w_right[j])
-        if slope == 0.0:
-            rate = 1.0 + w0 * w0 + bval
-            h22 = 1.0 / rate
-            pieces.append(HamiltonianPiece(rate * (x1 - x0), 1.0 - h22, w0 * h22))
-            continue
-        if math.isinf(x1):
-            raise UnsupportedShape(
-                "omega density on an unbounded interval has no finite piecewise"
-                " representation; truncate the string instead"
-            )
-        meshed = True
-        s0 = float(view.sigma_right[j])
-        s1 = float(view.sigma_left[j + 1])
-        step = (s1 - s0) / mesh
-        ss = [s0 + k * step for k in range(mesh)] + [s1]
-        xs = [x0] + view.xi(np.array(ss[1:-1])).tolist() + [x1]
-        ints = view.w_integral(np.array(xs)).tolist()
-        for k in range(mesh):
-            ds = ss[k + 1] - ss[k]
-            h22 = (xs[k + 1] - xs[k]) / ds
-            h12 = (ints[k + 1] - ints[k]) / ds
-            pieces.append(HamiltonianPiece(ds, 1.0 - h22, h12))
+    x0, x1 = view.bp, np.append(view.bp[1:], spec.length)
+    wr, a = view.w_right, view.dens_omega
+    atom = view.atom_upsilon > 0.0
+    flat = (x1 > x0) & (a == 0.0)
+    meshed = np.flatnonzero((x1 > x0) & (a != 0.0))
+    if np.isinf(x1[meshed]).any():
+        raise UnsupportedShape(
+            "omega density on an unbounded interval has no finite piecewise"
+            " representation; truncate the string instead"
+        )
+    # Breakpoint j gives, in this order, a blocked piece for its upsilon point
+    # mass, then one constant piece or ``mesh`` cells up to the next one.
+    rows = atom.astype(int) + flat
+    rows[meshed] += mesh
+    first = np.cumsum(rows) - rows
+    after = first + atom
+    pieces = np.empty((int(rows.sum()) + math.isfinite(spec.length), 3))
+    pieces[first[atom], 0] = view.atom_upsilon[atom]
+    pieces[first[atom], 1:] = (1.0, 0.0)
+    rate = 1.0 + wr[flat] * wr[flat] + view.dens_upsilon[flat]
+    h22 = 1.0 / rate
+    pieces[after[flat]] = np.column_stack((rate * (x1 - x0)[flat], 1.0 - h22, wr[flat] * h22))
+    # The cells of every meshed piece at once: equal travel steps from
+    # sigma(x0+) to sigma(x1-), their positions from one call to xi, and int w
+    # there from one call to w_integral.
+    if len(meshed):
+        s0, s1 = view.sigma_right[meshed], view.sigma_left[meshed + 1]
+        ss = np.column_stack((s0[:, None] + np.arange(mesh) * ((s1 - s0) / mesh)[:, None], s1))
+        xs = np.column_stack((x0[meshed], view.xi(ss[:, 1:-1]), x1[meshed]))
+        ds = np.diff(ss)
+        cells = np.stack((ds, 1.0 - np.diff(xs) / ds, np.diff(view.w_integral(xs)) / ds), axis=-1)
+        pieces[after[meshed, None] + np.arange(mesh)] = cells
     if math.isfinite(spec.length):
-        pieces.append(HamiltonianPiece(_INF, 1.0, 0.0))
-    return Hamiltonian(tuple(pieces), mesh=mesh if meshed else None)
+        pieces[-1] = (_INF, 1.0, 0.0)
+    return Hamiltonian(pieces, mesh=mesh if len(meshed) else None)
 
 
 # -- Hamiltonian -> string ----------------------------------------------------
@@ -235,33 +225,30 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
     rounding noise relative to the neighbouring slopes are treated as
     continuity rather than emitted as spurious point masses.
     """
-    x = 0.0
-    w_prev = 0.0
-    om_atoms: list[tuple[float, float]] = []
-    ups_atoms: list[tuple[float, float]] = []
-    ups_dens: list[tuple[float, float, float]] = []
-    length = _INF
-    for p in ham.pieces:
-        if p.h22 == 0.0:
-            if math.isinf(p.length):
-                length = x
-                break
-            ups_atoms.append((x, p.length))
-            continue
-        w_here = p.h12 / p.h22
-        jump = w_here - w_prev
-        if abs(jump) > 4.0 * math.ulp(1.0) * max(1.0, abs(w_here), abs(w_prev)):
-            om_atoms.append((x, jump))
+    extent, h11, h12 = ham.pieces.T
+    h22 = 1.0 - h11
+    x = np.add.accumulate(np.append(0.0, h22[:-1] * extent[:-1]))
+    free = h22 != 0.0
+    atoms = ~free & np.isfinite(extent)
+    w = h12[free] / h22[free]
+    # A slope is compared with the last one emitted, so drifts below the
+    # tolerance cannot add up to a jump unseen; that makes this a loop.
+    kept, w_prev = [], 0.0
+    for k, w_here in enumerate(w.tolist()):
+        if abs(w_here - w_prev) > _JUMP_TOL * max(1.0, abs(w_here), abs(w_prev)):
+            kept.append(k)
             w_prev = w_here
-        det = max(p.det, 0.0)
-        dx = p.h22 * p.length
-        if det > 0.0:
-            ups_dens.append((x, x + dx, det / (p.h22 * p.h22)))
-        x += dx
+    det = np.maximum(h11 * h22 - h12 * h12, 0.0)[free]
+    dens = det > 0.0
+    xf, h22f = x[free], h22[free]
     return StringSpec(
-        length=length,
-        omega=MeasureData(atoms=tuple(om_atoms)),
-        upsilon=MeasureData(atoms=tuple(ups_atoms), density=tuple(ups_dens)),
+        length=_INF if free[-1] else x[-1],
+        omega=MeasureData(atoms=tuple(zip(xf[kept].tolist(), np.diff(w[kept], prepend=0.0).tolist()))),
+        upsilon=MeasureData(
+            atoms=tuple(zip(x[atoms].tolist(), extent[atoms].tolist())),
+            density=tuple(zip(xf[dens].tolist(), (xf + h22f * extent[free])[dens].tolist(),
+                              (det / (h22f * h22f))[dens].tolist())),
+        ),
     )
 
 

@@ -56,12 +56,6 @@ class MeasureData:
     def is_atomic(self) -> bool:
         return not self.density
 
-    def atom_at(self, x: float) -> float:
-        for p, mass in self.atoms:
-            if p == x:
-                return mass
-        return 0.0
-
 
 @dataclass(frozen=True)
 class StringSpec:
@@ -456,25 +450,13 @@ def _primitive_gaps(a: CoefficientView, b: CoefficientView, xs) -> tuple[float, 
             float(np.max(np.abs(a.sigma_integral(xa) - b.sigma_integral(xb)))))
 
 
-def _tail(view: CoefficientView, x: float) -> tuple[tuple, tuple]:
-    """w and sigma of a half-line past x, at or after its last breakpoint, in
-    exact arithmetic, so that rounding cannot make equal tails differ: with t
-    the distance past x, w = w(x+) + a t, and sigma is sigma(x+) plus the
-    integral of 1 + w^2 + b.  Returns (a, w(x+)) and (sigma(x+) and the
-    coefficients of 1, t and t^2 in w^2 + b)."""
-    # Imported here, so that only a comparison of two half-lines pays for it.
-    from fractions import Fraction
-
-    bp = [Fraction(v) for v in view.bp.tolist() + [x]]
-    w = ups = wsq = Fraction(0)
-    for j, (lo, hi) in enumerate(zip(bp, bp[1:])):
-        a, h = Fraction(view.dens_omega[j]), hi - lo
-        w += Fraction(view.atom_omega[j])
-        ups += Fraction(view.atom_upsilon[j]) + Fraction(view.dens_upsilon[j]) * h
-        wsq += (w * w + w * a * h + a * a * h * h / 3) * h
-        w += a * h
-    b = Fraction(view.dens_upsilon[-1])
-    return (a, w), (bp[-1] + wsq + ups, w * w + b, w * a, a * a)
+def _beyond(view: CoefficientView, x: float) -> tuple[float, ...]:
+    """w(x+), sigma(x+) and the omega and upsilon densities of a half-line
+    past x, at or after its last breakpoint, where its coefficients are
+    constant."""
+    at = x == view.bp[-1]
+    return (view.w(x) + at * view.atom_omega[-1], view.sigma(x) + at * view.atom_upsilon[-1],
+            view.dens_omega[-1], view.dens_upsilon[-1])
 
 
 def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
@@ -485,27 +467,25 @@ def spec_discrepancy(a: StringSpec, b: StringSpec) -> dict[str, float]:
     The primitives are compared at the breakpoints of both strings and the
     midpoints between them, up to the shorter length.  On two half-lines
     they are compared up to the later last breakpoint x1, past which both
-    strings have constant densities: a primitive's gap is constant past x1
-    where w (or sigma) of the two strings agree there, so its sup is reached
-    by x1, and it grows without bound otherwise, where the part is inf.  A
-    jump that moved by a rounding error changes the primitives by that error
-    times its mass, and a meshed density by the square of the mesh width.
-    Returns the parts and their maximum under ``"overall"``.
+    strings have constant coefficients, so that each is fixed there by its
+    primitives at x1, w(x1+), sigma(x1+) and its omega and upsilon
+    densities.  The parts ``tail_w``, ``tail_sigma``,
+    ``tail_omega_density`` and ``tail_upsilon_density`` are the absolute
+    differences of the last four; they are 0.0 when either string is
+    finite.  A jump that moved by a rounding error changes the primitives by
+    that error times its mass, and a meshed density by the square of the
+    mesh width.  Returns the parts and their maximum under ``"overall"``.
     """
     va, vb = coefficient_view(a), coefficient_view(b)
     length_diff = 0.0 if a.length == b.length else abs(a.length - b.length)
     cuts = _distinct(va.bp, vb.bp)
     span = min(a.length, b.length)
-    bounded = (True, True)
+    tails = (0.0,) * 4
     if math.isinf(span):
         span = float(cuts[-1])
-        bounded = tuple(p == q for p, q in zip(_tail(va, span), _tail(vb, span)))
+        tails = (abs(float(p - q)) for p, q in zip(_beyond(va, span), _beyond(vb, span)))
     cuts = _distinct(cuts[cuts <= span], span)
-    gaps = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
-    w_gap, sigma_gap = (gap if ok else _INF for gap, ok in zip(gaps, bounded))
-    return {
-        "length": length_diff,
-        "w_primitive": w_gap,
-        "sigma_primitive": sigma_gap,
-        "overall": max(length_diff, w_gap, sigma_gap),
-    }
+    w_gap, sigma_gap = _primitive_gaps(va, vb, np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0]))
+    parts = {"length": length_diff, "w_primitive": w_gap, "sigma_primitive": sigma_gap,
+             **dict(zip(("tail_w", "tail_sigma", "tail_omega_density", "tail_upsilon_density"), tails))}
+    return {**parts, "overall": max(parts.values())}

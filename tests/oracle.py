@@ -109,8 +109,8 @@ def distribution(measure: MeasureData, x: float):
 
 
 def _canonical_piece(piece, z, length):
-    """exp(-z length Jt H) for one constant piece of a Hamiltonian."""
-    h11, h12 = mpmath.mpf(piece.h11), mpmath.mpf(piece.h12)
+    """exp(-z length Jt H) for one constant piece (extent, h11, h12) of a Hamiltonian."""
+    h11, h12 = mpmath.mpf(piece[1]), mpmath.mpf(piece[2])
     h22 = 1 - h11
     a = -z * mpmath.mpf(length) * mpmath.matrix([[h12, h22], [-h11, -h12]])
     det = h11 * h22 - h12 * h12
@@ -127,14 +127,15 @@ def canonical_propagators(ham, z: complex, ss) -> dict:
     with mpmath.workdps(DPS):
         z = mpmath.mpc(z)
         mat = mpmath.eye(2)
+        pieces = ham.pieces.tolist()
         begin, k = mpmath.mpf(0), 0
         for s in sorted({float(s) for s in ss}):
             # The last piece is infinite, so k stays in range.
-            while begin + ham.pieces[k].length < s:
-                mat = _canonical_piece(ham.pieces[k], z, ham.pieces[k].length) * mat
-                begin += ham.pieces[k].length
+            while begin + pieces[k][0] < s:
+                mat = _canonical_piece(pieces[k], z, pieces[k][0]) * mat
+                begin += pieces[k][0]
                 k += 1
-            out[s] = _canonical_piece(ham.pieces[k], z, mpmath.mpf(s) - begin) * mat
+            out[s] = _canonical_piece(pieces[k], z, mpmath.mpf(s) - begin) * mat
     return out
 
 
@@ -149,10 +150,9 @@ def canonical_weyl_m(ham, z: complex) -> complex:
     with mpmath.workdps(DPS):
         zm = mpmath.mpc(z)
         u = mpmath.eye(2)
-        for piece in ham.pieces[:-1]:
-            u = _canonical_piece(piece, zm, piece.length) * u
-        tail = ham.pieces[-1]
-        h11, h12 = mpmath.mpf(tail.h11), mpmath.mpf(tail.h12)
+        for piece in ham.pieces[:-1].tolist():
+            u = _canonical_piece(piece, zm, piece[0]) * u
+        _, h11, h12 = (mpmath.mpf(v) for v in ham.pieces[-1].tolist())
         h22 = 1 - h11
         if h22 == 0:
             return complex(u[0, 0] / u[0, 1])

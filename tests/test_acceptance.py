@@ -198,9 +198,10 @@ def test_09_propagation_and_hamiltonian_invariants(capsys):
     hams = [string_to_hamiltonian(spec, mesh=256) for _, spec in catalog.CANONICAL_SPECS]
     hams += [string_to_hamiltonian(catalog.random_discrete_string(rng)) for _ in range(5)]
     for ham in hams:
-        for piece in ham.pieces:
-            worst_trace = max(worst_trace, abs(piece.h11 + piece.h22 - 1.0))
-            min_det = min(min_det, piece.det)
+        _, h11, h12 = ham.pieces.T
+        h22 = 1.0 - h11
+        worst_trace = max(worst_trace, float(np.max(np.abs(h11 + h22 - 1.0))))
+        min_det = min(min_det, float(np.min(h11 * h22 - h12 * h12)))
     ok = worst_wron < 1e-10 and worst_trace == 0.0 and min_det >= -1e-12
     _report(capsys, ok, "Wronskian (= det U), trace, and det H invariants",
             f"wronskian drift {worst_wron:.2e}, "

@@ -1,5 +1,6 @@
 """Tests for the string <-> Hamiltonian transforms and the canonical Weyl function."""
 
+import hashlib
 import json
 import math
 import time
@@ -10,14 +11,13 @@ import pytest
 from indefstring import canonical, catalog
 from indefstring.canonical import (
     Hamiltonian,
-    HamiltonianPiece,
     canonical_m_grid,
     hamiltonian_from_json,
     hamiltonian_to_json,
     hamiltonian_to_string,
     string_to_hamiltonian,
 )
-from indefstring.coefficients import MeasureData, StringSpec, spec_discrepancy
+from indefstring.coefficients import MeasureData, StringSpec, spec_discrepancy, spec_to_json
 from indefstring.errors import (
     DegenerateHamiltonian,
     NonPositiveLength,
@@ -29,15 +29,15 @@ from indefstring.weyl import standard_grid
 
 import oracle
 
-HALF = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.5, h12=0.0),))
-FREE = Hamiltonian(pieces=(HamiltonianPiece(length=math.inf, h11=0.0, h12=0.0),))
+HALF = Hamiltonian(pieces=((math.inf, 0.5, 0.0),))
+FREE = Hamiltonian(pieces=((math.inf, 0.0, 0.0),))
 # A half-line with one omega point mass alpha = 1 at a = 0.5 and w = 1 beyond it.
 FREE_TAIL_SPEC = StringSpec(length=math.inf, omega=MeasureData(atoms=((0.5, 1.0),)))
 ORACLE_ZS = (1.3 + 0.7j, -2.0 + 1.0j, 0.5 + 2.0j, 0.4 - 1.1j)
 
 
 def _pieces(ham):
-    return [(p.length, p.h11, p.h12) for p in ham.pieces]
+    return [tuple(row) for row in ham.pieces.tolist()]
 
 
 def test_empty_string_transform():
@@ -47,12 +47,9 @@ def test_empty_string_transform():
 
 def test_atom_at_origin_transform():
     ham = string_to_hamiltonian(catalog.omega_atom_origin())
-    assert len(ham.pieces) == 2
-    piece = ham.pieces[0]
-    assert piece.length == pytest.approx(5.0, abs=1e-14)
-    assert piece.h11 == pytest.approx(0.8, abs=1e-14)
-    assert piece.h12 == pytest.approx(0.4, abs=1e-14)
-    assert ham.pieces[1].is_blocked() and ham.pieces[1].length == math.inf
+    assert ham.pieces.shape == (2, 3)
+    assert ham.pieces[0] == pytest.approx([5.0, 0.8, 0.4], abs=1e-14)
+    assert _pieces(ham)[1] == (math.inf, 1.0, 0.0)
 
 
 def test_upsilon_atom_transform_opens_blocked_prefix():
@@ -134,8 +131,8 @@ def test_roundtrip_on_regression_specs():
 def _blocked_prefix(ham: Hamiltonian) -> float:
     """Extent of the initial blocked run [[1, 0], [0, 0]]: adjacent equal
     pieces are fused, so it is the first piece or nothing."""
-    first = ham.pieces[0]
-    return first.length if first.is_blocked() else 0.0
+    length, h11, h12 = ham.pieces[0]
+    return length if (h11, h12) == (1.0, 0.0) else 0.0
 
 
 def test_indivisible_prefix_values():
@@ -149,7 +146,7 @@ def test_prefix_equals_upsilon_mass_at_origin():
     for name, spec in catalog.CANONICAL_SPECS:
         ham = string_to_hamiltonian(spec)
         assert _blocked_prefix(ham) == pytest.approx(
-            spec.upsilon.atom_at(0.0), abs=1e-12), name
+            dict(spec.upsilon.atoms).get(0.0, 0.0), abs=1e-12), name
 
 
 def test_canonical_m_free():
@@ -198,15 +195,16 @@ def _travel_samples(ham):
     as hamiltonian_to_string does, so it hits the string's breakpoints exactly."""
     out = [(0.0, 0.0, 0.0)]
     begin, x = 0.0, 0.0
-    for p in ham.pieces:
-        ends = (0.5, 2.0) if math.isinf(p.length) else (0.5 * p.length, p.length)
+    for length, h11, _ in ham.pieces.tolist():
+        h22 = 1.0 - h11
+        ends = (0.5, 2.0) if math.isinf(length) else (0.5 * length, length)
         for ds in ends:
-            if p.is_blocked():
+            if h22 == 0.0:
                 out.append((begin + ds, x, begin))
             else:
-                out.append((begin + ds, x + p.h22 * ds, begin + ds))
-        begin += p.length
-        x += p.h22 * p.length
+                out.append((begin + ds, x + h22 * ds, begin + ds))
+        begin += length
+        x += h22 * length
     return out
 
 
@@ -277,7 +275,7 @@ def test_validate_rejects_all_blocked():
 ])
 def test_building_an_invalid_hamiltonian_raises_like_validate_hamiltonian(pieces, error):
     with pytest.raises(error) as direct:
-        Hamiltonian(pieces=tuple(HamiltonianPiece(*p) for p in pieces))
+        Hamiltonian(pieces=np.array(pieces))
     with pytest.raises(error) as parsed:
         hamiltonian_from_json({"pieces": pieces})
     assert type(direct.value) is type(parsed.value)
@@ -285,7 +283,7 @@ def test_building_an_invalid_hamiltonian_raises_like_validate_hamiltonian(pieces
 
 def test_built_hamiltonian_is_fused_and_rebuilding_is_a_no_op():
     ham = Hamiltonian(pieces=[(1.0, 0.5, 0.25), {"len": 2.0, "h11": 0.5, "h12": 0.25},
-                              HamiltonianPiece(1.0, 1.0, 0.0), ("inf", 1.0, 0.0)], mesh=8)
+                              [1.0, 1.0, 0.0], ("inf", 1.0, 0.0)], mesh=8)
     assert _pieces(ham) == [(3.0, 0.5, 0.25), (math.inf, 1.0, 0.0)]
     assert ham == hamiltonian_from_json(hamiltonian_to_json(ham))
     assert Hamiltonian(ham.pieces, ham.mesh) == ham
@@ -322,6 +320,123 @@ def test_hamiltonian_json_roundtrip():
 
 def test_trace_normed_and_nonnegative_pieces():
     for name, spec in catalog.CANONICAL_SPECS:
-        for piece in string_to_hamiltonian(spec).pieces:
-            assert piece.h11 + piece.h22 == 1.0, name
-            assert piece.det >= -1e-12, name
+        _, h11, h12 = string_to_hamiltonian(spec).pieces.T
+        h22 = 1.0 - h11
+        assert np.all(h11 + h22 == 1.0), name
+        assert np.all(h11 * h22 - h12 * h12 >= -1e-12), name
+
+
+def test_rows_mappings_and_an_array_build_equal_hamiltonians():
+    rows = [(2.0, 0.5, 0.25), (1.0, 1.0, 0.0), ("inf", 0.2, -0.1)]
+    by_rows = Hamiltonian(rows)
+    by_mappings = Hamiltonian([{"len": n, "h11": a, "h12": b} for n, a, b in rows])
+    by_array = Hamiltonian(np.array([[2.0, 0.5, 0.25], [1.0, 1.0, 0.0], [math.inf, 0.2, -0.1]]))
+    assert by_rows == by_mappings == by_array
+    assert by_array.pieces.shape == (3, 3) and by_array.pieces.dtype == float
+    assert Hamiltonian([(2.0, 0.5, 0.25), (None, 0.2, -0.1)]) == Hamiltonian(by_rows.pieces[[0, 2]])
+    assert by_rows != Hamiltonian(rows, mesh=4)
+
+
+def test_pieces_are_read_only_and_the_input_array_is_not():
+    raw = np.array([[1.0, 0.5, 0.0], [math.inf, 0.0, 0.0]])
+    ham = Hamiltonian(raw)
+    with pytest.raises(ValueError):
+        ham.pieces[0, 0] = 2.0
+    raw[0, 0] = 2.0
+    assert ham.pieces[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("extent", [math.nan, 0.0, -1.0])
+def test_a_bad_extent_raises_non_positive_length_naming_the_piece(extent):
+    for pieces in ([(1.0, 0.5, 0.0), (extent, 0.5, 0.0), (math.inf, 0.5, 0.0)],
+                   np.array([[1.0, 0.5, 0.0], [extent, 0.5, 0.0], [math.inf, 0.5, 0.0]])):
+        with pytest.raises(NonPositiveLength, match="piece 1 has non-positive extent"):
+            Hamiltonian(pieces)
+
+
+def test_the_error_names_the_first_failing_piece_and_its_first_failing_check():
+    # piece 1 fails the h11 range, piece 2 the extent: piece 1 is named.
+    with pytest.raises(ValidationError, match=r"piece 1 has h11=1.5 outside \[0, 1\]") as err:
+        Hamiltonian([(1.0, 0.5, 0.0), (1.0, 1.5, 0.0), (0.0, 0.5, 0.0), (math.inf, 0.5, 0.0)])
+    assert type(err.value) is ValidationError
+    # piece 0 fails both the extent and the h11 range: the extent is checked first.
+    with pytest.raises(NonPositiveLength, match="piece 0"):
+        Hamiltonian([(0.0, 1.5, 0.0), (math.inf, 0.5, 0.0)])
+    with pytest.raises(ValidationError, match="piece 0 has h22=0 but h12=1e-07"):
+        Hamiltonian([(1.0, 1.0, 1e-7), (math.inf, 0.5, 0.0)])
+    with pytest.raises(ValidationError, match="at least one piece"):
+        Hamiltonian(np.empty((0, 3)))
+    with pytest.raises(ValidationError, match="at least one piece"):
+        Hamiltonian(np.ones((2, 4)))
+
+
+def _density_string(seed: int, n: int) -> StringSpec:
+    """About n breakpoints on [0, 1): n/2 omega atoms and n/4 pieces that
+    carry an omega and a upsilon density each."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.uniform(0.0, 1.0, n // 2))
+    pieces = list(zip(cuts[0::2].tolist(), cuts[1::2].tolist()))
+    omega = tuple((a, b, v) for (a, b), v in zip(pieces, rng.uniform(-1.0, 3.0, len(pieces)).tolist()))
+    upsilon = tuple((a, b, v) for (a, b), v in zip(pieces, rng.uniform(0.0, 2.0, len(pieces)).tolist()))
+    atoms = tuple(zip(rng.uniform(0.0, 1.0, n // 2).tolist(),
+                      (rng.uniform(0.5, 1.5, n // 2) * (2.0 / (n // 2))).tolist()))
+    return StringSpec(length=1.0, omega=MeasureData(atoms=atoms, density=omega),
+                      upsilon=MeasureData(density=upsilon))
+
+
+# sha256 of the sorted-key JSON of string_to_hamiltonian, computed when
+# Hamiltonians were built and checked one piece at a time.
+_HAMILTONIAN_DIGESTS = (
+    ("mixed", catalog.mixed_example(), 256, "a680b6f3ae2806e81cec87eacca0abaa395cf83690c0619aed09e52c0925cdb2"),
+    ("upsilon-atom-origin", catalog.upsilon_atom_origin(), 256,
+     "96c7f7728823098511ec2ef5a7b437defc1672149bd068c2370449fe302dfdef"),
+    ("uniform", catalog.uniform_string(), 64, "fe002c1c9beb22c54ed9ef29b588fa2876c2535fe21c5ea8bd2be8d95ef24ab6"),
+    ("density-100", _density_string(1, 100), 256,
+     "f661e85f584d8de5e8149f850b9d83bd74c00a8eb3602d570df364b13551c655"),
+)
+
+
+@pytest.mark.parametrize("name, spec, mesh, digest", _HAMILTONIAN_DIGESTS, ids=[d[0] for d in _HAMILTONIAN_DIGESTS])
+def test_hamiltonian_json_keeps_its_bytes(name, spec, mesh, digest):
+    doc = hamiltonian_to_json(string_to_hamiltonian(spec, mesh=mesh))
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest, name
+
+
+def _string_piece_by_piece(ham: Hamiltonian) -> StringSpec:
+    """hamiltonian_to_string as a loop over the pieces, in Python floats: the
+    reference whose bits the column operations must keep."""
+    x, w_prev = 0.0, 0.0
+    om_atoms, ups_atoms, ups_dens = [], [], []
+    length = math.inf
+    for extent, h11, h12 in ham.pieces.tolist():
+        h22 = 1.0 - h11
+        if h22 == 0.0:
+            if math.isinf(extent):
+                length = x
+                break
+            ups_atoms.append((x, extent))
+            continue
+        w_here = h12 / h22
+        if abs(w_here - w_prev) > 4.0 * math.ulp(1.0) * max(1.0, abs(w_here), abs(w_prev)):
+            om_atoms.append((x, w_here - w_prev))
+            w_prev = w_here
+        det = max(h11 * h22 - h12 * h12, 0.0)
+        dx = h22 * extent
+        if det > 0.0:
+            ups_dens.append((x, x + dx, det / (h22 * h22)))
+        x += dx
+    return StringSpec(length=length, omega=MeasureData(atoms=tuple(om_atoms)),
+                      upsilon=MeasureData(atoms=tuple(ups_atoms), density=tuple(ups_dens)))
+
+
+def test_hamiltonian_to_string_keeps_the_bits_of_the_piece_by_piece_walk():
+    rng = np.random.default_rng(7)
+    specs = [spec for _, spec in catalog.CANONICAL_SPECS] + [_density_string(1, 100)]
+    specs += [catalog.random_discrete_string(rng) for _ in range(4)]
+    specs += [catalog.random_atomic_omega_string(rng) for _ in range(4)]
+    hams = [string_to_hamiltonian(spec, mesh=64) for spec in specs] + [HALF, FREE]
+    hams.append(string_to_hamiltonian(FREE_TAIL_SPEC))
+    for ham in hams:
+        got, want = hamiltonian_to_string(ham), _string_piece_by_piece(ham)
+        assert got == want
+        assert json.dumps(spec_to_json(got)) == json.dumps(spec_to_json(want))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import indefstring
@@ -172,7 +173,24 @@ def test_roundtrip_passes_on_atomic_string(tmp_path, capsys):
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["passed"] is True
     assert doc["overall"] <= doc["tol"]
-    assert set(doc) == {"length", "w_primitive", "sigma_primitive", "overall", "tol", "passed"}
+    assert set(doc) == {"length", "w_primitive", "sigma_primitive", "tail_w", "tail_sigma",
+                        "tail_omega_density", "tail_upsilon_density", "overall", "tol", "passed"}
+
+
+def test_roundtrip_passes_on_an_atomic_halfline_at_rounding_tolerance(tmp_path):
+    # Twelve omega atoms, a upsilon atom at 0 and a free tail: the tail slope
+    # returns a few ulps off, which the tail parts read as rounding.
+    rng = np.random.default_rng(3)
+    xs = (np.arange(12) + rng.uniform(0.1, 0.9, 12)) / 6.0
+    doc = {"L": "inf", "omega": {"atoms": [{"x": x, "mass": m} for x, m in
+                                           zip(xs.tolist(), rng.uniform(0.2, 1.0, 12).tolist())]},
+           "upsilon": {"atoms": [{"x": 0.0, "mass": 0.5}]}}
+    spec = _dump(tmp_path / "spec.json", doc)
+    report = tmp_path / "report.json"
+    assert main(["roundtrip", "--spec", spec, "--tol", "1e-12", "--out", str(report)]) == 0
+    parts = json.loads(report.read_text(encoding="utf-8"))
+    assert parts["passed"] is True
+    assert all(parts[key] <= 1e-12 for key in parts if key.startswith("tail_")), parts
 
 
 def test_roundtrip_flags_mesh_limited_density_at_tight_tolerance(tmp_path):

@@ -397,7 +397,7 @@ def test_change_of_variables_identity():
         if 0.0 < bf < x_top:
             lo = view.sigma(bf)
             cut.add(lo)
-            cut.add(lo + spec.upsilon.atom_at(bf))
+            cut.add(lo + dict(spec.upsilon.atoms).get(bf, 0.0))
     cuts = sorted(c for c in cut if c <= s_top)
 
     for F in (lambda t: 1.0, lambda t: t):
@@ -597,32 +597,78 @@ def test_discrepancy_detects_structure_mismatch():
     assert parts["overall"] == 0.5
 
 
-def _halfline(omega_atoms=(), omega_density=()):
-    return StringSpec(length=math.inf, omega=MeasureData(atoms=omega_atoms, density=omega_density))
+def _halfline(omega_atoms=(), omega_density=(), upsilon_atoms=()):
+    return StringSpec(length=math.inf, omega=MeasureData(atoms=omega_atoms, density=omega_density),
+                      upsilon=MeasureData(atoms=upsilon_atoms))
+
+
+_TAIL_PARTS = ("tail_w", "tail_sigma", "tail_omega_density", "tail_upsilon_density")
 
 
 def test_discrepancy_of_two_halflines_is_a_sup_over_the_whole_line():
-    # Tails with other densities, or with another w past the last breakpoint,
-    # make a primitive's gap grow without bound.
+    # Past the later last breakpoint x1 both strings are fixed by their
+    # primitives at x1, w(x1+), sigma(x1+) and their two densities, so these
+    # differences are the parts, all finite.
     parts = spec_discrepancy(catalog.uniform_halfline(), catalog.empty_halfline())
-    assert parts == {"length": 0.0, "w_primitive": math.inf, "sigma_primitive": math.inf,
-                     "overall": math.inf}
+    assert parts == {"length": 0.0, "w_primitive": 0.0, "sigma_primitive": 0.0, "tail_w": 0.0,
+                     "tail_sigma": 0.0, "tail_omega_density": 1.0, "tail_upsilon_density": 0.0,
+                     "overall": 1.0}
     parts = spec_discrepancy(_halfline(((0.5, 1.0),)), catalog.empty_halfline())
-    assert parts["w_primitive"] == parts["sigma_primitive"] == math.inf
-    # w = +1 against -1 past 0.3: int w parts, but sigma = x + int w^2 agrees.
+    assert parts["tail_w"] == parts["overall"] == 1.0
+    # w = +1 against -1 past 0.3: int w parts only past x1, where w(x1+) differs by 2;
+    # sigma = x + int w^2 agrees.
     parts = spec_discrepancy(_halfline(((0.3, 1.0),)), _halfline(((0.3, -1.0),)))
-    assert parts["w_primitive"] == math.inf and parts["sigma_primitive"] == 0.0
+    assert parts["tail_w"] == parts["overall"] == 2.0
+    assert parts["w_primitive"] == parts["sigma_primitive"] == parts["tail_sigma"] == 0.0
+    # A upsilon atom at x1 moves only sigma(x1+).
+    parts = spec_discrepancy(_halfline(((0.3, 1.0),)), _halfline(((0.3, 1.0),), upsilon_atoms=((0.3, 0.25),)))
+    assert parts["tail_sigma"] == pytest.approx(0.25, rel=1e-14)
+    assert parts["overall"] == parts["tail_sigma"]
+    assert parts["w_primitive"] == parts["sigma_primitive"] == parts["tail_w"] == 0.0
     # Atoms of +-1/2 at 0.2 and 0.4 on the uniform half-line: past 0.4 w agrees,
-    # so int w differs by 1/2 * 0.2 from there on, while sigma differs by
-    # int_0.2^0.4 ((t + 1/2)^2 - t^2) dt = 0.11, so int sigma grows.
+    # so int w differs by 1/2 * 0.2 from there on, while sigma(0.4) differs by
+    # int_0.2^0.4 ((t + 1/2)^2 - t^2) dt = 0.11.
     dens = ((0.0, math.inf, 1.0),)
     atoms = _halfline(((0.2, 0.5), (0.4, -0.5)), dens)
     parts = spec_discrepancy(catalog.uniform_halfline(), atoms)
     assert parts["w_primitive"] == pytest.approx(0.1, rel=1e-14)
-    assert parts["sigma_primitive"] == math.inf
+    assert parts["tail_sigma"] == pytest.approx(0.11, rel=1e-14)
+    assert parts["tail_w"] <= 1e-15 and parts["tail_omega_density"] == 0.0
     # Equal strings agree everywhere.
     for spec in (catalog.upsilon_lebesgue_halfline(), atoms):
         assert spec_discrepancy(spec, spec)["overall"] == 0.0
+
+
+def test_tail_parts_are_zero_when_either_string_is_finite():
+    for a, b in ((catalog.uniform_string(), catalog.uniform_halfline()),
+                 (catalog.empty_halfline(), catalog.omega_atom_middle()),
+                 (catalog.mixed_example(), catalog.uniform_string())):
+        parts = spec_discrepancy(a, b)
+        assert all(parts[key] == 0.0 for key in _TAIL_PARTS), parts
+        assert parts["overall"] > 0.0
+
+
+def _atomic_halfline(seed: int, upsilon0: float) -> StringSpec:
+    """perfbench's atomic_halfline(default_rng(seed), 12, upsilon0): twelve
+    positive omega atoms of total 7.2, one in each sixth of [0, 2), a free
+    tail, and a upsilon atom upsilon0 at 0."""
+    rng = np.random.default_rng(seed)
+    xs = 0.0 + (2.0 / 12) * (np.arange(12) + rng.uniform(0.1, 0.9, 12))
+    masses = rng.uniform(0.5, 1.5, 12)
+    masses = masses * (0.6 * 12 / masses.sum())
+    return StringSpec(length=math.inf, omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))),
+                      upsilon=MeasureData(atoms=((0.0, upsilon0),)))
+
+
+@pytest.mark.parametrize("upsilon0", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(6))
+def test_atomic_halfline_roundtrips_read_rounding(seed, upsilon0):
+    # The tail slope comes back as a sum of the emitted jumps, a few ulps
+    # off; that moves w(x1+) and sigma(x1+) by rounding, not to inf.
+    spec = _atomic_halfline(seed, upsilon0)
+    parts = spec_discrepancy(spec, hamiltonian_to_string(string_to_hamiltonian(spec)))
+    assert all(math.isfinite(v) for v in parts.values()), parts
+    assert parts["overall"] <= 1e-12, parts
 
 
 def test_atomic_roundtrips_keep_the_primitives_to_rounding():
