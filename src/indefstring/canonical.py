@@ -50,6 +50,9 @@ _DET_TOL = 1e-12
 # A change of slope within this many ulps of 1, relative to the slopes, is
 # rounding and not an omega point mass.
 _JUMP_TOL = 4.0 * math.ulp(1.0)
+# A det H this close to 0 is rounding and not an upsilon density: h22 = 1 - h11
+# is known to about an ulp of trace H = 1, and so is det H.
+_DET_ROUNDING = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +226,8 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
     blocked pieces are upsilon point masses, and a trailing infinite blocked
     piece terminates the string at the current position.  Slope jumps below
     rounding noise relative to the neighbouring slopes are treated as
-    continuity rather than emitted as spurious point masses.
+    continuity rather than emitted as spurious point masses, and a det H
+    within a few ulps of trace H = 1 is 0, not a spurious upsilon density.
     """
     extent, h11, h12 = ham.pieces.T
     h22 = 1.0 - h11
@@ -238,8 +242,8 @@ def hamiltonian_to_string(ham: Hamiltonian) -> StringSpec:
         if abs(w_here - w_prev) > _JUMP_TOL * max(1.0, abs(w_here), abs(w_prev)):
             kept.append(k)
             w_prev = w_here
-    det = np.maximum(h11 * h22 - h12 * h12, 0.0)[free]
-    dens = det > 0.0
+    det = (h11 * h22 - h12 * h12)[free]
+    dens = det > _DET_ROUNDING
     xf, h22f = x[free], h22[free]
     return StringSpec(
         length=_INF if free[-1] else x[-1],

@@ -15,6 +15,7 @@ cubic with a jump of size upsilon({p}) just after each point mass p; xi is
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -114,45 +115,86 @@ def _parse_extent(value) -> float:
 
 
 def _normalize_measure(data: MeasureData, length: float, *, nonneg: bool, label: str) -> MeasureData:
-    merged: dict[float, float] = {}
-    for x, mass in data.atoms:
-        if not math.isfinite(x):
-            raise PositionOutOfRange(f"{label} atom position must be finite, got {x}")
-        if not math.isfinite(mass):
-            raise ValidationError(f"{label} atom mass must be finite, got {mass}")
-        if not 0.0 <= x < length:
-            raise PositionOutOfRange(f"{label} atom at {x} outside [0, {length})")
-        merged[x] = merged.get(x, 0.0) + mass
-    atoms = tuple(sorted((x, m) for x, m in merged.items() if m != 0.0))
-
-    pieces = []
-    for a, b, value in data.density:
-        if not (math.isfinite(a) and math.isfinite(value)):
-            raise ValidationError(f"{label} density piece ({a}, {b}, {value}) must have finite endpoint/value")
-        if a >= b:
-            raise PositionOutOfRange(f"{label} density interval [{a}, {b}) is empty or reversed")
-        if a < 0.0 or b > length:
-            raise PositionOutOfRange(f"{label} density interval [{a}, {b}) outside [0, {length}]")
-        if value != 0.0:
-            pieces.append((a, b, value))
-    pieces.sort()
-    for (a0, b0, _), (a1, _, _) in zip(pieces, pieces[1:]):
-        if a1 < b0:
-            raise OverlappingDensityIntervals(
-                f"{label} density intervals starting at {a0} and {a1} overlap"
-            )
-    fused: list[tuple[float, float, float]] = []
-    for piece in pieces:
-        if fused and fused[-1][1] == piece[0] and fused[-1][2] == piece[2]:
-            fused[-1] = (fused[-1][0], piece[1], piece[2])
-        else:
-            fused.append(piece)
-
+    """``data`` in normal form: atoms sorted, those at one position summed in
+    input order and zeros dropped; density pieces without zeros, sorted and
+    fused where they touch with one value.  The checks run on arrays, and the
+    first atom or piece in input order that fails one is looked for only
+    then, to raise its error."""
+    x, mass = _merged_atoms(data.atoms, length, label)
+    a, b, value = _fused_pieces(data.density, length, label)
     if nonneg:
-        bad = [m for _, m in atoms if m < 0.0] + [v for _, _, v in fused if v < 0.0]
-        if bad:
-            raise NegativeUpsilon(f"{label} must be a non-negative measure, found {bad[0]}")
-    return MeasureData(atoms=atoms, density=tuple(fused))
+        bad = np.concatenate([mass[mass < 0.0], value[value < 0.0]])
+        if bad.size:
+            raise NegativeUpsilon(f"{label} must be a non-negative measure, found {float(bad[0])}")
+    return MeasureData(atoms=tuple(zip(x.tolist(), mass.tolist())),
+                       density=tuple(zip(a.tolist(), b.tolist(), value.tolist())))
+
+
+def _merged_atoms(atoms, length: float, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and masses of ``atoms`` sorted (stably), the masses at one
+    position summed in input order, by a loop over the repeats only, and the
+    zero sums dropped."""
+    if not atoms:
+        return np.zeros(0), np.zeros(0)
+    x, mass = _columns(atoms, 2)
+    # A position that is nan or infinite fails the comparisons.
+    good = (0.0 <= x) & (x < length) & np.isfinite(mass)
+    if not good.all():
+        x0, mass0 = atoms[int(np.argmin(good))]
+        if not math.isfinite(x0):
+            raise PositionOutOfRange(f"{label} atom position must be finite, got {x0}")
+        if not math.isfinite(mass0):
+            raise ValidationError(f"{label} atom mass must be finite, got {mass0}")
+        raise PositionOutOfRange(f"{label} atom at {x0} outside [0, {length})")
+    order = np.argsort(x, kind="stable")
+    x, mass = x[order], mass[order]
+    first = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    sums = mass[first] + 0.0
+    if not first.all():
+        group = np.cumsum(first) - 1
+        for k in np.flatnonzero(~first).tolist():
+            sums[group[k]] += mass[k]
+    kept = sums != 0.0
+    return x[first][kept], sums[kept]
+
+
+def _columns(rows, width: int) -> list[np.ndarray]:
+    """The columns of a sequence of ``width``-tuples of floats, as arrays."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=width * len(rows))
+    return list(flat.reshape(-1, width).T)
+
+
+def _fused_pieces(density, length: float, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, ends and values of the nonzero pieces of ``density``, sorted,
+    checked not to overlap, and fused where they touch with one value."""
+    if not density:
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    a, b, value = _columns(density, 3)
+    with np.errstate(invalid="ignore"):
+        good = (0.0 <= a) & (a < math.inf) & np.isfinite(value) & ~(a >= b) & ~(b > length)
+    if not good.all():
+        a0, b0, value0 = density[int(np.argmin(good))]
+        if not (math.isfinite(a0) and math.isfinite(value0)):
+            raise ValidationError(
+                f"{label} density piece ({a0}, {b0}, {value0}) must have finite endpoint/value")
+        if a0 >= b0:
+            raise PositionOutOfRange(f"{label} density interval [{a0}, {b0}) is empty or reversed")
+        raise PositionOutOfRange(f"{label} density interval [{a0}, {b0}) outside [0, {length}]")
+    nonzero = value != 0.0
+    a, b, value = a[nonzero], b[nonzero], value[nonzero]
+    order = np.lexsort((value, b, a))
+    a, b, value = a[order], b[order], value[order]
+    overlap = np.flatnonzero(a[1:] < b[:-1])
+    if overlap.size:
+        k = int(overlap[0])
+        raise OverlappingDensityIntervals(
+            f"{label} density intervals starting at {float(a[k])} and {float(a[k + 1])} overlap"
+        )
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != b[:-1]) | (value[1:] != value[:-1])
+    # A fused piece ends where the next one starts anew (the last one at the end).
+    return a[first], b[np.roll(first, -1)], value[first]
 
 
 def validate_spec(raw) -> StringSpec:

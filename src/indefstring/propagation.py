@@ -9,35 +9,41 @@ whole representable coefficient class.
 
 A sweep walks the intervals between consecutive points (coefficient
 breakpoints and sample positions).  Each interval is one step P J: the jump of
-the point mass at its left end, then the piece.  The step matrices of many
-steps and many z are built as arrays in one vectorized pass, laid out
-(2, 2, steps, z) with z last, and the run of steps between two sample
-positions is reduced by pairwise levels in log depth, later step on the left
-(Blelloch, "Prefix sums and their applications", 1990).  A run's steps are
-stored in the fold's pair order (:func:`_order`), so each level composes two
-contiguous halves that pair steps 2j and 2j + 1.  Runs are also cut at
-multiples of ``_BLOCK_STEPS`` steps, so the order of every product, and so
-every rounding, is the same for any number of z: each z of a grid comes out
-bit for bit as in a one-z call.
+the point mass at its left end, then the piece.  The run of steps between two
+sample positions is cut into leaves, and the leaves are reduced by pairwise
+levels in log depth, later leaf on the left (Blelloch, "Prefix sums and their
+applications", 1990).  On a walk where a step has a density every leaf is
+one step, a full 2 x 2 matrix.  On a walk without densities (a free walk:
+point masses and free gaps only) a leaf is the product of up to
+``_LEAF_STEPS`` consecutive steps: it starts as its first step [[1 - h g, h], [-g, 1]], and each further
+step is applied to its rows (row 1 -= g row 0, then row 0 += h row 1), which
+costs two complex and two real-scalar products per step and z where
+composing two matrices costs eight complex ones.  A run is padded at its
+front with identity steps to a whole number of leaves, so a leaf's arithmetic
+depends on the walk alone.  The leaves of many runs and many z are built as
+arrays in one vectorized pass, laid out (2, 2, leaves, z) with z last.  A
+run's leaves are stored in the fold's pair order (:func:`_order`), so each
+level composes two contiguous halves that pair leaves 2j and 2j + 1.  Runs
+are also cut at multiples of ``_BLOCK_STEPS`` steps, so the order of every
+product, and so every rounding, is the same for any number of z: each z of a
+grid comes out bit for bit as in a one-z call.
 
 Two constants bound the memory, not the result.  Runs of at most
-``_BUDGET`` step x z matrices (every run at one z) are built up to
-``_BUDGET`` matrices at a time, and consecutive runs of one length in a build
-are folded together, stacked on an axis of their own.
+``_BUDGET`` leaf x z matrices (every run at one z) are built up to
+``_BUDGET`` matrices at a time, and consecutive runs of one number of leaves
+in a build are folded together, stacked on an axis of their own.
 A larger run takes the wide path: it is built and folded a column of z at a
-time, at most ``_COLUMN`` step x z matrices per column, in one workspace per
-sweep that every column reuses: the step matrices, two fold levels that
+time, at most ``_COLUMN`` leaf x z matrices per column, in one workspace per
+sweep that every column reuses: the leaf matrices, two fold levels that
 alternate (and hold the second product of a composition and the scratch of
 a build), and the entries of pieces with a density.  Fresh arrays of a
 column's size lie above the allocator's mmap threshold, and each would fault
-in new pages.  The fold runs in two stages where that makes its operations
-larger: each column is folded down to at most ``_TAIL`` partial products,
-and the last levels run once over as many columns as a quarter of
-``_COLUMN`` matrices then hold.  The pairs are those of a one-stage fold.
-With ``rescale``, a fold level is checked against ``_BIG`` only where a
-bound on its entries allows that it exceeds it.
+in new pages.  With ``rescale``, a fold level is checked against ``_BIG``
+only where a bound on its entries allows that it exceeds it, and so is a
+free leaf after each of its steps, by a bound from max |z|, the point
+masses and the lengths.
 
-A walk of at least one full block and ``_SPLIT_WORK`` step x z matrices is
+A walk of at least one full block and ``_SPLIT_WORK`` step x z products is
 swept on ``_WORKERS`` threads, one per CPU the process may run on, each over
 a contiguous chunk of z with its own workspace.  numpy releases the
 interpreter lock inside its loops, so the chunks run in parallel, and since
@@ -47,17 +53,18 @@ number of threads.
 With ``rescale`` the entries are kept in range by positive per-z factors,
 which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
 whose phase has |Im s h| > ``_EXP_PHASE`` is built times e^{-|Im s h|}, and a
-product level or a state whose entries exceed ``_BIG`` is divided by its
-largest entry.  The public evaluators raise :class:`ComputationError`,
+leaf, a product level or a state whose entries exceed ``_BIG`` is divided by
+its largest entry.  The public evaluators raise :class:`ComputationError`,
 naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
 What a sweep derives from the string and the sample positions without z (the
-points, the runs and which of them have one length, and the steps' lengths,
-point masses and densities in pair order) is its plan, a :class:`_Walk`.  It
-is built once per string and positions, on first use, after the positions are
-checked, and kept with the string's coefficient view, so later sweeps at other
-z start at once: a plan kept for the same positions means they passed.
+points, the runs and which of them have one number of leaves, and the
+lengths, point masses and densities of the leaves' steps in pair order) is
+its plan, a :class:`_Walk`.  It is built once per string and positions, on
+first use, after the positions are checked, and kept with the string's
+coefficient view, so later sweeps at other z start at once: a plan kept for
+the same positions means they passed.
 
 A call makes only the numpy calls its arithmetic needs: each check is one
 reduction that passes on good input, and the value that fails it is looked
@@ -74,7 +81,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import os
 import threading
@@ -87,14 +93,13 @@ from .errors import ComputationError, PositionOutOfRange
 
 # Runs of steps are cut at multiples of this many steps before they are folded.
 _BLOCK_STEPS = 256
-# Step x z matrices built in one pass of the narrow path (and the switch to
+# Steps per leaf of the fold of a walk without densities.
+_LEAF_STEPS = 4
+# Leaf x z matrices built in one pass of the narrow path (and the switch to
 # the wide path).
 _BUDGET = 1 << 12
-# Step x z matrices in one column of the wide path.
+# Leaf x z matrices in one column of the wide path.
 _COLUMN = 1 << 14
-# The wide path folds each column down to at most this many partial
-# products, and the rest over a group of columns.
-_TAIL = 16
 # Threads of a long sweep: one per CPU the process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # A sweep with a full block and at least this many step x z matrices is split.
@@ -242,15 +247,6 @@ class _Steps:
         steps = slice(lo, hi)
         shape = (2, 2, hi - lo, z.size)
         out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
-        if self.free:
-            # [[1 - h g, h], [-g, 1]] from -g, its zeros made +0 as below.
-            g = np.multiply(z[None, :], -self.aw[steps, None], out=out[1, 0])
-            if self.upsilon_atoms:
-                g -= np.multiply(zz[None, :], self.au[steps, None], out=out[1, 1])
-            g += 0.0
-            np.add(np.multiply(self.h[steps, None], g, out=out[0, 0]), 1.0, out=out[0, 0])
-            out[0, 1], out[1, 1] = self.h[steps, None], 1.0
-            return out
         C, S, kS = self._pieces(steps, z, zz, rescale, ws, out)
         placed = C is None
         if placed:
@@ -279,9 +275,15 @@ class _Steps:
 class _Walk(_Steps):
     """The steps from 0 to the last sample position: step k covers (points[k],
     points[k+1]).  ``targets`` are the point indices of the sample positions,
-    in increasing order, and ``samples`` pairs each position with its index;
-    run k (steps cuts[k] to cuts[k+1] - 1) is stored in its pair order, and
-    runs k to same[k] - 1 have one length.  Raises
+    in increasing order, and ``samples`` pairs each position with the number
+    of runs before it.  Run k is leaves cuts[k] to cuts[k+1] - 1, stored in
+    its pair order, and runs k to same[k] - 1 have one number of leaves.
+
+    A leaf is the product of ``leaf_steps`` consecutive steps of one run: 1
+    where a step has a density, else up to _LEAF_STEPS (no more than the
+    longest run has), and a run is padded at its front with identity steps
+    (no length, no point mass) to a multiple of that.  Step s of the leaf at
+    stored position j is step s * leaves + j of the arrays.  Raises
     :class:`PositionOutOfRange` unless the positions lie in [0, L]."""
 
     def __init__(self, view: CoefficientView, xs: np.ndarray):
@@ -290,17 +292,78 @@ class _Walk(_Steps):
         points = _distinct(xs, view.bp[view.bp <= xs[-1]])
         self.points = points
         self.targets = np.searchsorted(points, xs)
-        self.samples = list(zip(xs.tolist(), self.targets.tolist()))
         self.steps = points.size - 1
-        self.cuts = _distinct(self.targets, np.arange(0, self.steps, _BLOCK_STEPS)).tolist()
-        lengths = np.diff(self.cuts).tolist()
-        self.same = list(range(1, len(lengths) + 1))
-        for k in reversed(range(len(lengths) - 1)):
-            if lengths[k] == lengths[k + 1]:
+        ends = _distinct(self.targets, np.arange(0, self.steps, _BLOCK_STEPS))
+        self.samples = list(zip(xs.tolist(), np.searchsorted(ends, self.targets).tolist()))
+        super().__init__(view, points[:-1], np.diff(points))
+        lengths = np.diff(ends)
+        size = min(_LEAF_STEPS, int(lengths.max(initial=1))) if self.free else 1
+        counts = -(-lengths // size)
+        self.leaf_steps = size
+        self.cuts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        self.same = list(range(1, len(counts) + 1))
+        for k in reversed(range(len(counts) - 1)):
+            if counts[k] == counts[k + 1]:
                 self.same[k] = self.same[k + 1]
-        runs = itertools.pairwise(self.cuts)
-        stored = np.concatenate([np.zeros(0, int)] + [lo + _order(hi - lo) for lo, hi in runs])
-        super().__init__(view, points[stored], np.diff(points)[stored])
+        # Run lo..hi-1 as n leaves of `size` steps, padded at its front with
+        # the identity step: index `steps`, appended as zeros below.
+        parts = [np.zeros((size, 0), int)]
+        for lo, hi, n in zip(ends, ends[1:], counts.tolist()):
+            padded = np.arange(hi - n * size, hi)
+            padded[padded < lo] = self.steps
+            parts.append(padded.reshape(n, size)[_order(n)].T)
+        stored = np.concatenate(parts, axis=1).ravel()
+        for name in ("h", "aw", "au", "da", "db", "dense"):
+            setattr(self, name, np.append(getattr(self, name), False)[stored])
+        # -alpha, mu and h of the leaves' steps as (size, leaves) arrays, and
+        # a bound on every |point mass| and length, for the rescaled leaves.
+        self.slots = np.stack([-self.aw, self.au, self.h]).reshape(3, size, -1)
+        self.reach = [float(np.abs(a).max(initial=0.0)) for a in (self.aw, self.au, self.h)]
+
+    def leaf_matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
+                      ws: _Workspace | None = None):
+        """Leaf matrices of leaves lo..hi-1 at each z, shaped as
+        :meth:`matrices` shapes steps, in the buffers of ``ws`` if given.
+        Where a step has a density the leaves are the steps.  Else a leaf
+        starts as its first step [[1 - h g, h], [-g, 1]], and each later step
+        [[1, h], [0, 1]] [[1, 0], [-g, 1]] is applied to its rows: row 1 -= g
+        row 0, then row 0 += h row 1.  With ``rescale`` the leaves are
+        normalized after a step where a bound on their entries from max |z|,
+        the point masses and the lengths may exceed _BIG."""
+        if not self.free:
+            return self.matrices(lo, hi, z, zz, rescale, ws)
+        neg_aw, au, h = self.slots[:, :, lo:hi, None]
+        shape = (2, 2, hi - lo, z.size)
+        out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
+        # -g of every step at once.
+        g = np.multiply(z, neg_aw, out=_out(ws, "kappa", neg_aw.shape[:2] + z.shape))
+        if self.upsilon_atoms:
+            g -= np.multiply(zz, au, out=_out(ws, "sh", g.shape))
+        # The first step, its zeros made +0 as the general form makes them.
+        np.add(g[0], 0.0, out=out[1, 0])
+        np.add(np.multiply(h[0], out[1, 0], out=out[0, 0]), 1.0, out=out[0, 0])
+        out[0, 1], out[1, 1] = h[0], 1.0
+        row = np.empty(shape[1:], complex) if ws is None else ws.take("odd", shape[1:])
+        part, parts = row.view(float), out.view(float)
+        row0, row1, parts0, parts1 = out[0], out[1], parts[0], parts[1]
+        if rescale:
+            # A step multiplies the largest |entry| by at most (1 + |g|)(1 + h),
+            # with |g| <= |z| max|alpha| + |z|^2 max|mu|; the first step's
+            # entries are at most that factor.  1e-12 covers the rounding.
+            big_z = float(np.abs(z).max(initial=0.0))
+            grow = (1.0 + big_z * self.reach[0] + big_z * big_z * self.reach[1]) * (1.0 + self.reach[2])
+            grow *= 1.0 + 1e-12
+            bound = grow
+        for g_s, h_s in zip(g[1:], h[1:]):
+            row1 += np.multiply(g_s, row0, out=row)
+            parts0 += np.multiply(h_s, parts1, out=part)
+            if rescale:
+                bound *= grow
+                if not bound <= _BIG:
+                    largest = _normalize(out)
+                    # Parts at most _BIG (or largest), so moduli at most sqrt 2 times that.
+                    bound = math.sqrt(2.0) * (_BIG if math.isnan(largest) else largest)
+        return out
 
 
 def _check_positions(view: CoefficientView, xs: np.ndarray) -> None:
@@ -381,24 +444,23 @@ def _order(n: int) -> np.ndarray:
     return np.concatenate([pairs, pairs + 1] + [[n - 1]] * (n % 2))
 
 
-def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None,
-          steps: int = 1) -> np.ndarray:
-    """The product of the steps on the second last axis, in the pair order of
-    :func:`_order`, later step on the left, by levels that compose the second
-    half after the first, down to at most ``steps`` partial products (in pair
-    order too); axes between the matrix and the steps hold separate products.
+def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None) -> np.ndarray:
+    """The product of the leaves on the second last axis, in the pair order of
+    :func:`_order`, later leaf on the left, by levels that compose the second
+    half after the first; axes between the matrix and the leaves hold separate
+    products, and the leaf axis keeps length 1.
     With ``ws`` the levels alternate between two of its buffers, and the second
     product of a composition goes into the other one at the first level
-    (``mats`` lies in neither), then into the buffer of the steps.
+    (``mats`` lies in neither), then into the buffer of the leaves.
 
     With ``rescale``, a level is normalized only where its entries may exceed
     _BIG: an entry of a product has parts of at most 4 b^2 if the factors'
-    parts are at most b (the unpaired last step of a level keeps b, which
+    parts are at most b (the unpaired last leaf of a level keeps b, which
     exceeds 4 b^2 only where b < 1/4, far below _BIG).  So after one level
     or more no part of the result exceeds _BIG."""
     keys = ("even", "odd", "odd")
-    bound = _largest_part(mats) if rescale and mats.shape[-2] > steps else 0.0
-    while mats.shape[-2] > steps:
+    bound = _largest_part(mats) if rescale and mats.shape[-2] > 1 else 0.0
+    while mats.shape[-2] > 1:
         n = mats.shape[-2]
         half = n // 2
         shape = mats.shape[:-2] + (n - half, mats.shape[-1])
@@ -440,8 +502,8 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
         # The products of runs first, first + 1, ... at every z; run k is next.
         products, first, k = [], 0, 0
         ws = _Workspace()  # its buffers are made by the first wide block
-        for x, target in walk.samples:
-            while walk.cuts[k] < target:
+        for x, runs in walk.samples:
+            while k < runs:
                 lo, hi = walk.cuts[k:k + 2]
                 if (hi - lo) * z.size > _BUDGET:
                     state = _advance_in_columns(walk, lo, hi, z, zz, state, rescale, ws)
@@ -449,7 +511,7 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
                     if k >= first + len(products):
                         products, first = _run_products(walk, k, z, zz, rescale), k
                     state = _compose(products[k - first], state)
-                    # Folded over two or more steps, the first run's product
+                    # Folded over two or more leaves, the first run's product
                     # has no part above _BIG (:func:`_fold`), and composing
                     # it onto the identity changes no part's size.
                     if rescale and (k or hi - lo == 1):
@@ -461,11 +523,12 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
 
 def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
     """The products of runs k, k + 1, ... of ``walk`` that fit in one build of
-    _BUDGET step x z matrices, consecutive runs of one length folded together."""
+    _BUDGET leaf x z matrices, consecutive runs of one number of leaves folded
+    together."""
     cuts = walk.cuts
     end = bisect.bisect_right(cuts, cuts[k] + _BUDGET // max(1, z.size)) - 1
     lo = cuts[k]
-    mats = walk.matrices(lo, cuts[end], z, zz, rescale)
+    mats = walk.leaf_matrices(lo, cuts[end], z, zz, rescale)
     products = []
     while k < end:
         stop = min(walk.same[k], end)
@@ -479,34 +542,14 @@ def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
 
 def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool,
                         ws: _Workspace):
-    """``state`` carried over steps lo..hi-1, building the steps of a column of
-    z at a time in the buffers of ``ws``.
-
-    Where several columns fit in a quarter of _COLUMN matrices once folded
-    down to at most _TAIL steps, each column is folded only that far, and the
-    last levels run once over such a group of columns: the same pairs in the
-    same order, in fewer and larger operations."""
+    """``state`` carried over leaves lo..hi-1, building and folding the leaves
+    of a column of z at a time in the buffers of ``ws``."""
     out = np.empty_like(state)
     width = max(1, _COLUMN // (hi - lo))
-    tail = hi - lo
-    while tail > _TAIL:
-        tail -= tail // 2
-    per_group = max(1, _COLUMN // (4 * tail * width))
-    if per_group == 1:
-        tail = 1
-    for g in range(0, z.size, per_group * width):
-        group = slice(g, g + per_group * width)
-        if per_group > 1:
-            run = ws.take("tail", (2, 2, tail, z[group].size))
-        for c in range(g, min(g + per_group * width, z.size), width):
-            cols = slice(c, c + width)
-            part = _fold(walk.matrices(lo, hi, z[cols], zz[cols], rescale, ws), rescale, ws, tail)
-            if per_group > 1:
-                run[..., c - g:c - g + part.shape[3]] = part
-            else:
-                run = part
-        run = _fold(run, rescale, ws)[:, :, 0]
-        _compose(run, state[..., group], out=out[..., group], tmp=ws.take("product", run.shape))
+    for c in range(0, z.size, width):
+        cols = slice(c, c + width)
+        run = _fold(walk.leaf_matrices(lo, hi, z[cols], zz[cols], rescale, ws), rescale, ws)[:, :, 0]
+        _compose(run, state[..., cols], out=out[..., cols], tmp=ws.take("product", run.shape))
     if rescale:
         _normalize(out)
     return out

@@ -201,6 +201,92 @@ def _coefficients(spec, x):
     return view.w(x), view.upsilon(x), view.sigma(x)
 
 
+def _normalize_by_loop(data: MeasureData, length: float, *, nonneg: bool, label: str) -> MeasureData:
+    """The normal form of a measure by a loop over its atoms and pieces: the
+    reference whose results, bits and errors the array version must keep."""
+    merged: dict[float, float] = {}
+    for x, mass in data.atoms:
+        if not math.isfinite(x):
+            raise PositionOutOfRange(f"{label} atom position must be finite, got {x}")
+        if not math.isfinite(mass):
+            raise coefficients.ValidationError(f"{label} atom mass must be finite, got {mass}")
+        if not 0.0 <= x < length:
+            raise PositionOutOfRange(f"{label} atom at {x} outside [0, {length})")
+        merged[x] = merged.get(x, 0.0) + mass
+    atoms = tuple(sorted((x, m) for x, m in merged.items() if m != 0.0))
+    pieces = []
+    for a, b, value in data.density:
+        if not (math.isfinite(a) and math.isfinite(value)):
+            raise coefficients.ValidationError(
+                f"{label} density piece ({a}, {b}, {value}) must have finite endpoint/value")
+        if a >= b:
+            raise PositionOutOfRange(f"{label} density interval [{a}, {b}) is empty or reversed")
+        if a < 0.0 or b > length:
+            raise PositionOutOfRange(f"{label} density interval [{a}, {b}) outside [0, {length}]")
+        if value != 0.0:
+            pieces.append((a, b, value))
+    pieces.sort()
+    for (a0, b0, _), (a1, _, _) in zip(pieces, pieces[1:]):
+        if a1 < b0:
+            raise OverlappingDensityIntervals(f"{label} density intervals starting at {a0} and {a1} overlap")
+    fused = []
+    for piece in pieces:
+        if fused and fused[-1][1] == piece[0] and fused[-1][2] == piece[2]:
+            fused[-1] = (fused[-1][0], piece[1], piece[2])
+        else:
+            fused.append(piece)
+    if nonneg:
+        bad = [m for _, m in atoms if m < 0.0] + [v for _, _, v in fused if v < 0.0]
+        if bad:
+            raise NegativeUpsilon(f"{label} must be a non-negative measure, found {bad[0]}")
+    return MeasureData(atoms=atoms, density=tuple(fused))
+
+
+def _normalized_or_error(normalize, data, length, nonneg):
+    try:
+        return repr(normalize(data, length, nonneg=nonneg, label="upsilon"))
+    except coefficients.ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_measures_normalize_as_by_the_loop():
+    # Repeated positions (-0.0 and 0.0 among them) whose masses cancel or
+    # sum in input order, zero masses of both signs, touching pieces of one
+    # value, and one input per error, also where a later entry fails first in
+    # sorted order.  repr shows the signs of zeros.
+    rng = np.random.default_rng(2)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(0, 12))
+        xs = rng.choice([-0.0, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9], n).tolist()
+        masses = rng.choice([-1.0, -0.0, 0.0, 0.1, 0.3, 1.0 / 3.0, 1e-17, 2.0], n).tolist()
+        ends = np.sort(rng.choice(np.linspace(0.0, 1.0, 9), 2 * int(rng.integers(0, 4)), replace=False))
+        values = rng.choice([0.0, 0.5, 0.5, -2.0], ends.size // 2).tolist()
+        density = list(zip(ends[::2].tolist(), ends[1::2].tolist(), values))
+        rng.shuffle(density)
+        cases.append(MeasureData(atoms=tuple(zip(xs, masses)), density=tuple(density)))
+    good = MeasureData(atoms=((0.5, 1.0), (0.2, 2.0)), density=((0.0, 0.5, 1.0),))
+    for atom in ((math.nan, 1.0), (math.inf, 1.0), (0.3, math.nan), (0.3, -math.inf), (1.0, 1.0),
+                 (-0.1, 1.0), (2.0, math.nan), (0.3, -1.0)):
+        cases.append(dataclasses.replace(good, atoms=good.atoms + (atom, (math.nan, 1.0))))
+    for piece in ((math.nan, 0.9, 1.0), (0.6, 0.9, math.inf), (0.7, 0.6, 1.0), (0.6, 0.6, 1.0),
+                  (-0.1, 0.2, 1.0), (0.6, 1.5, 1.0), (0.6, math.inf, 1.0), (0.4, 0.7, 1.0),
+                  (0.6, 0.9, -1.0), (0.5, 0.9, 1.0)):
+        cases.append(dataclasses.replace(good, density=(piece,) + good.density + ((0.9, 0.95, math.nan),)))
+    cases.append(MeasureData(density=((0.6, 0.8, 1.0), (0.1, 0.3, 1.0), (0.2, 0.4, 1.0), (0.5, 0.7, 1.0))))
+    messages = []
+    for data in cases:
+        for nonneg in (False, True):
+            want = _normalized_or_error(_normalize_by_loop, data, 1.0, nonneg)
+            assert _normalized_or_error(coefficients._normalize_measure, data, 1.0, nonneg) == want, data
+            if isinstance(want, tuple):
+                messages.append(want[1])
+    for phrase in ("position must be finite", "mass must be finite", "outside [0, 1.0)",
+                   "finite endpoint/value", "empty or reversed", "outside [0, 1.0]", "overlap",
+                   "non-negative measure"):
+        assert any(phrase in message for message in messages), phrase
+
+
 def test_values_at_origin_are_zero():
     for spec in (ATOM2, UPS3, catalog.mixed_example()):
         assert _coefficients(spec, 0.0) == (0.0, 0.0, 0.0)

@@ -180,6 +180,21 @@ def test_blocked_fold_matches_mpmath_oracle():
                 assert _relative_error([st.f], [r[0, col]]) <= 1e-12, (z, x)
 
 
+def test_free_strings_at_huge_z_match_the_oracle():
+    # On strings without densities a leaf of 4 steps is normalized between
+    # its steps where |z| is large: at |z| = 1e50 a upsilon atom multiplies
+    # by about |z|^2 mu = 1e100, so a few unnormalized steps would overflow.
+    specs = [_free_string(40, 2), _free_string(13, 8),
+             catalog.random_discrete_string(np.random.default_rng(3), max_atoms=12)]
+    assert all(spec.upsilon.atoms and not spec.upsilon.density for spec in specs)
+    for spec in specs:
+        for z in (1e6 + 1j, 1e20j, 1e50 + 1e49j):
+            m = m_truncated(spec, z, spec.length)
+            ref = oracle.propagators(spec, z, [spec.length])[spec.length]
+            want = complex(-ref[0, 0] / (z * ref[0, 1]))
+            assert np.isfinite(m) and abs(m - want) <= 1e-12 * abs(want), (spec, z, m, want)
+
+
 def _mixed_string(n: int, seed: int) -> StringSpec:
     """A finite string with n atoms, each an omega atom of either sign or an
     upsilon atom, and omega and upsilon densities on parts of [0, 1]."""
@@ -194,28 +209,49 @@ def _mixed_string(n: int, seed: int) -> StringSpec:
                       upsilon=MeasureData(atoms=tuple(upsilon), density=((0.3, 0.55, 0.4),)))
 
 
+def _free_string(n: int, seed: int) -> StringSpec:
+    """A finite string with n atoms, each an omega atom of either sign or an
+    upsilon atom, and no density: its walks fold leaves of several steps."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 1.0, n)).tolist()
+    kinds = rng.integers(0, 3, n)
+    masses = (rng.uniform(-0.5, 1.0, n) * (4.0 / n)).tolist()
+    omega = [(x, m) for x, m, k in zip(xs, masses, kinds) if k < 2]
+    upsilon = [(x, abs(m) / 4.0) for x, m, k in zip(xs, masses, kinds) if k == 2]
+    return StringSpec(length=1.0, omega=MeasureData(atoms=tuple(omega)),
+                      upsilon=MeasureData(atoms=tuple(upsilon)))
+
+
 @pytest.mark.parametrize("n_z", [1001, 1, 0])
 def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
     # Over 2 x _BLOCK_STEPS steps; at 1001 z every block is built a column of
     # z at a time and the last column of each block is a partial one, and the
-    # sweep is split over 1, 2 or 3 threads.  The rescaled z reach |z| ~ 6e6,
-    # where pieces take the e^{-|Im s h|} form and fold levels are normalized.
-    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
-    assert coefficient_view(spec).bp.size > 2 * _BLOCK_STEPS
+    # sweep is split over 1, 2 or 3 threads.  The rescaled z reach |z| ~ 6e6
+    # on the mixed string, where pieces take the e^{-|Im s h|} form and fold
+    # levels are normalized, and |z| ~ 6e49 on the free string, where leaves
+    # are normalized between their steps.  The free string's positions cut
+    # its runs to 39, 217, 45, 211, 5 and 251 steps: leaves of 4 steps, the
+    # first of each run padded.
+    mixed, free = _mixed_string(3 * _BLOCK_STEPS, 17), _free_string(3 * _BLOCK_STEPS, 17)
+    assert coefficient_view(mixed).bp.size > 2 * _BLOCK_STEPS
+    free_bp = coefficient_view(free).bp
     rng = np.random.default_rng(3)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
-    xs = [0.05, 0.5, 0.83, 1.0]
-    for rescale, z_scale in ((False, 1.0), (True, 1e5)):
-        grid = zs * z_scale
-        one = [transfer_matrices(spec, z, xs, rescale=rescale) for z in grid]
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(propagation, "_WORKERS", workers)
-            mats = transfer_matrices(spec, grid, xs, rescale=rescale)
-            assert mats.shape == (len(xs), n_z, 2, 2)
-            for k, z in enumerate(grid):
-                assert np.array_equal(mats[:, k], one[k]), (workers, z)
-    m = m_truncated(spec, zs, 0.83)
-    assert np.array_equal(m, [m_truncated(spec, z, 0.83) for z in zs])
+    for spec, xs, big in ((mixed, [0.05, 0.5, 0.83, 1.0], 1e5),
+                          (free, free_bp[[39, 301, 517]].tolist() + [1.0], 1e48)):
+        for rescale, z_scale in ((False, 1.0), (True, big)):
+            grid = zs * z_scale
+            one = [transfer_matrices(spec, z, xs, rescale=rescale) for z in grid]
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(propagation, "_WORKERS", workers)
+                mats = transfer_matrices(spec, grid, xs, rescale=rescale)
+                assert mats.shape == (len(xs), n_z, 2, 2)
+                assert np.all(np.isfinite(mats))
+                for k, z in enumerate(grid):
+                    assert np.array_equal(mats[:, k], one[k]), (workers, z)
+        m = m_truncated(spec, zs, xs[2])
+        assert np.array_equal(m, [m_truncated(spec, z, xs[2]) for z in zs])
+    assert propagation._Walk(coefficient_view(free), np.array([1.0])).leaf_steps == 4
 
 
 @pytest.fixture
@@ -299,50 +335,88 @@ def test_fold_in_pair_order_matches_an_even_odd_fold(rescale):
         assert np.all(np.isfinite(reference)) and np.array_equal(folded[:, :, 0], reference), n
 
 
+def _leaves_step_by_step(view, points, lo, hi, z, rescale, size):
+    """The leaves of steps lo..hi-1 between ``points`` in logical order, each
+    built one step at a time: the run is padded at its front with identity
+    steps to a multiple of ``size``, a leaf starts as the step matrix of its
+    first step, each later step [[1, h], [0, 1]] [[1, 0], [-g, 1]] is applied
+    to its rows, and with ``rescale`` the leaves are normalized after every
+    step."""
+    steps = propagation._Steps(view, points[:-1], np.diff(points))
+    zz = z * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = steps.matrices(lo, hi, z, zz, rescale)
+        if size == 1:
+            return mats
+        # An identity step is index -1: no length and no point mass.
+        aw, au, h = (np.append(a[lo:hi], 0.0) for a in (steps.aw, steps.au, steps.h))
+        padded = [-1] * (-(hi - lo) % size) + list(range(hi - lo))
+        leaves = []
+        for first in range(0, len(padded), size):
+            k = padded[first]
+            leaf = np.eye(2, dtype=complex)[:, :, None] * np.ones(z.size) if k < 0 else mats[:, :, k].copy()
+            for k in padded[first + 1:first + size]:
+                leaf[1] += (z * -aw[k] - zz * au[k]) * leaf[0]
+                leaf.view(float)[0] += h[k] * leaf.view(float)[1]
+                if rescale:
+                    propagation._normalize(leaf)
+            leaves.append(leaf)
+    return np.stack(leaves, axis=2)
+
+
 @pytest.mark.parametrize("n_z", [1, 3, 9])
 def test_narrow_sweep_matches_a_run_by_run_fold(n_z):
     # Sample positions on breakpoints cut the first block into six runs of 40
-    # steps and one of 16, the second into runs of 25, 25, 25 and 181, and
-    # leave the third whole.  At 1 and 3 z every run is built in one pass and
-    # runs of one length are folded together; at 9 z the builds cut the walk.
-    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
-    view = coefficient_view(spec)
-    cuts = [40, 80, 120, 160, 200, 240, 281, 306, 331, 512, 768]
-    assert view.bp[0] == 0.0 and view.bp.size > 769
-    xs = view.bp[cuts]
-    walk = propagation._Walk(view, xs)
-    assert walk.cuts == [0] + cuts[:6] + [256] + cuts[6:]
-    steps = propagation._Steps(view, walk.points[:-1], np.diff(walk.points))
+    # steps and one of 16, the second into runs of 25, 25, 25 and 181 (25, 25,
+    # 28 and 178 on the free string, where 25 and 28 steps make 7 leaves of 4
+    # steps each), and leave the third whole.  At 1 and 3 z every run is
+    # built in one pass and runs of one length are folded together; at 9 z
+    # the builds cut the walk.  The mixed string's leaves are its steps; the
+    # free string's leaves hold 4 steps each, built here one step at a time in
+    # logical order.
     rng = np.random.default_rng(5)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
-    for rescale, z_scale in ((False, 1.0), (True, 1e5)):
-        z = zs * z_scale
-        state, want = np.eye(2, dtype=complex)[:, :, None] * np.ones(n_z), []
-        for lo, hi in zip(walk.cuts[:-1], walk.cuts[1:]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                mats = steps.matrices(lo, hi, z, z * z, rescale)
-            run, _ = _fold_checking_every_level(mats, normalize=rescale)
-            state = propagation._compose(run, state)
-            if rescale:
-                propagation._normalize(state)
-            if hi in cuts:
-                want.append(np.moveaxis(state, -1, 0))
-        got = transfer_matrices(spec, z, xs, rescale=rescale)
-        assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+    for spec, size, big, third in ((_mixed_string(3 * _BLOCK_STEPS, 17), 1, 1e5, 331),
+                                   (_free_string(3 * _BLOCK_STEPS, 17), 4, 1e48, 334)):
+        cuts = [40, 80, 120, 160, 200, 240, 281, 306, third, 512, 768]
+        view = coefficient_view(spec)
+        assert view.bp[0] == 0.0 and view.bp.size > 769
+        xs = view.bp[cuts]
+        walk = propagation._Walk(view, xs)
+        assert walk.leaf_steps == size
+        ends = [0] + cuts[:6] + [256] + cuts[6:]
+        assert walk.cuts == np.cumsum([0] + [-(-n // size) for n in np.diff(ends)]).tolist()
+        for rescale, z_scale in ((False, 1.0), (True, big)):
+            z = zs * z_scale
+            state, want = np.eye(2, dtype=complex)[:, :, None] * np.ones(n_z), []
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                leaves = _leaves_step_by_step(view, walk.points, lo, hi, z, rescale, size)
+                run, _ = _fold_checking_every_level(leaves, normalize=rescale)
+                state = propagation._compose(run, state)
+                if rescale:
+                    propagation._normalize(state)
+                if hi in cuts:
+                    want.append(np.moveaxis(state, -1, 0))
+            got = transfer_matrices(spec, z, xs, rescale=rescale)
+            assert np.all(np.isfinite(got)) and np.array_equal(got, want)
 
 
 def test_free_steps_match_the_general_form_bit_for_bit():
-    # Steps of a string without densities are built from -g in fewer passes;
-    # their bits, signed zeros included, are those of the general form, with
-    # and without upsilon atoms and on steps without a point mass.
+    # Steps of a string without densities are built from -g in fewer passes,
+    # as the first steps of leaves; on a walk whose runs are single steps the
+    # leaves are the steps, and their bits, signed zeros included, are those
+    # of the general form, with and without upsilon atoms and on steps
+    # without a point mass.
     z = np.array([0.0, 2.0, -3.0, 1.5j, -1.5j, 1.0 + 1.0j, -4.0 - 0.5j, 1e5 + 3e4j])
     for upsilon in ((), ((0.3, 0.2), (0.7, 0.1))):
         spec = StringSpec(length=1.0, omega=MeasureData(atoms=((0.0, 0.5), (0.2, -0.3), (0.5, 1.0))),
                           upsilon=MeasureData(atoms=upsilon))
-        free, general = (propagation._Walk(coefficient_view(spec), np.array([0.25, 1.0])) for _ in range(2))
-        assert free.free and free.upsilon_atoms == bool(upsilon)
-        general.free = False
-        assert free.matrices(0, free.steps, z, z * z, False).tobytes() == \
+        view = coefficient_view(spec)
+        free = propagation._Walk(view, np.array([0.2, 0.25, 0.3, 0.5, 0.7, 1.0]))
+        assert free.free and free.leaf_steps == 1 and free.upsilon_atoms == bool(upsilon)
+        general = propagation._Steps(view, free.points[:-1], np.diff(free.points))
+        assert free.steps == general.h.size == len(free.cuts) - 1
+        assert free.leaf_matrices(0, free.steps, z, z * z, False).tobytes() == \
             general.matrices(0, free.steps, z, z * z, False).tobytes()
 
 
