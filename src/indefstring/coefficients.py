@@ -172,12 +172,14 @@ def _fused_pieces(density, length: float, label: str) -> tuple[np.ndarray, np.nd
         return np.zeros(0), np.zeros(0), np.zeros(0)
     a, b, value = _columns(density, 3)
     with np.errstate(invalid="ignore"):
-        good = (0.0 <= a) & (a < math.inf) & np.isfinite(value) & ~(a >= b) & ~(b > length)
+        good = (0.0 <= a) & (a < math.inf) & np.isfinite(value) & (a < b) & (b <= length)
     if not good.all():
         a0, b0, value0 = density[int(np.argmin(good))]
         if not (math.isfinite(a0) and math.isfinite(value0)):
             raise ValidationError(
                 f"{label} density piece ({a0}, {b0}, {value0}) must have finite endpoint/value")
+        if math.isnan(b0):
+            raise ValidationError(f"{label} density piece ({a0}, {b0}, {value0}) must not end at nan")
         if a0 >= b0:
             raise PositionOutOfRange(f"{label} density interval [{a0}, {b0}) is empty or reversed")
         raise PositionOutOfRange(f"{label} density interval [{a0}, {b0}) outside [0, {length}]")

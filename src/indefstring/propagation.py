@@ -28,6 +28,17 @@ are also cut at multiples of ``_BLOCK_STEPS`` steps, so the order of every
 product, and so every rounding, is the same for any number of z: each z of a
 grid comes out bit for bit as in a one-z call.
 
+A Weyl value needs one row of the transfer matrix only: (1, 0) M(L) on a
+finite string and (is + g, -1) M(x0) on a half-line, the Weyl solution swept
+in from the right end (for point masses, the continued fraction of Beals,
+Sattinger and Szmigielski, Adv. Math. 154, 2000).  On a free walk of at most
+``_ROW_STEPS`` steps :func:`_row_sweep` computes that row: it applies the
+steps last to first to a row (v0, v1), t = h v0 + v1, v0 -= g t, v1 = t, as
+elementwise ufuncs over z, where the fold's fixed cost outweighs its log
+depth.  Which sweep runs depends on the walk alone, so every z still comes
+out bit for bit as in a one-z call; :func:`transfer_matrices` and
+:func:`fundamental_system` always fold.
+
 Two constants bound the memory, not the result.  Runs of at most
 ``_BUDGET`` leaf x z matrices (every run at one z) are built up to
 ``_BUDGET`` matrices at a time, and consecutive runs of one number of leaves
@@ -59,9 +70,10 @@ naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
 What a sweep derives from the string and the sample positions without z (the
-points, the runs and which of them have one number of leaves, and the
-lengths, point masses and densities of the leaves' steps in pair order) is
-its plan, a :class:`_Walk`.  It is built once per string and positions, on
+points, the runs and which of them have one number of leaves, the lengths,
+point masses and densities of the leaves' steps in pair order, and on a
+short free walk those of its steps last to first for the row sweep) is its
+plan, a :class:`_Walk`.  It is built once per string and positions, on
 first use, after the positions are checked, and kept with the string's
 coefficient view, so later sweeps at other z start at once: a plan kept for
 the same positions means they passed.
@@ -96,7 +108,7 @@ _BLOCK_STEPS = 256
 # Steps per leaf of the fold of a walk without densities.
 _LEAF_STEPS = 4
 # Leaf x z matrices built in one pass of the narrow path (and the switch to
-# the wide path).
+# the wide path); and the step x z factors a row sweep makes in one pass.
 _BUDGET = 1 << 12
 # Leaf x z matrices in one column of the wide path.
 _COLUMN = 1 << 14
@@ -108,6 +120,14 @@ _SPLIT_WORK = 1 << 16
 _EXP_PHASE = 300.0
 # With rescale, matrices with an entry beyond this are divided by their largest entry.
 _BIG = 1e120
+# A Weyl value on a walk without densities of at most this many steps takes
+# the row sweep: the most steps at which a one-z weyl_m through it was not
+# slower than through the fold.  Time ratios, row sweep over fold (2-vCPU
+# shared host, Python 3.11, numpy 2.4; fastest of 15 x 300 calls,
+# alternating; three runs each of finite strings and half-lines, with and
+# without upsilon atoms): 0.94-1.01 at 19 steps (median 0.95), and on finite
+# strings 1.01-1.05 at 20 and 1.03-1.08 at 21.
+_ROW_STEPS = 19
 
 
 @dataclass(frozen=True)
@@ -296,6 +316,13 @@ class _Walk(_Steps):
         ends = _distinct(self.targets, np.arange(0, self.steps, _BLOCK_STEPS))
         self.samples = list(zip(xs.tolist(), np.searchsorted(ends, self.targets).tolist()))
         super().__init__(view, points[:-1], np.diff(points))
+        # The steps, last first, for a row sweep (:func:`_row_sweep`): h, alpha
+        # and mu, and (|alpha|, mu, h) of each for its rescale bound.
+        self.row = None
+        if self.steps <= _ROW_STEPS and not self.dense.any():
+            floats = np.stack([self.h, self.aw, self.au])[:, ::-1]
+            self.row = (floats[0].tolist(), floats[1, :, None], floats[2, :, None],
+                        list(zip(np.abs(floats[1]).tolist(), floats[2].tolist(), floats[0].tolist())))
         lengths = np.diff(ends)
         size = min(_LEAF_STEPS, int(lengths.max(initial=1))) if self.free else 1
         counts = -(-lengths // size)
@@ -555,6 +582,73 @@ def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bo
     return out
 
 
+def _walk_to(view: CoefficientView, xs) -> _Walk:
+    """The plan of a sweep of ``view`` to the positions ``xs``: built on first
+    use, which checks the positions, and kept with the view."""
+    xs = np.asarray(xs, dtype=float)
+    return view.plan(("walk", xs.tobytes()), lambda: _Walk(view, xs))
+
+
+def _row_factors(walk: _Walk, z: np.ndarray):
+    """g = z alpha + z^2 mu of each step of a row sweep, last first, from real
+    products on the parts of z and z^2, so that a z gets the same bits however
+    many are swept with it.  Where steps x z is at most _BUDGET they are
+    the rows of one array, made in a call or three; else they come one step
+    at a time in one buffer, which holds no more than the z."""
+    _, alpha, mu, _ = walk.row
+    parts = np.ascontiguousarray(z).view(float)
+    squares = (z * z).view(float) if walk.upsilon_atoms else None
+    if z.size * alpha.size <= _BUDGET:
+        g = parts * alpha
+        if squares is not None:
+            g += squares * mu
+        yield from g.view(complex)
+        return
+    g, t = np.empty_like(parts), np.empty_like(parts)
+    for a, m in zip(alpha, mu):
+        np.multiply(parts, a, out=g)
+        if squares is not None:
+            g += np.multiply(squares, m, out=t)
+        yield g.view(complex)
+
+
+def _row_sweep(walk: _Walk, z: np.ndarray, w0, w1) -> np.ndarray:
+    """The row (w0, w1) M at each z, for M the transfer along a walk with a row
+    plan (``walk.row``), as an array (v0, v1) of shape (2, z.size).
+
+    The steps are applied last to first, each as elementwise ufuncs over z:
+    t = h v0 + v1, then v0 -= g t with g = z alpha + z^2 mu
+    (:func:`_row_factors`), then v1 = t.  A z's row is divided by its own
+    largest part where that exceeds _BIG, checked after every step from the
+    first one where a bound on the rows from max |z|, the point masses, the
+    lengths and the start row may pass _BIG (as in
+    :meth:`_Walk.leaf_matrices`).  A row that is not finite gives a value of
+    m that is not finite: once t is not finite, neither is v0."""
+    hs, _, _, reach = walk.row
+    row = np.empty((2, z.size), dtype=complex)
+    row[0], row[1] = w0, w1
+    if not hs:
+        return row
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Step s multiplies the largest |entry| by at most (1 + |g|)(1 + h), with
+        # |g| <= |z| |alpha| + |z|^2 mu; moduli are at most sqrt 2 times the
+        # largest part.  1e-12 covers the rounding.
+        big_z = float(np.abs(z).max(initial=0.0))
+        bound, checks = math.sqrt(2.0) * _largest_part(row), []
+        for a, m, h in reach:
+            bound *= (1.0 + big_z * a + big_z * big_z * m) * (1.0 + h) * (1.0 + 1e-12)
+            checks.append(not bound <= _BIG)
+        v0, v1 = row
+        t = np.empty_like(v0)
+        part, (parts0, parts1), rows = t.view(float), row.view(float), row[:, None]
+        for g_s, h_s, check in zip(_row_factors(walk, z), hs, checks):
+            parts1 += np.multiply(h_s, parts0, out=part)
+            v0 -= np.multiply(g_s, v1, out=t)
+            if check:
+                _normalize(rows)
+    return row
+
+
 def _sweep_closed(view, z, xs, rescale: bool = False):
     """All states of :func:`_walk_states`, keyed by sample position.
 
@@ -568,8 +662,7 @@ def _sweep_closed(view, z, xs, rescale: bool = False):
     :class:`ComputationError`.
     """
     z = np.asarray(z, dtype=complex)
-    xs = np.asarray(xs, dtype=float)
-    walk = view.plan(("walk", xs.tobytes()), lambda: _Walk(view, xs))
+    walk = _walk_to(view, xs)
     workers = 1
     if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
         workers = min(_WORKERS, z.size)

@@ -15,6 +15,13 @@ Titchmarsh, "Eigenfunction Expansions" I, 1962).  The limit is then explicit
 in the state just after the jump at x0, and one sweep to x0, vectorized over
 z, serves a whole grid: no truncation, and no truncation error.
 
+m needs one row of the transfer matrix M only: with (v0, v1) = (1, 0) M(L),
+m = -v0/(z v1) on a finite string, and with (v0, v1) = (is + g, -1) M(x0),
+g the point masses at x0, m = v0/(-z v1) on a half-line.  A walk without
+densities of at most ``propagation._ROW_STEPS`` steps sweeps that row back
+from its end (:func:`propagation._row_sweep`); every other walk folds the
+whole matrix.
+
 The integral representation
 
     m(z) = c1 z + c2 - 1/(L z) + int (1/(l - z) - l/(1 + l^2)) dmu(l)
@@ -127,9 +134,14 @@ def _truncated(spec: StringSpec, zarr: np.ndarray, x: float) -> np.ndarray:
     """:func:`m_truncated` at z that have passed its checks, as an array of
     the shape of ``zarr``."""
     zs = zarr.ravel()
-    state = propagation._sweep_closed(coefficient_view(spec), zs, [x], rescale=True)[float(x)]
+    view = coefficient_view(spec)
+    walk = propagation._walk_to(view, [x])
+    if walk.row is None:
+        theta, phi = propagation._sweep_closed(view, zs, [x], rescale=True)[float(x)][0]
+    else:
+        theta, phi = propagation._row_sweep(walk, zs, 1.0, 0.0)
     with np.errstate(invalid="ignore"):
-        m = (-state[0, 0] / (zs * state[0, 1])).reshape(zarr.shape)
+        m = (-theta / (zs * phi)).reshape(zarr.shape)
     _refuse_non_finite(zarr, m)
     return m
 
@@ -171,17 +183,24 @@ def _m_values(spec: StringSpec, zs: np.ndarray) -> tuple[float, np.ndarray]:
     else:
         view = coefficient_view(spec)
         x = float(view.bp[-1])
-        mats = propagation._sweep_closed(view, zs, [x], rescale=True)[x]
+        walk = propagation._walk_to(view, [x])
         with np.errstate(over="ignore", invalid="ignore"):
             zz = zs * zs
-            # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0),
-            # for theta and phi at once.
             g = zs * view.atom_omega[-1] + zz * view.atom_upsilon[-1]
-            slopes = mats[1] - g * mats[0]
             s = np.sqrt(zs * view.dens_omega[-1] + zz * view.dens_upsilon[-1])
             np.negative(s, out=s, where=s.imag < 0.0)
-            waves = 1j * s * mats[0]
-            m = (waves[0] - slopes[0]) / (zs * (slopes[1] - waves[1]))
+            if walk.row is None:
+                mats = propagation._sweep_closed(view, zs, [x], rescale=True)[x]
+                # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0),
+                # for theta and phi at once.
+                slopes = mats[1] - g * mats[0]
+                waves = 1j * s * mats[0]
+                m = (waves[0] - slopes[0]) / (zs * (slopes[1] - waves[1]))
+            else:
+                # v0 = is theta - theta' and v1 = is phi - phi' just after the
+                # point masses at x0.
+                v0, v1 = propagation._row_sweep(walk, zs, 1j * s + g, -1.0)
+                m = v0 / (-zs * v1)
         _refuse_non_finite(zs, m)
     return x, m
 

@@ -368,6 +368,16 @@ def test_invalid_spec_exits_1(tmp_path, grid_csv):
     assert rc == 1
 
 
+def test_forward_refuses_a_density_piece_ending_at_nan_with_exit_1(tmp_path, capsys, grid_csv):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"L": 1.0, "omega": {"density": [{"a": 0.2, "b": NaN, "value": 1.0}]}}',
+                    encoding="utf-8")
+    out = tmp_path / "m.csv"
+    assert main(["forward", "--spec", str(spec), "--grid", grid_csv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: omega density piece (0.2, nan, 1.0)")
+    assert not out.exists()
+
+
 def test_forward_on_a_halfline_at_tiny_im_z_exits_0(tmp_path, capsys):
     """Im sqrt(z) = 5e-10 or less: the tail past the last breakpoint gives
     m = i/sqrt(z), read at x0 = 0 with no error estimate to carry."""

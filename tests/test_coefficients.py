@@ -24,6 +24,7 @@ from indefstring.errors import (
     NonPositiveLength,
     OverlappingDensityIntervals,
     PositionOutOfRange,
+    ValidationError,
 )
 from indefstring.propagation import transfer_matrices
 from indefstring.spectral import spectral_measure_discrete
@@ -108,6 +109,21 @@ def test_building_an_invalid_spec_raises_like_validate_spec(raw, error):
     with pytest.raises(error) as parsed:
         validate_spec(_doc(*raw))
     assert type(direct.value) is type(parsed.value)
+
+
+def test_a_density_piece_that_ends_at_nan_is_refused():
+    # nan fails every comparison, so an end check written as "not beyond"
+    # lets it through; the piece must be named as a nan start is.
+    for length in (1.0, math.inf):
+        with pytest.raises(ValidationError, match=r"omega density piece \(0\.2, nan, 1\.0\)") as built:
+            StringSpec(length, MeasureData(density=((0.2, math.nan, 1.0),)))
+        doc = {"L": length, "upsilon": {"density": [{"a": 0.1, "b": math.nan, "value": 2.0}]}}
+        with pytest.raises(ValidationError, match=r"upsilon density piece \(0\.1, nan, 2\.0\)") as parsed:
+            validate_spec(json.loads(json.dumps(doc)))
+        assert type(built.value) is type(parsed.value) is ValidationError
+    # An infinite end stays allowed on a half-line.
+    piece = (0.2, math.inf, 1.0)
+    assert StringSpec(math.inf, MeasureData(density=(piece,))).omega.density == (piece,)
 
 
 def _random_raw_measure(rng, length, *, sign):

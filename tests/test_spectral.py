@@ -460,13 +460,19 @@ def test_green_kernel_symmetry():
 
 
 def test_green_kernel_takes_two_sweeps(monkeypatch):
-    # One sweep for m and one for theta and phi at both points.
+    # One sweep for m and one for theta and phi at both points.  On a short
+    # string without densities m comes from the row sweep; theta and phi
+    # always from the fold.
     calls = []
-    sweep = propagation._sweep_closed
-    monkeypatch.setattr(propagation, "_sweep_closed",
-                        lambda *args, **kw: calls.append(1) or sweep(*args, **kw))
+    for name in ("_sweep_closed", "_row_sweep"):
+        monkeypatch.setattr(propagation, name,
+                            lambda *args, _name=name, _sweep=getattr(propagation, name), **kw:
+                            calls.append(_name) or _sweep(*args, **kw))
     green_kernel(catalog.mixed_example(), 1.5 + 0.5j, 0.4, 1.2)
-    assert len(calls) == 2
+    assert calls == ["_sweep_closed", "_sweep_closed"]
+    calls.clear()
+    green_kernel(catalog.omega_atom_middle(), 1.5 + 0.5j, 0.4, 0.7)
+    assert calls == ["_row_sweep", "_sweep_closed"]
 
 
 def test_green_kernel_atomic_diagonal():

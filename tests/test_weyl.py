@@ -360,15 +360,21 @@ def test_truncation_point_on_an_atom():
         assert abs(sample.m - exact) <= 1e-9 * abs(exact), z
 
 
-def test_one_grid_call_runs_one_sweep(monkeypatch):
+def _count_sweeps(monkeypatch) -> list:
+    """Every sweep run from now on, fold (_walk_states) or row sweep
+    (_row_sweep), as (kind, its sample positions)."""
     sweeps = []
-    sweep = propagation._walk_states
+    for kind, name in (("fold", "_walk_states"), ("row", "_row_sweep")):
+        def counted(walk, *args, _kind=kind, _sweep=getattr(propagation, name), **kwargs):
+            sweeps.append((_kind, walk.points[walk.targets].tolist()))
+            return _sweep(walk, *args, **kwargs)
 
-    def counted(walk, *args, **kwargs):
-        sweeps.append(walk.points[walk.targets])
-        return sweep(walk, *args, **kwargs)
+        monkeypatch.setattr(propagation, name, counted)
+    return sweeps
 
-    monkeypatch.setattr(propagation, "_walk_states", counted)
+
+def test_one_grid_call_runs_one_sweep(monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
     spec = catalog.uniform_halfline()
     for call in (lambda: weyl_m_grid(spec, standard_grid()),
                  lambda: classify(spec),
@@ -376,24 +382,32 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
         sweeps.clear()
         call()
         assert len(sweeps) == 1
-    # The sweep on a half-line has one target: its last breakpoint.
+    # The sweep on a half-line has one target: its last breakpoint.  A walk
+    # without densities of at most _ROW_STEPS steps takes the row sweep.
     atomic = _atomic_halfline(3)
-    for spec, x0 in ((catalog.uniform_halfline(), 0.0), (atomic, atomic.omega.atoms[-1][0]),
-                     (_tailed_halfline(0.5, 2.0), 1.5)):
+    for spec, x0, kind in ((catalog.uniform_halfline(), 0.0, "row"),
+                           (atomic, atomic.omega.atoms[-1][0], "row"),
+                           (_tailed_halfline(0.5, 2.0), 1.5, "fold")):
         sweeps.clear()
         weyl_m_grid(spec, standard_grid())
-        assert len(sweeps) == 1 and sweeps[0].tolist() == [x0]
+        assert sweeps == [(kind, [x0])]
+    # A finite string's sweep ends at L.
+    for spec, kind in ((catalog.upsilon_atom_middle(), "row"), (catalog.mixed_example(), "fold")):
+        sweeps.clear()
+        weyl_m_grid(spec, standard_grid())
+        assert sweeps == [(kind, [spec.length])]
 
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The string of every sweep plan (_Walk) built, from an empty view cache on."""
+    """The string of every sweep plan (_Walk) built, from an empty view cache
+    on, and whether it plans a row sweep."""
     built = []
 
     class Counted(propagation._Walk):
         def __init__(self, view, xs):
-            built.append(view.spec)
             super().__init__(view, xs)
+            built.append((view.spec, self.row is not None))
 
     monkeypatch.setattr(propagation, "_Walk", Counted)
     coefficient_view.cache_clear()
@@ -401,22 +415,32 @@ def walks(monkeypatch):
     coefficient_view.cache_clear()
 
 
-def test_each_string_plans_its_sweep_once(walks):
+def test_each_string_plans_its_sweep_once(walks, monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
     halfline, finite = catalog.uniform_halfline(), catalog.mixed_example()
+    atomic, short = _atomic_halfline(3), catalog.upsilon_atom_middle()
     weyl_m_grid(halfline, standard_grid())
     m_truncated(finite, standard_grid(), finite.length)
-    assert walks == [halfline, finite]
+    weyl_m_grid(atomic, standard_grid())
+    m_truncated(short, standard_grid(), short.length)
+    assert walks == [(halfline, True), (finite, False), (atomic, True), (short, True)]
+    assert [kind for kind, _ in sweeps] == ["row", "fold", "row", "row"]
     walks.clear()
     weyl_m_grid(halfline, standard_grid() + 1.0)
     weyl_m(halfline, 2j)
     m_truncated(finite, 1j, finite.length)
     weyl_m_grid(finite, [3j])
+    weyl_m(atomic, 2j)
+    m_truncated(short, [1j, 2j], short.length)
+    weyl_m_grid(short, [3j])
     assert walks == []
+    assert len(sweeps) == 11
     # Each inversion evaluates m on a few dozen grids of its string.
-    for spec, window in ((catalog.uniform_string(), (5.0, 45.0)),
-                         (catalog.upsilon_lebesgue_halfline(), (0.5, 3.0))):
+    for spec, window, row in ((catalog.uniform_string(), (5.0, 45.0), False),
+                              (catalog.upsilon_lebesgue_halfline(), (0.5, 3.0), True),
+                              (catalog.omega_atom_middle(), (1.0, 30.0), True)):
         stieltjes_inversion(spec, window)
-        assert walks == [spec]
+        assert walks == [(spec, row)]
         walks.clear()
 
 
@@ -483,6 +507,98 @@ def test_one_z_calls_give_the_bytes_of_their_grid_rows():
             weyl_m(spec, 1e160j)
         with pytest.raises(ComputationError, match=r"z=1e\+160j.*not finite"):
             weyl_m_grid(spec, [1j, 1e160j])
+
+
+def _short_free(steps: int, tail=None, seed: int = 0) -> StringSpec:
+    """A string without densities whose Weyl sweep has ``steps`` steps: omega
+    atoms of both signs, one of them at 0, and upsilon atoms.  With ``tail``
+    None it is finite, of length 1.5; else it is a half-line with omega and
+    upsilon atoms at its last breakpoint x0 and the tail densities
+    ``tail`` = (a, b) past x0."""
+    rng = np.random.default_rng(seed)
+    n = steps - 1 if tail is None else steps
+    xs = np.sort(rng.uniform(0.05, 1.45, n)).tolist()
+    masses = (rng.uniform(-0.5, 1.0, n) * (4.0 / n)).tolist()
+    upsilon = [(x, abs(m) / 2.0) for k, (x, m) in enumerate(zip(xs, masses)) if k % 3 == 1]
+    omega = [(0.0, 0.7)] + [(x, m) for k, (x, m) in enumerate(zip(xs, masses)) if k % 3 != 1]
+    if tail is None:
+        return StringSpec(1.5, MeasureData(atoms=tuple(omega)), MeasureData(atoms=tuple(upsilon)))
+    (a, b), x0 = tail, xs[-1]
+    return StringSpec(math.inf,
+                      MeasureData(atoms=tuple(omega) + ((x0, 0.4),), density=((x0, math.inf, a),) if a else ()),
+                      MeasureData(atoms=tuple(upsilon) + ((x0, 0.3),),
+                                  density=((x0, math.inf, b),) if b else ()))
+
+
+def _m_from_transfer(spec: StringSpec, zs: np.ndarray) -> np.ndarray:
+    """m from the rescaled fold of :func:`transfer_matrices`: -theta/(z phi) at
+    L, or on a half-line the tail solution e^{is(x - x0)} matched just after
+    the point masses at its last breakpoint x0."""
+    view = coefficient_view(spec)
+    if math.isfinite(spec.length):
+        mats = propagation.transfer_matrices(spec, zs, [spec.length], rescale=True)[0]
+        return -mats[:, 0, 0] / (zs * mats[:, 0, 1])
+    x0 = float(view.bp[-1])
+    mats = propagation.transfer_matrices(spec, zs, [x0], rescale=True)[0]
+    (theta, phi), (dtheta, dphi) = np.moveaxis(mats, 0, -1)
+    g = zs * view.atom_omega[-1] + zs * zs * view.atom_upsilon[-1]
+    s = np.sqrt(zs * view.dens_omega[-1] + zs * zs * view.dens_upsilon[-1])
+    s = np.where(s.imag < 0.0, -s, s)
+    return (1j * s * theta - (dtheta - g * theta)) / (zs * ((dphi - g * phi) - 1j * s * phi))
+
+
+def test_short_free_walks_match_the_oracle_and_the_fold():
+    """Walks of _ROW_STEPS steps take the row sweep and walks of one step
+    more the fold: on finite strings and on half-lines with a free tail and
+    with (a, b) tails, m is within 1e-13 of the 50-digit reference and of m
+    read from the rescaled fold."""
+    zs = np.array([1 + 1j, -3 + 0.2j, 0.01 + 0.001j, 40 - 2j, -1e3 + 30j, 1e-4j])
+    for steps in (propagation._ROW_STEPS, propagation._ROW_STEPS + 1):
+        for tail in (None, (0.0, 0.0), (0.5, 2.0), (-0.7, 1.0)):
+            spec = _short_free(steps, tail, seed=steps)
+            view = coefficient_view(spec)
+            x0 = spec.length if tail is None else float(view.bp[-1])
+            walk = propagation._walk_to(view, [x0])
+            assert walk.steps == steps and (walk.row is not None) == (steps <= propagation._ROW_STEPS)
+            ms = np.array([sample.m for sample in weyl_m_grid(spec, zs)])
+            fold = _m_from_transfer(spec, zs)
+            for z, m, m_fold in zip(zs, ms, fold):
+                ref = _m_oracle(spec, z) if tail is None else _m_oracle_halfline(spec, z)
+                assert abs(m - ref) <= 1e-13 * abs(ref), (steps, tail, z, m, ref)
+                assert abs(m - m_fold) <= 1e-13 * abs(ref), (steps, tail, z, m, m_fold)
+
+
+def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
+    """|z| from 1e-8 to 1e50 on a finite string and a half-line of _ROW_STEPS
+    steps with upsilon atoms: every row of a grid, whose g come one step at a
+    time, has the bytes of a one-z call, whose g come at once.  A grid with
+    |z| = 1e50 checks the rows of all its z against _BIG after every step but
+    the first, and divides a z's row by its own largest part only where that
+    exceeds _BIG, as at |z| = 1e50 on several steps."""
+    zs = np.array([r * cmath.exp(1j * t) for r in 10.0 ** np.arange(-8, 51, 2)
+                   for t in (1e-6, 0.7, np.pi / 2, np.pi - 0.3)])
+    zs = np.concatenate([zs, zs.conj()])
+    assert zs.size * propagation._ROW_STEPS > propagation._BUDGET >= propagation._ROW_STEPS
+    checks = []
+    normalize = propagation._normalize
+
+    def counted(rows):
+        largest = normalize(rows)
+        checks.append(math.isnan(largest))  # nan: a row was divided
+        return largest
+
+    monkeypatch.setattr(propagation, "_normalize", counted)
+    for tail in (None, (0.5, 2.0)):
+        spec = _short_free(propagation._ROW_STEPS, tail, seed=5)
+        checks.clear()
+        grid = weyl_m_grid(spec, zs)
+        assert len(checks) >= propagation._ROW_STEPS - 1
+        for z, got in zip(zs, grid):
+            assert cmath.isfinite(got.m)
+            assert _parts_bits(weyl_m(spec, z).m) == _parts_bits(got.m), (tail, z)
+        checks.clear()
+        weyl_m(spec, 1e50j)
+        assert len(checks) >= propagation._ROW_STEPS - 1 and sum(checks) >= 3
 
 
 def test_checks_keep_their_order_types_and_messages(monkeypatch):
