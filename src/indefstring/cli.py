@@ -46,15 +46,21 @@ def _write_json(path: str, doc) -> None:
 
 
 def _read_grid(path: str) -> list[complex]:
+    """The points of a CSV grid, one 're_z, im_z' row each.  Blank lines are
+    skipped, and the first other line is the header if it does not parse; any
+    other row with fewer than two fields, or a field that is not a float, is
+    refused by its line number."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = [(k, line) for k, line in enumerate(lines, 1) if line.strip()]
     zs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
-        if len(parts) < 2:
-            continue
+    for k, line in rows:
         try:
-            re_z, im_z = float(parts[0]), float(parts[1])
+            # A row of fewer than two fields fails the unpacking.
+            re_z, im_z, *_ = (float(field) for field in line.replace(";", ",").split(","))
         except ValueError:
-            continue  # header row
+            if k == rows[0][0]:
+                continue  # header row
+            raise ValidationError(f"line {k} of {path} is not a 're_z, im_z' row of floats: {line!r}") from None
         zs.append(complex(re_z, im_z))
     if not zs:
         raise ValidationError(f"no usable 're_z, im_z' rows in {path}")

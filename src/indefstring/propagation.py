@@ -39,33 +39,31 @@ depth.  Which sweep runs depends on the walk alone, so every z still comes
 out bit for bit as in a one-z call; :func:`transfer_matrices` and
 :func:`fundamental_system` always fold.
 
-Two constants bound the memory, not the result.  Runs of at most
-``_BUDGET`` leaf x z matrices (every run at one z) are built up to
-``_BUDGET`` matrices at a time, and consecutive runs of one number of leaves
-in a build are folded together, stacked on an axis of their own.
-A larger run takes the wide path: it is built and folded a column of z at a
-time, at most ``_COLUMN`` leaf x z matrices per column, in one workspace per
-sweep that every column reuses: the leaf matrices, two fold levels that
-alternate (and hold the second product of a composition and the scratch of
-a build), and the entries of pieces with a density.  Fresh arrays of a
-column's size lie above the allocator's mmap threshold, and each would fault
-in new pages.  With ``rescale``, a fold level is checked against ``_BIG``
-only where a bound on its entries allows that it exceeds it, and so is a
-free leaf after each of its steps, by a bound from max |z|, the point
-masses and the lengths.
-
-A walk of at least one full block and ``_SPLIT_WORK`` step x z products is
-swept on ``_WORKERS`` threads, one per CPU the process may run on, each over
-a contiguous chunk of z with its own workspace.  numpy releases the
-interpreter lock inside its loops, so the chunks run in parallel, and since
-every z comes out as in a one-z call, the result does not depend on the
-number of threads.
+A fold cuts z into chunks and columns, and since every z comes out as in a
+one-z call, no cut changes the result, and the constants that set them
+bound the memory only.  A walk of at least one full block and
+``_SPLIT_WORK`` step x z products is swept on ``_WORKERS`` threads, one per
+CPU the process may run on, each over a contiguous chunk of z (numpy
+releases the interpreter lock inside its loops, so the chunks run in
+parallel); a shorter walk is one chunk.  A thread sweeps its chunk a column
+of z at a time, so that the longest run holds at most ``_COLUMN`` leaf x z
+matrices, in one workspace that every column reuses: the leaf matrices,
+two fold levels that alternate, the scratch of a fold and of a
+composition, the entries of pieces with a density, and the column's state.
+Fresh arrays of a column's size lie above the allocator's mmap threshold,
+and each would fault in new pages.  In a column, runs are built together,
+up to ``_BUDGET`` leaf x z matrices and at least one run, and consecutive
+runs of one number of leaves in a build are folded together, stacked on an
+axis of their own.
 
 With ``rescale`` the entries are kept in range by positive per-z factors,
 which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
 whose phase has |Im s h| > ``_EXP_PHASE`` is built times e^{-|Im s h|}, and a
 leaf, a product level or a state whose entries exceed ``_BIG`` is divided by
-its largest entry.  The public evaluators raise :class:`ComputationError`,
+its largest entry.  A fold level is checked against ``_BIG`` only where a
+bound on its entries allows that it exceeds it, and so is a free leaf after
+each of its steps, by a bound from max |z|, the point masses and the
+lengths.  The public evaluators raise :class:`ComputationError`,
 naming the first z, where a result is not finite; without ``rescale`` that
 happens once a solution outgrows the double range.
 
@@ -107,10 +105,10 @@ from .errors import ComputationError, PositionOutOfRange
 _BLOCK_STEPS = 256
 # Steps per leaf of the fold of a walk without densities.
 _LEAF_STEPS = 4
-# Leaf x z matrices built in one pass of the narrow path (and the switch to
-# the wide path); and the step x z factors a row sweep makes in one pass.
+# Leaf x z matrices built in one pass of runs that fit together; and the
+# step x z factors a row sweep makes in one pass.
 _BUDGET = 1 << 12
-# Leaf x z matrices in one column of the wide path.
+# Leaf x z matrices of the longest run in one column of z.
 _COLUMN = 1 << 14
 # Threads of a long sweep: one per CPU the process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -160,13 +158,13 @@ def _series_entries(y: np.ndarray, h: np.ndarray):
     return 1.0 - y / 2.0 + y * y / 24.0, h * (1.0 - y / 6.0 + y * y / 120.0)
 
 
-def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace | None):
-    s = np.sqrt(kappa, out=_out(ws, "s", kappa.shape))
-    sh = np.multiply(s, h, out=_out(ws, "sh", kappa.shape))
-    S = np.sin(sh, out=_out(ws, "sin", kappa.shape))
+def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace):
+    s = np.sqrt(kappa, out=ws.take("s", kappa.shape))
+    sh = np.multiply(s, h, out=ws.take("sh", kappa.shape))
+    S = np.sin(sh, out=ws.take("sin", kappa.shape))
     S /= s
     # The phases of the far pieces, read before cos overwrites sh.
-    far = np.abs(sh.imag, out=_out(ws, "t", kappa.shape, float)) > _EXP_PHASE if rescale else None
+    far = np.abs(sh.imag, out=ws.take("t", kappa.shape, float)) > _EXP_PHASE if rescale else None
     if far is not None and far.any():
         x, y = sh.real[far], sh.imag[far]
     else:
@@ -182,17 +180,16 @@ def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Worksp
     return C, S
 
 
-def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace | None):
+def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace):
     """Entries of the constant-coefficient transfer, elementwise.
 
     Returns (C, S) with C = cos(s h) and S = sin(s h)/s for s = sqrt(kappa);
     series branches keep the kappa -> 0 limit exact.  With ``rescale``, C and
     S of a piece whose phase has |Im s h| > _EXP_PHASE come times
-    e^{-|Im s h|}.  C and S of the closed form lie in buffers of ``ws`` if
-    given.
+    e^{-|Im s h|}.  C and S of the closed form lie in buffers of ``ws``.
     """
-    y = np.multiply(kappa, h * h, out=_out(ws, "sh", kappa.shape))
-    small = np.abs(y, out=_out(ws, "t", kappa.shape, float)) < 1e-12
+    y = np.multiply(kappa, h * h, out=ws.take("sh", kappa.shape))
+    small = np.abs(y, out=ws.take("t", kappa.shape, float)) < 1e-12
     if not small.any():
         return _closed_entries(kappa, h, rescale, ws)
     if small.all():
@@ -201,7 +198,7 @@ def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspa
     big = ~small
     out = []
     for series, closed in zip(_series_entries(y[small], h[small]),
-                              _closed_entries(kappa[big], h[big], rescale, None)):
+                              _closed_entries(kappa[big], h[big], rescale, _Workspace())):
         entry = np.empty_like(y)
         entry[small] = series
         entry[big] = closed
@@ -234,9 +231,9 @@ class _Steps:
         self.free = self.atomic and not self.dense.any()
 
     def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool,
-                ws: _Workspace | None, out: np.ndarray):
+                ws: _Workspace, out: np.ndarray):
         """C, S and -kappa S of the pieces, each broadcast to (steps, z.size),
-        in buffers of ``ws`` if given.  Where only some steps have a density,
+        in buffers of ``ws``.  Where only some steps have a density,
         they are written into out[1, 1], out[0, 1] and out[1, 0] instead, and
         come back as None.  kappa = 0 on a step without density, where the
         series entries are exact."""
@@ -246,8 +243,8 @@ class _Steps:
             return 1.0, h[:, None], 0.0
         rows = slice(None) if dense.size == h.size else dense
         shape = (dense.size, z.size)
-        kappa = np.multiply(z[None, :], self.da[steps][rows, None], out=_out(ws, "kappa", shape))
-        kappa += np.multiply(zz[None, :], self.db[steps][rows, None], out=_out(ws, "sh", shape))
+        kappa = np.multiply(z[None, :], self.da[steps][rows, None], out=ws.take("kappa", shape))
+        kappa += np.multiply(zz[None, :], self.db[steps][rows, None], out=ws.take("sh", shape))
         C, S = _piece_entries(kappa, h[rows, None], rescale, ws)
         kS = np.multiply(np.negative(kappa, out=kappa), S, out=kappa)
         if dense.size == h.size:
@@ -259,14 +256,13 @@ class _Steps:
         return None, None, None
 
     def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
-                 ws: _Workspace | None = None):
+                 ws: _Workspace):
         """Step matrices P J of steps lo..hi-1 at each z (zz = z^2), with shape
         (2, 2, hi - lo, z.size): the matrix first, z last.  Built in the
-        buffers of ``ws`` if given (its fold buffers serve as scratch), else in
-        fresh arrays."""
+        buffers of ``ws`` (a fold buffer serves as scratch)."""
         steps = slice(lo, hi)
         shape = (2, 2, hi - lo, z.size)
-        out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
+        out = ws.take("steps", shape)
         C, S, kS = self._pieces(steps, z, zz, rescale, ws, out)
         placed = C is None
         if placed:
@@ -275,7 +271,7 @@ class _Steps:
             # g = z alpha + z^2 mu, then C - S g and kS - C g, with out[:, 1] as
             # scratch unless it holds the pieces.
             if placed:
-                g, tmp = out[0, 0], _out(ws, "odd", shape[2:])
+                g, tmp = out[0, 0], ws.take("odd", shape[2:])
             else:
                 g, tmp = out[0, 1], out[1, 1]
             np.multiply(z[None, :], self.aw[steps, None], out=g)
@@ -297,7 +293,8 @@ class _Walk(_Steps):
     points[k+1]).  ``targets`` are the point indices of the sample positions,
     in increasing order, and ``samples`` pairs each position with the number
     of runs before it.  Run k is leaves cuts[k] to cuts[k+1] - 1, stored in
-    its pair order, and runs k to same[k] - 1 have one number of leaves.
+    its pair order, runs k to same[k] - 1 have one number of leaves, and no
+    run has more than ``widest``.
 
     A leaf is the product of ``leaf_steps`` consecutive steps of one run: 1
     where a step has a density, else up to _LEAF_STEPS (no more than the
@@ -327,6 +324,7 @@ class _Walk(_Steps):
         size = min(_LEAF_STEPS, int(lengths.max(initial=1))) if self.free else 1
         counts = -(-lengths // size)
         self.leaf_steps = size
+        self.widest = int(counts.max(initial=1))
         self.cuts = np.concatenate([[0], np.cumsum(counts)]).tolist()
         self.same = list(range(1, len(counts) + 1))
         for k in reversed(range(len(counts) - 1)):
@@ -348,9 +346,9 @@ class _Walk(_Steps):
         self.reach = [float(np.abs(a).max(initial=0.0)) for a in (self.aw, self.au, self.h)]
 
     def leaf_matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
-                      ws: _Workspace | None = None):
+                      ws: _Workspace):
         """Leaf matrices of leaves lo..hi-1 at each z, shaped as
-        :meth:`matrices` shapes steps, in the buffers of ``ws`` if given.
+        :meth:`matrices` shapes steps, in the buffers of ``ws``.
         Where a step has a density the leaves are the steps.  Else a leaf
         starts as its first step [[1 - h g, h], [-g, 1]], and each later step
         [[1, h], [0, 1]] [[1, 0], [-g, 1]] is applied to its rows: row 1 -= g
@@ -361,16 +359,16 @@ class _Walk(_Steps):
             return self.matrices(lo, hi, z, zz, rescale, ws)
         neg_aw, au, h = self.slots[:, :, lo:hi, None]
         shape = (2, 2, hi - lo, z.size)
-        out = np.empty(shape, dtype=complex) if ws is None else ws.take("steps", shape)
+        out = ws.take("steps", shape)
         # -g of every step at once.
-        g = np.multiply(z, neg_aw, out=_out(ws, "kappa", neg_aw.shape[:2] + z.shape))
+        g = np.multiply(z, neg_aw, out=ws.take("kappa", neg_aw.shape[:2] + z.shape))
         if self.upsilon_atoms:
-            g -= np.multiply(zz, au, out=_out(ws, "sh", g.shape))
+            g -= np.multiply(zz, au, out=ws.take("sh", g.shape))
         # The first step, its zeros made +0 as the general form makes them.
         np.add(g[0], 0.0, out=out[1, 0])
         np.add(np.multiply(h[0], out[1, 0], out=out[0, 0]), 1.0, out=out[0, 0])
         out[0, 1], out[1, 1] = h[0], 1.0
-        row = np.empty(shape[1:], complex) if ws is None else ws.take("odd", shape[1:])
+        row = ws.take("odd", shape[1:])
         part, parts = row.view(float), out.view(float)
         row0, row1, parts0, parts1 = out[0], out[1], parts[0], parts[1]
         if rescale:
@@ -407,8 +405,12 @@ def _check_positions(view: CoefficientView, xs: np.ndarray) -> None:
 
 
 class _Workspace:
-    """Flat buffers that every column of a sweep's wide path reuses for its
-    piece entries, step matrices, fold levels and products."""
+    """Flat buffers that every column a thread sweeps reuses: the leaf
+    matrices of a build, the entries of its pieces with a density, two fold
+    levels that alternate, the scratch of a fold and of a composition, and
+    the column's state with its next value.  Fresh arrays of a column's size
+    lie above the allocator's mmap threshold, and each would fault in new
+    pages."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
@@ -423,21 +425,12 @@ class _Workspace:
         return buffer[:size].reshape(shape)
 
 
-def _out(ws: _Workspace | None, key: str, shape: tuple[int, ...], dtype=complex):
-    """``ws.take(key, shape, dtype)`` as the ``out`` of a ufunc: None, so a
-    fresh array, without ``ws``."""
-    return None if ws is None else ws.take(key, shape, dtype)
-
-
 def _compose(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
     """``left`` after ``right`` for arrays of 2 x 2 matrices, with the matrix
-    on the two leading axes: left[i, 0] right[0, j] + left[i, 1] right[1, j].
-    ``tmp``, of the shape of the result, takes the second products; without
-    it the eight products come from one call, in scratch of twice that size."""
-    if tmp is None:
-        terms = np.multiply(left[:, :, None], right[None])
-        return np.add(terms[:, 0], terms[:, 1], out=out)
+    on the two leading axes: left[i, 0] right[0, j] + left[i, 1] right[1, j],
+    in ``out``, with the second products in ``tmp`` (fresh arrays where not
+    given)."""
     out = np.multiply(left[:, :1], right[:1], out=out)
     out += np.multiply(left[:, 1:2], right[1:2], out=tmp)
     return out
@@ -471,14 +464,15 @@ def _order(n: int) -> np.ndarray:
     return np.concatenate([pairs, pairs + 1] + [[n - 1]] * (n % 2))
 
 
-def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None) -> np.ndarray:
+def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace) -> np.ndarray:
     """The product of the leaves on the second last axis, in the pair order of
     :func:`_order`, later leaf on the left, by levels that compose the second
     half after the first; axes between the matrix and the leaves hold separate
     products, and the leaf axis keeps length 1.
-    With ``ws`` the levels alternate between two of its buffers, and the second
+    The levels alternate between two buffers of ``ws``, and the second
     product of a composition goes into the other one at the first level
-    (``mats`` lies in neither), then into the buffer of the leaves.
+    (``mats`` lies in neither), then into a buffer of its own: the leaves'
+    buffer still holds the runs of a build that are not folded yet.
 
     With ``rescale``, a level is normalized only where its entries may exceed
     _BIG: an entry of a product has parts of at most 4 b^2 if the factors'
@@ -490,13 +484,9 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace | None = None) -> np.n
     while mats.shape[-2] > 1:
         n = mats.shape[-2]
         half = n // 2
-        shape = mats.shape[:-2] + (n - half, mats.shape[-1])
-        if ws is None:
-            level, tmp = np.empty(shape, dtype=complex), None
-        else:
-            level = ws.take(keys[0], shape)
-            tmp = ws.take(keys[2], mats.shape[:-2] + (half, mats.shape[-1]))
-            keys = (keys[1], keys[0], "steps")
+        level = ws.take(keys[0], mats.shape[:-2] + (n - half, mats.shape[-1]))
+        tmp = ws.take(keys[2], mats.shape[:-2] + (half, mats.shape[-1]))
+        keys = (keys[1], keys[0], "scratch")
         _compose(mats[..., half:2 * half, :], mats[..., :half, :], out=level[..., :half, :], tmp=tmp)
         if n % 2:
             level[..., half, :] = mats[..., -1, :]
@@ -518,68 +508,77 @@ def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
     (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.  ``rescale`` scales
     each z's state by a positive factor to keep it finite.  A walk without
     steps gives the identity at its one position.
+
+    The records are allocated first.  A walk of at least one full block and
+    _SPLIT_WORK step x z matrices is then swept on _WORKERS threads, each over
+    a contiguous chunk of z (:func:`_sweep_chunk`), the first on the calling
+    thread; a shorter one is one chunk.
     """
-    state = np.zeros((2, 2, z.size), dtype=complex)
-    state[0, 0] = state[1, 1] = 1.0
-    if not walk.steps:
-        return {x: state for x, _ in walk.samples}
-    records = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        zz = z * z
-        # The products of runs first, first + 1, ... at every z; run k is next.
-        products, first, k = [], 0, 0
-        ws = _Workspace()  # its buffers are made by the first wide block
-        for x, runs in walk.samples:
-            while k < runs:
-                lo, hi = walk.cuts[k:k + 2]
-                if (hi - lo) * z.size > _BUDGET:
-                    state = _advance_in_columns(walk, lo, hi, z, zz, state, rescale, ws)
-                else:
-                    if k >= first + len(products):
-                        products, first = _run_products(walk, k, z, zz, rescale), k
-                    state = _compose(products[k - first], state)
-                    # Folded over two or more leaves, the first run's product
-                    # has no part above _BIG (:func:`_fold`), and composing
-                    # it onto the identity changes no part's size.
-                    if rescale and (k or hi - lo == 1):
-                        _normalize(state)
-                k += 1
-            records[x] = state
+    records = {x: np.empty((2, 2, z.size), dtype=complex) for x, _ in walk.samples}
+    workers = 1
+    if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
+        workers = min(_WORKERS, z.size)
+    bounds = [z.size * t // workers for t in range(workers + 1)]
+    errors = [None] * workers
+
+    def sweep(t):
+        try:
+            _sweep_chunk(walk, z, rescale, records, bounds[t], bounds[t + 1])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[t] = exc
+
+    threads = [threading.Thread(target=sweep, args=(t,)) for t in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    sweep(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return records
 
 
-def _run_products(walk: _Walk, k: int, z, zz, rescale: bool) -> list:
-    """The products of runs k, k + 1, ... of ``walk`` that fit in one build of
-    _BUDGET leaf x z matrices, consecutive runs of one number of leaves folded
-    together."""
-    cuts = walk.cuts
-    end = bisect.bisect_right(cuts, cuts[k] + _BUDGET // max(1, z.size)) - 1
-    lo = cuts[k]
-    mats = walk.leaf_matrices(lo, cuts[end], z, zz, rescale)
-    products = []
-    while k < end:
-        stop = min(walk.same[k], end)
-        n, count = cuts[k + 1] - cuts[k], stop - k
-        a = cuts[k] - lo
-        folded = _fold(mats[:, :, a:a + count * n].reshape(2, 2, count, n, z.size), rescale)
-        products += [folded[:, :, r, 0] for r in range(count)]
-        k = stop
-    return products
+def _sweep_chunk(walk: _Walk, z: np.ndarray, rescale: bool, records: dict, lo: int, hi: int):
+    """Write the states of z[lo:hi] into their columns of ``records``.
 
-
-def _advance_in_columns(walk: _Walk, lo: int, hi: int, z, zz, state, rescale: bool,
-                        ws: _Workspace):
-    """``state`` carried over leaves lo..hi-1, building and folding the leaves
-    of a column of z at a time in the buffers of ``ws``."""
-    out = np.empty_like(state)
-    width = max(1, _COLUMN // (hi - lo))
-    for c in range(0, z.size, width):
-        cols = slice(c, c + width)
-        run = _fold(walk.leaf_matrices(lo, hi, z[cols], zz[cols], rescale, ws), rescale, ws)[:, :, 0]
-        _compose(run, state[..., cols], out=out[..., cols], tmp=ws.take("product", run.shape))
-    if rescale:
-        _normalize(out)
-    return out
+    The chunk is swept a column of at most _COLUMN // ``walk.widest`` z at a
+    time, in one workspace: runs are built together, up to _BUDGET leaf x z
+    matrices and at least one run, the runs of a build with one number of
+    leaves are folded together when the first of them is reached, and each
+    run's product is composed onto the column's state.
+    """
+    ws, cuts = _Workspace(), walk.cuts
+    width = max(1, _COLUMN // walk.widest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(lo, hi, width):
+            cols = slice(c, min(c + width, hi))
+            zc = z[cols]
+            zz = zc * zc
+            state, spare, tmp = (ws.take(key, (2, 2, zc.size)) for key in ("state", "spare", "product"))
+            state[...] = np.eye(2)[:, :, None]
+            # Runs k..end-1 are built from leaf `first` on, runs k..folded-1 are
+            # folded, and run r's product is products[:, :, r - start, 0].
+            k = end = folded = 0
+            for x, runs in walk.samples:
+                while k < runs:
+                    a, b = cuts[k:k + 2]
+                    if k == end:
+                        end = max(k + 1, bisect.bisect_right(cuts, a + _BUDGET // zc.size) - 1)
+                        mats, first = walk.leaf_matrices(a, cuts[end], zc, zz, rescale, ws), a
+                    if k == folded:
+                        folded, start = min(walk.same[k], end), k
+                        group = mats[:, :, a - first:cuts[folded] - first]
+                        products = _fold(group.reshape(2, 2, folded - k, b - a, zc.size), rescale, ws)
+                    _compose(products[:, :, k - start, 0], state, out=spare, tmp=tmp)
+                    state, spare = spare, state
+                    # Folded over two or more leaves, the first run's product
+                    # has no part above _BIG (:func:`_fold`), and composing it
+                    # onto the identity changes no part's size.
+                    if rescale and (k or b - a == 1):
+                        _normalize(state)
+                    k += 1
+                records[x][..., cols] = state
 
 
 def _walk_to(view: CoefficientView, xs) -> _Walk:
@@ -655,52 +654,18 @@ def _sweep_closed(view, z, xs, rescale: bool = False):
     The walk to the positions is built once per view and positions, and kept
     with the view; the positions are checked when it is built
     (:class:`_Walk`), and a walk kept for the same positions passed that
-    check.  A walk of at least one full block and _SPLIT_WORK step x z
-    matrices is swept on _WORKERS threads (:func:`_split_states`).  Each
-    state is checked to be finite by one reduction; only where a check fails
-    is the first z whose state is not finite looked for, and named in a
-    :class:`ComputationError`.
+    check.  Each state is checked to be finite by one reduction; only where a
+    check fails is the first z whose state is not finite looked for, and
+    named in a :class:`ComputationError`.
     """
     z = np.asarray(z, dtype=complex)
     walk = _walk_to(view, xs)
-    workers = 1
-    if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
-        workers = min(_WORKERS, z.size)
-    if workers > 1:
-        records = _split_states(walk, z, rescale, workers)
-    else:
-        records = _walk_states(walk, z, rescale)
+    records = _walk_states(walk, z, rescale)
     if walk.steps and not all(np.isfinite(state).all() for state in records.values()):
         finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
         k = int(np.argmin(finite))
         raise ComputationError(f"transfer matrix at z={complex(z[k])} is not finite")
     return records
-
-
-def _split_states(walk: _Walk, z: np.ndarray, rescale: bool, workers: int) -> dict:
-    """The states of :func:`_walk_states`, keyed by sample position, from
-    ``workers`` contiguous chunks of z swept on one thread each.  Every z
-    comes out as in a one-z call, so the merged states are the same bits for
-    any number of workers."""
-    bounds = [z.size * k // workers for k in range(workers + 1)]
-    parts, errors = [None] * workers, [None] * workers
-
-    def sweep(k):
-        try:
-            parts[k] = _walk_states(walk, z[bounds[k]:bounds[k + 1]], rescale)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[k] = exc
-
-    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    sweep(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return {x: np.concatenate([part[x] for part in parts], axis=-1) for x in parts[0]}
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:

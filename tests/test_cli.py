@@ -111,6 +111,25 @@ def test_forward_refuses_non_finite_grid_points_with_exit_1(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_forward_refuses_a_malformed_grid_row_with_exit_1(tmp_path, capsys):
+    # Only a first line that does not parse is a header, and blank lines are
+    # skipped; a later row with a field that is not a float, or with one
+    # field, names its line and writes nothing.
+    spec = _dump(tmp_path / "spec.json", ATOM_MID)
+    out = tmp_path / "m.csv"
+    for rows, line in (("0,1\n1,abc\n2;1\n3\n1e,2\n4,1\n", 3), ("0,1\n\n3\n", 4), ("0,1\n1e,2\n", 3),
+                       ("0,1\n1,\n", 3), ("0,1\nre_z,im_z\n", 3)):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("re_z,im_z\n" + rows, encoding="utf-8")
+        assert main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line} of {grid} ")
+        assert not out.exists()
+    # A header after blank lines, and blank lines between rows, still read.
+    grid.write_text("\n re_z , im_z \n0,1\n\n2;0.5\n", encoding="utf-8")
+    assert main(["forward", "--spec", spec, "--grid", str(grid), "--out", str(out)]) == 0
+    assert [row.split(",")[:2] for row in out.read_text().splitlines()[1:]] == [["0", "1"], ["2", "0.5"]]
+
+
 @pytest.mark.parametrize("mesh", ["0", "-3", "2.5", "many"])
 @pytest.mark.parametrize("command", ["forward", "roundtrip"])
 def test_mesh_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv, command, mesh):

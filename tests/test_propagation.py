@@ -224,9 +224,11 @@ def _free_string(n: int, seed: int) -> StringSpec:
 
 @pytest.mark.parametrize("n_z", [1001, 1, 0])
 def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
-    # Over 2 x _BLOCK_STEPS steps; at 1001 z every block is built a column of
-    # z at a time and the last column of each block is a partial one, and the
-    # sweep is split over 1, 2 or 3 threads.  The rescaled z reach |z| ~ 6e6
+    # Over 2 x _BLOCK_STEPS steps; at 1001 z the sweep is split over 1, 2 or
+    # 3 threads, and each thread's chunk is swept a column of z at a time:
+    # of the default width (75 z on the mixed string, 260 on the free one),
+    # of one z (on 2 threads), and of 41 z, which leaves a partial column at
+    # the end of each chunk of 500, 501, 333 or 334 z (on 2 and 3 threads).  The rescaled z reach |z| ~ 6e6
     # on the mixed string, where pieces take the e^{-|Im s h|} form and fold
     # levels are normalized, and |z| ~ 6e49 on the free string, where leaves
     # are normalized between their steps.  The free string's positions cut
@@ -237,18 +239,23 @@ def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
     free_bp = coefficient_view(free).bp
     rng = np.random.default_rng(3)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
+    column = propagation._COLUMN
     for spec, xs, big in ((mixed, [0.05, 0.5, 0.83, 1.0], 1e5),
                           (free, free_bp[[39, 301, 517]].tolist() + [1.0], 1e48)):
+        widest = propagation._Walk(coefficient_view(spec), np.array(xs)).widest
         for rescale, z_scale in ((False, 1.0), (True, big)):
             grid = zs * z_scale
             one = [transfer_matrices(spec, z, xs, rescale=rescale) for z in grid]
-            for workers in (1, 2, 3):
+            for width, workers in ((column, 1), (column, 2), (column, 3), (widest, 2),
+                                   (41 * widest, 2), (41 * widest, 3)):
+                monkeypatch.setattr(propagation, "_COLUMN", width)
                 monkeypatch.setattr(propagation, "_WORKERS", workers)
                 mats = transfer_matrices(spec, grid, xs, rescale=rescale)
                 assert mats.shape == (len(xs), n_z, 2, 2)
                 assert np.all(np.isfinite(mats))
                 for k, z in enumerate(grid):
-                    assert np.array_equal(mats[:, k], one[k]), (workers, z)
+                    assert np.array_equal(mats[:, k], one[k]), (width, workers, z)
+        monkeypatch.setattr(propagation, "_COLUMN", column)
         m = m_truncated(spec, zs, xs[2])
         assert np.array_equal(m, [m_truncated(spec, z, xs[2]) for z in zs])
     assert propagation._Walk(coefficient_view(free), np.array([1.0])).leaf_steps == 4
@@ -330,7 +337,7 @@ def test_fold_in_pair_order_matches_an_even_odd_fold(rescale):
         mats = np.eye(2)[:, :, None, None] + 0.3 * noise
         mats[:, :, rng.integers(0, n, 2)] *= 1e130
         reference, _ = _fold_checking_every_level(mats, normalize=rescale)
-        folded = propagation._fold(mats[:, :, propagation._order(n)], rescale)
+        folded = propagation._fold(mats[:, :, propagation._order(n)], rescale, propagation._Workspace())
         assert folded.shape == (2, 2, 1, 2)
         assert np.all(np.isfinite(reference)) and np.array_equal(folded[:, :, 0], reference), n
 
@@ -345,7 +352,7 @@ def _leaves_step_by_step(view, points, lo, hi, z, rescale, size):
     steps = propagation._Steps(view, points[:-1], np.diff(points))
     zz = z * z
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = steps.matrices(lo, hi, z, zz, rescale)
+        mats = steps.matrices(lo, hi, z, zz, rescale, propagation._Workspace())
         if size == 1:
             return mats
         # An identity step is index -1: no length and no point mass.
@@ -373,18 +380,23 @@ def test_narrow_sweep_matches_a_run_by_run_fold(n_z):
     # built in one pass and runs of one length are folded together; at 9 z
     # the builds cut the walk.  The mixed string's leaves are its steps; the
     # free string's leaves hold 4 steps each, built here one step at a time in
-    # logical order.
+    # logical order.  On the 300-atom strings the runs are short (3 and 7
+    # leaves, three of 7 on the mixed string folded together), so scratch of a
+    # later level of one run's fold in the buffer of the leaves would reach
+    # the leaves of a later run of the same build, not folded yet.
     rng = np.random.default_rng(5)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
-    for spec, size, big, third in ((_mixed_string(3 * _BLOCK_STEPS, 17), 1, 1e5, 331),
-                                   (_free_string(3 * _BLOCK_STEPS, 17), 4, 1e48, 334)):
-        cuts = [40, 80, 120, 160, 200, 240, 281, 306, third, 512, 768]
+    long = [40, 80, 120, 160, 200, 240, 281, 306]
+    for spec, size, big, cuts in ((_mixed_string(3 * _BLOCK_STEPS, 17), 1, 1e5, long + [331, 512, 768]),
+                                  (_free_string(3 * _BLOCK_STEPS, 17), 4, 1e48, long + [334, 512, 768]),
+                                  (_free_string(300, 17), 4, 1e48, [12, 40, 52, 80]),
+                                  (_mixed_string(300, 17), 1, 1e5, [3, 10, 13, 20, 27, 34])):
         view = coefficient_view(spec)
-        assert view.bp[0] == 0.0 and view.bp.size > 769
+        assert view.bp[0] == 0.0 and view.bp.size > cuts[-1]
         xs = view.bp[cuts]
         walk = propagation._Walk(view, xs)
         assert walk.leaf_steps == size
-        ends = [0] + cuts[:6] + [256] + cuts[6:]
+        ends = sorted(set(cuts) | set(range(0, cuts[-1], _BLOCK_STEPS)))
         assert walk.cuts == np.cumsum([0] + [-(-n // size) for n in np.diff(ends)]).tolist()
         for rescale, z_scale in ((False, 1.0), (True, big)):
             z = zs * z_scale
@@ -416,8 +428,8 @@ def test_free_steps_match_the_general_form_bit_for_bit():
         assert free.free and free.leaf_steps == 1 and free.upsilon_atoms == bool(upsilon)
         general = propagation._Steps(view, free.points[:-1], np.diff(free.points))
         assert free.steps == general.h.size == len(free.cuts) - 1
-        assert free.leaf_matrices(0, free.steps, z, z * z, False).tobytes() == \
-            general.matrices(0, free.steps, z, z * z, False).tobytes()
+        assert free.leaf_matrices(0, free.steps, z, z * z, False, propagation._Workspace()).tobytes() == \
+            general.matrices(0, free.steps, z, z * z, False, propagation._Workspace()).tobytes()
 
 
 def test_rescaled_fold_checks_every_level_that_may_normalize():
@@ -431,10 +443,10 @@ def test_rescaled_fold_checks_every_level_that_may_normalize():
     for z in ([3.0 + 1j, -20.0 + 0.5j], [-1e9 + 1j, 1e5 + 3e4j, 3.0 + 1j]):
         z = np.array(z)
         for lo, hi in ((0, _BLOCK_STEPS), (_BLOCK_STEPS, _BLOCK_STEPS + 77)):
-            logical = walk.matrices(lo, hi, z, z * z, True)
+            logical = walk.matrices(lo, hi, z, z * z, True, propagation._Workspace())
             reference, changed = _fold_checking_every_level(logical)
             mats = logical[:, :, propagation._order(hi - lo)]
-            assert np.array_equal(propagation._fold(mats, True)[:, :, 0], reference)
+            assert np.array_equal(propagation._fold(mats, True, propagation._Workspace())[:, :, 0], reference)
             changes.append(changed)
     assert changes[:2] == [0, 0] and min(changes[2:]) > 0
 
