@@ -12,12 +12,12 @@ lockstep on it, and the spectral-measure masses, the exact residues
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
 point masses, so atoms are located by peak search (a peak must bend more
-than the scan's own noise), refined per eps by one section search
-over all candidates together (each evaluator call samples 16 points per
-bracket and shrinks it 8.5-fold, and a parabola through the best samples
-places the peak), and their masses extrapolated from eps * Im m at the
-peak.  The representation term -1/(L z) would masquerade as a point mass
-at 0; windows must therefore stay away from 0.
+than the scan's own noise) and refined at every eps by one section search
+over all candidates and all eps together (each evaluator call samples 16
+points per bracket and shrinks it 8.5-fold, and a parabola through the best
+samples places the peak); positions and the masses eps * Im m at the peak
+are then extrapolated in eps.  The representation term -1/(L z) would
+masquerade as a point mass at 0; windows must therefore stay away from 0.
 
 The model Hilbert space pairs a first component with finite Dirichlet energy
 and f1(0) = 0 against a second component square-summable over the upsilon
@@ -286,10 +286,11 @@ def _checked_evaluator(ev):
 _SECTION_POINTS = 16
 
 
-def _section_peaks(ev, e: float, centers: np.ndarray,
+def _section_peaks(ev, e, centers: np.ndarray,
                    half: float) -> tuple[np.ndarray, np.ndarray]:
     """Maxima of l -> Im ev(l + i*e) on [center - half, center + half], one
-    section search per center run in lockstep.
+    section search per center run in lockstep.  ``e`` is one height for all
+    centers or one height per center.
 
     Every ``ev`` call samples ``_SECTION_POINTS`` equally spaced interior
     points of each bracket still wider than its tolerance, and the bracket
@@ -302,6 +303,7 @@ def _section_peaks(ev, e: float, centers: np.ndarray,
     """
     k = _SECTION_POINTS
     frac = np.arange(1, k + 1) / (k + 1)
+    e = np.broadcast_to(np.asarray(e, dtype=float), centers.shape)
     tol = 1e-9 * (1.0 + np.abs(centers))
     a, b = centers - half, centers + half
     fa, fb = np.full(len(centers), -np.inf), np.full(len(centers), -np.inf)
@@ -313,7 +315,7 @@ def _section_peaks(ev, e: float, centers: np.ndarray,
         x[:, 0], x[:, 1:-1], x[:, -1] = lo, lo[:, None] + (hi - lo)[:, None] * frac, hi
         f = np.empty_like(x)
         f[:, 0], f[:, -1] = fa[active], fb[active]
-        f[:, 1:-1] = ev(x[:, 1:-1].ravel() + 1j * e).imag.reshape(-1, k)
+        f[:, 1:-1] = ev((x[:, 1:-1] + 1j * e[active, None]).ravel()).imag.reshape(-1, k)
         rows = np.arange(active.size)
         best = 1 + np.argmax(f[:, 1:-1], axis=1)
         f0, f1, f2 = f[rows, best - 1], f[rows, best], f[rows, best + 1]
@@ -356,14 +358,19 @@ def stieltjes_inversion(source, window: tuple[float, float],
     ``source`` is a string spec or a vectorized callable z -> m(z); values
     whose shape is not that of z raise :class:`ValidationError`, and a value
     that is not finite raises :class:`ComputationError` naming the first l.
-    Peaks of Im m(l + i*eps0) seed candidate atoms; at every eps all
-    locations are re-maximized together by a section search, one evaluator
-    call per 8.5-fold shrink of all brackets, and eps * Im m at the peak is
-    extrapolated in eps^2 with the ratios of the given eps.  A mass estimate
-    that moves more than 5% across the two finest eps is rejected as not
-    atomic, so at least two distinct, finite eps are required.  Windows must
-    have finite edges and exclude 0, where the finite-length representation
-    term would fake a point mass.
+    Peaks of Im m(l + i*eps0) seed candidate atoms.  Every candidate is
+    re-maximized at every eps, each from a bracket of half-width 2*eps0 about
+    it, by one section search over all these brackets together: one
+    evaluator call per 8.5-fold shrink of all brackets, however many eps are
+    given.  eps * Im m at the peak is extrapolated in eps^2 and the position
+    in eps^4, with the ratios of the given eps: near an atom Im m(l + i*e) is
+    a Lorentzian plus e times a smooth function, whose slope moves the
+    maximum by a term in e^4.  A mass estimate that moves more than 5% across
+    the two finest eps is rejected as not atomic, so at least two distinct,
+    finite eps are required.  A position or mass of a kept candidate whose
+    extrapolation is unstable raises :class:`ExtrapolationUnstable` for the
+    window.  Windows must have finite edges and exclude 0, where the
+    finite-length representation term would fake a point mass.
 
     A local maximum of the scan Im m(l + i*eps0) becomes a candidate only if
     its bend 2 Im m_i - Im m_(i-1) - Im m_(i+1) exceeds the scan's own noise
@@ -426,16 +433,14 @@ def stieltjes_inversion(source, window: tuple[float, float],
 
     atoms = []
     if candidates:
-        pos, half, masses = np.array(candidates), 2.0 * e0, []
-        for e in eps:
-            pos, mass = _section_peaks(ev, e, pos, half)
-            masses.append(mass)
-            half = 2.0 * e
+        # One search at every eps from every candidate, all in lockstep.
+        n = len(candidates)
+        pos, mass = _section_peaks(ev, np.repeat(eps, n), np.tile(candidates, len(eps)), 2.0 * e0)
         ratios = [c / f for c, f in zip(eps, eps[1:])]
-        for p, mk in zip(pos.tolist(), np.transpose(masses).tolist()):
+        for pk, mk in zip(pos.reshape(-1, n).T.tolist(), mass.reshape(-1, n).T.tolist()):
             if mk[-1] <= 0.0 or abs(mk[-1] - mk[-2]) > 0.05 * abs(mk[-1]):
                 continue
-            atoms.append((p, _richardson(mk, ratios, (2,))))
+            atoms.append((_richardson(pk, ratios, (4,)), _richardson(mk, ratios, (2,))))
 
     stride = max(1, npts // 512)
     e_min = eps[-1]

@@ -272,8 +272,8 @@ def test_inversion_calls_do_not_grow_with_candidates():
             assert abs(lam - want_lam) <= 1e-12 * want_lam
             assert abs(mass - want_mass) <= 1e-10
         counts.append(calls[0])
-        # The scan, about 8 search calls and one mass call per eps, and the
-        # density samples; a search with one call per step needs over 100.
+        # The scan, about 8 search calls and one mass call for all eps, and
+        # the density samples; a search with one call per step needs over 100.
         assert calls[0] <= 30
     assert counts[1] <= counts[0] + len(eps)
 
@@ -288,6 +288,44 @@ def test_inversion_extrapolates_with_the_eps_ratios(eps):
     for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, FIVE_POLES):
         assert abs(lam - want_lam) <= 1e-9 * want_lam
         assert abs(mass - want_mass) <= 1e-7 * want_mass
+
+
+def test_inversion_calls_do_not_grow_with_eps():
+    # Every eps is searched from the scan's candidates in the same lockstep
+    # calls, so more eps make the calls longer, not more numerous.
+    counts = []
+    for eps in [(1e-2, 1e-3), (1e-2, 1e-3, 1e-4), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)]:
+        m, calls = _counting_poles(FIVE_POLES)
+        mu = stieltjes_inversion(m, (1.0, 6.0), eps=eps)
+        assert len(mu.atoms) == len(FIVE_POLES)
+        counts.append(calls[0])
+    assert len(set(counts)) == 1
+    assert counts[0] <= 12
+
+
+@pytest.mark.parametrize("eps", [(3e-2, 1e-2, 3e-3), (1e-2, 2e-3), (2e-2, 5e-3, 1e-3)])
+def test_inversion_extrapolates_positions_in_eps(eps):
+    # The other poles shift each maximum by a term in eps^4, which the
+    # extrapolation removes: unextrapolated, the worst of these is 1.1e-10.
+    m, _ = _counting_poles(FIVE_POLES)
+    mu = stieltjes_inversion(m, (1.0, 6.0), eps=eps)
+    assert len(mu.atoms) == len(FIVE_POLES)
+    for (lam, _), (want_lam, _) in zip(mu.atoms, FIVE_POLES):
+        assert abs(lam - want_lam) <= 2e-12 * want_lam
+
+
+def test_peak_search_batches_over_eps_bit_for_bit():
+    # One height per bracket: no bracket looks at another, so each eps's
+    # brackets give the bits of a search at that eps alone.
+    eps, half = (1e-2, 1e-3, 1e-4), 2e-2
+    m, _ = _counting_poles(FIVE_POLES)
+    centers = np.array([lam for lam, _ in FIVE_POLES]) + np.array([3e-3, -5e-3, 1e-3, 8e-3, -2e-3])
+    pos, mass = _section_peaks(m, np.repeat(eps, centers.size), np.tile(centers, len(eps)), half)
+    for k, e in enumerate(eps):
+        alone_pos, alone_mass = _section_peaks(m, e, centers, half)
+        rows = slice(k * centers.size, (k + 1) * centers.size)
+        assert pos[rows].tobytes() == alone_pos.tobytes()
+        assert mass[rows].tobytes() == alone_mass.tobytes()
 
 
 @pytest.mark.parametrize("sample", [1, _SECTION_POINTS, _SECTION_POINTS + 1])
