@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -68,7 +69,13 @@ def _read_grid(path: str) -> list[complex]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with status 1."""
+    """Argument parser whose usage errors exit with status 1, and which reads
+    a negative number in exponent notation (``--window -1e12 -1e-9``) as a
+    value, as it reads ``-1000``, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

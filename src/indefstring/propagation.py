@@ -36,8 +36,9 @@ Sattinger and Szmigielski, Adv. Math. 154, 2000).  On a free walk of at most
 steps last to first to a row (v0, v1), t = h v0 + v1, v0 -= g t, v1 = t, as
 elementwise ufuncs over z, where the fold's fixed cost outweighs its log
 depth.  Which sweep runs depends on the walk alone, so every z still comes
-out bit for bit as in a one-z call; :func:`transfer_matrices` and
-:func:`fundamental_system` always fold.
+out bit for bit as in a one-z call.  :func:`_row` is the one place that
+chooses: every other walk folds the whole matrix and takes that row of it,
+and :func:`transfer_matrices` and :func:`fundamental_system` always fold.
 
 A fold cuts z into chunks and columns, and since every z comes out as in a
 one-z call, no cut changes the result, and the constants that set them
@@ -666,6 +667,19 @@ def _sweep_closed(view, z, xs, rescale: bool = False):
         k = int(np.argmin(finite))
         raise ComputationError(f"transfer matrix at z={complex(z[k])} is not finite")
     return records
+
+
+def _row(view, x: float, z: np.ndarray, w0, w1) -> np.ndarray:
+    """The row (w0, w1) M(x) at each z of the 1-D complex array ``z``, times a
+    positive factor per z, as an array (v0, v1) of shape (2, z.size): swept
+    back from x (:func:`_row_sweep`) where the walk to x has a row plan, else
+    w0 M[0] + w1 M[1] of the rescaled fold.  Raises as the fold does
+    (:func:`_sweep_closed`) where a state of it is not finite."""
+    walk = _walk_to(view, [x])
+    if walk.row is not None:
+        return _row_sweep(walk, z, w0, w1)
+    mats = _sweep_closed(view, z, [x], rescale=True)[float(x)]
+    return w0 * mats[0] + w1 * mats[1]
 
 
 def transfer_matrices(spec: StringSpec, z, xs, *, rescale: bool = False) -> np.ndarray:

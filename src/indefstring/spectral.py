@@ -7,7 +7,9 @@ linearization in 1/l gives the start values.  One extended-precision
 recurrence over the same nodes evaluates phi(l, L), its l-derivative and the
 norming constant at a whole array of l: Newton polishes all start values in
 lockstep on it, and the spectral-measure masses, the exact residues
-1/(norming constant), come from one more call at all eigenvalues.
+1/(norming constant), come from one more call at all eigenvalues; each is
+checked against the residue read off one Weyl evaluation just above all the
+eigenvalues, which replaces a mass that the recurrence got wrong.
 
 For general strings the measure is recovered from boundary values of the Weyl
 function: (1/pi) Im m(l + i*eps) concentrates as Lorentzians of width eps at
@@ -37,6 +39,7 @@ import numpy as np
 from .coefficients import StringSpec, _distinct, coefficient_view
 from .errors import (
     ComputationError,
+    ExtrapolationUnstable,
     NotAtomic,
     NotFiniteLength,
     PositionOutOfRange,
@@ -44,7 +47,7 @@ from .errors import (
     ValidationError,
     WindowTouchesAtomZero,
 )
-from .weyl import _m_values, _richardson, weyl_m
+from .weyl import _m_values, integral_rep_constants, weyl_m
 from .propagation import fundamental_system, transfer_matrices
 
 _MAX_ATOMS = 64
@@ -187,6 +190,17 @@ def _phi_recurrence(spec: StringSpec, lam) -> tuple[np.ndarray, np.ndarray, np.n
     return phi.astype(float), dphi.astype(float), norming.astype(float)
 
 
+def _window_edges(window) -> tuple[float, float]:
+    """(lo, hi) of a closed window whose edges may be infinite, (-inf, inf)
+    for None; raises :class:`ValidationError` for a NaN edge or lo > hi."""
+    if window is None:
+        return -math.inf, math.inf
+    lo, hi = float(window[0]), float(window[1])
+    if not lo <= hi:
+        raise ValidationError(f"window ({lo}, {hi}) needs edges with lo <= hi")
+    return lo, hi
+
+
 def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = None) -> list[float]:
     """All eigenvalues (roots of phi(., L)) of a finite atomic string,
     optionally restricted to a closed window (its edges may be infinite);
@@ -201,10 +215,7 @@ def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = 
     trips the simplicity check, so no root is dropped silently.  Raises
     :class:`ValidationError` for a window with a NaN edge or lo > hi.
     """
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        if not lo <= hi:
-            raise ValidationError(f"window ({lo}, {hi}) needs edges with lo <= hi")
+    lo, hi = _window_edges(window)
     x, alpha, beta = _nodes(spec)
     inv_h = 1.0 / np.diff(np.concatenate(([0.0], x, [spec.length])))
     stiff = np.diag(inv_h[:-1] + inv_h[1:]) - np.diag(inv_h[1:-1], 1) - np.diag(inv_h[1:-1], -1)
@@ -233,9 +244,7 @@ def discrete_eigenvalues(spec: StringSpec, window: tuple[float, float] | None = 
         raise ComputationError(f"eigenvalues {lam[k]} and {lam[k + 1]} are not resolved as simple")
     if np.any(np.abs(lam) <= 1e-12):
         raise ComputationError("spurious eigenvalue at 0; all eigenvalues must be nonzero")
-    if window is not None:
-        lam = lam[(lo <= lam) & (lam <= hi)]
-    return lam.tolist()
+    return lam[(lo <= lam) & (lam <= hi)].tolist()
 
 
 def spectral_measure_discrete(spec: StringSpec,
@@ -247,16 +256,30 @@ def spectral_measure_discrete(spec: StringSpec,
     evaluated in the equivalent inverse-norming form 1/(int phi'^2 dx +
     lam^2 int phi^2 d upsilon): a sum of non-negative terms, so it does not
     cancel the way theta(l, L)/(l phi_l'(l, L)) can.  Its extended-precision
-    recurrence is not enough beyond about 24 omega or 8 omega + 2 upsilon
-    atoms: larger strings get wrong masses with no error (README Limitations).
+    recurrence is not enough on larger strings (beyond about 24 omega or
+    8 omega + 2 upsilon atoms, and sometimes on fewer).  So every mass is
+    checked against the residue e Im(m(z) - c1 z) at z = l + i e,
+    e = 1e-9 |l|, with c1 = upsilon({0}): one Weyl evaluation at all
+    eigenvalues, before the window is applied.  Where the two differ by more
+    than 1e-12 of the residues' total, the residue is returned; such a mass
+    is accurate to about 1e-14 of the total, absolutely.  So every mass
+    returned is within about 1e-12 of the total.
     """
-    lams = discrete_eigenvalues(spec, window)
-    norming = _phi_recurrence(spec, lams)[2]
-    bad = np.flatnonzero(~((norming > 0.0) & np.isfinite(norming)))
+    lo, hi = _window_edges(window)
+    lams = np.array(discrete_eigenvalues(spec))
+    masses = 1.0 / _phi_recurrence(spec, lams)[2]
+    if lams.size:
+        eta = 1e-9 * np.abs(lams)
+        im = _m_values(spec, lams + 1j * eta)[1].imag
+        residues = eta * (im - integral_rep_constants(spec).c1 * eta)
+        masses = np.where(np.abs(masses - residues) > 1e-12 * residues.sum(), residues, masses)
+    keep = (lo <= lams) & (lams <= hi)
+    lams, masses = lams[keep], masses[keep]
+    bad = np.flatnonzero(~((masses > 0.0) & np.isfinite(masses)))
     if bad.size:
         k = bad[0]
-        raise ComputationError(f"degenerate norming constant {norming[k]} at {lams[k]}")
-    return SpectralMeasure(atoms=tuple(zip(lams, (1.0 / norming).tolist())))
+        raise ComputationError(f"degenerate mass {masses[k]} at {lams[k]}")
+    return SpectralMeasure(atoms=tuple(zip(lams.tolist(), masses.tolist())))
 
 
 # -- Stieltjes inversion ------------------------------------------------------
@@ -327,6 +350,34 @@ def _section_peaks(ev, e, centers: np.ndarray,
         fa[active], fb[active] = f0, f2
         active = active[b[active] - a[active] > tol[active]]
     return pos, e * ev(pos + 1j * e).imag
+
+
+def _richardson(values, ratios, powers) -> float:
+    """Eliminate the given error powers from a refined sequence.
+
+    ``values`` are ordered from coarsest to finest parameter; ``ratios`` gives
+    each step's parameter ratio (coarser over finer), one per consecutive
+    pair, or one number for a geometric sequence.  Eliminating more than one
+    power needs a geometric sequence.  Raises if the extrapolated tail spreads
+    more than the raw tail, which signals a wrong error model.
+    """
+    seq = [float(v) for v in values]
+    steps = [float(r) for r in np.broadcast_to(ratios, (max(len(seq) - 1, 0),))]
+    if len(powers) > 1 and len(set(steps)) > 1:
+        raise ValueError("eliminating several powers needs one ratio for every step")
+    raw_spread = abs(seq[-1] - seq[-2])
+    for p in powers:
+        if len(seq) < 2:
+            break
+        seq = [(r ** p * seq[k + 1] - seq[k]) / (r ** p - 1.0)
+               for k, r in enumerate(steps[:len(seq) - 1])]
+    if len(seq) >= 2:
+        extrap_spread = abs(seq[-1] - seq[-2])
+        if extrap_spread > 10.0 * raw_spread + 1e-12 * max(1.0, abs(seq[-1])):
+            raise ExtrapolationUnstable(
+                f"extrapolation tail spread {extrap_spread:g} exceeds raw spread {raw_spread:g}"
+            )
+    return seq[-1]
 
 
 def _checked_window(window, eps) -> tuple[float, float, list[float]]:

@@ -15,12 +15,11 @@ Titchmarsh, "Eigenfunction Expansions" I, 1962).  The limit is then explicit
 in the state just after the jump at x0, and one sweep to x0, vectorized over
 z, serves a whole grid: no truncation, and no truncation error.
 
-m needs one row of the transfer matrix M only: with (v0, v1) = (1, 0) M(L),
-m = -v0/(z v1) on a finite string, and with (v0, v1) = (is + g, -1) M(x0),
-g the point masses at x0, m = v0/(-z v1) on a half-line.  A walk without
-densities of at most ``propagation._ROW_STEPS`` steps sweeps that row back
-from its end (:func:`propagation._row_sweep`); every other walk folds the
-whole matrix.
+m needs one row of the transfer matrix M only: m = v0/(-z v1) with
+(v0, v1) = (1, 0) M(L) on a finite string, and (v0, v1) = (is + g, -1) M(x0),
+g the point masses at x0, on a half-line.  That row comes from
+:func:`propagation._row`, which sweeps it back from its end or takes it from
+the folded matrix.
 
 The integral representation
 
@@ -28,7 +27,7 @@ The integral representation
 
 has c1 = upsilon({0}) and -lim_{e -> 0} i e m(i e) = 1/L; when the string is a
 non-negative one without a second measure (the Stieltjes case) the constant
-term lim m(i eta) equals omega({0}).
+term lim m(i eta) equals omega({0}).  So all three are read off the string.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ import numpy as np
 from .coefficients import StringSpec, coefficient_view
 from .errors import (
     ComputationError,
-    ExtrapolationUnstable,
     NonRealRequired,
     PositionOutOfRange,
     ValidationError,
@@ -126,23 +124,29 @@ def m_truncated(spec: StringSpec, z, x: float):
     _require_nonreal(zarr)
     if not x > 0.0:
         raise PositionOutOfRange(f"truncation point must be positive, got {x}")
-    m = _truncated(spec, zarr, x)
+    m = _m_row(coefficient_view(spec), x, zarr.ravel(), tail=False).reshape(zarr.shape)
     return complex(m) if zarr.shape == () else m
 
 
-def _truncated(spec: StringSpec, zarr: np.ndarray, x: float) -> np.ndarray:
-    """:func:`m_truncated` at z that have passed its checks, as an array of
-    the shape of ``zarr``."""
-    zs = zarr.ravel()
-    view = coefficient_view(spec)
-    walk = propagation._walk_to(view, [x])
-    if walk.row is None:
-        theta, phi = propagation._sweep_closed(view, zs, [x], rescale=True)[float(x)][0]
-    else:
-        theta, phi = propagation._row_sweep(walk, zs, 1.0, 0.0)
-    with np.errstate(invalid="ignore"):
-        m = (-theta / (zs * phi)).reshape(zarr.shape)
-    _refuse_non_finite(zarr, m)
+def _m_row(view, x: float, zs: np.ndarray, tail: bool) -> np.ndarray:
+    """m = v0/(-z v1) at every z of the 1-D complex array ``zs``, for the row
+    (v0, v1) = (1, 0) M(x), or with ``tail`` (x the last breakpoint x0 of a
+    half-line) (v0, v1) = (is + g, -1) M(x0), from
+    :func:`propagation._row`.
+
+    On a half-line every term of (is + g) is computed even where its
+    coefficient is 0, so the z whose z^2 overflows (z = 1e160i) is refused.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0, w1 = 1.0, 0.0
+        if tail:
+            zz = zs * zs
+            s = np.sqrt(zs * view.dens_omega[-1] + zz * view.dens_upsilon[-1])
+            np.negative(s, out=s, where=s.imag < 0.0)
+            w0, w1 = 1j * s + (zs * view.atom_omega[-1] + zz * view.atom_upsilon[-1]), -1.0
+        v0, v1 = propagation._row(view, x, zs, w0, w1)
+        m = v0 / (-zs * v1)
+    _refuse_non_finite(zs, m)
     return m
 
 
@@ -152,12 +156,13 @@ def weyl_m_grid(spec: StringSpec, zs) -> list[WeylSample]:
     A finite string attains the limit at L.  On a half-line the densities a
     (omega) and b (upsilon) are constant past the last breakpoint x0, so the
     Weyl solution there is e^{is(x - x0)} with s = sqrt(z a + z^2 b), Im s > 0
-    (the limit-point case): with theta, phi and their slopes just after the
-    jump at x0, m = (i s theta - theta')/(z (phi' - i s phi)).  A free tail
-    has s = 0 and m = -theta'/(z phi').  One rescaled sweep to x0 serves
-    every z.  Raises :class:`ValidationError` unless every z is finite and
-    off the real axis, and :class:`ComputationError` rather than return a
-    value that is not finite, naming the first such z.
+    (the limit-point case): with theta, phi and their slopes just before the
+    point masses g at x0, m = v0/(-z v1) for the row
+    (v0, v1) = ((is + g) theta - theta', (is + g) phi - phi').  A free tail
+    has s = 0.  One sweep to x0 serves every z.  Raises
+    :class:`ValidationError` unless every z is finite and off the real axis,
+    and :class:`ComputationError` rather than return a value that is not
+    finite, naming the first such z.
 
     The values come from :func:`_m_values`, which checks the z once per
     call.  Each check on the way (the z, the swept states, the values of m)
@@ -173,69 +178,18 @@ def _m_values(spec: StringSpec, zs: np.ndarray) -> tuple[float, np.ndarray]:
     ``zs``: the values of :func:`weyl_m_grid`, for callers that read only m.
 
     The z are checked here; the sweep's checks find an offender only where
-    they fail (:mod:`indefstring.propagation`).  theta and phi are read with
-    their slopes in one pass, and every term is computed even where its
-    coefficient is 0, so the z whose z^2 overflows (z = 1e160i) is refused.
+    they fail (:mod:`indefstring.propagation`).
     """
     _require_nonreal(zs)
-    if math.isfinite(spec.length):
-        x, m = spec.length, _truncated(spec, zs, spec.length)
-    else:
-        view = coefficient_view(spec)
-        x = float(view.bp[-1])
-        walk = propagation._walk_to(view, [x])
-        with np.errstate(over="ignore", invalid="ignore"):
-            zz = zs * zs
-            g = zs * view.atom_omega[-1] + zz * view.atom_upsilon[-1]
-            s = np.sqrt(zs * view.dens_omega[-1] + zz * view.dens_upsilon[-1])
-            np.negative(s, out=s, where=s.imag < 0.0)
-            if walk.row is None:
-                mats = propagation._sweep_closed(view, zs, [x], rescale=True)[x]
-                # The slopes after the point masses at x0: u'(x0+) = u'(x0-) - g u(x0),
-                # for theta and phi at once.
-                slopes = mats[1] - g * mats[0]
-                waves = 1j * s * mats[0]
-                m = (waves[0] - slopes[0]) / (zs * (slopes[1] - waves[1]))
-            else:
-                # v0 = is theta - theta' and v1 = is phi - phi' just after the
-                # point masses at x0.
-                v0, v1 = propagation._row_sweep(walk, zs, 1j * s + g, -1.0)
-                m = v0 / (-zs * v1)
-        _refuse_non_finite(zs, m)
-    return x, m
+    view = coefficient_view(spec)
+    finite = math.isfinite(spec.length)
+    x = spec.length if finite else float(view.bp[-1])
+    return x, _m_row(view, x, zs, tail=not finite)
 
 
 def weyl_m(spec: StringSpec, z: complex) -> WeylSample:
     """Weyl function at one z: ``weyl_m_grid(spec, [z])[0]``."""
     return weyl_m_grid(spec, [complex(z)])[0]
-
-
-def _richardson(values, ratios, powers) -> float:
-    """Eliminate the given error powers from a refined sequence.
-
-    ``values`` are ordered from coarsest to finest parameter; ``ratios`` gives
-    each step's parameter ratio (coarser over finer), one per consecutive
-    pair, or one number for a geometric sequence.  Eliminating more than one
-    power needs a geometric sequence.  Raises if the extrapolated tail spreads
-    more than the raw tail, which signals a wrong error model.
-    """
-    seq = [float(v) for v in values]
-    steps = [float(r) for r in np.broadcast_to(ratios, (max(len(seq) - 1, 0),))]
-    if len(powers) > 1 and len(set(steps)) > 1:
-        raise ValueError("eliminating several powers needs one ratio for every step")
-    raw_spread = abs(seq[-1] - seq[-2])
-    for p in powers:
-        if len(seq) < 2:
-            break
-        seq = [(r ** p * seq[k + 1] - seq[k]) / (r ** p - 1.0)
-               for k, r in enumerate(steps[:len(seq) - 1])]
-    if len(seq) >= 2:
-        extrap_spread = abs(seq[-1] - seq[-2])
-        if extrap_spread > 10.0 * raw_spread + 1e-12 * max(1.0, abs(seq[-1])):
-            raise ExtrapolationUnstable(
-                f"extrapolation tail spread {extrap_spread:g} exceeds raw spread {raw_spread:g}"
-            )
-    return seq[-1]
 
 
 def _structural_flags(spec: StringSpec) -> tuple[bool, bool]:
@@ -292,21 +246,10 @@ def classify(spec: StringSpec, samples=None) -> Classification:
 
 
 def integral_rep_constants(spec: StringSpec) -> IntegralRep:
-    """Estimate c1 = upsilon({0}), 1/L, and (Stieltjes only) c2 = omega({0}).
-
-    c1 comes from Im m(i eta)/eta over eta = 1e2..1e6 with even-power
-    elimination; 1/L from Re(-i e m(i e)) over e = 1e-2..1e-6.  c2 is only
-    extrapolated when the structural Stieltjes predicate holds; otherwise the
-    constant term is undetermined and reported as None.
-    """
-    etas = [10.0 ** k for k in range(2, 7)]
-    eps = [10.0 ** (-k) for k in range(2, 7)]
-    ms = _m_values(spec, np.array([1j * t for t in etas + eps]))[1].tolist()
-    m_eta, m_eps = ms[:len(etas)], ms[len(etas):]
-    c1 = _richardson([m.imag / eta for m, eta in zip(m_eta, etas)], 10.0, (2, 4))
-    inv_l = _richardson([(-1j * e * m).real for m, e in zip(m_eps, eps)], 10.0, (1, 2))
-    stieltjes_struct, _ = _structural_flags(spec)
-    c2 = None
-    if stieltjes_struct:
-        c2 = _richardson([m.real for m in m_eta], 10.0, (1, 2))
-    return IntegralRep(c1=c1, inv_L=inv_l, c2=c2)
+    """c1 = upsilon({0}), 1/L (0 on a half-line) and, where the structural
+    Stieltjes predicate holds, c2 = omega({0}), read off the string; c2 is
+    undetermined otherwise and reported as None."""
+    view = coefficient_view(spec)
+    stieltjes, _ = _structural_flags(spec)
+    return IntegralRep(c1=float(view.atom_upsilon[0]), inv_L=1.0 / spec.length,
+                       c2=float(view.atom_omega[0]) if stieltjes else None)

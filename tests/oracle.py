@@ -98,6 +98,83 @@ def propagators(spec, z: complex, xs, chi: MeasureData = MeasureData()) -> dict:
     return out
 
 
+def free_weyl_m(spec, zs) -> list[complex]:
+    """m(z) = -theta(X, z)/(z phi(X, z)) at every z of ``zs``, at DPS digits,
+    for a string without densities before its last breakpoint x0 (point
+    masses and free gaps; a half-line may carry tail densities a, b past x0).
+
+    theta and phi are carried as scalars: a gap h adds h u' to u, and a point
+    mass g = z alpha + z^2 mu subtracts g u from u'.  X is L on a finite string
+    (a point mass at L does not act).  On a half-line X is 1e40 past a free
+    tail, else x0 + 60/Im s, s = sqrt(z a + z^2 b), where the tail solution
+    that grows has outgrown the one that decays by e^{120}; the tail piece is
+    the closed form of ``_piece``."""
+    finite = math.isfinite(spec.length)
+    points = _points(spec.omega) | _points(spec.upsilon) | {0.0}
+    x0 = spec.length if finite else max(points)
+    positions = sorted(p for p in points if p < x0 or (p == x0 and not finite))
+    out = []
+    with mpmath.workdps(DPS):
+        jumps = [(mpmath.mpf(p), _atom(spec.omega, p), _atom(spec.upsilon, p)) for p in positions]
+        a, b = _density(spec.omega, x0), _density(spec.upsilon, x0)
+        for z in zs:
+            zm = mpmath.mpc(z)
+            theta, dtheta, phi, dphi, cur = 1, 0, 0, 1, mpmath.mpf(0)
+            for x, alpha, mu in jumps:
+                theta, phi = theta + (x - cur) * dtheta, phi + (x - cur) * dphi
+                g = zm * alpha + zm * zm * mu
+                dtheta, dphi, cur = dtheta - g * theta, dphi - g * phi, x
+            kappa = 0 if finite else zm * a + zm * zm * b
+            s = mpmath.sqrt(kappa)
+            h = mpmath.mpf(x0) - cur if finite else (mpmath.mpf(1e40) if s == 0 else 60 / abs(s.imag))
+            piece = _piece(kappa, 0, h)
+            theta, phi = (piece[0, 0] * u + piece[0, 1] * du for u, du in ((theta, dtheta), (phi, dphi)))
+            out.append(complex(-theta / (zm * phi)))
+    return out
+
+
+def discrete_measure(spec, lams, dps: int = 300) -> tuple[list[float], list[float]]:
+    """Eigenvalues and masses of a finite purely atomic string at ``dps``
+    digits: Newton steps on phi(l, L) from each start value in ``lams``, then
+    the mass 1/(int phi'^2 dx + l^2 int phi^2 d upsilon) at the root.
+
+    phi(l, .) and its l-derivative are carried across the gaps and the atom
+    jumps in (0, L); an atom at 0 does not act, since phi(l, 0) = 0."""
+    points = sorted(p for p in _points(spec.omega) | _points(spec.upsilon) if 0.0 < p < spec.length)
+    eigs, masses = [], []
+    with mpmath.workdps(dps):
+        cuts = [mpmath.mpf(0)] + [mpmath.mpf(p) for p in points] + [mpmath.mpf(spec.length)]
+        h = [b - a for a, b in zip(cuts, cuts[1:])]
+        jumps = [(_atom(spec.omega, p), _atom(spec.upsilon, p)) for p in points]
+
+        def walk(lam):
+            phi = dphi = dslope = norming = mpmath.mpf(0)
+            slope = mpmath.mpf(1)
+            for k, hk in enumerate(h):
+                if k:
+                    a, b = jumps[k - 1]
+                    drop = -(a * lam + b * lam * lam)
+                    dslope += -(a + 2 * b * lam) * phi + drop * dphi
+                    slope += drop * phi
+                    norming += b * (lam * phi) ** 2
+                norming += hk * slope * slope
+                dphi += hk * dslope
+                phi += hk * slope
+            return phi, dphi, norming
+
+        for start in lams:
+            lam = mpmath.mpf(start)
+            for _ in range(20):
+                phi, dphi, _ = walk(lam)
+                step = phi / dphi
+                lam -= step
+                if abs(step) <= mpmath.mpf(10) ** -40 * abs(lam):
+                    break
+            eigs.append(float(lam))
+            masses.append(float(1 / walk(lam)[2]))
+    return eigs, masses
+
+
 def distribution(measure: MeasureData, x: float):
     """measure([0, x)) summed straight from the atoms and density pieces."""
     with mpmath.workdps(DPS):

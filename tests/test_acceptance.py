@@ -17,6 +17,7 @@ from indefstring.convergence import (
 )
 from indefstring.propagation import fundamental_system
 from indefstring.spectral import (
+    _richardson,
     discrete_eigenvalues,
     hilbert_norm_squared,
     norm_squared_in_measure,
@@ -112,17 +113,36 @@ def test_04_canonical_route_matches_direct_route(capsys):
             f"max gap {worst:.2e} (tol 1e-6); mesh convergence order {order:.3f}")
 
 
+def _fitted_constant(spec, name: str) -> float:
+    """c1, inv_L or c2 fitted to m as the representation predicts: c1 from
+    Im m(i eta)/eta and c2 from Re m(i eta), eta = 1e2..1e6, and 1/L from
+    Re(-i e m(i e)), e = 1e-2..1e-6, each extrapolated by _richardson."""
+    if name == "inv_L":
+        eps = [10.0 ** (-k) for k in range(2, 7)]
+        return _richardson([(-1j * e * weyl_m(spec, 1j * e).m).real for e in eps], 10.0, (1, 2))
+    etas = [10.0 ** k for k in range(2, 7)]
+    ms = [weyl_m(spec, 1j * eta).m for eta in etas]
+    if name == "c1":
+        return _richardson([m.imag / eta for m, eta in zip(ms, etas)], 10.0, (2, 4))
+    return _richardson([m.real for m in ms], 10.0, (1, 2))
+
+
 def test_05_small_z_and_large_z_constants(capsys):
-    defects = [
-        abs(integral_rep_constants(catalog.upsilon_atom_origin()).c1 - 3.0),
-        abs(integral_rep_constants(catalog.empty_string(1.0)).inv_L - 1.0),
-        abs(integral_rep_constants(catalog.empty_string(2.0)).inv_L - 0.5),
-        abs(integral_rep_constants(catalog.upsilon_lebesgue_halfline()).inv_L),
-        abs(integral_rep_constants(catalog.omega_atom_origin()).c2 - 2.0),
-    ]
-    worst = max(defects)
-    _report(capsys, worst < 1e-6, "representation constants (c1, 1/L, origin mass)",
-            f"max defect {worst:.2e} (tol 1e-6)")
+    # integral_rep_constants reads the constants off the string; m fitted at
+    # large and small i eta must agree with that reading.
+    cases = (
+        (catalog.upsilon_atom_origin(), "c1", 3.0),
+        (catalog.empty_string(1.0), "inv_L", 1.0),
+        (catalog.empty_string(2.0), "inv_L", 0.5),
+        (catalog.upsilon_lebesgue_halfline(), "inv_L", 0.0),
+        (catalog.omega_atom_origin(), "c2", 2.0),
+    )
+    read = [getattr(integral_rep_constants(spec), name) for spec, name, _ in cases]
+    worst = max(abs(_fitted_constant(spec, name) - value)
+                for (spec, name, _), value in zip(cases, read))
+    exact = read == [value for _, _, value in cases]
+    _report(capsys, exact and worst < 1e-6, "representation constants (c1, 1/L, origin mass)",
+            f"max defect of the m fit {worst:.2e} (tol 1e-6)")
 
 
 def test_06_herglotz_symmetry_and_sign_laws(capsys):

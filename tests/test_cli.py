@@ -286,6 +286,23 @@ def test_spectrum_on_a_halfline_writes_only_densities(tmp_path, capsys):
     assert doc["continuous_samples"]
 
 
+@pytest.mark.parametrize("window", [("-1e12", "-1e-9"), ("-1e3", "-1e-3"), ("-1E+3", "-.001")])
+def test_spectrum_reads_negative_window_edges_in_exponent_notation(tmp_path, capsys, window):
+    # An edge like -1e-9 is a value, as -0.001 is, not an option.  On a string
+    # with omega masses of both signs the atoms on the window are the
+    # negative eigenvalues.
+    rng = np.random.default_rng(6)
+    xs, masses = np.sort(rng.uniform(0.05, 0.95, 10)), rng.uniform(-1.0, 1.0, 10) / 5.0
+    doc = {"L": 1.0, "omega": {"atoms": [{"x": x, "mass": m} for x, m in zip(xs.tolist(), masses.tolist())]}}
+    spec, out = _dump(tmp_path / "spec.json", doc), tmp_path / "mu.json"
+    assert main(["spectrum", "--spec", spec, "--window", *window, "--out", str(out)]) == 0
+    lams = [atom["lambda"] for atom in json.loads(out.read_text(encoding="utf-8"))["atoms"]]
+    eigs = indefstring.discrete_eigenvalues(spec_from_json(doc))
+    assert lams == [lam for lam in eigs if float(window[0]) <= lam <= float(window[1])]
+    assert len(lams) == 5 and all(lam < 0.0 for lam in lams)
+    assert "5 atom(s)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("doc", [ATOM_MID, UNIFORM])
 @pytest.mark.parametrize("window,message", [(("-1", "6"), "exclude 0"), (("6", "1"), "empty")])
 def test_spectrum_window_checks_agree_on_both_routes(tmp_path, capsys, doc, window, message):

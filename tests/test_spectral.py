@@ -173,6 +173,66 @@ def test_discrete_measure_masses():
     assert spectral_measure_discrete(catalog.empty_string()).atoms == ()
 
 
+def _benchmark_discrete_string(seed: int, name: str) -> StringSpec:
+    """perfbench's make_inputs("inverse-spectral", seed)["specs"][name]: its
+    seven discrete_string draws in order, each with n positions jittered in
+    cells of [0.05, 0.95), omega masses of total 2 n_omega/n and upsilon
+    masses of total n_upsilon/(2n) at a random n_upsilon of them."""
+    rng = np.random.default_rng([seed, 2])
+    shapes = (("s8", 8, 0), ("s12", 12, 0), ("s16", 16, 0), ("s8u", 6, 2), ("s10u", 8, 2),
+              ("s32u", 24, 8), ("s64", 64, 0))
+    for shape, n_omega, n_upsilon in shapes:
+        n = n_omega + n_upsilon
+        xs = 0.05 + (0.95 - 0.05) / n * (np.arange(n) + rng.uniform(0.1, 0.9, n))
+        ups = rng.permutation(n) < n_upsilon
+        omega = rng.uniform(0.5, 1.5, n_omega)
+        omega *= 2.0 * n_omega / n / omega.sum()
+        upsilon = np.zeros(0)
+        if n_upsilon:
+            upsilon = rng.uniform(0.5, 1.5, n_upsilon)
+            upsilon *= 0.5 * n_upsilon / n / upsilon.sum()
+        if shape == name:
+            atoms = lambda sel, masses: {"atoms": [{"x": float(x), "mass": float(m)}
+                                                   for x, m in zip(xs[sel], masses)]}
+            return validate_spec({"L": 1.0, "omega": atoms(~ups, omega), "upsilon": atoms(ups, upsilon)})
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("seed,name", [(1, "s32u"), (1, "s64"), (302, "s32u"), (302, "s64")])
+def test_discrete_masses_match_a_300_digit_reference(seed, name):
+    # The extended-precision norming sum loses every digit of some masses on
+    # these strings (a third of the total on seed 1's s32u); each such mass
+    # is replaced by the residue of m.
+    spec = _benchmark_discrete_string(seed, name)
+    lams, masses = np.array(spectral_measure_discrete(spec).atoms).T
+    ref_lams, ref_masses = oracle.discrete_measure(spec, lams)
+    assert np.all(np.abs(lams - ref_lams) <= 1e-12 * np.abs(ref_lams))
+    total = sum(ref_masses)
+    assert np.max(np.abs(masses - ref_masses)) <= 1e-12 * total
+
+
+def _upsilon_origin_string(n: int, upsilon0: float) -> StringSpec:
+    """n omega masses of 0.01 and a upsilon mass ``upsilon0`` at 0: eigenvalues
+    up to about 1e4 |l|, where the residue must leave out c1 e^2."""
+    xs = np.sort(np.random.default_rng(n).uniform(0.05, 0.95, n))
+    return validate_spec({"L": 1.0, "omega": {"atoms": [{"x": float(x), "mass": 0.01} for x in xs]},
+                          "upsilon": {"atoms": [{"x": 0.0, "mass": upsilon0}]}})
+
+
+def test_discrete_masses_keep_the_norming_sum_where_it_holds():
+    # Masses that the norming sum gets right come out bit for bit as
+    # 1/(norming constant): on the strings of the Parseval test, on strings
+    # of a few atoms, and on strings with a upsilon mass at 0.
+    rng = np.random.default_rng(32)
+    specs = [catalog.random_discrete_string(rng) for _ in range(12)]
+    specs += [OMEGA_MID, OMEGA_MID_NEG, UPS_MID, catalog.omega_atom_origin(), catalog.upsilon_atom_origin()]
+    specs += [_jittered_string(seed, 2, 1) for seed in range(3)] + [_jittered_string(0, 6, 3)]
+    specs += [_upsilon_origin_string(n, upsilon0) for n in (4, 8, 16) for upsilon0 in (0.5, 100.0)]
+    for spec in specs:
+        lams, masses = np.array(spectral_measure_discrete(spec).atoms).reshape(-1, 2).T
+        assert masses.tolist() == (1.0 / _phi_recurrence(spec, lams)[2]).tolist(), spec
+
+
 def test_measure_json_roundtrip():
     mu = spectral_measure_discrete(UPS_MID)
     again = measure_from_json(measure_to_json(mu))

@@ -17,9 +17,8 @@ from indefstring.errors import (
     PositionOutOfRange,
     ValidationError,
 )
-from indefstring.spectral import stieltjes_inversion
+from indefstring.spectral import _richardson, stieltjes_inversion
 from indefstring.weyl import (
-    _richardson,
     classify,
     integral_rep_constants,
     m_truncated,
@@ -148,6 +147,24 @@ def test_c2_reported_only_for_stieltjes_strings():
     assert rep.c1 == pytest.approx(0.0, abs=1e-8)
     assert rep.inv_L == pytest.approx(0.5, abs=1e-8)
     assert rep.c2 is None
+
+
+def test_representation_constants_are_read_off_the_string():
+    # c1 = upsilon({0}), 1/L (0 on a half-line) and, on a Stieltjes string,
+    # c2 = omega({0}), exactly, also where m has sqrt(z) and 1/eta terms that
+    # a Richardson fit of m does not model (the uniform string, half-lines).
+    at_zero = lambda measure: sum(m for x, m in measure.atoms if x == 0.0)
+    rng = np.random.default_rng(13)
+    specs = [spec for _, spec in catalog.REGRESSION_SPECS]
+    specs += [catalog.random_discrete_string(rng) for _ in range(6)]
+    specs += [_atomic_halfline(seed, upsilon0) for seed, upsilon0 in ((3, 0.0), (4, 0.8))]
+    specs += [_short_free(steps, tail, seed=steps) for steps in (5, 20) for tail in (None, (0.5, 2.0))]
+    specs.append(_tailed_halfline(0.5, 2.0))
+    for spec in specs:
+        stieltjes = classify(spec).stieltjes_structural
+        want = (at_zero(spec.upsilon), 1.0 / spec.length, at_zero(spec.omega) if stieltjes else None)
+        rep = integral_rep_constants(spec)
+        assert (rep.c1, rep.inv_L, rep.c2) == want, spec
 
 
 def _m_oracle(spec, z):
@@ -376,12 +393,13 @@ def _count_sweeps(monkeypatch) -> list:
 def test_one_grid_call_runs_one_sweep(monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     spec = catalog.uniform_halfline()
-    for call in (lambda: weyl_m_grid(spec, standard_grid()),
-                 lambda: classify(spec),
-                 lambda: integral_rep_constants(catalog.empty_halfline())):
+    for call, count in ((lambda: weyl_m_grid(spec, standard_grid()), 1),
+                        (lambda: classify(spec), 1),
+                        # The constants are read off the string, with no sweep.
+                        (lambda: integral_rep_constants(catalog.empty_halfline()), 0)):
         sweeps.clear()
         call()
-        assert len(sweeps) == 1
+        assert len(sweeps) == count
     # The sweep on a half-line has one target: its last breakpoint.  A walk
     # without densities of at most _ROW_STEPS steps takes the row sweep.
     atomic = _atomic_halfline(3)
@@ -566,6 +584,39 @@ def test_short_free_walks_match_the_oracle_and_the_fold():
                 ref = _m_oracle(spec, z) if tail is None else _m_oracle_halfline(spec, z)
                 assert abs(m - ref) <= 1e-13 * abs(ref), (steps, tail, z, m, ref)
                 assert abs(m - m_fold) <= 1e-13 * abs(ref), (steps, tail, z, m, m_fold)
+
+
+@pytest.fixture
+def fresh_views():
+    """An empty view cache before and after, so that no walk planned under one
+    setting of the sweep constants is reused under another."""
+    coefficient_view.cache_clear()
+    yield
+    coefficient_view.cache_clear()
+
+
+def test_row_sweep_and_both_folds_match_the_oracle_on_random_free_strings(monkeypatch, fresh_views):
+    """Every free walk may take the row sweep (_ROW_STEPS = 10**9), the fold of
+    four-step leaves (_ROW_STEPS = 0) or the fold of one-step leaves (and
+    _LEAF_STEPS = 1): on seeded free strings of 5 to 300 steps, finite and
+    half-lines with a free and two (a, b) tails, each path is within 1e-10 of
+    the 50-digit reference at every z of the wide range, none refused."""
+    zs = np.array([r * cmath.exp(1j * a) for r in np.logspace(-8, 6, 15)
+                   for a in (1e-8, 0.3, np.pi / 2, np.pi - 0.3, np.pi - 1e-8)])
+    specs = [_short_free(steps, tail, seed=steps) for steps in (5, 19, 20, 64, 300)
+             for tail in (None, (0.0, 0.0), (0.5, 2.0), (-0.7, 1.0))]
+    refs = [np.array(oracle.free_weyl_m(spec, zs)) for spec in specs]
+    for row_steps, leaf_steps in ((10 ** 9, propagation._LEAF_STEPS), (0, propagation._LEAF_STEPS), (0, 1)):
+        monkeypatch.setattr(propagation, "_ROW_STEPS", row_steps)
+        monkeypatch.setattr(propagation, "_LEAF_STEPS", leaf_steps)
+        coefficient_view.cache_clear()
+        for spec, ref in zip(specs, refs):
+            samples = weyl_m_grid(spec, zs)
+            walk = propagation._walk_to(coefficient_view(spec), [samples[0].truncation_x])
+            assert (walk.row is not None) == bool(row_steps)
+            assert walk.leaf_steps == min(leaf_steps, walk.steps)
+            m = np.array([sample.m for sample in samples])
+            assert np.all(np.abs(m - ref) <= 1e-10 * np.abs(ref)), (row_steps, leaf_steps, spec)
 
 
 def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
