@@ -121,12 +121,17 @@ _EXP_PHASE = 300.0
 _BIG = 1e120
 # A Weyl value on a walk without densities of at most this many steps takes
 # the row sweep: the most steps at which a one-z weyl_m through it was not
-# slower than through the fold.  Time ratios, row sweep over fold (2-vCPU
-# shared host, Python 3.11, numpy 2.4; fastest of 15 x 300 calls,
-# alternating; three runs each of finite strings and half-lines, with and
-# without upsilon atoms): 0.94-1.01 at 19 steps (median 0.95), and on finite
-# strings 1.01-1.05 at 20 and 1.03-1.08 at 21.
-_ROW_STEPS = 19
+# slower than through the fold.  Time ratios, row sweep over fold, median
+# [quartiles] (2-vCPU shared host, Python 3.11, numpy 2.4; fastest of
+# 15 x 300 calls, alternating; 68 strings at 33 to 35 steps, finite strings
+# and half-lines with and without upsilon atoms): 0.96 [0.94, 1.00] at 33
+# steps, 0.99 [0.96, 1.03] at 34 and 1.03 [0.99, 1.07] at 35.  The ratio is
+# not monotone: the fold of 29 to 32 steps has 8 leaves and 3 levels, and
+# there it reads 1.04-1.10; 33 steps add a ninth leaf and a fourth level.
+# A change to the cost of the one-z fold (a level of _fold, its
+# _Workspace.take calls: a FOUND line of CHANGES.md) moves this break-even
+# and must re-measure it.
+_ROW_STEPS = 33
 
 
 @dataclass(frozen=True)

@@ -496,7 +496,7 @@ def stieltjes_inversion(source, window: tuple[float, float],
     stride = max(1, npts // 512)
     e_min = eps[-1]
     im_min = ev(lam[::stride] + 1j * e_min).imag
-    cont = tuple((float(l), float(v / math.pi)) for l, v in zip(lam[::stride], im_min))
+    cont = tuple(zip(lam[::stride].tolist(), (im_min / math.pi).tolist()))
     return SpectralMeasure(atoms=tuple(atoms), continuous_samples=cont, epsilon_used=e_min)
 
 

@@ -435,6 +435,26 @@ def test_flat_density_inversion_makes_two_calls(monkeypatch, window, eps):
         assert abs(density - 1.0 / np.pi) <= 1e-8
 
 
+def test_density_samples_are_the_floats_of_each_sample():
+    # The density samples are the last evaluator call: each pair must be
+    # (float(l), float(Im m / pi)) of that call's values, one at a time, as
+    # Python floats, on a strided scan (window (1, 5)) and on one that is not.
+    for window in ((1.0, 5.0), (2.5, 3.5)):
+        calls = []
+
+        def m(zs):
+            values = 1j * (1.0 + 0.1 * np.sin(zs)) + 0.5 / (3.0 - zs)
+            calls.append((zs, values))
+            return values
+
+        mu = stieltjes_inversion(m, window)
+        zs, values = calls[-1]
+        want = tuple((float(l), float(v / math.pi)) for l, v in zip(zs.real, values.imag))
+        assert mu.continuous_samples == want
+        assert len(want) == zs.size > 1
+        assert all(type(l) is float and type(d) is float for l, d in mu.continuous_samples)
+
+
 def _atom_on_flat_density(noise, counts):
     rng = np.random.default_rng(7)
 

@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from indefstring import catalog, propagation
+from indefstring.canonical import canonical_m_grid, string_to_hamiltonian
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import (
     ComputationError,
@@ -650,6 +651,49 @@ def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
         checks.clear()
         weyl_m(spec, 1e50j)
         assert len(checks) >= propagation._ROW_STEPS - 1 and sum(checks) >= 3
+
+
+def _discrete_string(n_omega: int, n_upsilon: int, seed: int) -> StringSpec:
+    """A finite string on [0, 1] of n_omega positive omega and n_upsilon
+    upsilon point masses at distinct positions, one per cell of
+    [0.05, 0.95]: n_omega + n_upsilon + 1 steps from 0 to L."""
+    rng = np.random.default_rng([seed, n_omega, n_upsilon])
+    n = n_omega + n_upsilon
+    xs = 0.05 + 0.9 * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
+    ups = rng.permutation(n) < n_upsilon
+    masses = rng.uniform(0.5, 1.5, n)
+    masses[~ups] *= 2.0 * n_omega / n / masses[~ups].sum()
+    masses[ups] *= 0.5 * n_upsilon / n / masses[ups].sum()
+    atoms = lambda sel: tuple(zip(xs[sel].tolist(), masses[sel].tolist()))
+    return StringSpec(1.0, MeasureData(atoms=atoms(~ups)), MeasureData(atoms=atoms(ups)))
+
+
+def test_free_strings_of_33_steps_take_only_row_sweeps(monkeypatch):
+    """A 24-omega, 8-upsilon finite string has 33 steps: its grids, its
+    Stieltjes inversion (the scan, the section search and the density
+    samples) and the canonical Weyl function of its Hamiltonian all run row
+    sweeps, never the fold; its grid rows, whose g come one step at a time,
+    have the bytes of one-z calls, whose g come at once.  With one point mass
+    more, 34 steps, the grid folds."""
+    zs = np.concatenate([_WIDE_ZS, standard_grid()])
+    assert zs.size * 33 > propagation._BUDGET
+    sweeps = _count_sweeps(monkeypatch)
+    for seed in (1, 2):
+        spec = _discrete_string(24, 8, seed)
+        assert propagation._walk_to(coefficient_view(spec), [1.0]).steps == 33
+        sweeps.clear()
+        grid = weyl_m_grid(spec, zs)
+        mu = stieltjes_inversion(spec, (1.0, 60.0))
+        canonical_m_grid(string_to_hamiltonian(spec), standard_grid())
+        assert mu.atoms and len(sweeps) > 3
+        assert {kind for kind, _ in sweeps} == {"row"}, seed
+        for z, got in zip(zs, grid):
+            assert cmath.isfinite(got.m)
+            assert _parts_bits(weyl_m(spec, z).m) == _parts_bits(got.m), (seed, z)
+        longer = _discrete_string(25, 8, seed)
+        sweeps.clear()
+        weyl_m_grid(longer, zs)
+        assert sweeps == [("fold", [1.0])]
 
 
 def test_checks_keep_their_order_types_and_messages(monkeypatch):
