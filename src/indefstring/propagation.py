@@ -46,16 +46,18 @@ bound the memory only.  A walk of at least one full block and
 ``_SPLIT_WORK`` step x z products is swept on ``_WORKERS`` threads, one per
 CPU the process may run on, each over a contiguous chunk of z (numpy
 releases the interpreter lock inside its loops, so the chunks run in
-parallel); a shorter walk is one chunk.  A thread sweeps its chunk a column
-of z at a time, so that the longest run holds at most ``_COLUMN`` leaf x z
-matrices, in one workspace that every column reuses: the leaf matrices,
-two fold levels that alternate, the scratch of a fold and of a
-composition, the entries of pieces with a density, and the column's state.
-Fresh arrays of a column's size lie above the allocator's mmap threshold,
-and each would fault in new pages.  In a column, runs are built together,
-up to ``_BUDGET`` leaf x z matrices and at least one run, and consecutive
-runs of one number of leaves in a build are folded together, stacked on an
-axis of their own.
+parallel); a shorter walk is one chunk.  ``_COLUMN`` sets all three batch
+sizes of a sweep.  A thread sweeps its chunk a column of z at a time, so
+that the longest run holds at most ``_COLUMN`` leaf x z matrices, in one
+workspace that every column reuses: the leaf matrices, two fold levels that
+alternate, the scratch of a fold and of a composition, the entries of
+pieces with a density, and the column's state.  Fresh arrays of a column's
+size lie above the allocator's mmap threshold, and each would fault in new
+pages.  In a column, runs are built together, up to ``_COLUMN`` leaf x z
+matrices and at least one run, and consecutive runs of one number of leaves
+in a build are folded together, stacked on an axis of their own.  A row
+sweep makes its factors g at once up to ``_COLUMN`` step x z, else one step
+at a time.
 
 With ``rescale`` the entries are kept in range by positive per-z factors,
 which spoil det = 1 but keep entry ratios (hence Weyl quotients): a piece
@@ -106,10 +108,9 @@ from .errors import ComputationError, PositionOutOfRange
 _BLOCK_STEPS = 256
 # Steps per leaf of the fold of a walk without densities.
 _LEAF_STEPS = 4
-# Leaf x z matrices built in one pass of runs that fit together; and the
-# step x z factors a row sweep makes in one pass.
-_BUDGET = 1 << 12
-# Leaf x z matrices of the longest run in one column of z.
+# The batch sizes of a sweep: leaf x z matrices of the longest run in one
+# column of z, leaf x z matrices built in one pass of runs that fit together,
+# and step x z factors a row sweep makes in one pass.
 _COLUMN = 1 << 14
 # Threads of a long sweep: one per CPU the process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -189,27 +190,20 @@ def _closed_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Worksp
 def _piece_entries(kappa: np.ndarray, h: np.ndarray, rescale: bool, ws: _Workspace):
     """Entries of the constant-coefficient transfer, elementwise.
 
-    Returns (C, S) with C = cos(s h) and S = sin(s h)/s for s = sqrt(kappa);
-    series branches keep the kappa -> 0 limit exact.  With ``rescale``, C and
-    S of a piece whose phase has |Im s h| > _EXP_PHASE come times
-    e^{-|Im s h|}.  C and S of the closed form lie in buffers of ``ws``.
+    Returns (C, S) with C = cos(s h) and S = sin(s h)/s for s = sqrt(kappa),
+    in buffers of ``ws``: the closed form everywhere, then the series where
+    |kappa h^2| < 1e-12, which keeps the kappa -> 0 limit exact (at kappa = 0
+    the closed form's 0/0 is an invalid that the sweep ignores).  With
+    ``rescale``, C and S of a piece whose phase has |Im s h| > _EXP_PHASE
+    come times e^{-|Im s h|}.
     """
-    y = np.multiply(kappa, h * h, out=ws.take("sh", kappa.shape))
+    C, S = _closed_entries(kappa, h, rescale, ws)
+    # The buffer of s is free once the closed form is made.
+    y = np.multiply(kappa, h * h, out=ws.take("s", kappa.shape))
     small = np.abs(y, out=ws.take("t", kappa.shape, float)) < 1e-12
-    if not small.any():
-        return _closed_entries(kappa, h, rescale, ws)
-    if small.all():
-        return _series_entries(y, h)
-    h = np.broadcast_to(h, y.shape)
-    big = ~small
-    out = []
-    for series, closed in zip(_series_entries(y[small], h[small]),
-                              _closed_entries(kappa[big], h[big], rescale, _Workspace())):
-        entry = np.empty_like(y)
-        entry[small] = series
-        entry[big] = closed
-        out.append(entry)
-    return out
+    if small.any():
+        C[small], S[small] = _series_entries(y[small], np.broadcast_to(h, y.shape)[small])
+    return C, S
 
 
 def _at_steps(view: CoefficientView, left: np.ndarray):
@@ -239,27 +233,28 @@ class _Steps:
     def _pieces(self, steps: slice, z: np.ndarray, zz: np.ndarray, rescale: bool,
                 ws: _Workspace, out: np.ndarray):
         """C, S and -kappa S of the pieces, each broadcast to (steps, z.size),
-        in buffers of ``ws``.  Where only some steps have a density,
-        they are written into out[1, 1], out[0, 1] and out[1, 0] instead, and
-        come back as None.  kappa = 0 on a step without density, where the
-        series entries are exact."""
+        written into out[1, 1], out[0, 1] and out[1, 0].  Where only some
+        steps have a density, the free values (kappa = 0, where the series
+        entries are exact) go everywhere first and the dense steps over them."""
         h = self.h[steps]
         dense = np.flatnonzero(self.dense[steps])
+        entries = (out[1, 1], out[0, 1], out[1, 0])
+        if dense.size < h.size:
+            for entry, free in zip(entries, (1.0, h[:, None], 0.0)):
+                entry[...] = free
         if dense.size == 0:
-            return 1.0, h[:, None], 0.0
+            return
         rows = slice(None) if dense.size == h.size else dense
         shape = (dense.size, z.size)
         kappa = np.multiply(z[None, :], self.da[steps][rows, None], out=ws.take("kappa", shape))
         kappa += np.multiply(zz[None, :], self.db[steps][rows, None], out=ws.take("sh", shape))
         C, S = _piece_entries(kappa, h[rows, None], rescale, ws)
-        kS = np.multiply(np.negative(kappa, out=kappa), S, out=kappa)
-        if dense.size == h.size:
-            return C, S, kS
-        # The free entries everywhere, then the dense steps over them.
-        for entry, free, value in ((out[1, 1], 1.0, C), (out[0, 1], h[:, None], S), (out[1, 0], 0.0, kS)):
-            entry[...] = free
-            entry[dense] = value
-        return None, None, None
+        # Not into kappa: numpy rounds a one-element complex product into one
+        # of its inputs without the fused multiply-adds of every other size,
+        # and a one-z call would lose the bits of its grid row.
+        kS = np.multiply(np.negative(kappa, out=kappa), S, out=ws.take("kS", shape))
+        for entry, value in zip(entries, (C, S, kS)):
+            entry[rows] = value
 
     def matrices(self, lo: int, hi: int, z: np.ndarray, zz: np.ndarray, rescale: bool,
                  ws: _Workspace):
@@ -269,28 +264,17 @@ class _Steps:
         steps = slice(lo, hi)
         shape = (2, 2, hi - lo, z.size)
         out = ws.take("steps", shape)
-        C, S, kS = self._pieces(steps, z, zz, rescale, ws, out)
-        placed = C is None
-        if placed:
-            C, S, kS = out[1, 1], out[0, 1], out[1, 0]
+        self._pieces(steps, z, zz, rescale, ws, out)
+        C, S, kS = out[1, 1], out[0, 1], out[1, 0]
         if self.atomic:
-            # g = z alpha + z^2 mu, then C - S g and kS - C g, with out[:, 1] as
-            # scratch unless it holds the pieces.
-            if placed:
-                g, tmp = out[0, 0], ws.take("odd", shape[2:])
-            else:
-                g, tmp = out[0, 1], out[1, 1]
+            # g = z alpha + z^2 mu in out[0, 0], then C - S g and kS - C g.
+            g, tmp = out[0, 0], ws.take("odd", shape[2:])
             np.multiply(z[None, :], self.aw[steps, None], out=g)
             g += np.multiply(zz[None, :], self.au[steps, None], out=tmp)
-            np.subtract(kS, np.multiply(C, g, out=tmp), out=out[1, 0])
-            np.subtract(C, np.multiply(S, g, out=tmp), out=out[0, 0])
+            np.subtract(kS, np.multiply(C, g, out=tmp), out=kS)
+            np.subtract(C, np.multiply(S, g, out=tmp), out=g)
         else:
             out[0, 0] = C
-            if not placed:
-                out[1, 0] = kS
-        if not placed:
-            out[0, 1] = S
-            out[1, 1] = C
         return out
 
 
@@ -505,51 +489,11 @@ def _fold(mats: np.ndarray, rescale: bool, ws: _Workspace) -> np.ndarray:
     return mats
 
 
-def _walk_states(walk: _Walk, z: np.ndarray, rescale: bool) -> dict:
-    """Closed-form transfer in (u, u') variables along ``walk``, vectorized
-    over a 1-D complex z.
-
-    Returns the state at each sample position, keyed by position.  A state
-    has shape (2, 2, z.size): a solution with u(0)=d1, u'(0-)=d2 has
-    (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.  ``rescale`` scales
-    each z's state by a positive factor to keep it finite.  A walk without
-    steps gives the identity at its one position.
-
-    The records are allocated first.  A walk of at least one full block and
-    _SPLIT_WORK step x z matrices is then swept on _WORKERS threads, each over
-    a contiguous chunk of z (:func:`_sweep_chunk`), the first on the calling
-    thread; a shorter one is one chunk.
-    """
-    records = {x: np.empty((2, 2, z.size), dtype=complex) for x, _ in walk.samples}
-    workers = 1
-    if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
-        workers = min(_WORKERS, z.size)
-    bounds = [z.size * t // workers for t in range(workers + 1)]
-    errors = [None] * workers
-
-    def sweep(t):
-        try:
-            _sweep_chunk(walk, z, rescale, records, bounds[t], bounds[t + 1])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[t] = exc
-
-    threads = [threading.Thread(target=sweep, args=(t,)) for t in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    sweep(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return records
-
-
 def _sweep_chunk(walk: _Walk, z: np.ndarray, rescale: bool, records: dict, lo: int, hi: int):
     """Write the states of z[lo:hi] into their columns of ``records``.
 
     The chunk is swept a column of at most _COLUMN // ``walk.widest`` z at a
-    time, in one workspace: runs are built together, up to _BUDGET leaf x z
+    time, in one workspace: runs are built together, up to _COLUMN leaf x z
     matrices and at least one run, the runs of a build with one number of
     leaves are folded together when the first of them is reached, and each
     run's product is composed onto the column's state.
@@ -570,7 +514,7 @@ def _sweep_chunk(walk: _Walk, z: np.ndarray, rescale: bool, records: dict, lo: i
                 while k < runs:
                     a, b = cuts[k:k + 2]
                     if k == end:
-                        end = max(k + 1, bisect.bisect_right(cuts, a + _BUDGET // zc.size) - 1)
+                        end = max(k + 1, bisect.bisect_right(cuts, a + _COLUMN // zc.size) - 1)
                         mats, first = walk.leaf_matrices(a, cuts[end], zc, zz, rescale, ws), a
                     if k == folded:
                         folded, start = min(walk.same[k], end), k
@@ -597,13 +541,13 @@ def _walk_to(view: CoefficientView, xs) -> _Walk:
 def _row_factors(walk: _Walk, z: np.ndarray):
     """g = z alpha + z^2 mu of each step of a row sweep, last first, from real
     products on the parts of z and z^2, so that a z gets the same bits however
-    many are swept with it.  Where steps x z is at most _BUDGET they are
+    many are swept with it.  Where steps x z is at most _COLUMN they are
     the rows of one array, made in a call or three; else they come one step
     at a time in one buffer, which holds no more than the z."""
     _, alpha, mu, _ = walk.row
     parts = np.ascontiguousarray(z).view(float)
     squares = (z * z).view(float) if walk.upsilon_atoms else None
-    if z.size * alpha.size <= _BUDGET:
+    if z.size * alpha.size <= _COLUMN:
         g = parts * alpha
         if squares is not None:
             g += squares * mu
@@ -654,19 +598,51 @@ def _row_sweep(walk: _Walk, z: np.ndarray, w0, w1) -> np.ndarray:
     return row
 
 
-def _sweep_closed(view, z, xs, rescale: bool = False):
-    """All states of :func:`_walk_states`, keyed by sample position.
+def _sweep_closed(view, z, xs, rescale: bool = False) -> dict:
+    """Closed-form transfer in (u, u') variables from 0 to the sample
+    positions ``xs``, vectorized over a 1-D complex z.
+
+    Returns the state at each sample position, keyed by position.  A state
+    has shape (2, 2, z.size): a solution with u(0)=d1, u'(0-)=d2 has
+    (u(x), u'(x-)) = state[:, 0] d1 + state[:, 1] d2.  ``rescale`` scales
+    each z's state by a positive factor to keep it finite.  A walk without
+    steps gives the identity at its one position.
 
     The walk to the positions is built once per view and positions, and kept
     with the view; the positions are checked when it is built
     (:class:`_Walk`), and a walk kept for the same positions passed that
-    check.  Each state is checked to be finite by one reduction; only where a
-    check fails is the first z whose state is not finite looked for, and
-    named in a :class:`ComputationError`.
+    check.  The records are allocated first.  A walk of at least one full
+    block and _SPLIT_WORK step x z matrices is then swept on _WORKERS
+    threads, each over a contiguous chunk of z (:func:`_sweep_chunk`), the
+    first on the calling thread; a shorter one is one chunk.  Each state is
+    checked to be finite by one reduction; only where a check fails is the
+    first z whose state is not finite looked for, and named in a
+    :class:`ComputationError`.
     """
     z = np.asarray(z, dtype=complex)
     walk = _walk_to(view, xs)
-    records = _walk_states(walk, z, rescale)
+    records = {x: np.empty((2, 2, z.size), dtype=complex) for x, _ in walk.samples}
+    workers = 1
+    if walk.steps >= _BLOCK_STEPS and z.size * walk.steps >= _SPLIT_WORK:
+        workers = min(_WORKERS, z.size)
+    bounds = [z.size * t // workers for t in range(workers + 1)]
+    errors = [None] * workers
+
+    def sweep(t):
+        try:
+            _sweep_chunk(walk, z, rescale, records, bounds[t], bounds[t + 1])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[t] = exc
+
+    threads = [threading.Thread(target=sweep, args=(t,)) for t in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    sweep(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     if walk.steps and not all(np.isfinite(state).all() for state in records.values()):
         finite = np.all([np.isfinite(state).all(axis=(0, 1)) for state in records.values()], axis=0)
         k = int(np.argmin(finite))

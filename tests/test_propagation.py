@@ -163,8 +163,8 @@ def _signed_atoms(n: int, seed: int) -> StringSpec:
 
 def test_blocked_fold_matches_mpmath_oracle():
     # 700 steps: the runs to the last sample positions are folded over
-    # several blocks; at 27 z the steps are built a few z at a time, at one z
-    # a few blocks at a time.
+    # several blocks; at 27 z a build holds four runs, then two, and at one z
+    # all six.
     spec = _signed_atoms(700, 5)
     xs = [0.1, 0.5, 0.95, 1.0]
     zs = np.concatenate([standard_grid()[::2], [30.0 + 0.5j, -20.0 + 3.0j]])
@@ -259,6 +259,28 @@ def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
         m = m_truncated(spec, zs, xs[2])
         assert np.array_equal(m, [m_truncated(spec, z, xs[2]) for z in zs])
     assert propagation._Walk(coefficient_view(free), np.array([1.0])).leaf_steps == 4
+
+
+@pytest.mark.parametrize("n_z", [1, 2, 3, 5, 17])
+def test_long_walks_at_few_z_match_one_z_calls_bit_for_bit(n_z):
+    """A density string of about 10^4 breakpoints and a free string of 4 x 10^4
+    steps, each of about 10^4 leaves.  A build holds up to _COLUMN // n_z
+    leaves, so a one-z call builds each walk in one pass and a grid of two or
+    more z in several: each z of a grid still has the bytes of its one-z
+    call, in rescaled transfer matrices at three positions and in
+    m_truncated at L."""
+    rng = np.random.default_rng(n_z)
+    zs = rng.uniform(-60.0, 60.0, n_z) + 1j * rng.uniform(0.01, 20.0, n_z)
+    xs = [0.3, 0.71, 1.0]
+    for spec in (_mixed_string(10_000, 23), _free_string(40_000, 23)):
+        leaves = propagation._Walk(coefficient_view(spec), np.array(xs)).cuts[-1]
+        assert propagation._COLUMN // 2 < leaves <= propagation._COLUMN
+        mats = transfer_matrices(spec, zs, xs, rescale=True)
+        m = m_truncated(spec, zs, 1.0)
+        assert np.all(np.isfinite(mats)) and np.all(np.isfinite(m))
+        for k, z in enumerate(zs):
+            assert np.array_equal(mats[:, k], transfer_matrices(spec, z, xs, rescale=True)), z
+            assert m[k].tobytes() == np.complex128(m_truncated(spec, z, 1.0)).tobytes(), z
 
 
 @pytest.fixture

@@ -251,6 +251,21 @@ def _many_atoms(n: int, length: float, seed: int) -> StringSpec:
                       upsilon=MeasureData(density=((0.5, 1.0, 0.5),)))
 
 
+def _density_pieces(n: int, seed: int) -> StringSpec:
+    """A finite string on [0, 1] of n pieces, each with an omega density of
+    either sign and an upsilon density, and an omega point mass in each gap
+    between them."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.uniform(0.0, 1.0, 2 * n))
+    pieces = list(zip(cuts[0::2].tolist(), cuts[1::2].tolist()))
+    gaps = ((cuts[1:-1:2] + cuts[2::2]) / 2.0).tolist()
+    density = lambda lo, hi: tuple((a, b, v) for (a, b), v in zip(pieces, rng.uniform(lo, hi, n).tolist()))
+    return StringSpec(length=1.0,
+                      omega=MeasureData(atoms=tuple(zip(gaps, rng.uniform(0.1, 0.5, n - 1).tolist())),
+                                        density=density(-1.0, 3.0)),
+                      upsilon=MeasureData(density=density(0.0, 2.0)))
+
+
 _SWEEP_SPECS = {
     "uniform": catalog.uniform_halfline(),
     "upsilon": catalog.upsilon_lebesgue_halfline(),
@@ -261,9 +276,17 @@ _SWEEP_SPECS = {
     # Sweeps over several blocks of steps, built a few steps or a few z at a time.
     "finite-many": _many_atoms(3000, 2.0, 7),
     "halfline-many": _many_atoms(300, np.inf, 8),
+    # Strings with a density: a one-z build of mixed_example() holds one
+    # density step, and at 1e-6i its density piece has |kappa h^2| = 0.7e-12,
+    # so the grid mixes series and closed-form entries where the one-z call
+    # takes the series only.
+    "mixed": catalog.mixed_example(),
+    "uniform-string": catalog.uniform_string(),
+    "density-pieces": _density_pieces(6, 11),
 }
 _rows = standard_grid().reshape(7, 7)[[1, 4]].ravel()
-_SWEEP_ZS = np.concatenate([_rows, _rows.conj(), 1j * 10.0 ** np.arange(-6, 7, 2)])
+_far = np.array([955.336489125606 + 295.52020666133956j, -955.336489125606 + 295.52020666133956j])
+_SWEEP_ZS = np.concatenate([_rows, _rows.conj(), 1j * 10.0 ** np.arange(-6, 7, 2), _far, _far.conj()])
 
 
 @pytest.fixture(scope="module")
@@ -379,15 +402,21 @@ def test_truncation_point_on_an_atom():
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Every sweep run from now on, fold (_walk_states) or row sweep
+    """Every sweep run from now on, fold (_sweep_closed) or row sweep
     (_row_sweep), as (kind, its sample positions)."""
     sweeps = []
-    for kind, name in (("fold", "_walk_states"), ("row", "_row_sweep")):
-        def counted(walk, *args, _kind=kind, _sweep=getattr(propagation, name), **kwargs):
-            sweeps.append((_kind, walk.points[walk.targets].tolist()))
-            return _sweep(walk, *args, **kwargs)
+    fold, row = propagation._sweep_closed, propagation._row_sweep
 
-        monkeypatch.setattr(propagation, name, counted)
+    def folded(view, z, xs, *args, **kwargs):
+        sweeps.append(("fold", np.asarray(xs, dtype=float).tolist()))
+        return fold(view, z, xs, *args, **kwargs)
+
+    def swept(walk, *args, **kwargs):
+        sweeps.append(("row", walk.points[walk.targets].tolist()))
+        return row(walk, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_sweep_closed", folded)
+    monkeypatch.setattr(propagation, "_row_sweep", swept)
     return sweeps
 
 
@@ -627,10 +656,10 @@ def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
     |z| = 1e50 checks the rows of all its z against _BIG after every step but
     the first, and divides a z's row by its own largest part only where that
     exceeds _BIG, as at |z| = 1e50 on several steps."""
-    zs = np.array([r * cmath.exp(1j * t) for r in 10.0 ** np.arange(-8, 51, 2)
-                   for t in (1e-6, 0.7, np.pi / 2, np.pi - 0.3)])
+    zs = np.array([r * cmath.exp(1j * t) for r in 10.0 ** np.arange(-8, 51)
+                   for t in (1e-6, 0.7, 1.2, np.pi / 2, np.pi - 0.3)])
     zs = np.concatenate([zs, zs.conj()])
-    assert zs.size * propagation._ROW_STEPS > propagation._BUDGET >= propagation._ROW_STEPS
+    assert zs.size * propagation._ROW_STEPS > propagation._COLUMN >= propagation._ROW_STEPS
     checks = []
     normalize = propagation._normalize
 
@@ -675,8 +704,8 @@ def test_free_strings_of_33_steps_take_only_row_sweeps(monkeypatch):
     sweeps, never the fold; its grid rows, whose g come one step at a time,
     have the bytes of one-z calls, whose g come at once.  With one point mass
     more, 34 steps, the grid folds."""
-    zs = np.concatenate([_WIDE_ZS, standard_grid()])
-    assert zs.size * 33 > propagation._BUDGET
+    zs = np.concatenate([_WIDE_ZS, standard_grid(), _MANY_ZS[::2]])
+    assert zs.size * 33 > propagation._COLUMN
     sweeps = _count_sweeps(monkeypatch)
     for seed in (1, 2):
         spec = _discrete_string(24, 8, seed)
