@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping
@@ -37,11 +36,6 @@ _INF = math.inf
 
 # Two-point Gauss-Legendre nodes on [0, 1]; exact through cubic integrands.
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
-# Sweep plans kept with one view: the walk to L (or, on a half-line, to its
-# last breakpoint) and a few walks to positions that callers choose; the least
-# recently used goes first.
-_PLANS = 4
 
 
 @dataclass(frozen=True)
@@ -302,9 +296,6 @@ class CoefficientView:
         self.sigma_left = self.bp + self.i2 + self.ups_left
         self.sigma_right = self.bp + self.i2 + self.ups_right
         self.sigma_length = self.sigma_left[-1] if math.isfinite(self.length) else _INF
-        self._plans: dict = {}
-        self._plans_lock = threading.Lock()
-        self._last: tuple = (None, None)
 
     def _atoms(self, data: MeasureData) -> np.ndarray:
         out = np.zeros(len(self.bp))
@@ -318,30 +309,6 @@ class CoefficientView:
         a, b, value = np.array(data.density, dtype=float).T
         k = np.searchsorted(a, self.bp, side="right") - 1
         return np.where((k >= 0) & (self.bp < b[k]), value[k], 0.0)
-
-    def plan(self, key, build: Callable[[], object]):
-        """The z-independent sweep plan ``build()`` for ``key``, built on first
-        use and kept with this view (at most ``_PLANS``), so that evicting the
-        view frees it.  Plans are read-only once built: two threads that first
-        ask for one key at once may both build it, harmlessly, so the lock
-        guards only the map.  The plan asked for last is returned without
-        the lock: it is already the most recently used."""
-        last_key, last_plan = self._last
-        if key == last_key:
-            return last_plan
-        with self._plans_lock:
-            plan = self._plans.pop(key, None)
-            if plan is not None:
-                self._plans[key] = plan
-                self._last = key, plan
-                return plan
-        plan = build()
-        with self._plans_lock:
-            self._plans[key] = plan
-            self._last = key, plan
-            while len(self._plans) > _PLANS:
-                del self._plans[next(iter(self._plans))]
-        return plan
 
     # -- point queries: a position or an array of them, left-continuous -------
 

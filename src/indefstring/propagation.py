@@ -75,9 +75,10 @@ points, the runs and which of them have one number of leaves, the lengths,
 point masses and densities of the leaves' steps in pair order, and on a
 short free walk those of its steps last to first for the row sweep) is its
 plan, a :class:`_Walk`.  It is built once per string and positions, on
-first use, after the positions are checked, and kept with the string's
-coefficient view, so later sweeps at other z start at once: a plan kept for
-the same positions means they passed.
+first use, after the positions are checked, and kept in one bounded cache of
+this module (:func:`_plan`, the ``_PLANS`` most recently used), so later
+sweeps at other z start at once: a plan kept for the same positions means
+they passed.
 
 A call makes only the numpy calls its arithmetic needs: each check is one
 reduction that passes on good input, and the value that fails it is looked
@@ -133,6 +134,12 @@ _BIG = 1e120
 # _Workspace.take calls: a FOUND line of CHANGES.md) moves this break-even
 # and must re-measure it.
 _ROW_STEPS = 33
+# Sweep plans kept (:func:`_plan`), the least recently used going first; each
+# keeps its coefficient view alive.  A perfbench process sweeps at most 13
+# distinct plans, every round (inverse-spectral; finite-sweep 10, halfline-weyl
+# 5, cli-files 1; seeds 1-3, 4 s runs), and a cache under 13 rebuilds each of
+# them every round there; 64 keeps that working set with room to spare.
+_PLANS = 64
 
 
 @dataclass(frozen=True)
@@ -531,11 +538,16 @@ def _sweep_chunk(walk: _Walk, z: np.ndarray, rescale: bool, records: dict, lo: i
                 records[x][..., cols] = state
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(view: CoefficientView, xs: bytes) -> _Walk:
+    """The plan of a sweep of ``view`` to the positions whose float64 bytes are
+    ``xs``.  A refusal of the positions raises and is not cached."""
+    return _Walk(view, np.frombuffer(xs))
+
+
 def _walk_to(view: CoefficientView, xs) -> _Walk:
-    """The plan of a sweep of ``view`` to the positions ``xs``: built on first
-    use, which checks the positions, and kept with the view."""
-    xs = np.asarray(xs, dtype=float)
-    return view.plan(("walk", xs.tobytes()), lambda: _Walk(view, xs))
+    """The plan of a sweep of ``view`` to the positions ``xs`` (:func:`_plan`)."""
+    return _plan(view, np.asarray(xs, dtype=float).tobytes())
 
 
 def _row_factors(walk: _Walk, z: np.ndarray):
@@ -609,8 +621,8 @@ def _sweep_closed(view, z, xs, rescale: bool = False) -> dict:
     steps gives the identity at its one position.
 
     The walk to the positions is built once per view and positions, and kept
-    with the view; the positions are checked when it is built
-    (:class:`_Walk`), and a walk kept for the same positions passed that
+    in the plan cache (:func:`_plan`); the positions are checked when it is
+    built (:class:`_Walk`), and a walk kept for the same positions passed that
     check.  The records are allocated first.  A walk of at least one full
     block and _SPLIT_WORK step x z matrices is then swept on _WORKERS
     threads, each over a contiguous chunk of z (:func:`_sweep_chunk`), the

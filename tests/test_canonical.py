@@ -349,6 +349,7 @@ def test_rows_mappings_and_an_array_build_equal_hamiltonians():
     assert by_array.pieces.shape == (3, 3) and by_array.pieces.dtype == float
     assert Hamiltonian([(2.0, 0.5, 0.25), (None, 0.2, -0.1)]) == Hamiltonian(by_rows.pieces[[0, 2]])
     assert by_rows != Hamiltonian(rows, mesh=4)
+    assert (by_rows == 3) is False and by_rows != rows
 
 
 def test_pieces_are_read_only_and_the_input_array_is_not():

@@ -130,6 +130,31 @@ def test_forward_refuses_a_malformed_grid_row_with_exit_1(tmp_path, capsys):
     assert [row.split(",")[:2] for row in out.read_text().splitlines()[1:]] == [["0", "1"], ["2", "0.5"]]
 
 
+def test_forward_refuses_a_grid_of_only_a_header_with_exit_1(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("re_z,im_z\n\n", encoding="utf-8")
+    out = tmp_path / "m.csv"
+    rc = main(["forward", "--spec", _dump(tmp_path / "spec.json", ATOM_MID), "--grid", str(grid),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: no usable 're_z, im_z' rows in {grid}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, option", [
+    ("roundtrip", ["--tol", "0"], "--tol"),
+    ("spectrum", ["--window", "1", "6", "--eps", "0", "1e-3"], "--eps"),
+])
+def test_tolerances_must_be_positive_with_exit_1(tmp_path, capsys, command, args, option):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--spec", _dump(tmp_path / "spec.json", ATOM_MID), *args, "--out", str(out)])
+    assert err.value.code == 1
+    captured = capsys.readouterr().err
+    assert "usage:" in captured and f"{option}: must be positive, got 0" in captured
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mesh", ["0", "-3", "2.5", "many"])
 @pytest.mark.parametrize("command", ["forward", "roundtrip"])
 def test_mesh_must_be_a_positive_integer_with_exit_1(tmp_path, capsys, grid_csv, command, mesh):

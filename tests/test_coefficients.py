@@ -41,6 +41,21 @@ def test_empty_spec_is_valid_and_zero():
     assert spec.omega.is_zero() and spec.upsilon.is_zero()
 
 
+@pytest.mark.parametrize("raw, message", [
+    (42, "cannot interpret string spec"),
+    ({"L": 1.0, "omega": [{"x": 0.5, "mass": 1.0}]}, "cannot interpret measure data"),
+])
+def test_specs_of_the_wrong_type_are_refused(raw, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_spec(raw)
+
+
+def test_built_specs_and_measures_pass_through_validate_spec():
+    spec = catalog.mixed_example()
+    assert validate_spec(spec) is spec
+    assert validate_spec({"L": spec.length, "omega": spec.omega, "upsilon": spec.upsilon}) == spec
+
+
 def test_negative_upsilon_rejected():
     with pytest.raises(NegativeUpsilon):
         validate_spec({"L": 1.0, "omega": {}, "upsilon": {"atoms": [{"x": 0.5, "mass": -1.0}]}})

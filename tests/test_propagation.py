@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from indefstring import catalog, coefficients, propagation
+from indefstring import catalog, propagation
 from indefstring.coefficients import MeasureData, StringSpec, coefficient_view
 from indefstring.errors import ComputationError, PositionOutOfRange
 from indefstring.propagation import (
@@ -331,6 +331,32 @@ def test_non_finite_z_in_the_last_chunk_is_named(monkeypatch, started, workers):
     assert len(started) == workers - 1
 
 
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_an_error_in_a_chunk_reaches_the_caller(monkeypatch, started, failing):
+    # The calling thread sweeps the first chunk and a worker thread each of
+    # the others; an error in any chunk is raised from the call once every
+    # thread has ended.
+    monkeypatch.setattr(propagation, "_WORKERS", 3)
+    spec = _mixed_string(3 * _BLOCK_STEPS, 17)
+    grid = 1j + np.linspace(-40.0, 40.0, 1001)
+    sweep_chunk, chunks = propagation._sweep_chunk, []
+
+    def sweep_or_fail(walk, z, rescale, records, lo, hi):
+        chunks.append((lo, hi))
+        if (lo == 0) if failing == "caller" else (hi == z.size):
+            raise RuntimeError(f"chunk {lo}:{hi} failed")
+        sweep_chunk(walk, z, rescale, records, lo, hi)
+
+    monkeypatch.setattr(propagation, "_sweep_chunk", sweep_or_fail)
+    before = threading.active_count()
+    match = {"caller": "chunk 0:333 failed", "worker": "chunk 667:1001 failed"}[failing]
+    with pytest.raises(RuntimeError, match=match):
+        transfer_matrices(spec, grid, [0.5, 1.0])
+    assert sorted(chunks) == [(0, 333), (333, 667), (667, 1001)]
+    assert len(started) == 2
+    assert threading.active_count() == before
+
+
 def _fold_checking_every_level(mats, normalize=True):
     """Pairwise fold of the steps in logical order, pairing the even and the
     odd steps, that normalizes every level (unless told not to), and how many
@@ -554,10 +580,55 @@ def test_positions_are_checked_after_a_planned_sweep():
             m_truncated(spec, 1j, x)
 
 
-def test_plans_for_caller_chosen_positions_stay_bounded():
+def test_plans_for_caller_chosen_positions_stay_bounded(walks):
+    # One plan per position swept; the cache keeps the _PLANS used last.
     spec = _mixed_string(50, 3)
-    view = coefficient_view(spec)
-    for x in np.linspace(1e-3, spec.length, 1000):
+    xs = np.linspace(1e-3, spec.length, propagation._PLANS + 10)
+    for x in xs:
         fundamental_system(spec, 1j, [x])
-    assert coefficient_view(spec) is view
-    assert 0 < len(view._plans) <= coefficients._PLANS
+    assert len(walks) == xs.size
+    assert propagation._plan.cache_info().currsize == propagation._PLANS
+    fundamental_system(spec, 1j, [xs[-1]])
+    assert len(walks) == xs.size
+    fundamental_system(spec, 1j, [xs[0]])
+    assert len(walks) == xs.size + 1
+    # A refusal is not kept as a plan, so a second call checks again.
+    hits = propagation._plan.cache_info().hits
+    for bad in (math.nan, spec.length + 0.5):
+        for _ in range(2):
+            with pytest.raises(PositionOutOfRange):
+                fundamental_system(spec, 1j, [bad])
+    assert propagation._plan.cache_info().hits == hits
+    assert len(walks) == xs.size + 1
+
+
+def test_threads_that_share_the_plan_cache_get_the_serial_bytes():
+    # More threads than CPUs, switching often, sweep positions that overflow
+    # the cache: every result must be the bytes of a call on one thread.
+    spec = _mixed_string(50, 3)
+    xs = np.linspace(1e-3, spec.length, propagation._PLANS + 10).tolist()
+    want = {x: transfer_matrices(spec, 1j, [x]).tobytes() for x in xs}
+    wrong = []
+
+    def sweep(offset):
+        try:
+            for k in range(2 * len(xs)):
+                x = xs[(7 * k + offset) % len(xs)]
+                if transfer_matrices(spec, 1j, [x]).tobytes() != want[x]:
+                    wrong.append(x)
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert propagation._plan.cache_info().currsize == propagation._PLANS

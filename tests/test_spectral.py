@@ -8,11 +8,12 @@ import pytest
 
 import oracle
 from indefstring import catalog, propagation, spectral
-from indefstring.coefficients import StringSpec, validate_spec
+from indefstring.coefficients import MeasureData, StringSpec, validate_spec
 from indefstring.errors import (
     ComputationError,
     NotAtomic,
     NotFiniteLength,
+    PositionOutOfRange,
     UnsupportedShape,
     ValidationError,
     WindowTouchesAtomZero,
@@ -80,6 +81,14 @@ def test_eigenvalues_require_discrete_string():
         discrete_eigenvalues(catalog.uniform_string())
     with pytest.raises(NotFiniteLength):
         discrete_eigenvalues(catalog.empty_halfline())
+
+
+def test_eigenvalues_closer_than_resolved_are_refused():
+    # A heavy atom in the middle all but splits the string into two equal
+    # halves, whose eigenvalues pair up 4e-12 apart near 8.
+    heavy = StringSpec(length=1.0, omega=MeasureData(atoms=((0.25, 1.0), (0.5, 1e12), (0.75, 1.0))))
+    with pytest.raises(ComputationError, match="not resolved as simple"):
+        discrete_eigenvalues(heavy)
 
 
 def test_eigenvalues_nonzero_and_simple_on_random_strings():
@@ -237,6 +246,8 @@ def test_measure_json_roundtrip():
     mu = spectral_measure_discrete(UPS_MID)
     again = measure_from_json(measure_to_json(mu))
     assert again.atoms == mu.atoms
+    mu = stieltjes_inversion(catalog.upsilon_lebesgue_halfline(), (1.0, 1.1), eps=(1e-2, 1e-3))
+    assert mu.continuous_samples and measure_from_json(measure_to_json(mu)) == mu
 
 
 def test_inversion_uniform_string():
@@ -253,6 +264,32 @@ def test_inversion_matches_discrete_residues():
     lam, mass = mu.atoms[0]
     assert lam == pytest.approx(4.0, abs=1e-3)
     assert mass == pytest.approx(1.0, abs=1e-3)
+
+
+def _past_the_atom_cap():
+    """65 omega atoms on [0, 1]: one more than the exact route takes."""
+    rng = np.random.default_rng(65)
+    xs = np.sort(rng.uniform(0.0, 1.0, 65))
+    masses = rng.uniform(0.5, 1.5, 65) / 65
+    return StringSpec(length=1.0, omega=MeasureData(atoms=tuple(zip(xs.tolist(), masses.tolist()))))
+
+
+def test_strings_past_the_atom_cap_take_the_boundary_value_route(monkeypatch):
+    spec, window = _past_the_atom_cap(), (5.6, 126.0)
+    for call in (lambda: spectral_measure_discrete(spec, window), lambda: discrete_eigenvalues(spec),
+                 lambda: projection_energy(spec, point_evaluator(spec, 0.5))):
+        with pytest.raises(UnsupportedShape, match="more than 64 point masses"):
+            call()
+    mu = stieltjes_inversion(spec, window)
+    assert mu.epsilon_used is not None
+    # With the cap raised, the exact route gives the same atoms.
+    monkeypatch.setattr(spectral, "_MAX_ATOMS", 65)
+    exact = spectral_measure_discrete(spec, window)
+    assert [round(lam, 4) for lam, _ in exact.atoms] == [11.3486, 44.1790, 82.2035]
+    assert len(mu.atoms) == len(exact.atoms)
+    for (lam, mass), (want_lam, want_mass) in zip(mu.atoms, exact.atoms):
+        assert lam == pytest.approx(want_lam, rel=1e-13)
+        assert mass == pytest.approx(want_mass, rel=1e-13)
 
 
 def test_inversion_empty_string_measure_vanishes():
@@ -607,6 +644,12 @@ def test_point_evaluator_shape():
     assert ray.f1(5.0) == 2.0
 
 
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_point_evaluator_refuses_the_ends(x):
+    with pytest.raises(PositionOutOfRange, match="outside"):
+        point_evaluator(catalog.empty_string(), x)
+
+
 def test_reproducing_identity():
     spec = OMEGA_MID
     f = HilbertElement(nodes=(0.0, 0.3, 0.7, 1.0), values=(0.0, 0.5, 0.2, 0.0))
@@ -725,6 +768,25 @@ def test_atomic_transform_matches_mpmath_oracle(seed, n_omega, n_upsilon):
 def test_element_rejects_non_finite_data(nodes, values, f2):
     with pytest.raises(ValidationError, match="finite"):
         HilbertElement(nodes=nodes, values=values, f2_atoms=f2)
+
+
+@pytest.mark.parametrize("nodes, values, message", [
+    ((0.0, 0.5), (0.0,), "align"),
+    ((), (), "non-empty"),
+    ((0.0, 0.5), (0.1, 0.0), r"f1\(0\) = 0"),
+    ((0.1, 0.5), (0.0, 0.0), r"f1\(0\) = 0"),
+    ((0.0, 0.5, 0.5), (0.0, 1.0, 0.0), "strictly increasing"),
+    ((0.0, 0.6, 0.3), (0.0, 1.0, 0.0), "strictly increasing"),
+])
+def test_element_rejects_misshapen_data(nodes, values, message):
+    with pytest.raises(ValidationError, match=message):
+        HilbertElement(nodes=nodes, values=values)
+
+
+def test_transform_refuses_an_element_beyond_the_string():
+    f = HilbertElement(nodes=(0.0, 0.5, 1.5), values=(0.0, 0.3, 0.0))
+    with pytest.raises(PositionOutOfRange, match="beyond"):
+        transform_hat(OMEGA_MID, f, 4.0)
 
 
 def test_transform_requires_compact_support():

@@ -446,23 +446,6 @@ def test_one_grid_call_runs_one_sweep(monkeypatch):
         assert sweeps == [(kind, [spec.length])]
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """The string of every sweep plan (_Walk) built, from an empty view cache
-    on, and whether it plans a row sweep."""
-    built = []
-
-    class Counted(propagation._Walk):
-        def __init__(self, view, xs):
-            super().__init__(view, xs)
-            built.append((view.spec, self.row is not None))
-
-    monkeypatch.setattr(propagation, "_Walk", Counted)
-    coefficient_view.cache_clear()
-    yield built
-    coefficient_view.cache_clear()
-
-
 def test_each_string_plans_its_sweep_once(walks, monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     halfline, finite = catalog.uniform_halfline(), catalog.mixed_example()
@@ -813,3 +796,11 @@ def test_richardson_refuses_a_tail_that_extrapolation_spreads():
     with pytest.raises(ExtrapolationUnstable):
         _richardson([0.0, 1.0, 1.0], 10.0, (2,))
     assert _richardson([1.01, 1.0001, 1.000001], 10.0, (2,)) == pytest.approx(1.0, abs=1e-14)
+    # Two values leave one after the first power, and the second is skipped.
+    assert _richardson([1.1, 1.01], 10.0, (1, 2)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_richardson_refuses_several_powers_with_unequal_ratios():
+    with pytest.raises(ValueError, match="one ratio"):
+        _richardson([1.1, 1.01, 1.0001], [10.0, 100.0], (1, 2))
+    assert _richardson([1.1, 1.01, 1.001], [10.0, 10.0], (1, 2)) == pytest.approx(1.0, abs=1e-12)
