@@ -15,13 +15,16 @@ levels in log depth, later leaf on the left (Blelloch, "Prefix sums and their
 applications", 1990).  On a walk where a step has a density every leaf is
 one step, a full 2 x 2 matrix.  On a walk without densities (a free walk:
 point masses and free gaps only) a leaf is the product of up to
-``_LEAF_STEPS`` consecutive steps: it starts as its first step [[1 - h g, h], [-g, 1]], and each further
-step is applied to its rows (row 1 -= g row 0, then row 0 += h row 1), which
-costs two complex and two real-scalar products per step and z where
-composing two matrices costs eight complex ones.  A run is padded at its
-front with identity steps to a whole number of leaves, so a leaf's arithmetic
-depends on the walk alone.  The leaves of many runs and many z are built as
-arrays in one vectorized pass, laid out (2, 2, leaves, z) with z last.  A
+``_LEAF_STEPS`` = 4 consecutive steps, or ``_LONG_LEAF_STEPS`` = 16 on a walk
+of at least one full block: it starts as its first step
+[[1 - h g, h], [-g, 1]], and each further step is applied to its rows (row 1
+-= g row 0, then row 0 += h row 1), which costs two complex and two
+real-scalar products per step and z where composing two matrices costs eight
+complex ones: folding the leaves then costs 2 complex products per step and
+z with four-step leaves, and 0.5 with sixteen-step ones.  A run is padded at
+its front with identity steps to a whole number of leaves, so a leaf's
+arithmetic depends on the walk alone.  The leaves of many runs and many z are
+built as arrays in one vectorized pass, laid out (2, 2, leaves, z) with z last.  A
 run's leaves are stored in the fold's pair order (:func:`_order`), so each
 level composes two contiguous halves that pair leaves 2j and 2j + 1.  Runs
 are also cut at multiples of ``_BLOCK_STEPS`` steps, so the order of every
@@ -107,8 +110,28 @@ from .errors import ComputationError, PositionOutOfRange
 
 # Runs of steps are cut at multiples of this many steps before they are folded.
 _BLOCK_STEPS = 256
-# Steps per leaf of the fold of a walk without densities.
+# Steps per leaf of the fold of a walk without densities: _LEAF_STEPS on a
+# walk shorter than _BLOCK_STEPS, _LONG_LEAF_STEPS on a longer one.  Times of
+# a one-z weyl_m / of weyl._m_values on finite-sweep's 1,000-z grid, by steps
+# per leaf on every walk (finite-sweep atomic strings; one thread under
+# taskset on a 2-vCPU shared host, Python 3.11, numpy 2.4; fastest of 200 or
+# 40 / of 7 or 3 calls):
+#
+#   steps |  4             |  8             | 16             | 32
+#   101   | 115 us/2.6 ms  | 124 us/2.6 ms  | 157 us/1.4 ms  | 202 us/1.5 ms
+#   255   | 124 us/4.8 ms  | 132 us/4.3 ms  | 152 us/4.1 ms  | 207 us/2.3 ms
+#   301   | 162 us/6.1 ms  | 164 us/5.1 ms  | 181 us/4.8 ms  | 227 us/2.9 ms
+#   1001  | 206 us/16.9 ms | 204 us/14.0 ms | 218 us/12.5 ms | 236 us/11.9 ms
+#   10001 | 579 us/151 ms  | 552 us/124 ms  | 570 us/116 ms  | 579 us/111 ms
+#
+# Sixteen-step leaves cost one-z calls 12-37% on walks of 101 to 301 steps,
+# so walks under a block keep four steps, and their bytes (every walk of the
+# benchmark's halfline-weyl, inverse-spectral and cli-files strings).  From
+# a block on, the one-z cost fades (+6% at 1001 steps, none at 10001) and a
+# wide grid gains 23-26%.  Thirty-two gain at most 5% more on wide grids of
+# 1001 steps or more, and cost one-z calls more.
 _LEAF_STEPS = 4
+_LONG_LEAF_STEPS = 16
 # The batch sizes of a sweep: leaf x z matrices of the longest run in one
 # column of z, leaf x z matrices built in one pass of runs that fit together,
 # and step x z factors a row sweep makes in one pass.
@@ -132,7 +155,9 @@ _BIG = 1e120
 # there it reads 1.04-1.10; 33 steps add a ninth leaf and a fourth level.
 # A change to the cost of the one-z fold (a level of _fold, its
 # _Workspace.take calls: a FOUND line of CHANGES.md) moves this break-even
-# and must re-measure it.
+# and must re-measure it.  Walks of at most this many steps lie under a
+# block, so _LONG_LEAF_STEPS leaves none of them on another fold, and the
+# break-even stands.
 _ROW_STEPS = 33
 # Sweep plans kept (:func:`_plan`), the least recently used going first; each
 # keeps its coefficient view alive.  A perfbench process sweeps at most 13
@@ -294,7 +319,8 @@ class _Walk(_Steps):
     run has more than ``widest``.
 
     A leaf is the product of ``leaf_steps`` consecutive steps of one run: 1
-    where a step has a density, else up to _LEAF_STEPS (no more than the
+    where a step has a density, else _LONG_LEAF_STEPS on a walk of at least
+    _BLOCK_STEPS steps and _LEAF_STEPS on a shorter one (no more than the
     longest run has), and a run is padded at its front with identity steps
     (no length, no point mass) to a multiple of that.  Step s of the leaf at
     stored position j is step s * leaves + j of the arrays.  Raises
@@ -318,7 +344,8 @@ class _Walk(_Steps):
             self.row = (floats[0].tolist(), floats[1, :, None], floats[2, :, None],
                         list(zip(np.abs(floats[1]).tolist(), floats[2].tolist(), floats[0].tolist())))
         lengths = np.diff(ends)
-        size = min(_LEAF_STEPS, int(lengths.max(initial=1))) if self.free else 1
+        leaf = _LONG_LEAF_STEPS if self.steps >= _BLOCK_STEPS else _LEAF_STEPS
+        size = min(leaf, int(lengths.max(initial=1))) if self.free else 1
         counts = -(-lengths // size)
         self.leaf_steps = size
         self.widest = int(counts.max(initial=1))
@@ -351,18 +378,27 @@ class _Walk(_Steps):
         [[1, h], [0, 1]] [[1, 0], [-g, 1]] is applied to its rows: row 1 -= g
         row 0, then row 0 += h row 1.  With ``rescale`` the leaves are
         normalized after a step where a bound on their entries from max |z|,
-        the point masses and the lengths may exceed _BIG."""
+        the point masses and the lengths may exceed _BIG.  The -g of one step
+        of every leaf is made just before that step is applied, in a
+        (leaves, z) buffer that each step reuses, so no buffer holds more
+        than the leaf matrices whatever the leaf size."""
         if not self.free:
             return self.matrices(lo, hi, z, zz, rescale, ws)
         neg_aw, au, h = self.slots[:, :, lo:hi, None]
         shape = (2, 2, hi - lo, z.size)
         out = ws.take("steps", shape)
-        # -g of every step at once.
-        g = np.multiply(z, neg_aw, out=ws.take("kappa", neg_aw.shape[:2] + z.shape))
-        if self.upsilon_atoms:
-            g -= np.multiply(zz, au, out=ws.take("sh", g.shape))
+        g = ws.take("kappa", shape[2:])
+        tmp = ws.take("sh", shape[2:]) if self.upsilon_atoms else None
+
+        def minus_g(s):
+            """-g of step s of every leaf, in the one buffer of every step."""
+            np.multiply(z, neg_aw[s], out=g)
+            if tmp is not None:
+                np.subtract(g, np.multiply(zz, au[s], out=tmp), out=g)
+            return g
+
         # The first step, its zeros made +0 as the general form makes them.
-        np.add(g[0], 0.0, out=out[1, 0])
+        np.add(minus_g(0), 0.0, out=out[1, 0])
         np.add(np.multiply(h[0], out[1, 0], out=out[0, 0]), 1.0, out=out[0, 0])
         out[0, 1], out[1, 1] = h[0], 1.0
         row = ws.take("odd", shape[1:])
@@ -376,9 +412,9 @@ class _Walk(_Steps):
             grow = (1.0 + big_z * self.reach[0] + big_z * big_z * self.reach[1]) * (1.0 + self.reach[2])
             grow *= 1.0 + 1e-12
             bound = grow
-        for g_s, h_s in zip(g[1:], h[1:]):
-            row1 += np.multiply(g_s, row0, out=row)
-            parts0 += np.multiply(h_s, parts1, out=part)
+        for s in range(1, h.shape[0]):
+            row1 += np.multiply(minus_g(s), row0, out=row)
+            parts0 += np.multiply(h[s], parts1, out=part)
             if rescale:
                 bound *= grow
                 if not bound <= _BIG:

@@ -181,11 +181,13 @@ def test_blocked_fold_matches_mpmath_oracle():
 
 
 def test_free_strings_at_huge_z_match_the_oracle():
-    # On strings without densities a leaf of 4 steps is normalized between
-    # its steps where |z| is large: at |z| = 1e50 a upsilon atom multiplies
-    # by about |z|^2 mu = 1e100, so a few unnormalized steps would overflow.
+    # On strings without densities a leaf of 4 steps (16 on the walk of two
+    # blocks) is normalized between its steps where |z| is large: at
+    # |z| = 1e50 a upsilon atom multiplies by about |z|^2 mu = 1e100, so a few
+    # unnormalized steps would overflow.
     specs = [_free_string(40, 2), _free_string(13, 8),
-             catalog.random_discrete_string(np.random.default_rng(3), max_atoms=12)]
+             catalog.random_discrete_string(np.random.default_rng(3), max_atoms=12),
+             _free_string(2 * _BLOCK_STEPS, 2)]
     assert all(spec.upsilon.atoms and not spec.upsilon.density for spec in specs)
     for spec in specs:
         for z in (1e6 + 1j, 1e20j, 1e50 + 1e49j):
@@ -232,8 +234,8 @@ def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
     # on the mixed string, where pieces take the e^{-|Im s h|} form and fold
     # levels are normalized, and |z| ~ 6e49 on the free string, where leaves
     # are normalized between their steps.  The free string's positions cut
-    # its runs to 39, 217, 45, 211, 5 and 251 steps: leaves of 4 steps, the
-    # first of each run padded.
+    # its runs to 39, 217, 45, 211, 5 and 251 steps: a walk of a full block or
+    # more, so leaves of _LONG_LEAF_STEPS steps, the first of each run padded.
     mixed, free = _mixed_string(3 * _BLOCK_STEPS, 17), _free_string(3 * _BLOCK_STEPS, 17)
     assert coefficient_view(mixed).bp.size > 2 * _BLOCK_STEPS
     free_bp = coefficient_view(free).bp
@@ -258,21 +260,21 @@ def test_many_z_match_one_z_calls_bit_for_bit(n_z, monkeypatch):
         monkeypatch.setattr(propagation, "_COLUMN", column)
         m = m_truncated(spec, zs, xs[2])
         assert np.array_equal(m, [m_truncated(spec, z, xs[2]) for z in zs])
-    assert propagation._Walk(coefficient_view(free), np.array([1.0])).leaf_steps == 4
+    assert propagation._Walk(coefficient_view(free), np.array([1.0])).leaf_steps == propagation._LONG_LEAF_STEPS
 
 
 @pytest.mark.parametrize("n_z", [1, 2, 3, 5, 17])
 def test_long_walks_at_few_z_match_one_z_calls_bit_for_bit(n_z):
-    """A density string of about 10^4 breakpoints and a free string of 4 x 10^4
-    steps, each of about 10^4 leaves.  A build holds up to _COLUMN // n_z
-    leaves, so a one-z call builds each walk in one pass and a grid of two or
-    more z in several: each z of a grid still has the bytes of its one-z
-    call, in rescaled transfer matrices at three positions and in
-    m_truncated at L."""
+    """A density string of about 10^4 breakpoints and a free string of
+    1.6 x 10^5 steps (leaves of _LONG_LEAF_STEPS steps), each of about 10^4
+    leaves.  A build holds up to _COLUMN // n_z leaves, so a one-z call
+    builds each walk in one pass and a grid of two or more z in several: each
+    z of a grid still has the bytes of its one-z call, in rescaled transfer
+    matrices at three positions and in m_truncated at L."""
     rng = np.random.default_rng(n_z)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * rng.uniform(0.01, 20.0, n_z)
     xs = [0.3, 0.71, 1.0]
-    for spec in (_mixed_string(10_000, 23), _free_string(40_000, 23)):
+    for spec in (_mixed_string(10_000, 23), _free_string(10_000 * propagation._LONG_LEAF_STEPS, 23)):
         leaves = propagation._Walk(coefficient_view(spec), np.array(xs)).cuts[-1]
         assert propagation._COLUMN // 2 < leaves <= propagation._COLUMN
         mats = transfer_matrices(spec, zs, xs, rescale=True)
@@ -423,21 +425,24 @@ def _leaves_step_by_step(view, points, lo, hi, z, rescale, size):
 def test_narrow_sweep_matches_a_run_by_run_fold(n_z):
     # Sample positions on breakpoints cut the first block into six runs of 40
     # steps and one of 16, the second into runs of 25, 25, 25 and 181 (25, 25,
-    # 28 and 178 on the free string, where 25 and 28 steps make 7 leaves of 4
-    # steps each), and leave the third whole.  At 1 and 3 z every run is
-    # built in one pass and runs of one length are folded together; at 9 z
-    # the builds cut the walk.  The mixed string's leaves are its steps; the
-    # free string's leaves hold 4 steps each, built here one step at a time in
-    # logical order.  On the 300-atom strings the runs are short (3 and 7
-    # leaves, three of 7 on the mixed string folded together), so scratch of a
+    # 28 and 178 on the free string, where 25 and 28 steps make 2 leaves of
+    # _LONG_LEAF_STEPS = 16 steps each), and leave the third whole.  At 1 and
+    # 3 z every run is built in one pass and runs of one number of leaves are
+    # folded together; at 9 z the builds cut the walk.  The mixed string's
+    # leaves are its steps; the free strings' leaves, built here one step at
+    # a time in logical order, hold 16 steps on the walk of three blocks and
+    # _LEAF_STEPS = 4 on the walk of 80 steps, so the test covers both sides
+    # of the one-block rule.  On the 300-atom strings the runs are short (3
+    # and 7 leaves, three of 7 on the mixed string folded together), so scratch of a
     # later level of one run's fold in the buffer of the leaves would reach
     # the leaves of a later run of the same build, not folded yet.
     rng = np.random.default_rng(5)
     zs = rng.uniform(-60.0, 60.0, n_z) + 1j * np.geomspace(1e-3, 20.0, n_z)
     long = [40, 80, 120, 160, 200, 240, 281, 306]
     for spec, size, big, cuts in ((_mixed_string(3 * _BLOCK_STEPS, 17), 1, 1e5, long + [331, 512, 768]),
-                                  (_free_string(3 * _BLOCK_STEPS, 17), 4, 1e48, long + [334, 512, 768]),
-                                  (_free_string(300, 17), 4, 1e48, [12, 40, 52, 80]),
+                                  (_free_string(3 * _BLOCK_STEPS, 17), propagation._LONG_LEAF_STEPS, 1e48,
+                                   long + [334, 512, 768]),
+                                  (_free_string(300, 17), propagation._LEAF_STEPS, 1e48, [12, 40, 52, 80]),
                                   (_mixed_string(300, 17), 1, 1e5, [3, 10, 13, 20, 27, 34])):
         view = coefficient_view(spec)
         assert view.bp[0] == 0.0 and view.bp.size > cuts[-1]
@@ -539,6 +544,30 @@ def test_second_wide_sweep_takes_few_page_faults():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 5000
+
+
+def test_free_sweeps_take_no_buffer_above_four_columns(monkeypatch):
+    # The leaf matrices of a build are the largest buffer, 2 x 2 x _COLUMN
+    # entries at most; -g comes one step of the leaves at a time, in a
+    # (leaves, z) buffer.  Made for all steps of sixteen-step leaves at once
+    # it would hold 16 x _COLUMN entries, and peak memory would grow with it.
+    sizes = []
+    take = propagation._Workspace.take
+
+    def recorded(self, key, shape, dtype=complex):
+        sizes.append(math.prod(shape) * np.dtype(dtype).itemsize)
+        return take(self, key, shape, dtype)
+
+    monkeypatch.setattr(propagation._Workspace, "take", recorded)
+    limit = 4 * propagation._COLUMN * np.dtype(complex).itemsize
+    spec = _free_string(3 * _BLOCK_STEPS, 17)
+    assert propagation._Walk(coefficient_view(spec), np.array([1.0])).leaf_steps == propagation._LONG_LEAF_STEPS
+    for n_z in (1, 1001, 3000):
+        zs = np.linspace(-40.0, 40.0, n_z) + 1j
+        for rescale in (False, True):
+            transfer_matrices(spec, zs, [0.3, 1.0], rescale=rescale)
+        m_truncated(spec, zs, 1.0)
+    assert limit // 2 < max(sizes) <= limit
 
 
 def test_unscaled_evaluators_refuse_non_finite_values():

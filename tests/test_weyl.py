@@ -561,16 +561,16 @@ def _short_free(steps: int, tail=None, seed: int = 0) -> StringSpec:
                                   density=((x0, math.inf, b),) if b else ()))
 
 
-def _m_from_transfer(spec: StringSpec, zs: np.ndarray) -> np.ndarray:
-    """m from the rescaled fold of :func:`transfer_matrices`: -theta/(z phi) at
-    L, or on a half-line the tail solution e^{is(x - x0)} matched just after
-    the point masses at its last breakpoint x0."""
+def _m_from_transfer(spec: StringSpec, zs: np.ndarray, rescale: bool = True) -> np.ndarray:
+    """m from the fold of :func:`transfer_matrices`, rescaled by default:
+    -theta/(z phi) at L, or on a half-line the tail solution e^{is(x - x0)}
+    matched just after the point masses at its last breakpoint x0."""
     view = coefficient_view(spec)
     if math.isfinite(spec.length):
-        mats = propagation.transfer_matrices(spec, zs, [spec.length], rescale=True)[0]
+        mats = propagation.transfer_matrices(spec, zs, [spec.length], rescale=rescale)[0]
         return -mats[:, 0, 0] / (zs * mats[:, 0, 1])
     x0 = float(view.bp[-1])
-    mats = propagation.transfer_matrices(spec, zs, [x0], rescale=True)[0]
+    mats = propagation.transfer_matrices(spec, zs, [x0], rescale=rescale)[0]
     (theta, phi), (dtheta, dphi) = np.moveaxis(mats, 0, -1)
     g = zs * view.atom_omega[-1] + zs * zs * view.atom_upsilon[-1]
     s = np.sqrt(zs * view.dens_omega[-1] + zs * zs * view.dens_upsilon[-1])
@@ -610,26 +610,47 @@ def fresh_views():
 
 def test_row_sweep_and_both_folds_match_the_oracle_on_random_free_strings(monkeypatch, fresh_views):
     """Every free walk may take the row sweep (_ROW_STEPS = 10**9), the fold of
-    four-step leaves (_ROW_STEPS = 0) or the fold of one-step leaves (and
-    _LEAF_STEPS = 1): on seeded free strings of 5 to 300 steps, finite and
-    half-lines with a free and two (a, b) tails, each path is within 1e-10 of
-    the 50-digit reference at every z of the wide range, none refused."""
+    its leaves by the one-block rule (_ROW_STEPS = 0: four steps on a walk
+    under _BLOCK_STEPS, sixteen on a longer one) or the fold of one-step
+    leaves (and _LEAF_STEPS = _LONG_LEAF_STEPS = 1): on seeded free strings of
+    5 to 600 steps, finite and half-lines with a free and two (a, b) tails,
+    each path is within 1e-10 of the 50-digit reference at every z of the
+    wide range, none refused.  On a finite string and a half-line of 600
+    steps both folds also give m from transfer_matrices, rescaled and plain,
+    on one thread and split over two; the plain fold only at |z| <= 1e3,
+    where its entries stay in the double range."""
     zs = np.array([r * cmath.exp(1j * a) for r in np.logspace(-8, 6, 15)
                    for a in (1e-8, 0.3, np.pi / 2, np.pi - 0.3, np.pi - 1e-8)])
     specs = [_short_free(steps, tail, seed=steps) for steps in (5, 19, 20, 64, 300)
              for tail in (None, (0.0, 0.0), (0.5, 2.0), (-0.7, 1.0))]
+    specs += [_short_free(600, tail, seed=600) for tail in (None, (0.5, 2.0))]
     refs = [np.array(oracle.free_weyl_m(spec, zs)) for spec in specs]
-    for row_steps, leaf_steps in ((10 ** 9, propagation._LEAF_STEPS), (0, propagation._LEAF_STEPS), (0, 1)):
+    plain = np.abs(zs) <= 1e3
+    for row_steps, leaf_steps, long_leaf_steps in ((10 ** 9, propagation._LEAF_STEPS, propagation._LONG_LEAF_STEPS),
+                                                   (0, propagation._LEAF_STEPS, propagation._LONG_LEAF_STEPS),
+                                                   (0, 1, 1)):
         monkeypatch.setattr(propagation, "_ROW_STEPS", row_steps)
         monkeypatch.setattr(propagation, "_LEAF_STEPS", leaf_steps)
+        monkeypatch.setattr(propagation, "_LONG_LEAF_STEPS", long_leaf_steps)
         coefficient_view.cache_clear()
         for spec, ref in zip(specs, refs):
             samples = weyl_m_grid(spec, zs)
             walk = propagation._walk_to(coefficient_view(spec), [samples[0].truncation_x])
             assert (walk.row is not None) == bool(row_steps)
-            assert walk.leaf_steps == min(leaf_steps, walk.steps)
+            leaf = long_leaf_steps if walk.steps >= propagation._BLOCK_STEPS else leaf_steps
+            assert walk.leaf_steps == min(leaf, walk.steps)
             m = np.array([sample.m for sample in samples])
             assert np.all(np.abs(m - ref) <= 1e-10 * np.abs(ref)), (row_steps, leaf_steps, spec)
+        if row_steps:
+            continue
+        # With no work threshold, a fold of a full block splits over _WORKERS threads.
+        monkeypatch.setattr(propagation, "_SPLIT_WORK", 0)
+        for workers in (1, 2):
+            monkeypatch.setattr(propagation, "_WORKERS", workers)
+            for spec, ref in zip(specs[-2:], refs[-2:]):
+                for rescale, at in ((True, slice(None)), (False, plain)):
+                    m = _m_from_transfer(spec, zs[at], rescale)
+                    assert np.all(np.abs(m - ref[at]) <= 1e-10 * np.abs(ref[at])), (leaf_steps, workers, rescale)
 
 
 def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
