@@ -38,10 +38,16 @@ Sattinger and Szmigielski, Adv. Math. 154, 2000).  On a free walk of at most
 ``_ROW_STEPS`` steps :func:`_row_sweep` computes that row: it applies the
 steps last to first to a row (v0, v1), t = h v0 + v1, v0 -= g t, v1 = t, as
 elementwise ufuncs over z, where the fold's fixed cost outweighs its log
-depth.  Which sweep runs depends on the walk alone, so every z still comes
-out bit for bit as in a one-z call.  :func:`_row` is the one place that
-chooses: every other walk folds the whole matrix and takes that row of it,
-and :func:`transfer_matrices` and :func:`fundamental_system` always fold.
+depth.  One z is swept on Python floats, which round as numpy's float ufuncs
+do, with numpy's complex product for g t alone (:func:`_row_sweep_one`): a
+ufunc call on a tiny array costs about 1 us.  A one-z weyl_m on a 12-step
+half-line took 65-68 us as four ufunc calls per step and takes 37-38 us, on
+33 steps 113 and 46-50 us, and on no steps 20.5 us either way (2-vCPU shared
+host, Python 3.11, numpy 2.4).  Which sweep runs depends on the walk alone,
+so every z still comes out bit for bit as in a one-z call.  :func:`_row` is
+the one place that chooses: every other walk folds the whole matrix and
+takes that row of it, and :func:`transfer_matrices` and
+:func:`fundamental_system` always fold.
 
 A fold cuts z into chunks and columns, and since every z comes out as in a
 one-z call, no cut changes the result, and the constants that set them
@@ -145,19 +151,20 @@ _EXP_PHASE = 300.0
 # With rescale, matrices with an entry beyond this are divided by their largest entry.
 _BIG = 1e120
 # A Weyl value on a walk without densities of at most this many steps takes
-# the row sweep: the most steps at which a one-z weyl_m through it was not
-# slower than through the fold.  Time ratios, row sweep over fold, median
-# [quartiles] (2-vCPU shared host, Python 3.11, numpy 2.4; fastest of
-# 15 x 300 calls, alternating; 68 strings at 33 to 35 steps, finite strings
-# and half-lines with and without upsilon atoms): 0.96 [0.94, 1.00] at 33
-# steps, 0.99 [0.96, 1.03] at 34 and 1.03 [0.99, 1.07] at 35.  The ratio is
-# not monotone: the fold of 29 to 32 steps has 8 leaves and 3 levels, and
-# there it reads 1.04-1.10; 33 steps add a ninth leaf and a fourth level.
-# A change to the cost of the one-z fold (a level of _fold, its
-# _Workspace.take calls: a FOUND line of CHANGES.md) moves this break-even
-# and must re-measure it.  Walks of at most this many steps lie under a
-# block, so _LONG_LEAF_STEPS leaves none of them on another fold, and the
-# break-even stands.
+# the row sweep.  The rule reads the walk alone, so it routes grids as well as
+# one-z calls, and grids set it.  Times, row sweep against fold (2-vCPU
+# shared host, Python 3.11, numpy 2.4; fastest of 5 x 20 or 5 x 300 calls):
+# a one-z weyl_m, which sweeps its row on Python floats, took 0.37-0.42 of
+# the fold's time at 29 to 35 steps (medians of six free strings per count,
+# finite and half-lines, with and without upsilon atoms), 0.50 at 48, 0.6-0.75
+# at 100 and about 1 at 200.  The elementwise sweep of a grid loses sooner:
+# at 7 z 0.26 vs 0.22 ms from 48 steps and 0.25 vs 0.20 ms at 100, at 49 z
+# 0.32 vs 0.31 ms at 100 steps, while at 33 it wins at 7, 49 and 1,000 z
+# (0.11 vs 0.19 ms, 0.16 vs 0.23 ms, 2.4 vs 4.4 ms).  So the value stays.
+# A change to the cost of the fold or of a row sweep (a FOUND line of
+# CHANGES.md) moves these break-evens and must re-measure them.  Walks of at
+# most this many steps lie under a block, so _LONG_LEAF_STEPS leaves none of
+# them on another fold.
 _ROW_STEPS = 33
 # Sweep plans kept (:func:`_plan`), the least recently used going first; each
 # keeps its coefficient view alive.  A perfbench process sweeps at most 13
@@ -337,12 +344,14 @@ class _Walk(_Steps):
         self.samples = list(zip(xs.tolist(), np.searchsorted(ends, self.targets).tolist()))
         super().__init__(view, points[:-1], np.diff(points))
         # The steps, last first, for a row sweep (:func:`_row_sweep`): h, alpha
-        # and mu, and (|alpha|, mu, h) of each for its rescale bound.
+        # and mu, (|alpha|, mu, h) of each for its rescale bound, and
+        # (sum |alpha|, sum mu, prod (1 + h)(1 + 1e-12)) for a bound on them all.
         self.row = None
         if self.steps <= _ROW_STEPS and not self.dense.any():
             floats = np.stack([self.h, self.aw, self.au])[:, ::-1]
-            self.row = (floats[0].tolist(), floats[1, :, None], floats[2, :, None],
-                        list(zip(np.abs(floats[1]).tolist(), floats[2].tolist(), floats[0].tolist())))
+            hs, alphas, mus = floats[0].tolist(), np.abs(floats[1]).tolist(), floats[2].tolist()
+            self.row = (hs, floats[1, :, None], floats[2, :, None], list(zip(alphas, mus, hs)),
+                        (sum(alphas), sum(mus), math.prod(1.0 + h for h in hs) * (1.0 + 1e-12) ** len(hs)))
         lengths = np.diff(ends)
         leaf = _LONG_LEAF_STEPS if self.steps >= _BLOCK_STEPS else _LEAF_STEPS
         size = min(leaf, int(lengths.max(initial=1))) if self.free else 1
@@ -592,7 +601,7 @@ def _row_factors(walk: _Walk, z: np.ndarray):
     many are swept with it.  Where steps x z is at most _COLUMN they are
     the rows of one array, made in a call or three; else they come one step
     at a time in one buffer, which holds no more than the z."""
-    _, alpha, mu, _ = walk.row
+    _, alpha, mu, _, _ = walk.row
     parts = np.ascontiguousarray(z).view(float)
     squares = (z * z).view(float) if walk.upsilon_atoms else None
     if z.size * alpha.size <= _COLUMN:
@@ -609,40 +618,88 @@ def _row_factors(walk: _Walk, z: np.ndarray):
         yield g.view(complex)
 
 
+def _first_check(walk: _Walk, big_z: float, largest: float) -> int:
+    """The first step of a row sweep after which a row may have a part above
+    _BIG, for rows of z up to ``big_z`` in modulus that start with parts up
+    to ``largest``; the number of steps if there is none.
+
+    Step s multiplies the largest |entry| by at most (1 + |g|)(1 + h), with
+    |g| <= |z| |alpha| + |z|^2 mu; moduli are at most sqrt 2 times the
+    largest part, and 1e-12 covers the rounding.  Where the bound on all the
+    steps, exp(|z| sum |alpha| + |z|^2 sum mu) prod (1 + h), keeps every row
+    under _BIG, the steps are not looked at one by one."""
+    _, _, _, reach, (alphas, mus, lengths) = walk.row
+    bound = math.sqrt(2.0) * largest
+    grow = big_z * alphas + big_z * big_z * mus
+    if grow <= 700.0 and bound * math.exp(grow) * lengths <= _BIG:
+        return len(reach)
+    for s, (a, m, h) in enumerate(reach):
+        bound *= (1.0 + big_z * a + big_z * big_z * m) * (1.0 + h) * (1.0 + 1e-12)
+        if not bound <= _BIG:
+            return s
+    return len(reach)
+
+
 def _row_sweep(walk: _Walk, z: np.ndarray, w0, w1) -> np.ndarray:
     """The row (w0, w1) M at each z, for M the transfer along a walk with a row
     plan (``walk.row``), as an array (v0, v1) of shape (2, z.size).
 
-    The steps are applied last to first, each as elementwise ufuncs over z:
-    t = h v0 + v1, then v0 -= g t with g = z alpha + z^2 mu
-    (:func:`_row_factors`), then v1 = t.  A z's row is divided by its own
-    largest part where that exceeds _BIG, checked after every step from the
-    first one where a bound on the rows from max |z|, the point masses, the
-    lengths and the start row may pass _BIG (as in
-    :meth:`_Walk.leaf_matrices`).  A row that is not finite gives a value of
-    m that is not finite: once t is not finite, neither is v0."""
-    hs, _, _, reach = walk.row
+    The steps are applied last to first: t = h v0 + v1, then v0 -= g t with
+    g = z alpha + z^2 mu (:func:`_row_factors`), then v1 = t.  A z's row is
+    divided by its own largest part where that exceeds _BIG, checked after
+    every step from the first one where a bound on the rows may pass _BIG
+    (:func:`_first_check`).  A row that is not finite gives a value of m that
+    is not finite: once t is not finite, neither is v0.  Runs under the
+    caller's np.errstate, with overflow and invalid ignored.
+
+    Many z are swept as elementwise ufuncs over z.  One z is swept on Python
+    floats (:func:`_row_sweep_one`), which round as the float ufuncs do."""
+    hs = walk.row[0]
     row = np.empty((2, z.size), dtype=complex)
     row[0], row[1] = w0, w1
     if not hs:
         return row
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Step s multiplies the largest |entry| by at most (1 + |g|)(1 + h), with
-        # |g| <= |z| |alpha| + |z|^2 mu; moduli are at most sqrt 2 times the
-        # largest part.  1e-12 covers the rounding.
-        big_z = float(np.abs(z).max(initial=0.0))
-        bound, checks = math.sqrt(2.0) * _largest_part(row), []
-        for a, m, h in reach:
-            bound *= (1.0 + big_z * a + big_z * big_z * m) * (1.0 + h) * (1.0 + 1e-12)
-            checks.append(not bound <= _BIG)
-        v0, v1 = row
-        t = np.empty_like(v0)
-        part, (parts0, parts1), rows = t.view(float), row.view(float), row[:, None]
-        for g_s, h_s, check in zip(_row_factors(walk, z), hs, checks):
-            parts1 += np.multiply(h_s, parts0, out=part)
-            v0 -= np.multiply(g_s, v1, out=t)
-            if check:
-                _normalize(rows)
+    if z.size == 1:
+        return _row_sweep_one(walk, z, row)
+    first = _first_check(walk, float(np.abs(z).max(initial=0.0)), _largest_part(row))
+    v0, v1 = row
+    t = np.empty_like(v0)
+    part, (parts0, parts1), rows = t.view(float), row.view(float), row[:, None]
+    for s, (g_s, h_s) in enumerate(zip(_row_factors(walk, z), hs)):
+        parts1 += np.multiply(h_s, parts0, out=part)
+        v0 -= np.multiply(g_s, v1, out=t)
+        if s >= first:
+            _normalize(rows)
+    return row
+
+
+def _row_sweep_one(walk: _Walk, z: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """:func:`_row_sweep` at one z, from its start ``row`` of shape (2, 1),
+    with the bytes of its row of a sweep of many z.
+
+    The parts of the row are Python floats, and their products and sums round
+    as numpy's float ufuncs do.  g v1 alone is numpy's complex product, which
+    may be fused: into an array apart from its inputs, since a one-element
+    product written into one of them is not fused.  A row that may pass _BIG
+    is divided by :func:`_normalize`, held in ``row`` for that.  A part that
+    is nan stays nan to the end, and :func:`_normalize` divides no row with
+    one, so the largest part may pass over it."""
+    parts = row.view(float).reshape(4)
+    a0, b0, a1, b1 = parts.tolist()
+    first = _first_check(walk, float(np.abs(z)[0]), max(abs(a0), abs(b0), abs(a1), abs(b1)))
+    v1, t = row[1], np.empty(1, dtype=complex)
+    for s, (g_s, h_s) in enumerate(zip(_row_factors(walk, z), walk.row[0])):
+        a1 += h_s * a0
+        b1 += h_s * b0
+        parts[2], parts[3] = a1, b1
+        product = np.multiply(g_s, v1, t).item()
+        a0 -= product.real
+        b0 -= product.imag
+        if s >= first:
+            parts[0], parts[1] = a0, b0
+            _normalize(row[:, None])
+            a0, b0, a1, b1 = parts.tolist()
+    parts[0], parts[1] = a0, b0
     return row
 
 
@@ -703,7 +760,8 @@ def _row(view, x: float, z: np.ndarray, w0, w1) -> np.ndarray:
     positive factor per z, as an array (v0, v1) of shape (2, z.size): swept
     back from x (:func:`_row_sweep`) where the walk to x has a row plan, else
     w0 M[0] + w1 M[1] of the rescaled fold.  Raises as the fold does
-    (:func:`_sweep_closed`) where a state of it is not finite."""
+    (:func:`_sweep_closed`) where a state of it is not finite.  Runs under
+    the caller's np.errstate, with overflow and invalid ignored."""
     walk = _walk_to(view, [x])
     if walk.row is not None:
         return _row_sweep(walk, z, w0, w1)

@@ -503,8 +503,18 @@ def stieltjes_inversion(source, window: tuple[float, float],
 # -- Green kernel and the transform -------------------------------------------
 
 
+# green_kernel refuses a value where psi(hi) = theta + m z phi cancels by
+# more than this: its relative error is about 1e-16 times the cancellation.
+_GREEN_CANCEL = 1e4
+
+
 def green_kernel(spec: StringSpec, z: complex, x: float, t: float) -> np.ndarray:
-    """Resolvent kernel value (both components) at (x, t); symmetric in (x, t)."""
+    """Resolvent kernel value (both components) at (x, t); symmetric in (x, t).
+
+    Raises :class:`ComputationError` where the Weyl solution psi = theta +
+    m z phi at the larger point is the sum of terms more than _GREEN_CANCEL
+    times its own modulus: (|theta| + |m z phi|)/|psi| > _GREEN_CANCEL, where
+    its rounding would leave fewer than about 12 digits."""
     z = complex(z)
     lo, hi = (x, t) if x <= t else (t, x)
     mz = weyl_m(spec, z).m * z
@@ -512,7 +522,13 @@ def green_kernel(spec: StringSpec, z: complex, x: float, t: float) -> np.ndarray
     (th_lo, th_hi), (ph_lo, ph_hi) = fs.theta, fs.phi
     # W(psi, phi) at lo and psi(hi) for the Weyl solution psi = theta + m z phi.
     wron = (th_lo.f + mz * ph_lo.f) * ph_lo.quasi - (th_lo.quasi + mz * ph_lo.quasi) * ph_lo.f
-    g1 = (th_hi.f + mz * ph_hi.f) * ph_lo.f / wron
+    psi = th_hi.f + mz * ph_hi.f
+    cancel = (abs(th_hi.f) + abs(mz * ph_hi.f)) / abs(psi) if psi else math.inf
+    if not cancel <= _GREEN_CANCEL:
+        raise ComputationError(
+            f"green_kernel at z={z}, (x, t) = ({x}, {t}): the Weyl solution cancels "
+            f"by {cancel:.3g} at {hi}, above {_GREEN_CANCEL:g}")
+    g1 = psi * ph_lo.f / wron
     return np.array([g1, z * g1])
 
 

@@ -136,6 +136,7 @@ def _m_row(view, x: float, zs: np.ndarray, tail: bool) -> np.ndarray:
 
     On a half-line every term of (is + g) is computed even where its
     coefficient is 0, so the z whose z^2 overflows (z = 1e160i) is refused.
+    The row sweep runs under the np.errstate entered here, and enters none.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w0, w1 = 1.0, 0.0

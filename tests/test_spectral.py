@@ -630,6 +630,34 @@ def test_green_kernel_takes_two_sweeps(monkeypatch):
     assert calls == ["_row_sweep", "_sweep_closed"]
 
 
+def test_green_kernel_is_within_1e_12_of_the_oracle_or_raises(monkeypatch):
+    """On mixed_example(), against psi(hi) phi(lo) from 60-digit propagators
+    (psi = theta + m z phi, m z = -theta(L)/phi(L), W(psi, phi) = 1): each
+    call lands within 1e-12 of the oracle in both components or raises.  The
+    first and last points pass the guard; the other five cancel in psi(hi)
+    by 4.6e5 to 2.1e16, where the value was off by up to 2e5."""
+    monkeypatch.setattr(oracle, "DPS", 60)
+    spec = catalog.mixed_example()
+    points = [(2 + 1j, 0.3, 0.6), (5 + 5j, 0.1, 1.2), (20 + 2j, 0.4, 0.9), (50 + 1j, 0.2, 1.7),
+              (200 + 1j, 0.3, 1.9), (1000 + 1j, 0.5, 1.5), (-3 + 0.1j, 1.0, 0.5)]
+    returned = []
+    for z, x, t in points:
+        lo, hi = sorted((x, t))
+        props = oracle.propagators(spec, z, [lo, hi, spec.length])
+        with mpmath.workdps(60):
+            theta, phi = ({p: props[p][0, k] for p in props} for k in (0, 1))
+            mz = -theta[spec.length] / phi[spec.length]
+            want = complex((theta[hi] + mz * phi[hi]) * phi[lo])
+        try:
+            got = green_kernel(spec, z, x, t)
+        except ComputationError:
+            continue
+        returned.append(z)
+        assert abs(got[0] - want) <= 1e-12 * abs(want), (z, x, t)
+        assert abs(got[1] - z * want) <= 1e-12 * abs(z * want), (z, x, t)
+    assert returned == [2 + 1j, -3 + 0.1j]
+
+
 def test_green_kernel_atomic_diagonal():
     g = green_kernel(catalog.omega_atom_origin(), 1j, 0.5, 0.5)
     assert g[0] == pytest.approx(0.25, abs=1e-12)

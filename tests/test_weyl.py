@@ -686,6 +686,61 @@ def test_row_sweep_one_z_calls_give_the_bytes_of_their_grid_rows(monkeypatch):
         assert len(checks) >= propagation._ROW_STEPS - 1 and sum(checks) >= 3
 
 
+def test_one_z_row_sweeps_on_floats_give_the_bytes_of_their_grid_rows(monkeypatch):
+    """A one-z row sweep runs on Python floats with numpy's complex product
+    for g v1 alone.  On seeded free strings of 1 to _ROW_STEPS steps
+    (finite strings and half-lines with a free and two (a, b) tails; upsilon
+    atoms, an omega atom at 0 and point masses at x0), at 40 z per string
+    with |z| from 1e-8 to 1e50: every one-z weyl_m gives the bytes of its
+    row of weyl_m_grid, signed zeros included, and from 4 steps on the
+    one-z calls of each string divide rows on the way."""
+    rng = np.random.default_rng(36)
+    divided = []
+    normalize = propagation._normalize
+
+    def counted(rows):
+        largest = normalize(rows)
+        divided.append(math.isnan(largest))  # nan: a row was divided
+        return largest
+
+    monkeypatch.setattr(propagation, "_normalize", counted)
+    for steps in range(1, propagation._ROW_STEPS + 1):
+        for tail in (None, (0.0, 0.0), (0.5, 2.0), (-0.7, 1.0)):
+            if tail is None and steps == 1:
+                continue
+            spec = _short_free(steps, tail, seed=100 * steps + len(tail or ()))
+            x = spec.length if tail is None else float(coefficient_view(spec).bp[-1])
+            walk = propagation._walk_to(coefficient_view(spec), [x])
+            assert walk.steps == steps and walk.row is not None
+            zs = 10.0 ** rng.uniform(-8.0, 50.0, 20) * np.exp(1j * rng.uniform(1e-6, np.pi - 1e-6, 20))
+            zs = np.concatenate([zs, zs.conj()])
+            grid = weyl_m_grid(spec, zs)
+            divided.clear()
+            for z, got in zip(zs, grid):
+                assert cmath.isfinite(got.m)
+                assert _parts_bits(weyl_m(spec, z).m) == _parts_bits(got.m), (steps, tail, z)
+            if steps >= 4:
+                assert sum(divided) >= 3, (steps, tail)
+
+
+def test_one_z_row_sweeps_do_not_run_the_vector_loop(monkeypatch):
+    """A one-z call on a walk with a row plan and steps goes through
+    _row_sweep_one, and never reaches the vector loop's bound (the only
+    caller of _largest_part off a rescale); a grid of two z takes the vector
+    loop, and a walk of no steps neither."""
+    calls = []
+    one, largest = propagation._row_sweep_one, propagation._largest_part
+    monkeypatch.setattr(propagation, "_row_sweep_one", lambda *args: calls.append("one") or one(*args))
+    monkeypatch.setattr(propagation, "_largest_part", lambda mats: calls.append("vector") or largest(mats))
+    for spec, has_steps in ((_short_free(12, None, seed=1), True), (_atomic_halfline(3), True),
+                            (_short_free(propagation._ROW_STEPS, (0.5, 2.0), seed=2), True),
+                            (catalog.uniform_halfline(), False)):
+        for zs, want in (([1.0 + 1.0j], ["one"]), ([1.0 + 1.0j, -2.0 + 0.5j], ["vector"])):
+            calls.clear()
+            weyl_m_grid(spec, zs)
+            assert calls == (want if has_steps else []), (spec, zs)
+
+
 def _discrete_string(n_omega: int, n_upsilon: int, seed: int) -> StringSpec:
     """A finite string on [0, 1] of n_omega positive omega and n_upsilon
     upsilon point masses at distinct positions, one per cell of
